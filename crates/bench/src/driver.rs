@@ -85,8 +85,9 @@ pub fn analytic_feasibility(scenario: &dyn Scenario) -> String {
 }
 
 /// Runs `scenario` under the parsed CLI flags and prints its figures.
-/// Returns the process exit code: 0 on success, 1 on a runtime error,
-/// 2 when `--check` surfaced hard analyzer findings.
+/// Returns the process exit code: 0 on success, 2 on a structured
+/// runtime error (for example an analytic state budget or horizon the
+/// backend rejects) or when `--check` surfaced hard analyzer findings.
 pub fn run_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
     let mut cfg = cli.cfg;
     let mut split = cli.split.clone();
@@ -110,7 +111,7 @@ pub fn run_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            1
+            2
         }
     }
 }
@@ -478,6 +479,23 @@ mod tests {
             Ok(s) => panic!("expected an error, resolved '{}'", s.name()),
             Err(e) => e,
         }
+    }
+
+    #[test]
+    fn rejected_runs_exit_with_code_2() {
+        let cli = FigureCli::parse(
+            [
+                "--backend",
+                "analytic",
+                "--max-states",
+                "10",
+                "--no-resume",
+                "--quiet",
+            ]
+            .map(String::from),
+        );
+        let scenario = resolve("figure4").unwrap();
+        assert_eq!(run_scenario(scenario.as_ref(), &cli), 2);
     }
 
     #[test]

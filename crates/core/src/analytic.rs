@@ -6,9 +6,9 @@
 //! tangible state space once, and every measure the simulators estimate by
 //! replication is computed exactly by uniformized transient analysis:
 //!
-//! * **unavailability** — `E[∫₀ᵀ improper_fraction ds] / T` via
-//!   [`Ctmc::expected_accumulated_reward`] over the improper-service
-//!   fraction reward;
+//! * **unavailability** — `E[∫₀ᵀ improper_fraction ds] / T`, the
+//!   expected accumulated improper-service fraction reward (as
+//!   [`Ctmc::expected_accumulated_reward`] computes it);
 //! * **unreliability** — mean over applications of `P[app ever Byzantine
 //!   by T]`, via one *byzantine-absorbed* chain per application (outgoing
 //!   transitions of Byzantine states dropped, so the transient mass on
@@ -20,8 +20,17 @@
 //!   marking the cascade settles into.
 //! * **instant-of-time measures** (`frac_domains_excluded@t`,
 //!   `replicas_running@t`, `load_per_host@t`) — reward expectations under
-//!   the transient distributions at the sample times, all solved from a
-//!   single uniformization pass ([`Ctmc::transient_multi`]).
+//!   the transient distributions at the sample times (as
+//!   [`Ctmc::transient_multi`] computes them).
+//!
+//! All of them come from **one** uniformization walk
+//! ([`itua_markov::uniformize::solve`]) on a worker team spawned once per
+//! solve: the base chain's iterates `π₀Pᵏ` are walked once and feed both
+//! the reward's tail-weighted dot products and every sample time's
+//! Poisson window, while each absorbed chain advances in the same step
+//! loop on its own pruned CSR, with its own uniformization rate and step
+//! count. Every value is bit-identical to the separate solver calls
+//! named above.
 //!
 //! The event-conditioned measures (`frac_corrupt_hosts_at_exclusion`,
 //! `time_to_first_*`) are deliberately *not* produced: they condition on
@@ -51,6 +60,7 @@ use crate::measures::{names, MeasureSet};
 use crate::params::Params;
 use crate::san_model::{self, BuildError, ItuaSan};
 use itua_markov::ctmc::{Ctmc, CtmcError};
+use itua_markov::uniformize::{self, Walk};
 use itua_san::model::SanError;
 use itua_san::statespace::StateSpace;
 use std::fmt;
@@ -82,6 +92,10 @@ pub enum AnalyticError {
     San(SanError),
     /// CTMC construction or solving failed.
     Ctmc(CtmcError),
+    /// The solve horizon was not finite and positive.
+    BadHorizon(f64),
+    /// A sample time was NaN.
+    BadSampleTime(f64),
 }
 
 impl fmt::Display for AnalyticError {
@@ -108,6 +122,10 @@ impl fmt::Display for AnalyticError {
             AnalyticError::Build(e) => write!(f, "cannot build ITUA SAN: {e}"),
             AnalyticError::San(e) => write!(f, "state-space generation failed: {e}"),
             AnalyticError::Ctmc(e) => write!(f, "CTMC solve failed: {e}"),
+            AnalyticError::BadHorizon(h) => {
+                write!(f, "horizon {h} is not finite and positive")
+            }
+            AnalyticError::BadSampleTime(t) => write!(f, "sample time {t} is not a number"),
         }
     }
 }
@@ -126,8 +144,8 @@ fn describe(params: &Params) -> String {
 ///
 /// Lumping changes *which* chain is solved (the exact symmetry quotient
 /// instead of the full tangible space), so it participates in sweep
-/// fingerprints; the thread count only schedules the bit-identical gather
-/// kernel and never influences results.
+/// fingerprints; the thread count only sizes the worker team of the
+/// bit-identical uniformization walk and never influences results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalyticOptions {
     /// Bound on generated states (lumped: orbits) before failing fast.
@@ -135,7 +153,7 @@ pub struct AnalyticOptions {
     /// Generate the chain in canonical orbit-representative form under
     /// [`crate::analysis::symmetry_spec`]. Exact; on by default.
     pub lump: bool,
-    /// Worker threads for the uniformization matvec (results are
+    /// Worker-team size for the uniformization walk (results are
     /// bit-identical at any count).
     pub threads: usize,
 }
@@ -313,57 +331,74 @@ impl ItuaAnalytic {
     /// Sample times get the same clamp/filter/sort/dedup normalization the
     /// simulators apply, so the `@t` measure names line up exactly.
     ///
+    /// All measures come from one fused uniformization walk
+    /// ([`uniformize::solve`]): the base chain is walked once for both the
+    /// accumulated improper-service reward and the sample-time
+    /// distributions, and every Byzantine-absorbed chain advances in the
+    /// same step loop on its own pruned CSR. Results are bit-identical to
+    /// separate [`Ctmc::expected_accumulated_reward`], [`Ctmc::transient`]
+    /// and [`Ctmc::transient_multi`] calls.
+    ///
     /// # Errors
     ///
-    /// Propagates CTMC solver failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `horizon` is finite and positive.
+    /// [`AnalyticError::BadHorizon`] unless `horizon` is finite and
+    /// positive; [`AnalyticError::BadSampleTime`] for a NaN sample time;
+    /// [`AnalyticError::Ctmc`] for solver failures.
     pub fn solve(
         &self,
         horizon: f64,
         sample_times: &[f64],
         confidence: f64,
     ) -> Result<MeasureSet, AnalyticError> {
-        assert!(
-            horizon > 0.0 && horizon.is_finite(),
-            "horizon must be finite positive"
-        );
-        let mut ms = MeasureSet::new(confidence);
+        if !(horizon > 0.0 && horizon.is_finite()) {
+            return Err(AnalyticError::BadHorizon(horizon));
+        }
+        if let Some(&t) = sample_times.iter().find(|t| t.is_nan()) {
+            return Err(AnalyticError::BadSampleTime(t));
+        }
+        let mut samples: Vec<f64> = sample_times
+            .iter()
+            .map(|&t| t.min(horizon))
+            .filter(|&t| t > 0.0)
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        samples.dedup();
 
-        let improper_time = self
-            .ctmc
-            .expected_accumulated_reward(&self.initial, &self.improper_frac, horizon, EPSILON)
-            .map_err(AnalyticError::Ctmc)?;
+        let base = Walk {
+            chain: &self.ctmc,
+            initial: &self.initial,
+            reward: Some((&self.improper_frac, horizon)),
+            times: &samples,
+        };
+        let horizon_only = [horizon];
+        let absorbed = self.byz.iter().map(|(chain, _)| Walk {
+            chain,
+            initial: &self.initial,
+            reward: None,
+            times: &horizon_only,
+        });
+        let walks: Vec<Walk> = std::iter::once(base).chain(absorbed).collect();
+        let mut out = uniformize::solve(&walks, EPSILON, self.ctmc.threads())
+            .map_err(AnalyticError::Ctmc)?
+            .into_iter();
+        let base_out = out.next().expect("the base walk comes first");
+
+        let mut ms = MeasureSet::new(confidence);
+        let improper_time = base_out.reward.expect("the base walk carries the reward");
         ms.record_exact(names::UNAVAILABILITY, improper_time / horizon);
 
         let mut byz_total = 0.0;
-        for (chain, flags) in &self.byz {
-            let p = chain
-                .transient(&self.initial, horizon, EPSILON)
-                .map_err(AnalyticError::Ctmc)?;
+        for ((_, flags), walk) in self.byz.iter().zip(out) {
             byz_total += flags
                 .iter()
-                .zip(&p)
+                .zip(&walk.transients[0])
                 .filter(|&(&absorbed, _)| absorbed)
                 .map(|(_, &pi)| pi)
                 .sum::<f64>();
         }
         ms.record_exact(names::UNRELIABILITY, byz_total / self.byz.len() as f64);
 
-        let mut samples: Vec<f64> = sample_times
-            .iter()
-            .map(|&t| t.min(horizon))
-            .filter(|&t| t > 0.0)
-            .collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN sample times"));
-        samples.dedup();
-        let dists = self
-            .ctmc
-            .transient_multi(&self.initial, &samples, EPSILON)
-            .map_err(AnalyticError::Ctmc)?;
-        for (&t, dist) in samples.iter().zip(&dists) {
+        for (&t, dist) in samples.iter().zip(&base_out.transients) {
             let dot = |r: &[f64]| r.iter().zip(dist).map(|(ri, pi)| ri * pi).sum::<f64>();
             ms.record_exact(
                 &format!("{}@{}", names::FRAC_DOMAINS_EXCLUDED, t),
@@ -476,5 +511,26 @@ mod tests {
         assert!(msg.contains("≤500 states"), "{msg}");
         assert!(msg.contains("4 domains × 3 hosts/domain"), "{msg}");
         assert!(msg.contains("use des/san"), "{msg}");
+    }
+
+    #[test]
+    fn bad_horizons_and_sample_times_are_errors_not_panics() {
+        let analytic = ItuaAnalytic::new(&micro_params(), 100_000).unwrap();
+        for h in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            let err = analytic.solve(h, &[1.0], 0.95).unwrap_err();
+            assert!(matches!(err, AnalyticError::BadHorizon(_)), "{h}: {err}");
+            assert!(err.to_string().contains("horizon"), "{err}");
+        }
+        let err = analytic.solve(5.0, &[1.0, f64::NAN], 0.95).unwrap_err();
+        assert!(
+            matches!(err, AnalyticError::BadSampleTime(t) if t.is_nan()),
+            "{err}"
+        );
+        // Out-of-range but well-defined sample times are still clamped or
+        // dropped, as the simulators do.
+        let ms = analytic
+            .solve(5.0, &[-1.0, 0.0, f64::INFINITY], 0.95)
+            .unwrap();
+        assert!(ms.mean(&format!("{}@5", names::REPLICAS_RUNNING)).is_some());
     }
 }

@@ -13,16 +13,17 @@
 //!
 //! All uniformization solvers run on one sparse kernel: a *gather*
 //! formulation of `y = xᵀ(I + Q/Λ)` over the transposed (incoming) CSR
-//! structure, with ping-ponged iterate buffers (no per-step allocation).
-//! Each output element accumulates its incoming terms in ascending-source
-//! order with the self-loop term merged in at `s == t` — the exact
-//! floating-point order the classic scatter formulation produces — so
-//! results are bit-identical to the scatter kernel, and to themselves at
-//! any thread count ([`Ctmc::with_threads`] splits output elements into
-//! contiguous chunks, each computed by exactly one thread).
+//! structure. Each output element accumulates its incoming terms in
+//! ascending-source order with the self-loop term merged in at `s == t` —
+//! the exact floating-point order the classic scatter formulation
+//! produces — so results are bit-identical to the scatter kernel, and to
+//! themselves at any thread count. The transient and reward solvers are
+//! thin wrappers over the fused walk of [`crate::uniformize`], which runs
+//! the kernel on a worker team spawned once per solve
+//! ([`Ctmc::with_threads`]).
 
-use crate::poisson::PoissonWeights;
 use crate::sparse::{CsrMatrix, SparseError};
+use crate::uniformize::{self, Walk};
 use std::fmt;
 
 /// Error from CTMC construction or solving.
@@ -51,6 +52,9 @@ pub enum CtmcError {
     /// The initial distribution was invalid (wrong length or not a
     /// probability vector).
     BadInitialDistribution,
+    /// A time point was negative or non-finite, or so large that the
+    /// uniformized Poisson mean `Λ·t` overflows.
+    BadTime(f64),
 }
 
 impl fmt::Display for CtmcError {
@@ -71,6 +75,7 @@ impl fmt::Display for CtmcError {
                 )
             }
             CtmcError::BadInitialDistribution => write!(f, "invalid initial distribution"),
+            CtmcError::BadTime(t) => write!(f, "time {t} is not finite and nonnegative"),
         }
     }
 }
@@ -107,15 +112,11 @@ pub struct Ctmc {
     incoming: CsrMatrix,
     /// Exit rate of each state (sum of outgoing rates).
     exit_rates: Vec<f64>,
-    /// Worker threads for the uniformized step (1 = inline). Never
+    /// Worker threads for uniformization walks (1 = inline). Never
     /// influences results: the gather kernel computes each output element
     /// independently in a fixed per-element order.
     threads: usize,
 }
-
-/// Below this state count the uniformized step always runs inline:
-/// per-step thread spawns would cost more than the matvec itself.
-const PARALLEL_CUTOFF: usize = 4096;
 
 impl Ctmc {
     /// Builds a CTMC from off-diagonal transition rates
@@ -146,8 +147,9 @@ impl Ctmc {
         })
     }
 
-    /// Sets the worker-thread count for the uniformized-step kernel and
-    /// returns the chain. A value of 0 or 1 keeps the step inline. Thread
+    /// Sets the worker-team size for uniformization walks and returns the
+    /// chain. A value of 0 or 1 keeps the walk inline; larger walks run on
+    /// up to this many workers (see [`crate::uniformize::solve`]). Thread
     /// count never influences results — each output element is computed
     /// by exactly one thread in a fixed per-element floating-point order —
     /// so solutions are byte-identical at any setting.
@@ -157,7 +159,7 @@ impl Ctmc {
         self
     }
 
-    /// Worker threads configured for the uniformized-step kernel.
+    /// Worker threads configured for uniformization walks.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -188,57 +190,50 @@ impl Ctmc {
         }
     }
 
-    /// One step of the uniformized DTMC, `y = xᵀ P` with `P = I + Q/Λ`,
-    /// written into the caller's buffer (every element overwritten).
-    ///
-    /// Gather formulation over the incoming CSR structure; splits the
-    /// output into contiguous chunks across [`Ctmc::threads`] workers.
-    /// Bit-identical to the scatter formulation at any thread count (see
-    /// the module docs and [`Ctmc::uniformized_step_scatter`]).
+    /// The transposed rate matrix: row `t` lists the incoming
+    /// `(source, rate)` entries of state `t` in ascending source order.
+    pub(crate) fn incoming(&self) -> &CsrMatrix {
+        &self.incoming
+    }
+
+    /// One inline step of the uniformized DTMC, `y = xᵀ P` with
+    /// `P = I + Q/Λ`, written into the caller's buffer (every element
+    /// overwritten).
     fn uniformized_step_into(&self, x: &[f64], lambda: f64, y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n);
         debug_assert_eq!(y.len(), self.n);
-        if self.threads <= 1 || self.n < PARALLEL_CUTOFF {
-            self.gather_chunk(x, lambda, y, 0);
-            return;
+        for (t, yt) in y.iter_mut().enumerate() {
+            *yt = self.gather_row(t, |s| x[s], lambda);
         }
-        let chunk = self.n.div_ceil(self.threads);
-        std::thread::scope(|scope| {
-            for (i, ys) in y.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || self.gather_chunk(x, lambda, ys, i * chunk));
-            }
-        });
     }
 
-    /// Computes `y[j] = (xᵀP)[start + j]` for one contiguous output chunk.
+    /// Element `t` of `xᵀP`, reading the iterate through `x`.
     ///
-    /// Each element accumulates its incoming terms in ascending-source
-    /// order, with the self-loop term `x[t]·(1 − E[t]/Λ)` merged in at the
-    /// position `s == t` — exactly the order in which the scatter
-    /// formulation (outer loop over sources) adds contributions to `y[t]`,
-    /// including its skip of zero-mass sources. Identical term order means
-    /// identical rounding, so gather and scatter agree bit for bit.
-    fn gather_chunk(&self, x: &[f64], lambda: f64, y: &mut [f64], start: usize) {
-        for (j, yt) in y.iter_mut().enumerate() {
-            let t = start + j;
-            let xt = x[t];
-            let mut acc = 0.0;
-            let mut self_term_pending = xt != 0.0;
-            for (s, r) in self.incoming.row(t) {
-                if self_term_pending && s > t {
-                    acc += xt * (1.0 - self.exit_rates[t] / lambda);
-                    self_term_pending = false;
-                }
-                let xs = x[s];
-                if xs != 0.0 {
-                    acc += xs * r / lambda;
-                }
-            }
-            if self_term_pending {
+    /// Accumulates the incoming terms in ascending-source order, with the
+    /// self-loop term `x[t]·(1 − E[t]/Λ)` merged in at the position
+    /// `s == t` — exactly the order in which the scatter formulation
+    /// (outer loop over sources) adds contributions to `y[t]`, including
+    /// its skip of zero-mass sources. Identical term order means identical
+    /// rounding, so gather and scatter agree bit for bit.
+    #[inline]
+    pub(crate) fn gather_row(&self, t: usize, x: impl Fn(usize) -> f64, lambda: f64) -> f64 {
+        let xt = x(t);
+        let mut acc = 0.0;
+        let mut self_term_pending = xt != 0.0;
+        for (s, r) in self.incoming.row(t) {
+            if self_term_pending && s > t {
                 acc += xt * (1.0 - self.exit_rates[t] / lambda);
+                self_term_pending = false;
             }
-            *yt = acc;
+            let xs = x(s);
+            if xs != 0.0 {
+                acc += xs * r / lambda;
+            }
         }
+        if self_term_pending {
+            acc += xt * (1.0 - self.exit_rates[t] / lambda);
+        }
+        acc
     }
 
     /// The original scatter formulation of the uniformized step, kept as
@@ -264,8 +259,9 @@ impl Ctmc {
     ///
     /// # Errors
     ///
-    /// Returns [`CtmcError::BadInitialDistribution`] if `initial` does not
-    /// sum to ~1 or has the wrong length.
+    /// * [`CtmcError::BadInitialDistribution`] if `initial` does not sum
+    ///   to ~1 or has the wrong length;
+    /// * [`CtmcError::BadTime`] if `t` is negative or not finite.
     pub fn transient(&self, initial: &[f64], t: f64, epsilon: f64) -> Result<Vec<f64>, CtmcError> {
         let mut multi = self.transient_multi(initial, &[t], epsilon)?;
         Ok(multi
@@ -285,54 +281,21 @@ impl Ctmc {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Ctmc::transient`].
+    /// Same conditions as [`Ctmc::transient`], for every time.
     pub fn transient_multi(
         &self,
         initial: &[f64],
         times: &[f64],
         epsilon: f64,
     ) -> Result<Vec<Vec<f64>>, CtmcError> {
-        self.check_initial(initial)?;
-        for &t in times {
-            assert!(t >= 0.0 && t.is_finite(), "time must be finite nonnegative");
-        }
-        let lambda = self.uniformization_rate();
-        let weights: Vec<Option<PoissonWeights>> = times
-            .iter()
-            .map(|&t| (t > 0.0).then(|| PoissonWeights::new(lambda * t, epsilon)))
-            .collect();
-        let right_max = weights.iter().flatten().map(|w| w.right).max();
-        let mut acc: Vec<Vec<f64>> = times
-            .iter()
-            .map(|&t| {
-                if t == 0.0 {
-                    initial.to_vec()
-                } else {
-                    vec![0.0; self.n]
-                }
-            })
-            .collect();
-        let Some(right_max) = right_max else {
-            return Ok(acc); // every requested time is 0
+        let walk = Walk {
+            chain: self,
+            initial,
+            reward: None,
+            times,
         };
-        let mut x = initial.to_vec();
-        let mut y = vec![0.0; self.n];
-        for k in 0..=right_max {
-            for (i, w) in weights.iter().enumerate() {
-                let Some(w) = w else { continue };
-                if k >= w.left && k <= w.right {
-                    let wk = w.weights[k - w.left];
-                    for s in 0..self.n {
-                        acc[i][s] += wk * x[s];
-                    }
-                }
-            }
-            if k < right_max {
-                self.uniformized_step_into(&x, lambda, &mut y);
-                std::mem::swap(&mut x, &mut y);
-            }
-        }
-        Ok(acc)
+        let mut out = uniformize::solve(&[walk], epsilon, self.threads)?;
+        Ok(out.pop().expect("one walk in, one output out").transients)
     }
 
     /// Expected accumulated reward `E[∫₀ᵗ r(X(s)) ds]` for per-state reward
@@ -345,6 +308,10 @@ impl Ctmc {
     /// # Errors
     ///
     /// Same conditions as [`Ctmc::transient`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reward` does not have one entry per state.
     pub fn expected_accumulated_reward(
         &self,
         initial: &[f64],
@@ -352,46 +319,17 @@ impl Ctmc {
         t: f64,
         epsilon: f64,
     ) -> Result<f64, CtmcError> {
-        self.check_initial(initial)?;
-        assert_eq!(reward.len(), self.n, "reward vector length");
-        assert!(t >= 0.0 && t.is_finite());
-        if t == 0.0 {
-            return Ok(0.0);
-        }
-        let lambda = self.uniformization_rate();
-        // E[∫₀ᵗ r ds] = (1/Λ) Σ_{k≥0} P[N ≥ k+1] · xᵏ·r  where xᵏ = π₀ Pᵏ.
-        // Compute tail probabilities from the truncated weights.
-        let weights = PoissonWeights::new(lambda * t, epsilon);
-        // tail[k] = P[N >= k+1] for k = 0.. right
-        // Build cumulative from the truncated window (mass outside is ~ε).
-        let mut acc = 0.0;
-        let mut x = initial.to_vec();
-        let mut y = vec![0.0; self.n];
-        // Precompute suffix sums of weights: P[N ≥ k+1] for window indices.
-        let mut suffix = vec![0.0; weights.weights.len() + 1];
-        for i in (0..weights.weights.len()).rev() {
-            suffix[i] = suffix[i + 1] + weights.weights[i];
-        }
-        // For k < left: P[N ≥ k+1] ≈ 1.
-        for _ in 0..weights.left {
-            let r: f64 = x.iter().zip(reward).map(|(p, r)| p * r).sum();
-            acc += r;
-            self.uniformized_step_into(&x, lambda, &mut y);
-            std::mem::swap(&mut x, &mut y);
-        }
-        for i in 0..weights.weights.len() {
-            let tail = suffix[i + 1];
-            if tail <= 0.0 {
-                break;
-            }
-            let r: f64 = x.iter().zip(reward).map(|(p, r)| p * r).sum();
-            acc += tail * r;
-            if i + 1 < weights.weights.len() {
-                self.uniformized_step_into(&x, lambda, &mut y);
-                std::mem::swap(&mut x, &mut y);
-            }
-        }
-        Ok(acc / lambda)
+        let walk = Walk {
+            chain: self,
+            initial,
+            reward: Some((reward, t)),
+            times: &[],
+        };
+        let mut out = uniformize::solve(&[walk], epsilon, self.threads)?;
+        Ok(out
+            .pop()
+            .and_then(|o| o.reward)
+            .expect("a reward walk reports its reward"))
     }
 
     /// Stationary distribution `π` with `πQ = 0`, `Σπ = 1`, by power
@@ -503,7 +441,7 @@ impl Ctmc {
             .sum())
     }
 
-    fn check_initial(&self, initial: &[f64]) -> Result<(), CtmcError> {
+    pub(crate) fn check_initial(&self, initial: &[f64]) -> Result<(), CtmcError> {
         if initial.len() != self.n {
             return Err(CtmcError::BadInitialDistribution);
         }
@@ -802,35 +740,93 @@ mod tests {
 
     #[test]
     fn threaded_solve_is_byte_identical_to_inline() {
-        // Big enough to clear PARALLEL_CUTOFF so threads actually spawn.
+        // A birth–death chain and a copy with its top tenth made
+        // absorbing (a lower Λ, so a different step count), walked by the
+        // inline wrappers and by one fused solve on a team of 8 workers.
+        // Birth rates grow with the state, so the top states set Λ.
         let n = 5000;
         let rates: Vec<(usize, usize, f64)> = (0..n - 1)
             .flat_map(|s| {
                 [
-                    (s, s + 1, 1.0 + (s % 7) as f64 / 3.0),
+                    (s, s + 1, 1.0 + (s % 7) as f64 / 3.0 + s as f64 / n as f64),
                     (s + 1, s, 2.0 + (s % 5) as f64 / 4.0),
                 ]
             })
             .collect();
-        let inline = Ctmc::from_rates(n, &rates).unwrap();
-        let threaded = inline.clone().with_threads(8);
-        assert!(n >= PARALLEL_CUTOFF);
+        let base = Ctmc::from_rates(n, &rates).unwrap();
+        let pruned: Vec<_> = rates
+            .iter()
+            .copied()
+            .filter(|&(s, _, _)| s < n - n / 10)
+            .collect();
+        let absorbed = Ctmc::from_rates(n, &pruned).unwrap();
+        assert!(absorbed.uniformization_rate() < base.uniformization_rate());
         let mut init = vec![0.0; n];
         init[0] = 0.25;
         init[n / 2] = 0.75;
-        let a = inline.transient_multi(&init, &[0.4, 1.7], 1e-12).unwrap();
-        let b = threaded.transient_multi(&init, &[0.4, 1.7], 1e-12).unwrap();
-        for (da, db) in a.iter().zip(&b) {
+        let reward: Vec<f64> = (0..n).map(|s| (s % 3) as f64).collect();
+        let times = [0.4, 1.7];
+        let walks = [
+            Walk {
+                chain: &base,
+                initial: &init,
+                reward: Some((&reward, 0.9)),
+                times: &times,
+            },
+            Walk {
+                chain: &absorbed,
+                initial: &init,
+                reward: None,
+                times: &[1.7],
+            },
+        ];
+        let team = uniformize::solve_on_team(&walks, 1e-12, |_| 8).unwrap();
+        let separate = [
+            uniformize::WalkOutput {
+                reward: Some(
+                    base.expected_accumulated_reward(&init, &reward, 0.9, 1e-12)
+                        .unwrap(),
+                ),
+                transients: base.transient_multi(&init, &times, 1e-12).unwrap(),
+            },
+            uniformize::WalkOutput {
+                reward: None,
+                transients: vec![absorbed.transient(&init, 1.7, 1e-12).unwrap()],
+            },
+        ];
+        let threaded = base.clone().with_threads(8);
+        let public = threaded.transient_multi(&init, &times, 1e-12).unwrap();
+        for (a, b) in team.iter().zip(&separate) {
+            assert_eq!(a.reward.map(f64::to_bits), b.reward.map(f64::to_bits));
+            for (da, db) in a.transients.iter().zip(&b.transients) {
+                for (x, y) in da.iter().zip(db) {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
+            }
+        }
+        for (da, db) in public.iter().zip(&separate[0].transients) {
             for (x, y) in da.iter().zip(db) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-        let ra = inline
-            .expected_accumulated_reward(&init, &vec![1.0; n], 0.9, 1e-12)
-            .unwrap();
-        let rb = threaded
-            .expected_accumulated_reward(&init, &vec![1.0; n], 0.9, 1e-12)
-            .unwrap();
-        assert_eq!(ra.to_bits(), rb.to_bits());
+    }
+
+    #[test]
+    fn bad_times_are_errors_not_panics() {
+        let ctmc = two_state(1.0, 1.0);
+        for t in [f64::NAN, f64::INFINITY, -1.0, f64::MAX] {
+            assert!(matches!(
+                ctmc.transient(&[1.0, 0.0], t, 1e-10),
+                Err(CtmcError::BadTime(_))
+            ));
+            assert!(matches!(
+                ctmc.transient_multi(&[1.0, 0.0], &[1.0, t], 1e-10),
+                Err(CtmcError::BadTime(_))
+            ));
+            assert!(matches!(
+                ctmc.expected_accumulated_reward(&[1.0, 0.0], &[0.0, 1.0], t, 1e-10),
+                Err(CtmcError::BadTime(_))
+            ));
+        }
     }
 }

@@ -13,6 +13,9 @@
 //!   probabilities.
 //! * [`poisson`] — truncated Poisson weight computation used by
 //!   uniformization.
+//! * [`uniformize`] — the fused uniformization walk behind the transient
+//!   and reward solvers: several requests on several chains in one step
+//!   loop, on a worker team spawned once per solve.
 //!
 //! # Example
 //!
@@ -38,6 +41,7 @@ pub mod ctmc;
 pub mod dtmc;
 pub mod poisson;
 pub mod sparse;
+pub mod uniformize;
 
 pub use ctmc::Ctmc;
 pub use dtmc::Dtmc;
