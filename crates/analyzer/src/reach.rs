@@ -8,25 +8,28 @@
 //! a conservation law checked here holds at every reachable marking, not
 //! just the ones a bounded probe happened to visit.
 //!
-//! Two explorers live here:
+//! Two pieces live here:
 //!
-//! * [`explore`] — the checker's graph: every marking is a node, firings
-//!   are edges, and the caller's `on_fire` callback sees each firing once
-//!   (same signature as the probe's, so firing laws plug in unchanged).
-//!   An optional [`SymmetrySpec`] canonicalizes markings under a
-//!   permutation group, exploring the quotient graph instead: for ITUA,
+//! * [`explore`] — the checker's graph: every marking is a node, every
+//!   firing a weighted edge, and the caller's `on_fire` callback sees each
+//!   firing once (same signature as the probe's, so firing laws plug in
+//!   unchanged). An optional [`SymmetrySpec`] canonicalizes markings under
+//!   a permutation group, exploring the quotient graph instead: for ITUA,
 //!   domains are interchangeable, hosts within a domain are
 //!   interchangeable, and replica slots within an application are
 //!   interchangeable, which shrinks the state count by orders of
 //!   magnitude on the paper's configurations. Orbit sizes are tracked so
 //!   the unreduced explorer can serve as an oracle (`Σ orbit = full`).
-//! * [`tangible_projection`] — an operation-for-operation mirror of
-//!   `itua_san::statespace::StateSpace::generate` (same BFS order, same
-//!   vanishing-marking resolution, same floating-point evaluation order),
-//!   written against the public `San` API only. Its tangible state list
-//!   and transition multiset must match the analytic backend's generator
-//!   *bit for bit*, making two independently written explorers oracles
-//!   for each other.
+//! * [`compare_generated`] — checks a generated `StateSpace`
+//!   (`itua_san::statespace`) against the tangible CTMC of an explored
+//!   graph, keyed by marking. That CTMC comes from the standard GSPN
+//!   reduction (`eliminate_vanishing`): the vanishing states are
+//!   eliminated by back-substitution in reverse topological order of the
+//!   (acyclic) vanishing subgraph. The
+//!   generator resolves vanishing markings per firing by LIFO path
+//!   enumeration; this route explores the whole graph once and solves it,
+//!   so the two share no resolution code and agree only up to rounding
+//!   ([`RATE_REL_TOL`]).
 //!
 //! Symmetry soundness: a [`SymmetrySpec`] asserts that permuting whole
 //! *units* within a group, and whole *blocks* within a unit, maps the
@@ -40,8 +43,9 @@
 
 use crate::probe::OnFire;
 use itua_san::marking::Marking;
-use itua_san::model::{ActivityId, San, SanError, Timing};
-use std::collections::{HashMap, VecDeque};
+use itua_san::model::{ActivityId, San, Timing};
+use itua_san::statespace::StateSpace;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Budgets for one exhaustive exploration.
 #[derive(Debug, Clone)]
@@ -105,6 +109,12 @@ pub enum ReachError {
         /// Activity name.
         activity: String,
     },
+    /// The vanishing states cannot be eliminated: instantaneous
+    /// activities form a zero-time cycle ([`ReachGraph::vanishing_cycle`]).
+    VanishingCycle {
+        /// Vanishing states on or behind the cycle.
+        states: usize,
+    },
 }
 
 impl std::fmt::Display for ReachError {
@@ -135,6 +145,12 @@ impl std::fmt::Display for ReachError {
                 write!(
                     f,
                     "activity '{activity}' has invalid case weights at a reachable marking"
+                )
+            }
+            ReachError::VanishingCycle { states } => {
+                write!(
+                    f,
+                    "{states} vanishing state(s) lie on a zero-time cycle; the tangible chain is undefined"
                 )
             }
         }
@@ -178,14 +194,23 @@ pub struct ReachGraph {
     /// Every marking here can re-reach itself through instantaneous
     /// firings alone.
     pub vanishing_cycle: Vec<usize>,
-    /// Total firings explored (graph edges, multi-edges counted).
-    pub num_transitions: usize,
+    /// Every explored firing as `(from, to, weight)`, multi-edges kept, in
+    /// exploration order (so grouped by ascending `from`). The weight is
+    /// rate × case probability out of a tangible state, and
+    /// 1/|enabled instantaneous activities| × case probability out of a
+    /// vanishing one.
+    pub edges: Vec<(usize, usize, f64)>,
 }
 
 impl ReachGraph {
     /// Number of states (quotient states under a symmetry spec).
     pub fn num_states(&self) -> usize {
         self.states.len()
+    }
+
+    /// Total firings explored (graph edges, multi-edges counted).
+    pub fn num_transitions(&self) -> usize {
+        self.edges.len()
     }
 
     /// Number of tangible states.
@@ -299,9 +324,7 @@ fn explore_dyn(
     let mut tangible: Vec<bool> = Vec::new();
     let mut fired = vec![false; san.num_activities()];
     let mut deadlocks: Vec<usize> = Vec::new();
-    // Edges out of vanishing states, for the zero-time cycle check.
-    let mut van_edges: Vec<(usize, usize)> = Vec::new();
-    let mut num_transitions = 0usize;
+    let mut edges: Vec<(usize, usize, f64)> = Vec::new();
     let mut work = 0usize;
 
     while let Some(s) = frontier.pop_front() {
@@ -316,15 +339,16 @@ fn explore_dyn(
         debug_assert_eq!(tangible.len(), s);
         tangible.push(is_tangible);
 
-        let mut fired_any = false;
-        // Fires every positive-weight case of `act`, interning successors.
+        // Fires every positive-weight case of `act`, interning successors
+        // and recording each firing as an edge of weight
+        // `scale` × case probability.
         let mut fire_all_cases = |act_id: ActivityId,
+                                  scale: f64,
                                   states: &mut Vec<Vec<i32>>,
                                   orbit_sizes: &mut Vec<u128>,
                                   frontier: &mut VecDeque<usize>,
                                   place_max: &mut [i32],
-                                  fired_any: &mut bool,
-                                  van_edges: &mut Vec<(usize, usize)>|
+                                  edges: &mut Vec<(usize, usize, f64)>|
          -> Result<(), ReachError> {
             let act = san.activity(act_id);
             let weights = act.case_weights(&marking);
@@ -356,11 +380,7 @@ fn explore_dyn(
                     .collect();
                 on_fire(san, act_id, case, &marking, &delta);
                 let t = intern(nvals, states, orbit_sizes, frontier, place_max)?;
-                if !is_tangible {
-                    van_edges.push((s, t));
-                }
-                num_transitions += 1;
-                *fired_any = true;
+                edges.push((s, t, scale * (w / total)));
                 fired[act_id.index()] = true;
             }
             Ok(())
@@ -385,35 +405,38 @@ fn explore_dyn(
                 }
                 fire_all_cases(
                     id,
+                    rate,
                     &mut states,
                     &mut orbit_sizes,
                     &mut frontier,
                     &mut place_max,
-                    &mut fired_any,
-                    &mut van_edges,
+                    &mut edges,
                 )?;
             }
-            if !fired_any {
+            // Edges are recorded in state order: no edge from `s` yet
+            // means no timed activity fired here.
+            if edges.last().is_none_or(|&(from, _, _)| from != s) {
                 deadlocks.push(s);
             }
         } else {
+            // Uniform choice among the enabled instantaneous activities.
+            let share = 1.0 / inst.len() as f64;
             for &id in &inst {
                 fire_all_cases(
                     id,
+                    share,
                     &mut states,
                     &mut orbit_sizes,
                     &mut frontier,
                     &mut place_max,
-                    &mut fired_any,
-                    &mut van_edges,
+                    &mut edges,
                 )?;
             }
         }
     }
 
-    // Zero-time livelock: Kahn elimination on the vanishing-only subgraph;
-    // states left with positive in-degree sit on an instantaneous cycle.
-    let vanishing_cycle = vanishing_cycle_states(&tangible, &van_edges);
+    // Zero-time livelock: vanishing states Kahn elimination cannot order.
+    let vanishing_cycle = vanishing_order(&tangible, &edges).err().unwrap_or_default();
 
     // Propagate exact bounds over symmetry classes: the representative
     // sorts interchangeable slots, so a single slot's max is only exact
@@ -437,25 +460,30 @@ fn explore_dyn(
         place_max,
         deadlocks,
         vanishing_cycle,
-        num_transitions,
+        edges,
     })
 }
 
-/// States on a cycle of the vanishing-only subgraph, via Kahn elimination.
-fn vanishing_cycle_states(tangible: &[bool], van_edges: &[(usize, usize)]) -> Vec<usize> {
+/// A topological order of the vanishing-only subgraph (Kahn
+/// elimination), or — when it has a cycle — the vanishing states left
+/// with positive in-degree, which sit on or behind a zero-time cycle.
+fn vanishing_order(
+    tangible: &[bool],
+    edges: &[(usize, usize, f64)],
+) -> Result<Vec<usize>, Vec<usize>> {
     let n = tangible.len();
     let mut indeg = vec![0usize; n];
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(s, t) in van_edges {
-        if !tangible[t] {
+    for &(s, t, _) in edges {
+        if !tangible[s] && !tangible[t] {
             adj[s].push(t);
             indeg[t] += 1;
         }
     }
     let mut queue: Vec<usize> = (0..n).filter(|&i| !tangible[i] && indeg[i] == 0).collect();
-    let mut remaining: usize = tangible.iter().filter(|&&t| !t).count();
+    let mut order = Vec::new();
     while let Some(i) = queue.pop() {
-        remaining -= 1;
+        order.push(i);
         for &t in &adj[i] {
             indeg[t] -= 1;
             if indeg[t] == 0 {
@@ -463,205 +491,200 @@ fn vanishing_cycle_states(tangible: &[bool], van_edges: &[(usize, usize)]) -> Ve
             }
         }
     }
-    if remaining == 0 {
-        return Vec::new();
+    if order.len() == tangible.iter().filter(|&&t| !t).count() {
+        Ok(order)
+    } else {
+        Err((0..n).filter(|&i| !tangible[i] && indeg[i] > 0).collect())
     }
-    (0..n).filter(|&i| !tangible[i] && indeg[i] > 0).collect()
 }
 
 // ---------------------------------------------------------------------
-// Tangible projection (statespace.rs mirror)
+// Vanishing-state elimination (the generator's oracle)
 // ---------------------------------------------------------------------
 
-/// Maximum instantaneous-chain depth during vanishing resolution; must
-/// match `itua_san::statespace` for the two generators to agree.
-const MAX_VANISHING_DEPTH: usize = 10_000;
+/// Relative tolerance of [`compare_generated`]. Elimination and the
+/// generator's path enumeration sum the same products in different
+/// orders, so they agree to a few ulps, not bit for bit.
+pub const RATE_REL_TOL: f64 = 1e-12;
 
-/// Work budget for one vanishing resolution (mirror of the statespace
-/// generator's scaling).
-fn vanishing_budget(max_states: usize) -> usize {
-    max_states.saturating_mul(10).max(2 * MAX_VANISHING_DEPTH)
+/// The tangible CTMC of an explored graph, keyed by
+/// [`ReachGraph::states`] index.
+#[derive(Debug)]
+struct TangibleRates {
+    /// Rate per ordered pair `(from, to)` of distinct tangible states,
+    /// parallel firings summed; self-loops dropped.
+    rates: BTreeMap<(usize, usize), f64>,
+    /// Initial probability mass per tangible state.
+    initial: BTreeMap<usize, f64>,
 }
 
-/// The reachable *tangible* state space with CTMC rates — the checker's
-/// independently written mirror of
-/// `itua_san::statespace::StateSpace::generate`.
-#[derive(Debug, Clone)]
-pub struct TangibleGraph {
-    /// Tangible markings in BFS discovery order.
-    pub markings: Vec<Vec<i32>>,
-    /// `(from, to, rate)` transitions; no self-loops, duplicates kept.
-    pub transitions: Vec<(usize, usize, f64)>,
-    /// Initial distribution entries, merged and sorted by state index.
-    pub initial: Vec<(usize, f64)>,
-}
-
-/// Generates the tangible state space of `san`, mirroring the analytic
-/// backend's generator operation for operation (same BFS order, same
-/// vanishing resolution, same floating-point evaluation order) against
-/// the public API only. Used to cross-validate the two explorers: state
-/// lists must be identical and transition rates bit-equal.
+/// Eliminates the vanishing states of `graph`: each vanishing state's
+/// absorption distribution over tangible states is the weight-averaged
+/// distribution of its successors, computed by back-substitution in
+/// reverse topological order of the vanishing subgraph, and a tangible
+/// firing into a vanishing state is spread over that distribution.
 ///
 /// # Errors
 ///
-/// The same [`SanError`] family the statespace generator returns:
-/// `NonMarkovian`, `StateSpaceTooLarge`, `BadValue`, `Unstabilized`.
-pub fn tangible_projection(san: &San, max_states: usize) -> Result<TangibleGraph, SanError> {
-    for (_, act) in san.activities() {
-        if let Timing::General(_) = act.timing() {
-            return Err(SanError::NonMarkovian(act.name().to_owned()));
+/// [`ReachError::VanishingCycle`] when instantaneous activities form a
+/// zero-time cycle, which leaves the absorption probabilities undefined.
+fn eliminate_vanishing(graph: &ReachGraph) -> Result<TangibleRates, ReachError> {
+    let order = vanishing_order(&graph.tangible, &graph.edges).map_err(|cycle| {
+        ReachError::VanishingCycle {
+            states: cycle.len(),
         }
+    })?;
+    // Edges are grouped by ascending source, so counting them yields
+    // each state's outgoing range.
+    let n = graph.num_states();
+    let mut start = vec![0usize; n + 1];
+    for &(s, _, _) in &graph.edges {
+        start[s + 1] += 1;
     }
-
-    let mut index: HashMap<Vec<i32>, usize> = HashMap::new();
-    let mut markings: Vec<Vec<i32>> = Vec::new();
-    let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
-    let mut frontier: VecDeque<usize> = VecDeque::new();
-
-    let intern = |m: Vec<i32>,
-                  markings: &mut Vec<Vec<i32>>,
-                  index: &mut HashMap<Vec<i32>, usize>,
-                  frontier: &mut VecDeque<usize>|
-     -> Result<usize, SanError> {
-        if let Some(&i) = index.get(&m) {
-            return Ok(i);
-        }
-        if markings.len() >= max_states {
-            return Err(SanError::StateSpaceTooLarge(max_states));
-        }
-        let i = markings.len();
-        index.insert(m.clone(), i);
-        markings.push(m);
-        frontier.push_back(i);
-        Ok(i)
-    };
-
-    let init_marking = san.initial_marking().values().to_vec();
-    let resolved = resolve_vanishing(san, init_marking, max_states)?;
-    let mut initial = Vec::new();
-    for (m, p) in resolved {
-        let i = intern(m, &mut markings, &mut index, &mut frontier)?;
-        initial.push((i, p));
+    for i in 0..n {
+        start[i + 1] += start[i];
     }
-    initial.sort_by_key(|&(i, _)| i);
-    initial.dedup_by(|a, b| {
-        if a.0 == b.0 {
-            b.1 += a.1;
-            true
-        } else {
-            false
-        }
-    });
+    debug_assert!(graph.edges.windows(2).all(|e| e[0].0 <= e[1].0));
+    let out = |s: usize| &graph.edges[start[s]..start[s + 1]];
 
-    while let Some(s) = frontier.pop_front() {
-        let marking = Marking::new(&markings[s]);
-        for (_, act) in san.activities() {
-            let rate_fn = match act.timing() {
-                Timing::Exponential(r) => r,
-                Timing::Instantaneous => continue,
-                Timing::General(_) => unreachable!("checked above"),
-            };
-            if !act.enabled(&marking) {
-                continue;
-            }
-            let rate = rate_fn(&marking);
-            if !(rate.is_finite() && rate >= 0.0) {
-                return Err(SanError::BadValue(act.name().to_owned()));
-            }
-            if rate == 0.0 {
-                continue;
-            }
-            let weights = act.case_weights(&marking);
-            let total: f64 = weights.iter().sum();
-            if !(total.is_finite() && total > 0.0) {
-                return Err(SanError::BadValue(act.name().to_owned()));
-            }
-            for (case, &w) in weights.iter().enumerate() {
-                if w <= 0.0 {
-                    continue;
-                }
-                let mut next = Marking::new(&markings[s]);
-                act.fire(case, &mut next);
-                let next = next.values().to_vec();
-                for (tangible, p) in resolve_vanishing(san, next, max_states)? {
-                    let t = intern(tangible, &mut markings, &mut index, &mut frontier)?;
-                    if t != s {
-                        transitions.push((s, t, rate * (w / total) * p));
-                    }
+    // Adds `w` × (the tangible distribution of state `u`) into `acc`.
+    let spread =
+        |u: usize, w: f64, absorb: &[Vec<(usize, f64)>], acc: &mut BTreeMap<usize, f64>| {
+            if graph.tangible[u] {
+                *acc.entry(u).or_default() += w;
+            } else {
+                for &(t, p) in &absorb[u] {
+                    *acc.entry(t).or_default() += w * p;
                 }
             }
+        };
+
+    let mut absorb: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+    let mut acc = BTreeMap::new();
+    for &v in order.iter().rev() {
+        for &(_, u, w) in out(v) {
+            spread(u, w, &absorb, &mut acc);
         }
+        absorb[v] = std::mem::take(&mut acc).into_iter().collect();
     }
 
-    Ok(TangibleGraph {
-        markings,
-        transitions,
-        initial,
+    let mut rates = BTreeMap::new();
+    for s in (0..n).filter(|&s| graph.tangible[s]) {
+        for &(_, u, w) in out(s) {
+            spread(u, w, &absorb, &mut acc);
+        }
+        for (t, r) in std::mem::take(&mut acc) {
+            if t != s {
+                rates.insert((s, t), r);
+            }
+        }
+    }
+    // The initial marking is state 0.
+    spread(0, 1.0, &absorb, &mut acc);
+    Ok(TangibleRates {
+        rates,
+        initial: acc,
     })
 }
 
-/// Distributes a marking over its tangible successors — mirror of the
-/// statespace generator's resolution: LIFO work stack, uniform choice
-/// among enabled instantaneous activities in ascending-id order,
-/// weight-proportional cases, first-encounter merge order.
-fn resolve_vanishing(
-    san: &San,
-    marking: Vec<i32>,
-    max_states: usize,
-) -> Result<Vec<(Vec<i32>, f64)>, SanError> {
-    let budget = vanishing_budget(max_states);
-    let mut pops = 0usize;
-    let mut result: Vec<(Vec<i32>, f64)> = Vec::new();
-    let mut work: Vec<(Vec<i32>, f64, usize)> = vec![(marking, 1.0, 0)];
-    while let Some((vals, p, depth)) = work.pop() {
-        pops += 1;
-        if pops > budget {
-            return Err(SanError::StateSpaceTooLarge(max_states));
-        }
-        if depth > MAX_VANISHING_DEPTH {
-            return Err(SanError::Unstabilized { marking: vals });
-        }
-        let m = Marking::new(&vals);
-        let enabled: Vec<ActivityId> = san
-            .activities()
-            .filter(|(_, a)| a.is_instantaneous() && a.enabled(&m))
-            .map(|(id, _)| id)
-            .collect();
-        if enabled.is_empty() {
-            result.push((vals, p));
-            continue;
-        }
-        let share = p / enabled.len() as f64;
-        for &id in &enabled {
-            let act = san.activity(id);
-            let weights = act.case_weights(&m);
-            let total: f64 = weights.iter().sum();
-            if !(total.is_finite() && total > 0.0) {
-                return Err(SanError::BadValue(act.name().to_owned()));
-            }
-            for (case, &w) in weights.iter().enumerate() {
-                if w <= 0.0 {
-                    continue;
-                }
-                let mut next = Marking::new(&vals);
-                act.fire(case, &mut next);
-                work.push((next.values().to_vec(), share * (w / total), depth + 1));
-            }
-        }
+/// Checks a generated tangible state space against `graph` with its
+/// vanishing states eliminated, keyed by marking: the same tangible
+/// markings (with the same orbit sizes, when `generated` is lumped), the
+/// same rate summed per ordered pair of distinct states, and the same
+/// initial mass, each within [`RATE_REL_TOL`] relative. Compare a plain
+/// generator with an unreduced graph, a lumped one with the quotient
+/// graph under the same symmetry spec.
+///
+/// Returns the worst relative deviation seen.
+///
+/// # Errors
+///
+/// A description of the first mismatch, or of a failed elimination.
+pub fn compare_generated(graph: &ReachGraph, generated: &StateSpace) -> Result<f64, String> {
+    let eliminated = eliminate_vanishing(graph).map_err(|e| e.to_string())?;
+    let index: HashMap<&[i32], usize> = graph
+        .states
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| graph.tangible[i])
+        .map(|(i, m)| (m.as_slice(), i))
+        .collect();
+    if generated.num_states() != index.len() {
+        return Err(format!(
+            "tangible state counts differ: generator {} vs explored graph {}",
+            generated.num_states(),
+            index.len()
+        ));
     }
-    // First-encounter merge order, as in the statespace generator.
-    let mut index: HashMap<Vec<i32>, usize> = HashMap::new();
-    let mut merged: Vec<(Vec<i32>, f64)> = Vec::new();
-    for (m, p) in result {
-        match index.get(&m) {
-            Some(&i) => merged[i].1 += p,
-            None => {
-                index.insert(m.clone(), merged.len());
-                merged.push((m, p));
+    let mut to_graph = Vec::with_capacity(generated.num_states());
+    for i in 0..generated.num_states() {
+        let g = *index
+            .get(generated.marking(i).values())
+            .ok_or_else(|| format!("generator state #{i} is not a tangible state of the graph"))?;
+        if let Some(orbits) = generated.orbit_sizes() {
+            if orbits[i] != graph.orbit_sizes[g] {
+                return Err(format!(
+                    "orbit size of generator state #{i} differs: {} vs {}",
+                    orbits[i], graph.orbit_sizes[g]
+                ));
             }
         }
+        to_graph.push(g);
     }
-    Ok(merged)
+
+    let mut rates = BTreeMap::new();
+    for &(s, t, r) in generated.transitions() {
+        *rates.entry((to_graph[s], to_graph[t])).or_default() += r;
+    }
+    let initial: BTreeMap<usize, f64> = generated
+        .initial_distribution()
+        .iter()
+        .enumerate()
+        .filter(|&(_, &p)| p != 0.0)
+        .map(|(i, &p)| (to_graph[i], p))
+        .collect();
+    let mut worst = 0.0;
+    agree("rates", &eliminated.rates, &rates, &mut worst)?;
+    agree("initial mass", &eliminated.initial, &initial, &mut worst)?;
+    Ok(worst)
+}
+
+/// Requires `eliminated` and `generated` to have the same keys and
+/// values within [`RATE_REL_TOL`] relative, raising `worst` to the
+/// largest relative deviation seen.
+fn agree<K: Ord + std::fmt::Debug>(
+    what: &str,
+    eliminated: &BTreeMap<K, f64>,
+    generated: &BTreeMap<K, f64>,
+    worst: &mut f64,
+) -> Result<(), String> {
+    if eliminated.len() != generated.len() {
+        return Err(format!(
+            "{what}: {} entries after elimination vs {} generated",
+            eliminated.len(),
+            generated.len()
+        ));
+    }
+    for ((k, &x), (kg, &y)) in eliminated.iter().zip(generated) {
+        if k != kg {
+            return Err(format!(
+                "{what}: graph key {k:?} after elimination vs {kg:?} generated"
+            ));
+        }
+        let dev = if x == y {
+            0.0
+        } else {
+            (x - y).abs() / x.abs().max(y.abs())
+        };
+        if dev.is_nan() || dev > RATE_REL_TOL {
+            return Err(format!(
+                "{what} at graph key {k:?}: eliminated {x} vs generated {y} \
+                 (relative deviation {dev:.3e})"
+            ));
+        }
+        *worst = worst.max(dev);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -724,7 +747,7 @@ mod tests {
         let g = explore(&san, &ReachConfig::default(), None, |_, _, _, _, _| {}).unwrap();
         assert_eq!(g.num_states(), 2);
         assert_eq!(g.num_tangible(), 2);
-        assert_eq!(g.num_transitions, 2);
+        assert_eq!(g.num_transitions(), 2);
         assert!(g.deadlocks.is_empty());
         assert!(g.vanishing_cycle.is_empty());
         assert_eq!(g.place_max, vec![1, 1]);
@@ -803,7 +826,7 @@ mod tests {
     fn vanishing_cycle_is_detected_without_diverging() {
         // Instantaneous toggle p <-> q: the statespace generator diverges
         // to its depth cap here; the graph explorer closes the loop in two
-        // states and reports the cycle.
+        // states and reports the cycle, which elimination refuses.
         let mut b = SanBuilder::new("toggle");
         let p = b.place("p", 1);
         let q = b.place("q", 0);
@@ -824,6 +847,10 @@ mod tests {
         let mut cyc = g.vanishing_cycle.clone();
         cyc.sort_unstable();
         assert_eq!(cyc, vec![0, 1]);
+        assert_eq!(
+            eliminate_vanishing(&g).unwrap_err(),
+            ReachError::VanishingCycle { states: 2 }
+        );
     }
 
     #[test]
@@ -849,11 +876,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn tangible_projection_matches_statespace_bit_for_bit() {
-        use itua_san::statespace::StateSpace;
-        // A model with vanishing markings and case splits exercises every
-        // arithmetic path of the resolution.
+    /// A start token branches instantaneously to `a` (0.3) or `c` (0.7);
+    /// `a` drains to a sink at `tick`, `c` returns to the start at 0.5 —
+    /// vanishing markings, case splits and an orbit-internal self-loop.
+    fn vanishing_branch(tick: f64) -> Arc<San> {
         let mut b = SanBuilder::new("v");
         let start = b.place("start", 1);
         let a = b.place("a", 0);
@@ -865,7 +891,7 @@ mod tests {
             .case(0.7, move |m| m.add(c, 1))
             .build()
             .unwrap();
-        b.timed_activity("tick", 1.5)
+        b.timed_activity("tick", tick)
             .input_arc(a, 1)
             .output_arc(sink, 1)
             .build()
@@ -875,72 +901,69 @@ mod tests {
             .output_arc(start, 1)
             .build()
             .unwrap();
-        let san = b.finish().unwrap();
+        b.finish().unwrap()
+    }
 
-        let ours = tangible_projection(&san, 1000).unwrap();
-        let theirs = StateSpace::generate(&san, 1000).unwrap();
-        assert_eq!(ours.markings.len(), theirs.num_states());
-        for (i, m) in ours.markings.iter().enumerate() {
-            assert_eq!(m.as_slice(), theirs.marking(i).values());
-        }
-        assert_eq!(ours.transitions.len(), theirs.transitions().len());
-        for (a, b) in ours.transitions.iter().zip(theirs.transitions()) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1, b.1);
-            assert_eq!(a.2.to_bits(), b.2.to_bits(), "rates must be bit-equal");
-        }
-        let mut init = vec![0.0; ours.markings.len()];
-        for &(i, p) in &ours.initial {
-            init[i] += p;
-        }
-        let theirs_init = theirs.initial_distribution();
-        for (x, y) in init.iter().zip(&theirs_init) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+    fn full_graph(san: &San) -> ReachGraph {
+        explore(san, &ReachConfig::default(), None, |_, _, _, _, _| {}).unwrap()
     }
 
     #[test]
-    fn tangible_projection_mirrors_statespace_errors() {
-        use itua_san::statespace::StateSpace;
-        // Unbounded birth process: both must report the same budget error.
-        let mut b = SanBuilder::new("grow");
-        let n = b.place("n", 0);
-        b.timed_activity("birth", 1.0)
-            .output_arc(n, 1)
-            .build()
-            .unwrap();
-        let san = b.finish().unwrap();
-        let ours = tangible_projection(&san, 50).unwrap_err();
-        let theirs = StateSpace::generate(&san, 50).unwrap_err();
-        assert_eq!(ours, theirs);
-        assert_eq!(ours, SanError::StateSpaceTooLarge(50));
-    }
-
-    #[test]
-    fn full_tangible_count_matches_projection() {
-        // The graph explorer's tangible states and the projection's state
-        // list must agree in count on a model with vanishing markings.
-        let mut b = SanBuilder::new("mix");
-        let pool = b.place("pool", 2);
-        let stage = b.place("stage", 0);
-        let done = b.place("done", 0);
-        b.timed_activity("pick", 1.0)
-            .input_arc(pool, 1)
-            .output_arc(stage, 1)
-            .build()
-            .unwrap();
-        b.instantaneous_activity("commit")
-            .input_arc(stage, 1)
-            .output_arc(done, 1)
-            .build()
-            .unwrap();
-        let san = b.finish().unwrap();
-        let g = explore(&san, &ReachConfig::default(), None, |_, _, _, _, _| {}).unwrap();
-        let t = tangible_projection(&san, 1000).unwrap();
-        assert_eq!(g.num_tangible(), t.markings.len());
-        assert!(
-            g.num_states() > t.markings.len(),
-            "vanishing states counted too"
+    fn elimination_yields_the_tangible_chain_and_matches_statespace() {
+        let san = vanishing_branch(1.5);
+        let g = full_graph(&san);
+        assert_eq!(g.num_states(), 4, "one vanishing start state");
+        assert_eq!(g.num_tangible(), 3);
+        let chain = eliminate_vanishing(&g).unwrap();
+        let state = |m: [i32; 4]| g.states.iter().position(|s| s == &m).unwrap();
+        let (at_a, at_c, at_sink) = (
+            state([0, 1, 0, 0]),
+            state([0, 0, 1, 0]),
+            state([0, 0, 0, 1]),
         );
+        // a → sink at 1.5; c → start resolves to a (0.3) or back to c
+        // (0.7, a dropped self-loop).
+        let close = |x: f64, y: f64| (x - y).abs() <= 1e-15;
+        assert_eq!(chain.rates.len(), 2);
+        assert!(close(chain.rates[&(at_a, at_sink)], 1.5));
+        assert!(close(chain.rates[&(at_c, at_a)], 0.5 * 0.3));
+        assert_eq!(chain.initial.len(), 2);
+        assert!(close(chain.initial[&at_a], 0.3));
+        assert!(close(chain.initial[&at_c], 0.7));
+
+        let generated = StateSpace::generate(&san, 1000).unwrap();
+        let worst = compare_generated(&g, &generated).unwrap();
+        assert!(worst <= RATE_REL_TOL, "{worst}");
+    }
+
+    #[test]
+    fn comparison_rejects_a_generator_one_rate_apart() {
+        // The graph and the generator come from SANs whose `tick` rates
+        // differ by 1e-9 relative: far below any simulation's resolution,
+        // far above the comparison's tolerance.
+        let g = full_graph(&vanishing_branch(1.5));
+        let mutated = StateSpace::generate(&vanishing_branch(1.5 * (1.0 + 1e-9)), 1000).unwrap();
+        let err = compare_generated(&g, &mutated).unwrap_err();
+        assert!(err.contains("rates"), "{err}");
+    }
+
+    #[test]
+    fn lumped_generator_matches_the_eliminated_quotient() {
+        let n = 4;
+        let san = n_components(n);
+        let spec = component_spec(n);
+        let quot = explore(
+            &san,
+            &ReachConfig::default(),
+            Some(&spec),
+            |_, _, _, _, _| {},
+        )
+        .unwrap();
+        let lumped = StateSpace::generate_lumped(&san, &spec, 1000).unwrap();
+        assert!(compare_generated(&quot, &lumped).unwrap() <= RATE_REL_TOL);
+        // The unreduced graph is a different chain: the comparison must
+        // notice, not silently pass.
+        let full = full_graph(&san);
+        assert!(compare_generated(&full, &lumped).is_err());
     }
 }

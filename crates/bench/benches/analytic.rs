@@ -36,9 +36,9 @@
 //! Usage: `cargo bench -p itua-bench --bench analytic -- [--quick]
 //! [--json PATH]` (or `cargo xtask bench-json --only analytic`).
 
+use itua_bench::tracked::write_tracked_json;
 use itua_core::analytic::{AnalyticOptions, ItuaAnalytic};
 use itua_core::params::Params;
-use itua_runner::json::Json;
 use std::time::Instant;
 
 /// Mission time (hours) for the exact solve.
@@ -110,47 +110,6 @@ fn micro_max_rel_err() -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Resolves a `--json` path: relative paths are anchored at the
-/// workspace root (cargo runs bench binaries with cwd = crates/bench).
-fn resolve_json_path(path: &str) -> std::path::PathBuf {
-    let p = std::path::Path::new(path);
-    if p.is_absolute() {
-        return p.to_owned();
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root two levels up")
-        .join(p)
-}
-
-/// Rewrites `path`: `current` gets this run's values; `baseline` is kept
-/// from the existing file (or seeded with this run's values when the
-/// file does not exist or has no baseline).
-fn write_tracked_json(path: &std::path::Path, results: &[(String, f64)]) -> std::io::Result<()> {
-    let current = Json::Obj(
-        results
-            .iter()
-            .map(|(name, x)| (name.clone(), Json::Num(*x)))
-            .collect(),
-    );
-    let baseline = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .and_then(|doc| doc.get("baseline").cloned())
-        .unwrap_or_else(|| current.clone());
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::Str("itua-analytic-lumped-v1".into())),
-        (
-            "unit".into(),
-            Json::Str("states, reduction factor, milliseconds, relative error".into()),
-        ),
-        ("baseline".into(), baseline),
-        ("current".into(), current),
-    ]);
-    std::fs::write(path, format!("{doc}\n"))
-}
-
 fn main() {
     let mut quick = false;
     let mut json_path: Option<String> = None;
@@ -219,8 +178,13 @@ fn main() {
     ];
 
     if let Some(path) = json_path {
-        let path = resolve_json_path(&path);
-        write_tracked_json(&path, &results).expect("writing tracked bench JSON");
+        let path = write_tracked_json(
+            &path,
+            "itua-analytic-lumped-v1",
+            "states, reduction factor, milliseconds, relative error",
+            &results,
+        )
+        .expect("writing tracked bench JSON");
         println!("wrote {}", path.display());
     }
 }

@@ -32,11 +32,11 @@
 //! Usage: `cargo bench -p itua-bench --bench rare_split -- [--quick]
 //! [--json PATH]` (or `cargo xtask bench-json`).
 
+use itua_bench::tracked::write_tracked_json;
 use itua_core::measures::names;
 use itua_core::params::Params;
 use itua_rare::SplitSpec;
 use itua_runner::backend::{Backend, BackendKind, ItuaBackend, ModelCheck};
-use itua_runner::json::Json;
 use itua_runner::progress::NullProgress;
 use itua_runner::split::run_measures_split;
 use itua_runner::RunnerConfig;
@@ -149,47 +149,6 @@ fn exact_unreliability() -> f64 {
         .mean
 }
 
-/// Resolves a `--json` path: relative paths are anchored at the
-/// workspace root (cargo runs bench binaries with cwd = crates/bench).
-fn resolve_json_path(path: &str) -> std::path::PathBuf {
-    let p = std::path::Path::new(path);
-    if p.is_absolute() {
-        return p.to_owned();
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root two levels up")
-        .join(p)
-}
-
-/// Rewrites `path`: `current` gets this run's values; `baseline` is kept
-/// from the existing file (or seeded with this run's values when the
-/// file does not exist or has no baseline).
-fn write_tracked_json(path: &std::path::Path, results: &[(String, f64)]) -> std::io::Result<()> {
-    let current = Json::Obj(
-        results
-            .iter()
-            .map(|(name, x)| (name.clone(), Json::Num(*x)))
-            .collect(),
-    );
-    let baseline = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .and_then(|doc| doc.get("baseline").cloned())
-        .unwrap_or_else(|| current.clone());
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::Str("itua-rare-split-v1".into())),
-        (
-            "unit".into(),
-            Json::Str("deterministic seeded run; events and CI half-widths".into()),
-        ),
-        ("baseline".into(), baseline),
-        ("current".into(), current),
-    ]);
-    std::fs::write(path, format!("{doc}\n"))
-}
-
 fn main() {
     let mut quick = false;
     let mut json_path: Option<String> = None;
@@ -256,8 +215,13 @@ fn main() {
     ];
 
     if let Some(path) = json_path {
-        let path = resolve_json_path(&path);
-        write_tracked_json(&path, &results).expect("writing tracked bench JSON");
+        let path = write_tracked_json(
+            &path,
+            "itua-rare-split-v1",
+            "deterministic seeded run; events and CI half-widths",
+            &results,
+        )
+        .expect("writing tracked bench JSON");
         println!("wrote {}", path.display());
     }
 }

@@ -24,9 +24,9 @@
 //! Usage: `cargo bench -p itua-bench --bench san_hotpath -- [--quick]
 //! [--json PATH] [--only NAME]` (or `cargo xtask bench-json`).
 
+use itua_bench::tracked::write_tracked_json;
 use itua_core::params::Params;
 use itua_runner::backend::{Backend, BackendKind, ItuaBackend};
-use itua_runner::json::Json;
 use itua_san::model::{San, SanBuilder};
 use itua_san::simulator::SanSimulator;
 use itua_sim::rng::stream_seed;
@@ -175,44 +175,6 @@ fn measure(sc: &mut Scenario, rounds: usize, quick: bool) -> f64 {
     median(samples)
 }
 
-/// Resolves a `--json` path: relative paths are anchored at the
-/// workspace root (cargo runs bench binaries with cwd = crates/bench).
-fn resolve_json_path(path: &str) -> std::path::PathBuf {
-    let p = std::path::Path::new(path);
-    if p.is_absolute() {
-        return p.to_owned();
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root two levels up")
-        .join(p)
-}
-
-/// Rewrites `path`: `current` gets this run's medians; `baseline` is kept
-/// from the existing file (or seeded with this run's medians when the
-/// file does not exist or has no baseline).
-fn write_tracked_json(path: &std::path::Path, results: &[(String, f64)]) -> std::io::Result<()> {
-    let current = Json::Obj(
-        results
-            .iter()
-            .map(|(name, ns)| (name.clone(), Json::Num(ns.round())))
-            .collect(),
-    );
-    let baseline = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .and_then(|doc| doc.get("baseline").cloned())
-        .unwrap_or_else(|| current.clone());
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::Str("itua-san-hotpath-v1".into())),
-        ("unit".into(), Json::Str("median ns per replication".into())),
-        ("baseline".into(), baseline),
-        ("current".into(), current),
-    ]);
-    std::fs::write(path, format!("{doc}\n"))
-}
-
 fn main() {
     let mut quick = false;
     let mut json_path: Option<String> = None;
@@ -236,13 +198,18 @@ fn main() {
         }
         let ns = measure(&mut sc, rounds, quick);
         println!("{:<22} {:>14.0} ns/replication", sc.name, ns);
-        results.push((sc.name.to_owned(), ns));
+        results.push((sc.name.to_owned(), ns.round()));
     }
     assert!(!results.is_empty(), "no scenario matched --only filter");
 
     if let Some(path) = json_path {
-        let path = resolve_json_path(&path);
-        write_tracked_json(&path, &results).expect("writing tracked bench JSON");
+        let path = write_tracked_json(
+            &path,
+            "itua-san-hotpath-v1",
+            "median ns per replication",
+            &results,
+        )
+        .expect("writing tracked bench JSON");
         println!("wrote {}", path.display());
     }
 }

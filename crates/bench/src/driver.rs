@@ -132,10 +132,11 @@ const DEFAULT_CHECK_MAX_STATES: usize = 1 << 20;
 /// * `--exhaustive`: explore the full reachability graph under the
 ///   model's domain/host/replica symmetry and *prove* every
 ///   conservation family, exact place bounds, livelock freedom, and the
-///   scenario's `assert` claims over every reachable marking — then
-///   cross-validate the explorer's tangible projection against
-///   `statespace.rs` (state count and transition multiset must match
-///   bit for bit) and the quotient against the unreduced oracle.
+///   scenario's `assert` claims over every reachable marking — then run
+///   the [`analysis::oracle`]: the quotient against the unreduced
+///   explorer, and both `statespace.rs` generators against the explored
+///   graphs with their vanishing states eliminated (same tangible
+///   markings, rates and initial mass within 1e-12 relative).
 ///
 /// `--json` switches either mode's report to one machine-readable JSON
 /// object on stdout.
@@ -246,13 +247,12 @@ fn structural_check_json(scenario: &dyn Scenario, points: &[SweepPoint]) -> i32 
     i32::from(any_hard) * 2
 }
 
-/// A successful exhaustive run: the proof report, the quotient-vs-full
-/// oracle, the statespace cross-validation, and one `(assert,
-/// violation)` pair per scenario claim (`None` = proved).
+/// A successful exhaustive run: the proof report, the explorer and
+/// generator oracle, and one `(assert, violation)` pair per scenario
+/// claim (`None` = proved).
 type ExhaustiveProof = (
     analysis::ExhaustiveReport,
     analysis::OracleAgreement,
-    analysis::CrossValidation,
     Vec<(MarkingAssert, Option<String>)>,
 );
 
@@ -317,7 +317,8 @@ fn prove_asserts(
 }
 
 /// `--exhaustive`: prove properties over the full reachable space of
-/// every distinct model, cross-validating the explorer both ways.
+/// every distinct model, checking explorers and generators against the
+/// oracle.
 fn exhaustive_check_points(scenario: &dyn Scenario, points: &[SweepPoint], cli: &FigureCli) -> i32 {
     let max_states = cli.check_max_states.unwrap_or(DEFAULT_CHECK_MAX_STATES);
     let asserts = scenario.asserts();
@@ -328,10 +329,9 @@ fn exhaustive_check_points(scenario: &dyn Scenario, points: &[SweepPoint], cli: 
             .and_then(|model| {
                 let report =
                     analysis::exhaustive_check(&model, max_states).map_err(|e| e.to_string())?;
-                let oracle = analysis::quotient_oracle(&model, max_states)?;
-                let cross = analysis::cross_validate(&model, max_states)?;
+                let oracle = analysis::oracle(&model, max_states)?;
                 let proved = prove_asserts(&model.san, &asserts, max_states)?;
-                Ok((report, oracle, cross, proved))
+                Ok((report, oracle, proved))
             });
         outcomes.push(ExhaustiveOutcome {
             series: point.series.clone(),
@@ -340,7 +340,7 @@ fn exhaustive_check_points(scenario: &dyn Scenario, points: &[SweepPoint], cli: 
         });
     }
     let any_hard = outcomes.iter().any(|o| match &o.result {
-        Ok((report, _, _, proved)) => {
+        Ok((report, _, proved)) => {
             report.has_hard_findings() || proved.iter().any(|(_, v)| v.is_some())
         }
         Err(_) => true,
@@ -357,16 +357,20 @@ fn print_exhaustive_text(scenario: &dyn Scenario, outcomes: &[ExhaustiveOutcome]
     for o in outcomes {
         println!("--- exhaustive check: {} (x = {}) ---", o.series, o.x);
         match &o.result {
-            Ok((report, oracle, cross, proved)) => {
+            Ok((report, oracle, proved)) => {
                 print!("{}", report.render());
                 println!(
                     "oracle: quotient {} states vs unreduced {} — orbit sums agree",
                     oracle.quotient_states, oracle.full_states
                 );
                 println!(
-                    "cross-validation: tangible projection matches statespace.rs \
-                     ({} states, {} transitions, bit-identical rates)",
-                    cross.tangible_states, cross.transitions
+                    "cross-validation: both statespace.rs generators match the explored \
+                     graphs with vanishing states eliminated ({} states, {} transitions, \
+                     worst relative rate deviation {:.1e} ≤ {:.0e})",
+                    oracle.tangible_states,
+                    oracle.transitions,
+                    oracle.max_rel_dev,
+                    reach::RATE_REL_TOL
                 );
                 for (a, violation) in proved {
                     match violation {
@@ -399,7 +403,7 @@ fn print_exhaustive_json(
         .map(|o| {
             let mut obj = format!("{{\"series\":\"{}\",\"x\":{}", json_escape(&o.series), o.x);
             match &o.result {
-                Ok((report, oracle, cross, proved)) => {
+                Ok((report, oracle, proved)) => {
                     let asserts: Vec<String> = proved
                         .iter()
                         .map(|(a, v)| match v {
@@ -435,8 +439,8 @@ fn print_exhaustive_json(
                         report.max_tokens,
                         oracle.quotient_states,
                         oracle.full_states,
-                        cross.tangible_states,
-                        cross.transitions,
+                        oracle.tangible_states,
+                        oracle.transitions,
                         asserts.join(","),
                         findings_json(&report.findings)
                     );
@@ -472,6 +476,7 @@ pub fn shim_main(name: &str) -> ! {
 mod tests {
     use super::*;
     use itua_runner::backend::BackendKind;
+    use itua_studies::sweep::{FigureResult, Series};
 
     /// `Box<dyn Scenario>` has no `Debug`, so `unwrap_err` can't be used.
     fn expect_err(r: Result<Box<dyn Scenario>, String>) -> String {
@@ -496,6 +501,69 @@ mod tests {
         );
         let scenario = resolve("figure4").unwrap();
         assert_eq!(run_scenario(scenario.as_ref(), &cli), 2);
+    }
+
+    /// A scenario whose points carry a horizon and sample time no `.scn`
+    /// file can declare (the parser rejects them).
+    struct Hostile {
+        inner: Box<dyn Scenario>,
+        horizon: f64,
+        sample: f64,
+    }
+
+    impl Scenario for Hostile {
+        fn name(&self) -> &str {
+            "hostile"
+        }
+        fn description(&self) -> &str {
+            "bad horizon or sample time"
+        }
+        fn points(&self, backend: BackendKind) -> Vec<SweepPoint> {
+            let mut points = self.inner.points(backend);
+            for p in &mut points {
+                p.horizon = self.horizon;
+                p.sample_times = vec![self.sample];
+            }
+            points
+        }
+        fn measures(&self) -> Vec<String> {
+            self.inner.measures()
+        }
+        fn render(&self, series: &[Series]) -> FigureResult {
+            self.inner.render(series)
+        }
+    }
+
+    #[test]
+    fn bad_horizons_and_nan_sample_times_exit_with_code_2_on_every_backend() {
+        let dir = std::env::temp_dir().join("itua-driver-hostile");
+        let mut scenario = Hostile {
+            inner: micro_scn(&dir, "hostile.scn", "values = 0\nspread-rate-system = 0\n"),
+            horizon: 0.0,
+            sample: 0.0,
+        };
+        for (horizon, sample) in [(f64::NAN, 1.0), (f64::INFINITY, 1.0), (2.0, f64::NAN)] {
+            scenario.horizon = horizon;
+            scenario.sample = sample;
+            for backend in ["des", "san", "analytic"] {
+                let cli = FigureCli::parse(
+                    [
+                        "--backend",
+                        backend,
+                        "--reps",
+                        "4",
+                        "--no-resume",
+                        "--quiet",
+                    ]
+                    .map(String::from),
+                );
+                assert_eq!(
+                    run_scenario(&scenario, &cli),
+                    2,
+                    "{backend}: horizon {horizon}, sample {sample}"
+                );
+            }
+        }
     }
 
     #[test]

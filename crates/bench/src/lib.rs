@@ -4,6 +4,7 @@
 #![warn(missing_docs)]
 
 pub mod driver;
+pub mod tracked;
 
 use itua_analyzer::AnalysisConfig;
 use itua_core::{analysis, san_model};
@@ -54,9 +55,11 @@ use std::path::PathBuf;
 /// * `--exhaustive` — `itua check` only: explore the full reachability
 ///   graph (quotiented by the model's domain/host/replica symmetry) and
 ///   *prove* the conservation families, exact place bounds, and `.scn`
-///   assertions over every reachable marking, cross-validating the
-///   explorer against the analytic state-space builder and the
-///   unreduced oracle (see [`driver::check_scenario`]),
+///   assertions over every reachable marking, then check the quotient
+///   against the unreduced explorer and both analytic state-space
+///   generators against the explored graphs with vanishing states
+///   eliminated, rates within 1e-12 relative (see
+///   [`driver::check_scenario`]),
 /// * `--json` — `itua check` only: machine-readable findings on stdout,
 /// * `--split-levels SPEC` — run every point through RESTART importance
 ///   splitting on the corrupt-domain-count level. `SPEC` is

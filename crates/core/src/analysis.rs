@@ -604,7 +604,7 @@ pub fn exhaustive_check(
         tangible: graph.num_tangible(),
         full_states: graph.orbit_total(),
         full_tangible: graph.tangible_orbit_total(),
-        transitions: graph.num_transitions,
+        transitions: graph.num_transitions(),
         deadlocks: graph.deadlocks.len(),
         families_proved: spec.expected.len(),
         max_tokens,
@@ -613,25 +613,40 @@ pub fn exhaustive_check(
     })
 }
 
-/// Agreement between the quotient explorer and the unreduced oracle.
+/// Agreement between the explorers, the generators and the oracle
+/// equations, from [`oracle`].
 #[derive(Debug, Clone, Copy)]
 pub struct OracleAgreement {
     /// Quotient state count.
     pub quotient_states: usize,
     /// Full state count (explored without symmetry).
     pub full_states: usize,
+    /// Tangible state count of the unlumped generator (equal to the
+    /// unreduced graph's).
+    pub tangible_states: usize,
+    /// Transitions the unlumped generator emitted.
+    pub transitions: usize,
+    /// Worst relative deviation of either generator's rates or initial
+    /// mass from its eliminated graph (at most
+    /// [`reach::RATE_REL_TOL`]).
+    pub max_rel_dev: f64,
 }
 
-/// Runs the quotient explorer *and* the unreduced explorer and checks
-/// that orbit sizes sum to the full state count (total and tangible) and
-/// that the exact place bounds agree. Intended for micro configurations,
-/// where the full space fits the budget.
+/// Checks exploration and generation against each other in one pass.
+/// Explores the model once unreduced and once under [`symmetry_spec`];
+/// orbit sizes must sum to the full state count (total and tangible) and
+/// the exact place bounds must agree. Then both state-space generators
+/// are compared with the explored graphs, vanishing states eliminated
+/// ([`reach::compare_generated`]): [`StateSpace::generate`] with the
+/// unreduced graph, [`StateSpace::generate_lumped`] with the quotient.
+/// Intended for micro configurations, where the full space fits the
+/// budget.
 ///
 /// # Errors
 ///
-/// Returns a description of the first disagreement, or of an explorer
-/// failure.
-pub fn quotient_oracle(model: &ItuaSan, max_states: usize) -> Result<OracleAgreement, String> {
+/// Returns a description of the first disagreement, or of an explorer or
+/// generator failure.
+pub fn oracle(model: &ItuaSan, max_states: usize) -> Result<OracleAgreement, String> {
     let cfg = ReachConfig::with_max_states(max_states);
     let sym = symmetry_spec(model);
     let quot = reach::explore(&model.san, &cfg, Some(&sym), |_, _, _, _, _| {})
@@ -655,93 +670,30 @@ pub fn quotient_oracle(model: &ItuaSan, max_states: usize) -> Result<OracleAgree
     if quot.place_max != full.place_max {
         return Err("exact place bounds disagree between quotient and full explorer".to_owned());
     }
+    let plain = StateSpace::generate(&model.san, max_states)
+        .map_err(|e| format!("statespace generator failed: {e}"))?;
+    let lumped = StateSpace::generate_lumped(&model.san, &sym, max_states)
+        .map_err(|e| format!("lumped statespace generator failed: {e}"))?;
+    let plain_dev = reach::compare_generated(&full, &plain)
+        .map_err(|e| format!("statespace generator vs unreduced graph: {e}"))?;
+    let lumped_dev = reach::compare_generated(&quot, &lumped)
+        .map_err(|e| format!("lumped statespace generator vs quotient graph: {e}"))?;
     Ok(OracleAgreement {
         quotient_states: quot.num_states(),
         full_states: full.num_states(),
-    })
-}
-
-/// Agreement between the checker's tangible projection and the analytic
-/// backend's state-space generator.
-#[derive(Debug, Clone, Copy)]
-pub struct CrossValidation {
-    /// Tangible state count (identical in both generators).
-    pub tangible_states: usize,
-    /// Transition count (identical multiset in both generators).
-    pub transitions: usize,
-}
-
-/// Cross-validates the two independently written explorers: the checker's
-/// tangible projection must match `itua_san::statespace` exactly — same
-/// state list in the same order, bit-equal transition rates, bit-equal
-/// initial distribution.
-///
-/// # Errors
-///
-/// Returns a description of the first mismatch, or of a generator
-/// failure.
-pub fn cross_validate(model: &ItuaSan, max_states: usize) -> Result<CrossValidation, String> {
-    let ours = reach::tangible_projection(&model.san, max_states)
-        .map_err(|e| format!("checker projection failed: {e}"))?;
-    let theirs = StateSpace::generate(&model.san, max_states)
-        .map_err(|e| format!("statespace generator failed: {e}"))?;
-    if ours.markings.len() != theirs.num_states() {
-        return Err(format!(
-            "state counts differ: checker {} vs statespace {}",
-            ours.markings.len(),
-            theirs.num_states()
-        ));
-    }
-    for (i, m) in ours.markings.iter().enumerate() {
-        if m.as_slice() != theirs.marking(i).values() {
-            return Err(format!("state #{i} differs between the generators"));
-        }
-    }
-    if ours.transitions.len() != theirs.transitions().len() {
-        return Err(format!(
-            "transition counts differ: checker {} vs statespace {}",
-            ours.transitions.len(),
-            theirs.transitions().len()
-        ));
-    }
-    for (k, (a, b)) in ours
-        .transitions
-        .iter()
-        .zip(theirs.transitions())
-        .enumerate()
-    {
-        if a.0 != b.0 || a.1 != b.1 || a.2.to_bits() != b.2.to_bits() {
-            return Err(format!(
-                "transition #{k} differs: checker {a:?} vs statespace {b:?}"
-            ));
-        }
-    }
-    let mut ours_init = vec![0.0f64; ours.markings.len()];
-    for &(i, p) in &ours.initial {
-        ours_init[i] += p;
-    }
-    for (i, (x, y)) in ours_init
-        .iter()
-        .zip(theirs.initial_distribution())
-        .enumerate()
-    {
-        if x.to_bits() != y.to_bits() {
-            return Err(format!("initial probability of state #{i} differs"));
-        }
-    }
-    Ok(CrossValidation {
-        tangible_states: ours.markings.len(),
-        transitions: ours.transitions.len(),
+        tangible_states: plain.num_states(),
+        transitions: plain.transitions().len(),
+        max_rel_dev: plain_dev.max(lumped_dev),
     })
 }
 
 /// The deep (opt-in) model-check behind `Backend::self_check_deep`:
-/// exhaustive quotient proof plus generator cross-validation.
+/// exhaustive quotient proof plus the generator [`oracle`].
 ///
 /// # Errors
 ///
 /// Returns a newline-separated description of hard findings, budget
-/// errors, or cross-validation mismatches.
+/// errors, or oracle mismatches.
 pub fn deep_check(model: &ItuaSan, max_states: usize) -> Result<(), String> {
     let report = exhaustive_check(model, max_states).map_err(|e| e.to_string())?;
     if report.has_hard_findings() {
@@ -753,7 +705,7 @@ pub fn deep_check(model: &ItuaSan, max_states: usize) -> Result<(), String> {
             .collect();
         return Err(lines.join("\n"));
     }
-    cross_validate(model, max_states)?;
+    oracle(model, max_states)?;
     Ok(())
 }
 
@@ -917,18 +869,13 @@ mod tests {
     }
 
     #[test]
-    fn quotient_oracle_agrees_on_micro() {
+    fn oracle_agrees_on_micro() {
         let model = micro();
-        let agreement = quotient_oracle(&model, 200_000).unwrap();
+        let agreement = oracle(&model, 200_000).unwrap();
         assert!(agreement.quotient_states < agreement.full_states);
-    }
-
-    #[test]
-    fn cross_validation_matches_statespace_on_micro() {
-        let model = micro();
-        let cv = cross_validate(&model, 200_000).unwrap();
-        assert!(cv.tangible_states > 0);
-        assert!(cv.transitions > 0);
+        assert!(agreement.tangible_states > 0);
+        assert!(agreement.transitions > 0);
+        assert!(agreement.max_rel_dev <= reach::RATE_REL_TOL);
     }
 
     #[test]

@@ -600,6 +600,40 @@ pub fn run_measures<B: Backend>(
     )
 }
 
+/// The pre-flight every replication loop runs before touching `backend`:
+/// rejects a horizon that is not finite and positive and any NaN sample
+/// time, then applies the `check` policy. The simulators would otherwise
+/// panic on such a horizon in a worker thread, or clamp a NaN sample time
+/// to the horizon, where the analytic backend rejects both; checking here
+/// gives every backend the same error.
+///
+/// # Errors
+///
+/// A [`BackendError`] naming the bad horizon or sample time, or the
+/// model check's failure.
+pub(crate) fn preflight<B: Backend>(
+    backend: &B,
+    horizon: f64,
+    sample_times: &[f64],
+    check: ModelCheck,
+) -> Result<(), BackendError> {
+    if !(horizon > 0.0 && horizon.is_finite()) {
+        return Err(BackendError::new(format!(
+            "horizon {horizon} is not finite and positive"
+        )));
+    }
+    if let Some(t) = sample_times.iter().find(|t| t.is_nan()) {
+        return Err(BackendError::new(format!(
+            "sample time {t} is not a number"
+        )));
+    }
+    match check {
+        ModelCheck::Quick => backend.self_check(),
+        ModelCheck::Deep { max_states } => backend.self_check_deep(max_states),
+        ModelCheck::Off => Ok(()),
+    }
+}
+
 /// [`run_measures`] with an explicit [`ModelCheck`] policy: under
 /// [`ModelCheck::Quick`] (the [`run_measures`] default) the backend's
 /// [`Backend::self_check`] runs once up front and a failing model is
@@ -607,8 +641,9 @@ pub fn run_measures<B: Backend>(
 ///
 /// # Errors
 ///
-/// Returns the self-check failure, or the first (in replication order)
-/// [`BackendError`] any replication produced.
+/// Returns the pre-flight failure (a horizon that is not finite and
+/// positive, a NaN sample time, or the model check's), or the first (in
+/// replication order) [`BackendError`] any replication produced.
 #[allow(clippy::too_many_arguments)]
 pub fn run_measures_checked<B: Backend>(
     backend: &B,
@@ -621,11 +656,7 @@ pub fn run_measures_checked<B: Backend>(
     progress: &dyn Progress,
     check: ModelCheck,
 ) -> Result<MeasureSet, BackendError> {
-    match check {
-        ModelCheck::Quick => backend.self_check()?,
-        ModelCheck::Deep { max_states } => backend.self_check_deep(max_states)?,
-        ModelCheck::Off => {}
-    }
+    preflight(backend, horizon, sample_times, check)?;
     if let Some(exact) = backend.exact_measures(horizon, sample_times, confidence) {
         let measures = exact?;
         progress.on_replications(replications, replications);

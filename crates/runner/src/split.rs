@@ -19,7 +19,7 @@
 //! weighted estimator collapses bitwise to the unweighted one, so the
 //! result equals the plain replication path bit for bit.
 
-use crate::backend::{Backend, BackendError, ItuaBackend, ModelCheck};
+use crate::backend::{preflight, Backend, BackendError, ItuaBackend, ModelCheck};
 use crate::engine::{replicate, RunnerConfig};
 use crate::progress::Progress;
 use itua_core::measures::{MeasureSet, RunOutput};
@@ -119,8 +119,9 @@ impl ItuaBackend {
 ///
 /// # Errors
 ///
-/// Returns the self-check failure under [`ModelCheck::Quick`], or the
-/// first (in replication order) [`BackendError`] any tree produced.
+/// Returns the pre-flight failure (a bad horizon or sample time, or the
+/// `check` policy's), or the first (in replication order)
+/// [`BackendError`] any tree produced.
 #[allow(clippy::too_many_arguments)]
 pub fn run_measures_split(
     backend: &ItuaBackend,
@@ -134,9 +135,7 @@ pub fn run_measures_split(
     progress: &dyn Progress,
     check: ModelCheck,
 ) -> Result<SplitRun, BackendError> {
-    if check == ModelCheck::Quick {
-        backend.self_check()?;
-    }
+    preflight(backend, horizon, sample_times, check)?;
     if let Some(exact) = backend.exact_measures(horizon, sample_times, confidence) {
         let measures = exact?;
         progress.on_replications(replications, replications);
@@ -297,6 +296,79 @@ mod tests {
         for e in &run.measures.estimates() {
             assert_eq!(e.ci.half_width, 0.0, "{} not exact", e.name);
         }
+    }
+
+    /// Runs `horizon`/`sample_times` through both replication loops on
+    /// every backend and returns the common error: each backend and loop
+    /// must refuse alike, without panicking.
+    fn common_rejection(horizon: f64, sample_times: &[f64]) -> String {
+        let mut errors = Vec::new();
+        for kind in BackendKind::ALL {
+            let backend = ItuaBackend::for_params(kind, &micro_params()).unwrap();
+            let plain = run_measures(
+                &backend,
+                4,
+                0.95,
+                1,
+                horizon,
+                sample_times,
+                &RunnerConfig::default().with_threads(2),
+                &NullProgress,
+            )
+            .unwrap_err();
+            let split = run_measures_split(
+                &backend,
+                4,
+                0.95,
+                1,
+                horizon,
+                sample_times,
+                &SplitSpec::none(),
+                &RunnerConfig::default().with_threads(2),
+                &NullProgress,
+                ModelCheck::Quick,
+            )
+            .unwrap_err();
+            errors.push(plain.to_string());
+            errors.push(split.to_string());
+        }
+        assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:?}");
+        errors.swap_remove(0)
+    }
+
+    #[test]
+    fn bad_horizon_is_rejected_alike_by_every_backend() {
+        for horizon in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let err = common_rejection(horizon, &[1.0]);
+            assert_eq!(err, format!("horizon {horizon} is not finite and positive"));
+        }
+    }
+
+    #[test]
+    fn nan_sample_time_is_rejected_alike_by_every_backend() {
+        let err = common_rejection(2.0, &[1.0, f64::NAN]);
+        assert_eq!(err, "sample time NaN is not a number");
+    }
+
+    #[test]
+    fn deep_check_gates_the_splitting_loop() {
+        let params = Params::default().with_domains(1, 2).with_applications(1, 2);
+        let backend = ItuaBackend::for_params(BackendKind::San, &params).unwrap();
+        let err = run_measures_split(
+            &backend,
+            4,
+            0.95,
+            1,
+            2.0,
+            &[2.0],
+            &SplitSpec::none(),
+            &RunnerConfig::serial(),
+            &NullProgress,
+            ModelCheck::Deep { max_states: 3 },
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("state budget"), "{err}");
     }
 
     #[test]

@@ -63,7 +63,46 @@ impl StateSpace {
     ///   (see [`vanishing_budget`]) — both are forms of state-space
     ///   explosion, and both fail fast instead of exhausting memory.
     /// * [`SanError::Unstabilized`] if instantaneous activities livelock.
+    /// * [`SanError::BadValue`] if a rate or case weight is NaN, infinite
+    ///   or negative, or an activity's case weights sum to zero, at a
+    ///   reachable marking.
     pub fn generate(san: &Arc<San>, max_states: usize) -> Result<Self, SanError> {
+        Self::explore(san, None, max_states)
+    }
+
+    /// Explores the reachable tangible state space *in canonical form*
+    /// under `sym`, producing the exactly-lumped CTMC: every state is the
+    /// lexicographically least member of its orbit, and summing a
+    /// representative's outgoing rates by target orbit (done when the
+    /// transition list is assembled into a [`Ctmc`]) yields the quotient
+    /// chain. Exact lumpability holds because a [`SymmetrySpec`] asserts
+    /// the group action is a model automorphism; any orbit-invariant
+    /// reward is then solved exactly on the quotient.
+    ///
+    /// [`StateSpace::orbit_sizes`] reports how many markings of the
+    /// unreduced chain each representative stands for, so
+    /// `Σ orbit_sizes = full tangible state count` — the cross-check the
+    /// analyzer's unreduced explorer provides on micro configurations.
+    ///
+    /// # Errors
+    ///
+    /// The same family as [`StateSpace::generate`], with `max_states`
+    /// bounding the number of *orbits* interned.
+    pub fn generate_lumped(
+        san: &Arc<San>,
+        sym: &SymmetrySpec,
+        max_states: usize,
+    ) -> Result<Self, SanError> {
+        Self::explore(san, Some(sym), max_states)
+    }
+
+    /// The breadth-first generator behind both public entry points. Under
+    /// `Some(sym)` every tangible marking is canonicalized before
+    /// interning (two successors in the same orbit merge into one state,
+    /// and their rates sum when the transition list is assembled into a
+    /// CTMC) and orbit sizes are recorded; under `None` markings are
+    /// interned as they are.
+    fn explore(san: &San, sym: Option<&SymmetrySpec>, max_states: usize) -> Result<Self, SanError> {
         for (_, act) in san.activities() {
             if let Timing::General(_) = act.timing() {
                 return Err(SanError::NonMarkovian(act.name().to_owned()));
@@ -72,14 +111,24 @@ impl StateSpace {
 
         let mut index: HashMap<Marking, usize> = HashMap::new();
         let mut markings: Vec<Marking> = Vec::new();
+        let mut orbit_sizes: Vec<u128> = Vec::new();
         let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
         let mut frontier: VecDeque<usize> = VecDeque::new();
 
         let intern = |m: Marking,
                       markings: &mut Vec<Marking>,
+                      orbit_sizes: &mut Vec<u128>,
                       index: &mut HashMap<Marking, usize>,
                       frontier: &mut VecDeque<usize>|
          -> Result<usize, SanError> {
+            let m = match sym {
+                Some(sym) => {
+                    let mut vals = m.values().to_vec();
+                    sym.canonicalize(&mut vals);
+                    Marking::new(&vals)
+                }
+                None => m,
+            };
             if let Some(&i) = index.get(&m) {
                 return Ok(i);
             }
@@ -87,18 +136,26 @@ impl StateSpace {
                 return Err(SanError::StateSpaceTooLarge(max_states));
             }
             let i = markings.len();
+            if let Some(sym) = sym {
+                orbit_sizes.push(sym.orbit_size(m.values()));
+            }
             index.insert(m.clone(), i);
             markings.push(m);
             frontier.push_back(i);
             Ok(i)
         };
 
-        // Resolve the initial marking.
         let init_marking = san.initial_marking().canonical();
         let resolved = resolve_vanishing(san, &init_marking, max_states)?;
         let mut initial = Vec::new();
         for (m, p) in resolved {
-            let i = intern(m, &mut markings, &mut index, &mut frontier)?;
+            let i = intern(
+                m,
+                &mut markings,
+                &mut orbit_sizes,
+                &mut index,
+                &mut frontier,
+            )?;
             initial.push((i, p));
         }
         // Merge duplicate initial entries.
@@ -130,6 +187,9 @@ impl StateSpace {
                 if rate == 0.0 {
                     continue;
                 }
+                // A NaN or infinite weight poisons the total; a negative
+                // one is caught where zero-weight cases are skipped, so the
+                // common path runs no extra test.
                 let weights = act.case_weights(&marking);
                 let total: f64 = weights.iter().sum();
                 if !(total.is_finite() && total > 0.0) {
@@ -137,138 +197,9 @@ impl StateSpace {
                 }
                 for (case, &w) in weights.iter().enumerate() {
                     if w <= 0.0 {
-                        continue;
-                    }
-                    let mut next = marking.clone();
-                    act.fire(case, &mut next);
-                    let next = next.canonical();
-                    for (tangible, p) in resolve_vanishing(san, &next, max_states)? {
-                        let t = intern(tangible, &mut markings, &mut index, &mut frontier)?;
-                        if t != s {
-                            transitions.push((s, t, rate * (w / total) * p));
+                        if w < 0.0 {
+                            return Err(SanError::BadValue(act.name().to_owned()));
                         }
-                    }
-                }
-            }
-        }
-
-        Ok(StateSpace {
-            markings,
-            transitions,
-            initial,
-            orbit_sizes: None,
-        })
-    }
-
-    /// Explores the reachable tangible state space *in canonical form*
-    /// under `sym`, producing the exactly-lumped CTMC: every state is the
-    /// lexicographically least member of its orbit, and summing a
-    /// representative's outgoing rates by target orbit (done when the
-    /// transition list is assembled into a [`Ctmc`]) yields the quotient
-    /// chain. Exact lumpability holds because a [`SymmetrySpec`] asserts
-    /// the group action is a model automorphism; any orbit-invariant
-    /// reward is then solved exactly on the quotient.
-    ///
-    /// [`StateSpace::orbit_sizes`] reports how many markings of the
-    /// unreduced chain each representative stands for, so
-    /// `Σ orbit_sizes = full tangible state count` — the cross-check the
-    /// analyzer's unreduced explorer provides on micro configurations.
-    ///
-    /// # Errors
-    ///
-    /// The same family as [`StateSpace::generate`], with `max_states`
-    /// bounding the number of *orbits* interned.
-    pub fn generate_lumped(
-        san: &Arc<San>,
-        sym: &SymmetrySpec,
-        max_states: usize,
-    ) -> Result<Self, SanError> {
-        for (_, act) in san.activities() {
-            if let Timing::General(_) = act.timing() {
-                return Err(SanError::NonMarkovian(act.name().to_owned()));
-            }
-        }
-
-        let mut index: HashMap<Marking, usize> = HashMap::new();
-        let mut markings: Vec<Marking> = Vec::new();
-        let mut orbit_sizes: Vec<u128> = Vec::new();
-        let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
-        let mut frontier: VecDeque<usize> = VecDeque::new();
-
-        // Canonicalize *before* interning: two tangible successors in the
-        // same orbit merge into one state, and their probabilities/rates
-        // sum when the transition list is assembled into a CTMC.
-        let intern = |m: Marking,
-                      markings: &mut Vec<Marking>,
-                      orbit_sizes: &mut Vec<u128>,
-                      index: &mut HashMap<Marking, usize>,
-                      frontier: &mut VecDeque<usize>|
-         -> Result<usize, SanError> {
-            let mut vals = m.values().to_vec();
-            sym.canonicalize(&mut vals);
-            let m = Marking::new(&vals);
-            if let Some(&i) = index.get(&m) {
-                return Ok(i);
-            }
-            if markings.len() >= max_states {
-                return Err(SanError::StateSpaceTooLarge(max_states));
-            }
-            let i = markings.len();
-            orbit_sizes.push(sym.orbit_size(&vals));
-            index.insert(m.clone(), i);
-            markings.push(m);
-            frontier.push_back(i);
-            Ok(i)
-        };
-
-        let init_marking = san.initial_marking().canonical();
-        let resolved = resolve_vanishing(san, &init_marking, max_states)?;
-        let mut initial = Vec::new();
-        for (m, p) in resolved {
-            let i = intern(
-                m,
-                &mut markings,
-                &mut orbit_sizes,
-                &mut index,
-                &mut frontier,
-            )?;
-            initial.push((i, p));
-        }
-        initial.sort_by_key(|&(i, _)| i);
-        initial.dedup_by(|a, b| {
-            if a.0 == b.0 {
-                b.1 += a.1;
-                true
-            } else {
-                false
-            }
-        });
-
-        while let Some(s) = frontier.pop_front() {
-            let marking = markings[s].clone();
-            for (_, act) in san.activities() {
-                let rate_fn = match act.timing() {
-                    Timing::Exponential(r) => r,
-                    Timing::Instantaneous => continue,
-                    Timing::General(_) => unreachable!("checked above"),
-                };
-                if !act.enabled(&marking) {
-                    continue;
-                }
-                let rate = rate_fn(&marking);
-                if !(rate.is_finite() && rate >= 0.0) {
-                    return Err(SanError::BadValue(act.name().to_owned()));
-                }
-                if rate == 0.0 {
-                    continue;
-                }
-                let weights = act.case_weights(&marking);
-                let total: f64 = weights.iter().sum();
-                if !(total.is_finite() && total > 0.0) {
-                    return Err(SanError::BadValue(act.name().to_owned()));
-                }
-                for (case, &w) in weights.iter().enumerate() {
-                    if w <= 0.0 {
                         continue;
                     }
                     let mut next = marking.clone();
@@ -282,10 +213,9 @@ impl StateSpace {
                             &mut index,
                             &mut frontier,
                         )?;
-                        // A transition into the representative's own orbit
-                        // is a self-loop of the quotient chain — a no-op
-                        // for CTMC dynamics, dropped like `generate` drops
-                        // literal self-loops.
+                        // A transition into the state's own orbit is a
+                        // self-loop — a no-op for CTMC dynamics — and is
+                        // dropped, whether or not the space is lumped.
                         if t != s {
                             transitions.push((s, t, rate * (w / total) * p));
                         }
@@ -298,7 +228,7 @@ impl StateSpace {
             markings,
             transitions,
             initial,
-            orbit_sizes: Some(orbit_sizes),
+            orbit_sizes: sym.map(|_| orbit_sizes),
         })
     }
 
@@ -447,6 +377,9 @@ fn resolve_vanishing(
             }
             for (case, &w) in weights.iter().enumerate() {
                 if w <= 0.0 {
+                    if w < 0.0 {
+                        return Err(SanError::BadValue(act.name().to_owned()));
+                    }
                     continue;
                 }
                 let mut next = m.clone();
@@ -667,6 +600,39 @@ mod tests {
             StateSpace::generate(&san, 100),
             Err(SanError::StateSpaceTooLarge(100))
         ));
+    }
+
+    /// One activity from `p` with `case_fn` weights `[2.0, -1.0]`: a
+    /// negative weight must be rejected, not skipped (skipping it would
+    /// turn the surviving case into a probability of 2).
+    fn negative_case_weight(instantaneous: bool) -> StdArc<San> {
+        let mut b = SanBuilder::new("neg");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        let r = b.place("r", 0);
+        let act = if instantaneous {
+            b.instantaneous_activity("split")
+        } else {
+            b.timed_activity("split", 1.0)
+        };
+        act.input_arc(p, 1)
+            .case_fn(StdArc::new(|_| 2.0), move |m| m.add(q, 1))
+            .case_fn(StdArc::new(|_| -1.0), move |m| m.add(r, 1))
+            .build()
+            .unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn negative_case_weight_is_rejected() {
+        for instantaneous in [false, true] {
+            let san = negative_case_weight(instantaneous);
+            assert_eq!(
+                StateSpace::generate(&san, 100).unwrap_err(),
+                SanError::BadValue("split".to_owned()),
+                "instantaneous = {instantaneous}"
+            );
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub const ALLOWLIST_FILE: &str = "determinism.allow";
 /// Source directories scanned by the lint: every crate whose code can
 /// influence reported results (simulation, statistics, model, runner,
 /// solver, studies, analyzer). The CLI/bench layer and the vendored
-/// proptest/criterion shims are exempt from the determinism rules but
+/// proptest shim are exempt from the determinism rules but
 /// still covered by the `unsafe-block` rule via [`UNSAFE_ONLY_DIRS`].
 pub const SCAN_DIRS: &[&str] = &[
     "crates/sim/src",
@@ -64,7 +64,6 @@ pub const UNSAFE_ONLY_DIRS: &[&str] = &[
     "crates/bench/src",
     "crates/xtask/src",
     "crates/proptest/src",
-    "crates/criterion/src",
 ];
 
 /// One flagged line.

@@ -2,10 +2,11 @@
 //! composed ITUA models: the symmetry-reduced quotient must account for
 //! the full state space exactly (orbit sizes sum to the unreduced
 //! count), canonicalization must be invariant under arbitrary
-//! domain/host/replica permutations, the explorer's tangible projection
-//! must cross-validate against the analytic backend's state-space
-//! builder on every shipped study's micro variant, and budget
-//! exhaustion must be a structured error, not a hang.
+//! domain/host/replica permutations, both of the analytic backend's
+//! state-space generators (plain and lumped) must match the explored
+//! graphs with their vanishing states eliminated on every shipped
+//! study's micro variant, and budget exhaustion must be a structured
+//! error, not a hang.
 
 use itua_analyzer::reach::{self, ReachConfig, ReachError};
 use itua_core::params::Params;
@@ -60,12 +61,13 @@ fn quotient_orbit_sizes_sum_to_the_full_state_count() {
 
 #[test]
 fn every_shipped_study_micro_variant_cross_validates_against_statespace() {
-    // One representative micro point per shipped figure study: the
-    // exhaustive explorer's tangible projection must reproduce the
-    // analytic backend's BFS state count and transition multiset
-    // exactly, and the quotient must agree with the unreduced oracle.
-    // (CI's `itua check --exhaustive --backend analytic` covers every
-    // distinct micro model at release speed.)
+    // One representative micro point per shipped figure study: with
+    // their vanishing states eliminated, the unreduced and quotient
+    // graphs must reproduce the analytic backend's plain and lumped
+    // generators (tangible markings, rates and initial mass within
+    // 1e-12 relative), and the quotient must agree with the unreduced
+    // oracle. (CI's `itua check --exhaustive --backend analytic` covers
+    // every distinct micro model at release speed.)
     let reps = [
         figure3::micro_points().swap_remove(0),
         figure4::micro_points().swap_remove(0),
@@ -82,11 +84,11 @@ fn every_shipped_study_micro_variant_cross_validates_against_statespace() {
             point.x,
             report.render()
         );
-        let cross = analysis::cross_validate(&model, 200_000).unwrap();
-        assert_eq!(cross.tangible_states, report.full_tangible as usize);
-        let oracle = analysis::quotient_oracle(&model, 200_000).unwrap();
+        let oracle = analysis::oracle(&model, 200_000).unwrap();
+        assert_eq!(oracle.tangible_states, report.full_tangible as usize);
         assert_eq!(oracle.quotient_states, report.states);
         assert_eq!(oracle.full_states as u128, report.full_states);
+        assert!(oracle.max_rel_dev <= reach::RATE_REL_TOL);
     }
 }
 

@@ -8,17 +8,21 @@
 //!
 //! * a property test over randomized micro topologies and rate
 //!   parameters — lumped and unlumped `ItuaAnalytic` solutions must
-//!   agree to 1e-9 relative on every measure, and the orbit sizes must
-//!   account for exactly the unlumped state count;
+//!   agree to 1e-9 relative on every measure, the orbit sizes must
+//!   account for exactly the unlumped state count, and both generators
+//!   must match the explored graphs with their vanishing states
+//!   eliminated to 1e-12 relative (`analysis::oracle`);
 //! * a configuration the *unlumped* backend rejects at its default
 //!   state budget, where the lumped backend still solves exactly — both
 //!   simulators' confidence intervals must cover the lumped values,
 //!   mirroring `tests/backend_agreement.rs` on a previously-infeasible
 //!   config.
 
+use itua_repro::analyzer::reach::RATE_REL_TOL;
 use itua_repro::itua::analytic::{AnalyticError, AnalyticOptions, ItuaAnalytic};
 use itua_repro::itua::measures::names;
 use itua_repro::itua::params::Params;
+use itua_repro::itua::{analysis, san_model};
 use itua_repro::runner::{run_measures, BackendKind, ItuaBackend, NullProgress, RunnerConfig};
 use itua_repro::stats::replication::Estimate;
 use proptest::prelude::*;
@@ -71,8 +75,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Lumped and unlumped analytic solutions agree to 1e-9 relative on
-    /// randomized micro topologies and rates, and the quotient's orbit
-    /// sizes sum to exactly the unlumped state count.
+    /// randomized micro topologies and rates, the quotient's orbit sizes
+    /// sum to exactly the unlumped state count, and the rates of both
+    /// generators match the eliminated graphs to 1e-12 relative.
     #[test]
     fn lumped_measures_match_unlumped_on_random_micro_topologies(
         shape in 0usize..5,
@@ -114,6 +119,15 @@ proptest! {
                 "{}: full {} vs lumped {}", x.name, x.ci.mean, y.ci.mean
             );
         }
+
+        let model = san_model::build(&params).expect("micro model builds");
+        let agreement = analysis::oracle(&model, 1_000_000)
+            .unwrap_or_else(|e| panic!("generator oracle: {e}"));
+        prop_assert_eq!(agreement.tangible_states, full.num_states());
+        prop_assert!(
+            agreement.max_rel_dev <= RATE_REL_TOL,
+            "worst relative deviation {:e}", agreement.max_rel_dev
+        );
     }
 }
 
