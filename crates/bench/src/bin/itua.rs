@@ -3,11 +3,14 @@
 //! * `itua list` — the built-in scenarios (with their analytic
 //!   feasibility: lumped vs full tangible state count on each
 //!   scenario's smallest sweep point) and the `.scn` file format.
-//! * `itua run <scenario|file.scn> [flags]` — run a scenario; flags are
-//!   exactly the legacy figure-binary flags (see `FigureCli`).
+//! * `itua run <scenario|file.scn> [flags]` — run a scenario (flags: see
+//!   `FigureCli`).
 //! * `itua check <scenario|file.scn> [flags]` — run the full structural
 //!   analyzer over the scenario's models without simulating; exit 2 on
 //!   hard findings (or an invalid scenario file).
+//!
+//! Every user error — an unknown command or scenario, an invalid `.scn`
+//! file, a malformed flag — prints a message and exits 2.
 
 use itua_bench::{driver, FigureCli};
 use itua_scenario::registry;
@@ -21,8 +24,9 @@ commands:
                                tangible state count on its smallest point)
   run <scenario|file.scn>      run a scenario (flags: --backend des|san|analytic,
                                --reps N, --seed S, --csv, --threads N, --batch N,
-                               --max-states N, --results DIR, --no-resume,
-                               --check, --no-check, --split-levels SPEC, --quiet)
+                               --max-states N, --lump, --no-lump, --results DIR,
+                               --no-resume, --check, --no-check,
+                               --split-levels SPEC, --quiet)
   check <scenario|file.scn>    model check only, no simulation (--backend selects
                                which points are analyzed; --backend analytic picks
                                a study's micro variant); exit 2 on hard findings.
@@ -68,7 +72,10 @@ fn main() {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             });
-            let cli = FigureCli::parse(args);
+            let cli = FigureCli::try_parse(args).unwrap_or_else(|e| {
+                eprintln!("error: {e}\n{USAGE}");
+                std::process::exit(2);
+            });
             let code = if cmd == "check" {
                 driver::check_scenario(scenario.as_ref(), &cli)
             } else {

@@ -1,6 +1,6 @@
-//! The shared drive path behind the `itua` CLI and the legacy figure
-//! shims: resolve a scenario, fold its pinned settings into the CLI
-//! flags, optionally pre-flight the structural analyzer, run, print.
+//! The drive path behind the `itua` CLI: resolve a scenario, fold its
+//! pinned settings into the CLI flags, optionally pre-flight the
+//! structural analyzer, run, print; or model-check it without running.
 
 use crate::{check_models, FigureCli};
 use itua_analyzer::reach::{self, ReachConfig};
@@ -160,7 +160,7 @@ pub fn check_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
 
 /// The distinct parameter sets among `points`, keeping first-seen order
 /// and one representative point for labeling.
-fn distinct_models(points: &[SweepPoint]) -> Vec<&SweepPoint> {
+pub(crate) fn distinct_models(points: &[SweepPoint]) -> Vec<&SweepPoint> {
     let mut seen: Vec<String> = Vec::new();
     let mut out = Vec::new();
     for point in points {
@@ -320,7 +320,10 @@ fn prove_asserts(
 /// every distinct model, checking explorers and generators against the
 /// oracle.
 fn exhaustive_check_points(scenario: &dyn Scenario, points: &[SweepPoint], cli: &FigureCli) -> i32 {
-    let max_states = cli.check_max_states.unwrap_or(DEFAULT_CHECK_MAX_STATES);
+    let max_states = cli
+        .backend_opts
+        .analytic_max_states
+        .unwrap_or(DEFAULT_CHECK_MAX_STATES);
     let asserts = scenario.asserts();
     let mut outcomes = Vec::new();
     for point in distinct_models(points) {
@@ -461,15 +464,6 @@ fn print_exhaustive_json(
         models.join(","),
         hard
     );
-}
-
-/// Entry point of the legacy figure binaries: each is now a shim that
-/// runs its built-in scenario with unchanged flags, output, and result
-/// stores.
-pub fn shim_main(name: &str) -> ! {
-    let cli = FigureCli::parse(std::env::args().skip(1));
-    let scenario = registry::find(name).expect("shim names a shipped scenario");
-    std::process::exit(run_scenario(scenario.as_ref(), &cli));
 }
 
 #[cfg(test)]
@@ -625,7 +619,7 @@ mod tests {
         );
         let mut cli = FigureCli::parse(Vec::<String>::new());
         cli.exhaustive = true;
-        cli.check_max_states = Some(200_000);
+        cli.backend_opts.analytic_max_states = Some(200_000);
         assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
         cli.json = true;
         assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
@@ -636,7 +630,7 @@ mod tests {
         let dir = std::env::temp_dir().join("itua-driver-exhaustive");
         let mut cli = FigureCli::parse(Vec::<String>::new());
         cli.exhaustive = true;
-        cli.check_max_states = Some(200_000);
+        cli.backend_opts.analytic_max_states = Some(200_000);
 
         // A glob matching no place is a hard refusal, not a vacuous pass.
         let bad_glob = micro_scn(&dir, "badglob.scn", "assert = sum(nope/*) <= 1\n");
@@ -648,7 +642,7 @@ mod tests {
 
         // An exhausted state budget is a structured failure (exit 2).
         let plain = micro_scn(&dir, "plain.scn", "");
-        cli.check_max_states = Some(3);
+        cli.backend_opts.analytic_max_states = Some(3);
         assert_eq!(check_scenario(plain.as_ref(), &cli), 2);
     }
 

@@ -1,4 +1,5 @@
-//! Shared helpers for the figure-regeneration binaries and benchmarks.
+//! The `itua` CLI's flag parser and drive path, and the tracked
+//! benchmarks' shared output helper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,18 +15,21 @@ use itua_runner::engine::RunnerConfig;
 use itua_runner::progress::{ConsoleProgress, NullProgress, Progress};
 use itua_studies::sweep::{RunOpts, SweepConfig, SweepPoint};
 use std::path::PathBuf;
+use std::str::FromStr;
 
-/// Parses the common CLI options of the figure binaries.
+/// The flags of `itua run` and `itua check`.
 ///
 /// Supported arguments:
 ///
 /// * `--backend des|san|analytic` — which backend runs the study: the
 ///   direct discrete-event simulator (default), the composed stochastic
 ///   activity network, or the exact CTMC solver (small configurations
-///   only; figure binaries substitute their exact-solvable micro
+///   only; the figure studies substitute their exact-solvable micro
 ///   variant); all run through the same pipeline and report the same
 ///   measure names,
-/// * `--reps N` — replications per sweep point (default 2000),
+/// * `--reps N` — replications per sweep point (default 2000; the
+///   simulating backends refuse fewer than 2, the analytic backend
+///   ignores it),
 /// * `--seed S` — base seed,
 /// * `--csv` — also print the figure as CSV,
 /// * `--threads N` — worker threads (default: one per core; results are
@@ -76,7 +80,9 @@ use std::path::PathBuf;
 pub struct FigureCli {
     /// Which backend runs the sweep.
     pub backend: BackendKind,
-    /// Backend construction options (`--max-states`).
+    /// Backend construction options (`--max-states`, `--lump`,
+    /// `--no-lump`). `itua check --exhaustive` reads
+    /// `analytic_max_states` as its exploration budget.
     pub backend_opts: BackendOptions,
     /// Sweep configuration assembled from the flags.
     pub cfg: SweepConfig,
@@ -97,10 +103,6 @@ pub struct FigureCli {
     pub exhaustive: bool,
     /// Whether `itua check --json` requested machine-readable findings.
     pub json: bool,
-    /// Explicit `--max-states` value, when given; the exhaustive checker
-    /// uses it as its state budget (default 2^20 quotient states), the
-    /// analytic backend as its tangible-state bound (default 100000).
-    pub check_max_states: Option<usize>,
     /// RESTART splitting thresholds (`--split-levels`); `None` runs the
     /// plain replication loop.
     pub split: Option<SplitSpec>,
@@ -111,11 +113,12 @@ pub struct FigureCli {
 impl FigureCli {
     /// Parses `std::env::args`-style arguments (excluding `argv[0]`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments (these are
-    /// developer-facing binaries).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// A one-line message naming the offending flag: an unknown flag, a
+    /// missing or malformed value, a zero `--max-states`, or an invalid
+    /// `--split-levels` spec.
+    pub fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut cli = FigureCli {
             backend: BackendKind::Des,
             backend_opts: BackendOptions::default(),
@@ -128,7 +131,6 @@ impl FigureCli {
             no_check: false,
             exhaustive: false,
             json: false,
-            check_max_states: None,
             split: None,
             quiet: false,
         };
@@ -139,49 +141,24 @@ impl FigureCli {
                     cli.backend = it
                         .next()
                         .and_then(|v| BackendKind::parse(&v))
-                        .unwrap_or_else(|| panic!("--backend needs 'des', 'san', or 'analytic'"));
+                        .ok_or("--backend needs 'des', 'san', or 'analytic'")?;
                 }
-                "--reps" => {
-                    cli.cfg.replications = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--reps needs a positive integer"));
-                }
-                "--seed" => {
-                    cli.cfg.base_seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--seed needs an integer"));
-                }
+                "--reps" => cli.cfg.replications = value(&mut it, &arg, "a positive integer")?,
+                "--seed" => cli.cfg.base_seed = value(&mut it, &arg, "an integer")?,
                 "--max-states" => {
-                    let n = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| panic!("--max-states needs a positive integer"));
+                    let n = value(&mut it, &arg, "a positive integer")?;
+                    if n == 0 {
+                        return Err("--max-states needs a positive integer".to_owned());
+                    }
                     cli.backend_opts.analytic_max_states = Some(n);
-                    cli.check_max_states = Some(n);
                 }
                 "--lump" => cli.backend_opts.analytic_lump = true,
                 "--no-lump" => cli.backend_opts.analytic_lump = false,
                 "--csv" => cli.csv = true,
-                "--threads" => {
-                    cli.threads = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--threads needs a non-negative integer"));
-                }
-                "--batch" => {
-                    cli.batch_size = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--batch needs a non-negative integer"));
-                }
+                "--threads" => cli.threads = value(&mut it, &arg, "a non-negative integer")?,
+                "--batch" => cli.batch_size = value(&mut it, &arg, "a non-negative integer")?,
                 "--results" => {
-                    cli.results_dir =
-                        Some(PathBuf::from(it.next().unwrap_or_else(|| {
-                            panic!("--results needs a directory path")
-                        })));
+                    cli.results_dir = Some(value(&mut it, &arg, "a directory path")?);
                 }
                 "--no-resume" => cli.results_dir = None,
                 "--check" => cli.check = true,
@@ -191,21 +168,33 @@ impl FigureCli {
                 "--split-levels" => {
                     let spec = it
                         .next()
-                        .unwrap_or_else(|| panic!("--split-levels needs a spec like '1x8,2x4'"));
-                    cli.split = Some(spec.parse().unwrap_or_else(|e| {
-                        panic!("--split-levels: {e}");
-                    }));
+                        .ok_or("--split-levels needs a spec like '1x8,2x4'")?;
+                    cli.split = Some(spec.parse().map_err(|e| format!("--split-levels: {e}"))?);
                 }
                 "--quiet" => cli.quiet = true,
-                other => panic!(
-                    "unknown argument '{other}' (try --backend des|san|analytic, \
-                     --reps N, --seed S, --csv, --max-states N, --lump, --no-lump, \
-                     --threads N, --batch N, --results DIR, --no-resume, --check, \
-                     --no-check, --exhaustive, --json, --split-levels SPEC, --quiet)"
-                ),
+                other => {
+                    return Err(format!(
+                        "unknown argument '{other}' (try --backend des|san|analytic, \
+                         --reps N, --seed S, --csv, --max-states N, --lump, --no-lump, \
+                         --threads N, --batch N, --results DIR, --no-resume, --check, \
+                         --no-check, --exhaustive, --json, --split-levels SPEC, --quiet)"
+                    ))
+                }
             }
         }
-        cli
+        Ok(cli)
+    }
+
+    /// [`FigureCli::try_parse`] for fixed, known-good flags: the
+    /// end-to-end benchmark (`examples/benchmark`) builds its `itua run`
+    /// flags in code and calls this. User input goes through
+    /// `try_parse`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `try_parse`'s message on malformed arguments.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+        Self::try_parse(args).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The progress reporter these flags select.
@@ -217,8 +206,8 @@ impl FigureCli {
         }
     }
 
-    /// Execution options for `run_with`, borrowing `progress` (obtain it
-    /// from [`FigureCli::progress`]).
+    /// Execution options for [`itua_scenario::Scenario::run`], borrowing
+    /// `progress` (obtain it from [`FigureCli::progress`]).
     pub fn opts<'a>(&self, progress: &'a dyn Progress) -> RunOpts<'a> {
         let runner = RunnerConfig::default()
             .with_threads(self.threads)
@@ -239,18 +228,19 @@ impl FigureCli {
                 ModelCheck::Quick
             },
             split: self.split.clone(),
-            fingerprint_extra: Vec::new(),
         }
     }
+}
 
-    /// Runs `--check` (when requested) over a study's sweep points and
-    /// exits with status 2 on hard findings. Call before `run_with`.
-    pub fn run_check_or_exit(&self, points: &[SweepPoint]) {
-        if self.check && check_models(points) {
-            eprintln!("model check failed: hard findings above");
-            std::process::exit(2);
-        }
-    }
+/// The value after `flag`, parsed; `what` describes it in the error.
+fn value<T: FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs {what}"))
 }
 
 /// Runs the full structural analyzer ([`analysis::full_report`]) over
@@ -259,14 +249,8 @@ impl FigureCli {
 /// caller should exit nonzero).
 pub fn check_models(points: &[SweepPoint]) -> bool {
     let cfg = AnalysisConfig::default();
-    let mut seen: Vec<String> = Vec::new();
     let mut any_hard = false;
-    for point in points {
-        let key = format!("{:?}", point.params);
-        if seen.contains(&key) {
-            continue;
-        }
-        seen.push(key);
+    for point in driver::distinct_models(points) {
         println!("--- model check: {} (x = {}) ---", point.series, point.x);
         match san_model::build(&point.params) {
             Ok(model) => {
@@ -376,20 +360,24 @@ mod tests {
         );
         assert!(cli.exhaustive);
         assert!(cli.json);
-        assert_eq!(cli.check_max_states, Some(50000));
         assert_eq!(cli.backend_opts.analytic_max_states, Some(50000));
-        // Absent --max-states leaves the exhaustive budget at its own
-        // default rather than inheriting the analytic bound.
+        // Absent --max-states leaves each reader at its own default
+        // (2^20 quotient states for the exhaustive checker).
         let cli = FigureCli::parse(Vec::<String>::new());
         assert!(!cli.exhaustive);
         assert!(!cli.json);
-        assert_eq!(cli.check_max_states, None);
+        assert_eq!(cli.backend_opts.analytic_max_states, None);
+    }
+
+    /// `try_parse` on string literals.
+    fn try_parse(args: &[&str]) -> Result<FigureCli, String> {
+        FigureCli::try_parse(args.iter().map(|&a| a.to_owned()))
     }
 
     #[test]
-    #[should_panic]
     fn rejects_zero_max_states() {
-        FigureCli::parse(["--max-states".to_owned(), "0".to_owned()]);
+        let err = try_parse(&["--max-states", "0"]).unwrap_err();
+        assert_eq!(err, "--max-states needs a positive integer");
     }
 
     #[test]
@@ -408,9 +396,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn rejects_malformed_split_levels() {
-        FigureCli::parse(["--split-levels".to_owned(), "2x4,1x8".to_owned()]);
+        let err = try_parse(&["--split-levels", "2x4,1x8"]).unwrap_err();
+        assert!(err.starts_with("--split-levels: "), "{err}");
+        assert!(try_parse(&["--split-levels"]).is_err());
     }
 
     #[test]
@@ -466,8 +455,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn rejects_unknown_flag() {
-        FigureCli::parse(["--nope".to_owned()]);
+        let err = try_parse(&["--nope"]).unwrap_err();
+        assert!(err.starts_with("unknown argument '--nope'"), "{err}");
+    }
+
+    #[test]
+    fn rejects_malformed_and_missing_values() {
+        for (args, msg) in [
+            (&["--reps", "abc"][..], "--reps needs a positive integer"),
+            (&["--seed", "-1"], "--seed needs an integer"),
+            (&["--threads"], "--threads needs a non-negative integer"),
+            (&["--batch", "x"], "--batch needs a non-negative integer"),
+            (&["--results"], "--results needs a directory path"),
+            (
+                &["--backend", "mobius"],
+                "--backend needs 'des', 'san', or 'analytic'",
+            ),
+        ] {
+            assert_eq!(try_parse(args).unwrap_err(), msg, "{args:?}");
+        }
     }
 }

@@ -1,0 +1,103 @@
+//! User errors at the `itua` command line end in a message and exit
+//! code 2, never a panic: malformed flags, and replication counts too
+//! small for a confidence interval.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn itua(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_itua"))
+        .args(args)
+        .output()
+        .expect("the itua binary runs")
+}
+
+/// Asserts exit code 2 with a clean message on stderr; returns stderr.
+fn assert_user_error(args: &[&str]) -> String {
+    let out = itua(args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    stderr
+}
+
+/// A one-point micro scenario file (small enough for the analytic
+/// backend in a debug build), with `extra` lines appended.
+fn micro_scn(tag: &str, extra: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("itua-cli-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.scn"));
+    std::fs::write(
+        &path,
+        format!(
+            "domains = 1\nhosts-per-domain = 2\napps = 1\nreps-per-app = 2\n\
+             spread-rate-domain = 0\nspread-rate-system = 0\n\
+             sweep = false-alarm-rate\nvalues = 2\nhorizon = 2\n\
+             measures = unavailability\n{extra}"
+        ),
+    )
+    .unwrap();
+    path
+}
+
+#[test]
+fn malformed_flags_exit_2_with_usage() {
+    for bad in [
+        &["--reps", "abc"][..],
+        &["--bogus"],
+        &["--split-levels", "2x4,1x8"],
+        &["--max-states", "0"],
+        &["--threads"],
+    ] {
+        for cmd in ["run", "check"] {
+            let mut args = vec![cmd, "figure3", "--no-resume", "--quiet"];
+            args.extend_from_slice(bad);
+            let stderr = assert_user_error(&args);
+            assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+            assert!(stderr.contains("usage: itua"), "{args:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn fewer_than_two_replications_exit_2_on_the_simulators() {
+    let stderr = assert_user_error(&["run", "figure3", "--reps", "1", "--no-resume", "--quiet"]);
+    assert!(stderr.contains("needs at least 2 replications"), "{stderr}");
+
+    // A scenario file pinning one replication is refused the same way.
+    let pinned = micro_scn("one-rep", "reps = 1\n");
+    let pinned = pinned.to_str().unwrap();
+    for backend in ["des", "san"] {
+        let stderr = assert_user_error(&[
+            "run",
+            pinned,
+            "--backend",
+            backend,
+            "--no-resume",
+            "--quiet",
+        ]);
+        assert!(
+            stderr.contains("needs at least 2 replications"),
+            "{backend}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn the_exact_backend_ignores_the_replication_count() {
+    let scn = micro_scn("exact", "");
+    let out = itua(&[
+        "run",
+        scn.to_str().unwrap(),
+        "--backend",
+        "analytic",
+        "--reps",
+        "1",
+        "--no-resume",
+        "--quiet",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("±0.00000"), "{stdout}");
+}

@@ -634,6 +634,25 @@ pub(crate) fn preflight<B: Backend>(
     }
 }
 
+/// Refuses fewer than two replications for a simulating backend: a
+/// confidence interval needs two observations per measure, and one
+/// replication would yield a measure set with no estimates at all. Both
+/// replication loops call this after their exact short-circuit, so the
+/// analytic backend keeps ignoring the replication count.
+///
+/// # Errors
+///
+/// A [`BackendError`] naming the replication count.
+pub(crate) fn check_replications(replications: u32) -> Result<(), BackendError> {
+    if replications < 2 {
+        return Err(BackendError::new(format!(
+            "a simulating backend needs at least 2 replications per point for a \
+             confidence interval, got {replications}"
+        )));
+    }
+    Ok(())
+}
+
 /// [`run_measures`] with an explicit [`ModelCheck`] policy: under
 /// [`ModelCheck::Quick`] (the [`run_measures`] default) the backend's
 /// [`Backend::self_check`] runs once up front and a failing model is
@@ -642,8 +661,9 @@ pub(crate) fn preflight<B: Backend>(
 /// # Errors
 ///
 /// Returns the pre-flight failure (a horizon that is not finite and
-/// positive, a NaN sample time, or the model check's), or the first (in
-/// replication order) [`BackendError`] any replication produced.
+/// positive, a NaN sample time, or the model check's), fewer than two
+/// replications on a simulating backend, or the first (in replication
+/// order) [`BackendError`] any replication produced.
 #[allow(clippy::too_many_arguments)]
 pub fn run_measures_checked<B: Backend>(
     backend: &B,
@@ -662,6 +682,7 @@ pub fn run_measures_checked<B: Backend>(
         progress.on_replications(replications, replications);
         return Ok(measures);
     }
+    check_replications(replications)?;
     let outputs = replicate_batched(
         replications,
         runner,

@@ -5,7 +5,7 @@
 //! single-threaded `run_experiment` / `run_sweep` loops left on one core.
 //! This crate is the execution layer that fixes that, as a subsystem the
 //! rest of the stack (`itua-san` experiments, `itua-studies` sweeps, the
-//! figure binaries) plugs into:
+//! `itua` CLI) plugs into:
 //!
 //! * [`engine`] — shards replications across scoped worker threads in
 //!   fixed-size chunks claimed from a shared counter. Replication `i` is

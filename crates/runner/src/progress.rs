@@ -62,7 +62,7 @@ struct ConsoleState {
 
 /// Prints progress to stderr.
 ///
-/// Designed for the figure binaries: point lines are always printed;
+/// Designed for `itua run`: point lines are always printed;
 /// replication lines are throttled (at most ~5/s) and carry the measured
 /// simulation rate and an ETA for the current point.
 #[derive(Debug)]

@@ -19,7 +19,9 @@
 //! weighted estimator collapses bitwise to the unweighted one, so the
 //! result equals the plain replication path bit for bit.
 
-use crate::backend::{preflight, Backend, BackendError, ItuaBackend, ModelCheck};
+use crate::backend::{
+    check_replications, preflight, Backend, BackendError, ItuaBackend, ModelCheck,
+};
 use crate::engine::{replicate, RunnerConfig};
 use crate::progress::Progress;
 use itua_core::measures::{MeasureSet, RunOutput};
@@ -120,8 +122,8 @@ impl ItuaBackend {
 /// # Errors
 ///
 /// Returns the pre-flight failure (a bad horizon or sample time, or the
-/// `check` policy's), or the first (in replication order)
-/// [`BackendError`] any tree produced.
+/// `check` policy's), fewer than two trees on a simulating backend, or
+/// the first (in replication order) [`BackendError`] any tree produced.
 #[allow(clippy::too_many_arguments)]
 pub fn run_measures_split(
     backend: &ItuaBackend,
@@ -144,6 +146,7 @@ pub fn run_measures_split(
             totals: SplitTotals::default(),
         });
     }
+    check_replications(replications)?;
     let trees = replicate(replications, runner, progress, |rep| {
         let mut leaves = Vec::new();
         let stats = backend.run_split_tree(
@@ -171,6 +174,7 @@ mod tests {
     use crate::backend::{run_measures, BackendKind};
     use crate::progress::NullProgress;
     use itua_core::params::Params;
+    use itua_stats::replication::Estimate;
 
     fn small_params() -> Params {
         Params::default().with_domains(4, 2).with_applications(2, 3)
@@ -298,40 +302,53 @@ mod tests {
         }
     }
 
+    /// Runs both replication loops (plain, and splitting with an empty
+    /// spec) on the micro configuration under `kind`, returning each
+    /// loop's estimates or error message.
+    fn both_loops(
+        kind: BackendKind,
+        replications: u32,
+        horizon: f64,
+        sample_times: &[f64],
+    ) -> [Result<Vec<Estimate>, String>; 2] {
+        let backend = ItuaBackend::for_params(kind, &micro_params()).unwrap();
+        let runner = RunnerConfig::default().with_threads(2);
+        let (conf, seed) = (0.95, 1);
+        let plain = run_measures(
+            &backend,
+            replications,
+            conf,
+            seed,
+            horizon,
+            sample_times,
+            &runner,
+            &NullProgress,
+        );
+        let split = run_measures_split(
+            &backend,
+            replications,
+            conf,
+            seed,
+            horizon,
+            sample_times,
+            &SplitSpec::none(),
+            &runner,
+            &NullProgress,
+            ModelCheck::Quick,
+        )
+        .map(|run| run.measures);
+        [plain, split].map(|r| r.map(|m| m.estimates()).map_err(|e| e.to_string()))
+    }
+
     /// Runs `horizon`/`sample_times` through both replication loops on
     /// every backend and returns the common error: each backend and loop
     /// must refuse alike, without panicking.
     fn common_rejection(horizon: f64, sample_times: &[f64]) -> String {
-        let mut errors = Vec::new();
-        for kind in BackendKind::ALL {
-            let backend = ItuaBackend::for_params(kind, &micro_params()).unwrap();
-            let plain = run_measures(
-                &backend,
-                4,
-                0.95,
-                1,
-                horizon,
-                sample_times,
-                &RunnerConfig::default().with_threads(2),
-                &NullProgress,
-            )
-            .unwrap_err();
-            let split = run_measures_split(
-                &backend,
-                4,
-                0.95,
-                1,
-                horizon,
-                sample_times,
-                &SplitSpec::none(),
-                &RunnerConfig::default().with_threads(2),
-                &NullProgress,
-                ModelCheck::Quick,
-            )
-            .unwrap_err();
-            errors.push(plain.to_string());
-            errors.push(split.to_string());
-        }
+        let mut errors: Vec<String> = BackendKind::ALL
+            .into_iter()
+            .flat_map(|kind| both_loops(kind, 4, horizon, sample_times))
+            .map(Result::unwrap_err)
+            .collect();
         assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:?}");
         errors.swap_remove(0)
     }
@@ -348,6 +365,28 @@ mod tests {
     fn nan_sample_time_is_rejected_alike_by_every_backend() {
         let err = common_rejection(2.0, &[1.0, f64::NAN]);
         assert_eq!(err, "sample time NaN is not a number");
+    }
+
+    #[test]
+    fn fewer_than_two_replications_are_rejected_by_both_simulating_loops() {
+        for reps in [0, 1] {
+            for kind in [BackendKind::Des, BackendKind::San] {
+                for result in both_loops(kind, reps, 2.0, &[2.0]) {
+                    assert_eq!(
+                        result.unwrap_err(),
+                        format!(
+                            "a simulating backend needs at least 2 replications per point \
+                             for a confidence interval, got {reps}"
+                        ),
+                        "{kind}"
+                    );
+                }
+            }
+            // The exact backend never replicates, so it ignores the count.
+            let [plain, split] = both_loops(BackendKind::Analytic, reps, 2.0, &[2.0]);
+            assert!(!plain.as_ref().unwrap().is_empty());
+            assert_eq!(plain, split);
+        }
     }
 
     #[test]

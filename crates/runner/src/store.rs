@@ -245,8 +245,8 @@ pub fn fingerprint(parts: &[&str]) -> String {
 
 /// [`fingerprint`] over any iterator of parts, so callers composing a
 /// fingerprint from heterogeneous sources (sweep configuration plus
-/// scenario-identity parts — see `itua_studies::sweep::RunOpts::
-/// fingerprint_extra`) need not collect into one slice first. Appending
+/// scenario-identity parts — see `itua_studies::sweep::run_sweep`) need
+/// not collect into one slice first. Appending
 /// zero extra parts yields exactly the same fingerprint as the base
 /// sequence: the hash is over the parts actually yielded.
 pub fn fingerprint_iter<'a, I: IntoIterator<Item = &'a str>>(parts: I) -> String {

@@ -1,21 +1,21 @@
 //! Declarative experiment layer for the ITUA reproduction.
 //!
-//! Every study used to be a hand-rolled binary, so scenario diversity —
-//! the paper's whole point being parametric validation of the ITUA
-//! design space — was gated on recompiling. This crate makes
-//! *configurations* first-class inputs to one evaluation engine:
+//! Scenario diversity is the paper's whole point — parametric validation
+//! of the ITUA design space — so it should not be gated on recompiling.
+//! This crate makes *configurations* first-class inputs to one
+//! evaluation engine:
 //!
 //! * [`Scenario`] — the trait every runnable experiment implements:
 //!   name, description, sweep points (including the analytic-backend
-//!   micro-variant substitution that used to be hard-coded in each
-//!   figure `main`), measures, renderer, and the identity parts folded
-//!   into result-store fingerprints.
+//!   micro-variant substitution), measures, renderer, and the identity
+//!   parts folded into result-store fingerprints. Its provided
+//!   [`Scenario::run`] is the one path from sweep points to a rendered
+//!   figure.
 //! * [`registry`] — the shipped studies (Figures 3–5, the sensitivity
-//!   study, and the `all-figures` composite) as built-in scenarios,
-//!   each a thin declarative wrapper over an
-//!   [`itua_studies::study::Study`] descriptor. Built-ins contribute no
-//!   extra fingerprint parts, so their stores stay byte-identical to the
-//!   legacy figure binaries'.
+//!   study, and the `all-figures` composite) as built-in scenarios: each
+//!   [`itua_studies::study::Study`] descriptor implements [`Scenario`]
+//!   directly. Built-ins contribute no identity parts, so their store
+//!   fingerprints are the ones the studies have always had.
 //! * [`file`] — a dependency-free `key = value` parser for user-authored
 //!   `.scn` scenario files (topology counts, rates, management scheme,
 //!   sweep axis, replications/horizon, split levels) that compose into
@@ -36,9 +36,7 @@ pub mod registry;
 
 use itua_rare::SplitSpec;
 use itua_runner::backend::BackendKind;
-use itua_studies::sweep::{
-    run_sweep_stored, FigureResult, RunOpts, Series, SweepConfig, SweepPoint,
-};
+use itua_studies::sweep::{run_sweep, FigureResult, RunOpts, Series, SweepConfig, SweepPoint};
 use std::io;
 
 /// A runnable experiment: a named sweep with measures and a renderer.
@@ -82,8 +80,8 @@ pub trait Scenario {
 
     /// Identity parts folded into the result-store fingerprint after
     /// the sweep-configuration parts. Built-ins return nothing (their
-    /// identity is fully carried by their points), keeping legacy
-    /// stores byte-identical; file scenarios return their normalized
+    /// identity is fully carried by their points), keeping their store
+    /// fingerprints unchanged; file scenarios return their normalized
     /// content hash so resume stays sound across scenario edits.
     fn fingerprint_parts(&self) -> Vec<String> {
         Vec::new()
@@ -109,42 +107,8 @@ pub trait Scenario {
         let points = self.points(opts.backend);
         let measures = self.measures();
         let refs: Vec<&str> = measures.iter().map(String::as_str).collect();
-        let opts = with_extra(opts, self.fingerprint_parts());
-        let all = run_sweep_stored(&self.sweep_id(), &points, cfg, &refs, &opts)?;
+        let identity = self.fingerprint_parts();
+        let all = run_sweep(&self.sweep_id(), &points, cfg, &refs, &identity, opts)?;
         Ok(vec![self.render(&all)])
-    }
-}
-
-/// Rebuilds `opts` with `extra` appended to its fingerprint parts
-/// (everything else carried over; the progress observer is shared).
-fn with_extra<'a>(opts: &RunOpts<'a>, extra: Vec<String>) -> RunOpts<'a> {
-    let mut fingerprint_extra = opts.fingerprint_extra.clone();
-    fingerprint_extra.extend(extra);
-    RunOpts {
-        backend: opts.backend,
-        backend_opts: opts.backend_opts,
-        runner: opts.runner,
-        progress: opts.progress,
-        results_dir: opts.results_dir.clone(),
-        check: opts.check,
-        split: opts.split.clone(),
-        fingerprint_extra,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn with_extra_appends_without_mutating_the_original() {
-        let base = RunOpts {
-            fingerprint_extra: vec!["a=1".into()],
-            ..RunOpts::default()
-        };
-        let combined = with_extra(&base, vec!["scn=abc".into()]);
-        assert_eq!(combined.fingerprint_extra, vec!["a=1", "scn=abc"]);
-        assert_eq!(base.fingerprint_extra, vec!["a=1"]);
-        assert_eq!(combined.backend, base.backend);
     }
 }

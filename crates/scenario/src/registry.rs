@@ -1,11 +1,10 @@
-//! Built-in scenarios: the shipped studies wrapped as [`Scenario`]s.
+//! Built-in scenarios: the shipped studies as [`Scenario`]s.
 //!
-//! Each entry is a declarative wrapper over an
-//! [`itua_studies::study::Study`] descriptor — same sweep id, same
-//! points, same renderer, empty [`Scenario::fingerprint_parts`] — so
-//! `itua run figure3` writes a store byte-identical to the legacy
-//! `figure3` binary's. The `all-figures` composite runs Figures 3–5
-//! sequentially under shared options.
+//! Every [`itua_studies::study::Study`] descriptor is a scenario — same
+//! sweep id, same points, same renderer, empty
+//! [`Scenario::fingerprint_parts`] — so `itua run figure3` writes the
+//! store the study has always written. The `all-figures` composite runs
+//! Figures 3–5 sequentially under shared options.
 
 use crate::Scenario;
 use itua_runner::backend::BackendKind;
@@ -13,38 +12,25 @@ use itua_studies::study::{self, Study};
 use itua_studies::sweep::{FigureResult, RunOpts, Series, SweepConfig, SweepPoint};
 use std::io;
 
-/// A [`Study`] descriptor exposed as a built-in scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct StudyScenario {
-    study: &'static Study,
-}
-
-impl StudyScenario {
-    /// The wrapped descriptor.
-    pub fn study(&self) -> &'static Study {
-        self.study
-    }
-}
-
-impl Scenario for StudyScenario {
+impl Scenario for Study {
     fn name(&self) -> &str {
-        self.study.id
+        self.id
     }
 
     fn description(&self) -> &str {
-        self.study.description
+        self.description
     }
 
     fn points(&self, backend: BackendKind) -> Vec<SweepPoint> {
-        self.study.points_for(backend)
+        self.points_for(backend)
     }
 
     fn measures(&self) -> Vec<String> {
-        (self.study.measures)()
+        (self.measures)()
     }
 
     fn render(&self, series: &[Series]) -> FigureResult {
-        (self.study.render)(series)
+        (self.render)(series)
     }
 }
 
@@ -55,13 +41,10 @@ impl Scenario for StudyScenario {
 pub struct AllFigures;
 
 impl AllFigures {
-    fn figures() -> Vec<StudyScenario> {
+    fn figures() -> impl Iterator<Item = &'static Study> {
         ["figure3", "figure4", "figure5"]
-            .iter()
-            .map(|id| StudyScenario {
-                study: study::by_id(id).expect("shipped figure study"),
-            })
-            .collect()
+            .into_iter()
+            .map(|id| study::by_id(id).expect("shipped figure study"))
     }
 }
 
@@ -77,17 +60,11 @@ impl Scenario for AllFigures {
     /// The union of the figures' points — what `itua check all-figures`
     /// verifies.
     fn points(&self, backend: BackendKind) -> Vec<SweepPoint> {
-        Self::figures()
-            .iter()
-            .flat_map(|f| f.points(backend))
-            .collect()
+        Self::figures().flat_map(|f| f.points(backend)).collect()
     }
 
     fn measures(&self) -> Vec<String> {
-        Self::figures()
-            .iter()
-            .flat_map(super::Scenario::measures)
-            .collect()
+        Self::figures().flat_map(Scenario::measures).collect()
     }
 
     fn render(&self, series: &[Series]) -> FigureResult {
@@ -109,7 +86,7 @@ impl Scenario for AllFigures {
 pub fn registry() -> Vec<Box<dyn Scenario>> {
     let mut all: Vec<Box<dyn Scenario>> = study::all()
         .iter()
-        .map(|study| Box::new(StudyScenario { study }) as Box<dyn Scenario>)
+        .map(|study| Box::new(*study) as Box<dyn Scenario>)
         .collect();
     all.push(Box::new(AllFigures));
     all
@@ -144,7 +121,7 @@ mod tests {
         for s in registry() {
             assert!(
                 s.fingerprint_parts().is_empty(),
-                "{} would break byte-identity with its legacy store",
+                "{} would change the fingerprint of its existing stores",
                 s.name()
             );
         }
@@ -158,8 +135,7 @@ mod tests {
         let b = study.points_for(BackendKind::Des);
         assert_eq!(a.len(), b.len());
         assert_eq!(a[0].series, b[0].series);
-        // Analytic backend substitutes the micro variant, as the legacy
-        // binary did.
+        // The analytic backend substitutes the micro variant.
         let micro = s.points(BackendKind::Analytic);
         assert_ne!(micro.len(), a.len());
     }

@@ -10,10 +10,9 @@
 //! * (d) fraction of domains excluded at t = 5.
 
 use crate::study::Study;
-use crate::sweep::{FigureResult, Panel, RunOpts, Series, SweepConfig, SweepPoint};
+use crate::sweep::{FigureResult, Panel, Series, SweepPoint};
 use itua_core::measures::names;
 use itua_core::params::Params;
-use std::io;
 
 /// Total hosts in the study.
 pub const TOTAL_HOSTS: usize = 12;
@@ -75,8 +74,8 @@ pub fn micro_points() -> Vec<SweepPoint> {
     pts
 }
 
-/// The declarative descriptor of this study; the scenario registry and
-/// the `figure3` binary both run through it.
+/// The declarative descriptor of this study; the scenario registry runs
+/// it as a built-in scenario.
 pub const STUDY: Study = Study {
     id: "figure3",
     description: "Figure 3 (§4.1): distributions of 12 hosts into domains",
@@ -94,25 +93,6 @@ pub fn measures() -> Vec<String> {
         names::FRAC_CORRUPT_AT_EXCLUSION.to_owned(),
         format!("{}@{}", names::FRAC_DOMAINS_EXCLUDED, HORIZON),
     ]
-}
-
-/// Runs the full study.
-pub fn run(cfg: &SweepConfig) -> FigureResult {
-    STUDY.run(cfg)
-}
-
-/// Runs the study with explicit execution options (threads, progress,
-/// resumable result store under sweep id `"figure3"`).
-///
-/// The simulation backends run the paper's 12-host [`points`]; the
-/// analytic backend runs the exact-solvable [`micro_points`] instead
-/// (its store id is `figure3-analytic`, so the two never mix).
-///
-/// # Errors
-///
-/// Propagates backend failures and result-store write errors.
-pub fn run_with(cfg: &SweepConfig, opts: &RunOpts<'_>) -> io::Result<FigureResult> {
-    STUDY.run_with(cfg, opts)
 }
 
 /// Renders the extracted series as the figure's four panels.
@@ -194,11 +174,7 @@ mod tests {
 
     #[test]
     fn small_run_produces_all_panels() {
-        let cfg = SweepConfig {
-            replications: 5,
-            ..Default::default()
-        };
-        let fig = run(&cfg);
+        let fig = STUDY.run_small(5);
         assert_eq!(fig.panels.len(), 4);
         // Panels (a), (b), (d) have one series per app count; (c) may drop
         // series that never observed an exclusion with so few reps.

@@ -8,10 +8,9 @@
 //! * (d) fraction of domains excluded at t = 5 and t = 10.
 
 use crate::study::Study;
-use crate::sweep::{FigureResult, Panel, RunOpts, Series, SweepConfig, SweepPoint};
+use crate::sweep::{FigureResult, Panel, Series, SweepPoint};
 use itua_core::measures::names;
 use itua_core::params::Params;
-use std::io;
 
 /// Number of security domains.
 pub const NUM_DOMAINS: usize = 10;
@@ -92,8 +91,8 @@ pub fn micro_points() -> Vec<SweepPoint> {
     pts
 }
 
-/// The declarative descriptor of this study; the scenario registry and
-/// the `figure4` binary both run through it.
+/// The declarative descriptor of this study; the scenario registry runs
+/// it as a built-in scenario.
 pub const STUDY: Study = Study {
     id: "figure4",
     description: "Figure 4 (§4.2): 1–4 hosts in a constant 10 domains",
@@ -112,21 +111,6 @@ pub fn measures() -> Vec<String> {
         format!("{}@{}", names::FRAC_DOMAINS_EXCLUDED, HORIZONS[0]),
         format!("{}@{}", names::FRAC_DOMAINS_EXCLUDED, HORIZONS[1]),
     ]
-}
-
-/// Runs the full study.
-pub fn run(cfg: &SweepConfig) -> FigureResult {
-    STUDY.run(cfg)
-}
-
-/// Runs the full study with explicit execution options (threads,
-/// progress, resumable result store under sweep id `"figure4"`).
-///
-/// # Errors
-///
-/// Propagates backend failures and result-store write errors.
-pub fn run_with(cfg: &SweepConfig, opts: &RunOpts<'_>) -> io::Result<FigureResult> {
-    STUDY.run_with(cfg, opts)
 }
 
 /// Renders the extracted series as the figure's four panels.
@@ -226,11 +210,7 @@ mod tests {
 
     #[test]
     fn small_run_produces_panels() {
-        let cfg = SweepConfig {
-            replications: 5,
-            ..Default::default()
-        };
-        let fig = run(&cfg);
+        let fig = STUDY.run_small(5);
         assert_eq!(fig.panels.len(), 4);
         assert_eq!(fig.panels[0].series.len(), 2); // [0,5] and [0,10]
         assert_eq!(fig.panels[3].series.len(), 2); // t=5 and t=10

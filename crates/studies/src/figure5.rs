@@ -13,10 +13,9 @@
 //! each comparing the two exclusion schemes.
 
 use crate::study::Study;
-use crate::sweep::{FigureResult, Panel, RunOpts, Series, SweepConfig, SweepPoint};
+use crate::sweep::{FigureResult, Panel, Series, SweepPoint};
 use itua_core::measures::names;
 use itua_core::params::{ManagementScheme, Params};
-use std::io;
 
 /// Number of security domains.
 pub const NUM_DOMAINS: usize = 10;
@@ -109,8 +108,8 @@ pub fn micro_points() -> Vec<SweepPoint> {
     pts
 }
 
-/// The declarative descriptor of this study; the scenario registry and
-/// the `figure5` binary both run through it.
+/// The declarative descriptor of this study; the scenario registry runs
+/// it as a built-in scenario.
 pub const STUDY: Study = Study {
     id: "figure5",
     description: "Figure 5 (§4.3): domain- vs host-exclusion under attack spread",
@@ -126,21 +125,6 @@ pub fn measures() -> Vec<String> {
         names::UNAVAILABILITY.to_owned(),
         names::UNRELIABILITY.to_owned(),
     ]
-}
-
-/// Runs the full study.
-pub fn run(cfg: &SweepConfig) -> FigureResult {
-    STUDY.run(cfg)
-}
-
-/// Runs the full study with explicit execution options (threads,
-/// progress, resumable result store under sweep id `"figure5"`).
-///
-/// # Errors
-///
-/// Propagates backend failures and result-store write errors.
-pub fn run_with(cfg: &SweepConfig, opts: &RunOpts<'_>) -> io::Result<FigureResult> {
-    STUDY.run_with(cfg, opts)
 }
 
 /// Renders the extracted series as the figure's four panels.
@@ -223,11 +207,7 @@ mod tests {
 
     #[test]
     fn small_run_produces_two_series_per_panel() {
-        let cfg = SweepConfig {
-            replications: 5,
-            ..Default::default()
-        };
-        let fig = run(&cfg);
+        let fig = STUDY.run_small(5);
         assert_eq!(fig.panels.len(), 4);
         for panel in &fig.panels {
             assert_eq!(panel.series.len(), 2, "panel {}", panel.id);

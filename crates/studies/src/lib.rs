@@ -13,22 +13,27 @@
 //! * [`sensitivity`] — one-at-a-time sensitivity of the baseline to the
 //!   defense parameters (the exploration §4 mentions).
 //! * [`study`] — declarative [`study::Study`] descriptors: every shipped
-//!   figure reduced to (id, points, measures, renderer), the single run
-//!   path behind both the legacy figure binaries and the `itua` CLI's
-//!   scenario registry.
-//! * [`sweep`] — the generic sweep/estimation machinery.
+//!   figure reduced to (id, points, measures, renderer), the table behind
+//!   the `itua` CLI's scenario registry.
+//! * [`sweep`] — the generic sweep/estimation machinery ([`sweep::run_sweep`]).
 //! * [`table`] — plain-text rendering of figure series.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use itua_studies::figure3;
-//! use itua_studies::sweep::SweepConfig;
+//! use itua_studies::figure3::STUDY;
+//! use itua_studies::sweep::{run_sweep, RunOpts, SweepConfig};
 //!
 //! let cfg = SweepConfig { replications: 2000, ..SweepConfig::default() };
-//! let result = figure3::run(&cfg);
-//! println!("{}", itua_studies::table::render(&result));
+//! let measures = (STUDY.measures)();
+//! let refs: Vec<&str> = measures.iter().map(String::as_str).collect();
+//! let series = run_sweep(STUDY.id, &(STUDY.points)(), &cfg, &refs, &[], &RunOpts::default())?;
+//! println!("{}", itua_studies::table::render(&(STUDY.render)(&series)));
+//! # Ok::<(), std::io::Error>(())
 //! ```
+//!
+//! The `itua` CLI (crate `itua-bench`) runs the same descriptors as
+//! built-in scenarios: `itua run figure3`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,10 +17,9 @@
 //! * false-alarm rate (baseline 2/h cumulative).
 
 use crate::study::Study;
-use crate::sweep::{FigureResult, Panel, RunOpts, Series, SweepConfig, SweepPoint};
+use crate::sweep::{FigureResult, Panel, Series, SweepPoint};
 use itua_core::measures::names;
 use itua_core::params::Params;
-use std::io;
 
 /// Baseline configuration of the study (the paper's §4 defaults).
 pub fn baseline() -> Params {
@@ -84,8 +83,8 @@ fn point(scale: f64, series: &str, params: Params) -> SweepPoint {
     }
 }
 
-/// The declarative descriptor of this study; the scenario registry and
-/// the `sensitivity` binary both run through it.
+/// The declarative descriptor of this study; the scenario registry runs
+/// it as a built-in scenario.
 pub const STUDY: Study = Study {
     id: "sensitivity",
     description: "One-at-a-time sensitivity of the §4 baseline parameters",
@@ -101,21 +100,6 @@ pub fn measures() -> Vec<String> {
         names::UNAVAILABILITY.to_owned(),
         names::UNRELIABILITY.to_owned(),
     ]
-}
-
-/// Runs the sensitivity study.
-pub fn run(cfg: &SweepConfig) -> FigureResult {
-    STUDY.run(cfg)
-}
-
-/// Runs the sensitivity study with explicit execution options (threads,
-/// progress, resumable result store under sweep id `"sensitivity"`).
-///
-/// # Errors
-///
-/// Propagates backend failures and result-store write errors.
-pub fn run_with(cfg: &SweepConfig, opts: &RunOpts<'_>) -> io::Result<FigureResult> {
-    STUDY.run_with(cfg, opts)
 }
 
 /// Renders the extracted series as the study's two panels.
@@ -170,11 +154,7 @@ mod tests {
 
     #[test]
     fn small_run_has_two_panels() {
-        let cfg = SweepConfig {
-            replications: 5,
-            ..Default::default()
-        };
-        let fig = run(&cfg);
+        let fig = STUDY.run_small(5);
         assert_eq!(fig.panels.len(), 2);
         assert_eq!(fig.panels[0].series.len(), 5);
     }
@@ -183,12 +163,14 @@ mod tests {
     fn baseline_scale_is_identical_across_series() {
         // At scale 1.0 every series uses the same parameters, so the
         // (seeded) estimates of a given measure must agree across series.
+        use crate::sweep::{run_sweep, RunOpts, SweepConfig};
         let cfg = SweepConfig {
             replications: 40,
             ..Default::default()
         };
         let pts: Vec<_> = points().into_iter().filter(|p| p.x == 1.0).collect();
-        let series = crate::sweep::run_sweep(&pts, &cfg, &["unavailability"]);
+        let opts = RunOpts::default();
+        let series = run_sweep(STUDY.id, &pts, &cfg, &["unavailability"], &[], &opts).unwrap();
         // Different series are run with different point indices (seeds),
         // so we only check they are close, not identical.
         let means: Vec<f64> = series.iter().map(|s| s.points[0].1.mean).collect();

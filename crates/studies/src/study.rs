@@ -1,22 +1,15 @@
 //! Declarative study descriptors: one [`Study`] per shipped figure.
 //!
-//! Before the scenario layer, every figure module carried its own
-//! `run()` / `run_with()` pair — `run` being nothing but `run_with` with
-//! default options — and each figure binary re-derived which points to
-//! analyze for `--check` (the analytic backend substitutes an
-//! exact-solvable micro variant in Figure 3). A [`Study`] captures all
-//! of that declaratively: the sweep id, the point constructors (with the
-//! optional micro substitution), the measure list, and the renderer that
-//! turns extracted series into a [`FigureResult`]. The figure modules
-//! now expose a `STUDY` constant and delegate their `run`/`run_with`
-//! functions to the single [`Study::run_with`] path, and the scenario
-//! registry (`itua-scenario`) wraps the same constants as built-in
-//! scenarios — so `itua run figure3` and the legacy `figure3` binary are
-//! the same code and produce byte-identical result stores.
+//! A [`Study`] captures a figure declaratively: the sweep id, the point
+//! constructors (with the optional exact-solvable micro variant the
+//! analytic backend substitutes), the measure list, and the renderer
+//! that turns extracted series into a [`FigureResult`]. The figure
+//! modules expose one `STUDY` constant each, and the scenario layer
+//! (`itua-scenario`) implements its `Scenario` trait for [`Study`], so
+//! `itua run figure3` runs this table through the one sweep path.
 
-use crate::sweep::{run_sweep_stored, FigureResult, RunOpts, Series, SweepConfig, SweepPoint};
+use crate::sweep::{FigureResult, Series, SweepPoint};
 use itua_runner::backend::BackendKind;
-use std::io;
 
 /// A declarative descriptor of one shipped study.
 ///
@@ -26,7 +19,7 @@ use std::io;
 pub struct Study {
     /// Sweep/store identifier (e.g. `"figure3"`); the result store file
     /// is `<id>.json` with the backend/split suffixes of
-    /// [`run_sweep_stored`].
+    /// [`crate::sweep::run_sweep`].
     pub id: &'static str,
     /// One-line description (shown by `itua list`).
     pub description: &'static str,
@@ -52,27 +45,30 @@ impl Study {
             _ => (self.points)(),
         }
     }
+}
 
-    /// Runs the study with explicit execution options (threads,
-    /// progress, resumable result store under [`Study::id`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend failures and result-store write errors from
-    /// the sweep layer.
-    pub fn run_with(&self, cfg: &SweepConfig, opts: &RunOpts<'_>) -> io::Result<FigureResult> {
-        let points = self.points_for(opts.backend);
+#[cfg(test)]
+impl Study {
+    /// The figure modules' test path: the full points, storeless on the
+    /// DES backend at `replications` per point, rendered.
+    pub(crate) fn run_small(&self, replications: u32) -> FigureResult {
+        use crate::sweep::{run_sweep, RunOpts, SweepConfig};
+        let cfg = SweepConfig {
+            replications,
+            ..SweepConfig::default()
+        };
         let measures = (self.measures)();
         let refs: Vec<&str> = measures.iter().map(String::as_str).collect();
-        let all = run_sweep_stored(self.id, &points, cfg, &refs, opts)?;
-        Ok((self.render)(&all))
-    }
-
-    /// Runs the study with default options (DES backend, auto threads,
-    /// no result store).
-    pub fn run(&self, cfg: &SweepConfig) -> FigureResult {
-        self.run_with(cfg, &RunOpts::default())
-            .expect("default DES run with no store cannot fail")
+        let series = run_sweep(
+            self.id,
+            &(self.points)(),
+            &cfg,
+            &refs,
+            &[],
+            &RunOpts::default(),
+        )
+        .expect("a storeless DES run of a shipped study cannot fail");
+        (self.render)(&series)
     }
 }
 
@@ -87,8 +83,7 @@ impl std::fmt::Debug for Study {
 }
 
 /// Every shipped study, in presentation order. The scenario registry
-/// builds its built-in entries from this table; the figure binaries are
-/// shims over the same descriptors.
+/// builds its built-in entries from this table.
 pub fn all() -> &'static [Study] {
     &[
         crate::figure3::STUDY,
@@ -138,16 +133,5 @@ mod tests {
             sens.points_for(BackendKind::Des).len(),
             sens.points_for(BackendKind::Analytic).len()
         );
-    }
-
-    #[test]
-    fn study_run_matches_module_run() {
-        let cfg = SweepConfig {
-            replications: 5,
-            ..Default::default()
-        };
-        let via_study = by_id("sensitivity").unwrap().run(&cfg);
-        let via_module = crate::sensitivity::run(&cfg);
-        assert_eq!(via_study, via_module);
     }
 }

@@ -1,13 +1,14 @@
 //! Generic sweep machinery: run the ITUA model over a list of parameter
 //! points and aggregate measures with confidence intervals.
 //!
-//! Execution goes through [`itua_runner`]: each point builds an
-//! [`ItuaBackend`] (DES or composed SAN — see [`RunOpts::backend`]) and
-//! hands it to [`itua_runner::run_measures`], which spreads the
-//! replications over the [`RunnerConfig`]'s worker threads with one
-//! reusable scratch state per thread (bit-identical results for every
-//! thread count). [`run_sweep_stored`] adds progress reporting plus
-//! checkpoint/resume through a JSON result store.
+//! [`run_sweep`] is the one entry point. Each point builds an
+//! [`ItuaBackend`] (DES, composed SAN or exact CTMC — see
+//! [`RunOpts::backend`]) and hands it to the runner's replication loop
+//! ([`run_measures_checked`], or [`run_measures_split`] under
+//! `--split-levels`), which spreads the replications over the
+//! [`RunnerConfig`]'s worker threads with one reusable scratch state per
+//! thread (bit-identical results for every thread count). The sweep adds
+//! progress reporting plus checkpoint/resume through a JSON result store.
 
 use itua_core::measures::MeasureSet;
 use itua_core::params::Params;
@@ -153,14 +154,6 @@ pub struct RunOpts<'a> {
     /// the sampling scheme, though never the estimand). The analytic
     /// backend ignores the spec — it stays the exact oracle.
     pub split: Option<SplitSpec>,
-    /// Extra identity parts folded into the store fingerprint *after* the
-    /// configuration and point parts. The scenario layer uses this to key
-    /// `results/` stores by scenario identity: a user-authored `.scn`
-    /// scenario contributes its normalized content hash, so editing the
-    /// file invalidates the store instead of silently resuming stale
-    /// points. Empty (the default, and what every built-in study passes)
-    /// leaves the fingerprint bit-identical to the pre-scenario scheme.
-    pub fingerprint_extra: Vec<String>,
 }
 
 impl Default for RunOpts<'static> {
@@ -173,159 +166,47 @@ impl Default for RunOpts<'static> {
             results_dir: None,
             check: ModelCheck::default(),
             split: None,
-            fingerprint_extra: Vec::new(),
         }
     }
 }
 
-/// Runs the chosen backend at one sweep point and returns the aggregated
-/// measures.
-///
-/// Replication `i` uses `stream_seed(stream_seed(cfg.base_seed,
-/// point_index), i)`; replications are spread over the runner's threads
-/// (one reusable scratch state per thread) and recorded in replication
-/// order, so the result does not depend on the thread count.
-///
-/// # Errors
-///
-/// Fails when the backend cannot be built for the point's parameters or
-/// a replication errors (SAN simulation errors surface here; the DES
-/// cannot fail at run time).
-#[allow(clippy::too_many_arguments)]
-pub fn run_point_backend(
-    point: &SweepPoint,
-    cfg: &SweepConfig,
-    point_index: usize,
-    backend: BackendKind,
-    backend_opts: &BackendOptions,
-    runner: &RunnerConfig,
-    progress: &dyn Progress,
-    check: ModelCheck,
-) -> Result<MeasureSet, BackendError> {
-    run_point_backend_split(
-        point,
-        cfg,
-        point_index,
-        backend,
-        backend_opts,
-        runner,
-        progress,
-        check,
-        None,
-    )
-}
-
-/// [`run_point_backend`] with an optional RESTART splitting
-/// specification: `Some(spec)` runs one importance-splitting tree per
-/// replication (see [`itua_runner::split::run_measures_split`]) instead
-/// of one plain trajectory. `None` — and `Some` of an empty spec, bit
-/// for bit — reproduces the plain path.
-///
-/// # Errors
-///
-/// As [`run_point_backend`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_point_backend_split(
-    point: &SweepPoint,
-    cfg: &SweepConfig,
-    point_index: usize,
-    backend: BackendKind,
-    backend_opts: &BackendOptions,
-    runner: &RunnerConfig,
-    progress: &dyn Progress,
-    check: ModelCheck,
-    split: Option<&SplitSpec>,
-) -> Result<MeasureSet, BackendError> {
-    let backend = ItuaBackend::for_params_with(backend, &point.params, backend_opts)?;
-    let origin = stream_seed(cfg.base_seed, point_index as u64);
-    match split {
-        Some(spec) => run_measures_split(
-            &backend,
-            cfg.replications,
-            cfg.confidence,
-            origin,
-            point.horizon,
-            &point.sample_times,
-            spec,
-            runner,
-            progress,
-            check,
-        )
-        .map(|run| run.measures),
-        None => run_measures_checked(
-            &backend,
-            cfg.replications,
-            cfg.confidence,
-            origin,
-            point.horizon,
-            &point.sample_times,
-            runner,
-            progress,
-            check,
-        ),
-    }
-}
-
-/// [`run_point_backend`] with the DES backend, which cannot fail for
-/// valid parameters.
-pub fn run_point_with(
-    point: &SweepPoint,
-    cfg: &SweepConfig,
-    point_index: usize,
-    runner: &RunnerConfig,
-    progress: &dyn Progress,
-) -> MeasureSet {
-    run_point_backend(
-        point,
-        cfg,
-        point_index,
-        BackendKind::Des,
-        &BackendOptions::default(),
-        runner,
-        progress,
-        ModelCheck::Quick,
-    )
-    .expect("sweep point parameters are valid")
-}
-
-/// [`run_point_with`] on auto-configured threads, without progress output.
-pub fn run_point(point: &SweepPoint, cfg: &SweepConfig, point_index: usize) -> MeasureSet {
-    run_point_with(
-        point,
-        cfg,
-        point_index,
-        &RunnerConfig::default(),
-        &NullProgress,
-    )
-}
-
 /// Runs every sweep point and extracts, per `(series, measure)` pair, the
-/// x-ordered estimates. `measures` lists the measure keys to extract.
-pub fn run_sweep(points: &[SweepPoint], cfg: &SweepConfig, measures: &[&str]) -> Vec<Series> {
-    run_sweep_stored("adhoc", points, cfg, measures, &RunOpts::default())
-        .expect("storeless DES sweep cannot fail")
-}
-
-/// Like [`run_sweep`], but with explicit execution options and — when
-/// `opts.results_dir` is set — checkpoint/resume: after every point the
-/// store `<results_dir>/<store id>.json` is rewritten, and a rerun with
-/// the same configuration restarts at the first incomplete point. A
-/// changed configuration (backend, replications, seed, confidence, or
-/// any point) invalidates the store via its fingerprint.
+/// x-ordered estimates of the `measures` keys.
+///
+/// Point `j` runs the backend of `opts` with stream origin
+/// `stream_seed(cfg.base_seed, j)` (see [`SweepConfig::base_seed`]), its
+/// replications spread over the runner's threads and recorded in
+/// replication order, so the result does not depend on the thread
+/// count.
+///
+/// With `opts.results_dir` set the sweep checkpoints: after every point
+/// the store `<results_dir>/<store id>.json` is rewritten, and a rerun
+/// with the same configuration restarts at the first incomplete point.
+/// The store id is `sweep_id`, suffixed `-san`/`-analytic` for those
+/// backends and `-split` for splitting runs, so they never share a
+/// store. A changed configuration (backend, replications, seed,
+/// confidence, split spec, lumping, any point, or any `identity` part)
+/// invalidates the store via its fingerprint. `identity` lists the
+/// scenario's identity parts, appended to the fingerprint last:
+/// built-in studies pass none, so their fingerprints are the
+/// pre-scenario ones bit for bit, and a `.scn` file passes its
+/// `scn=<hash>`, so editing the file re-runs its points.
 ///
 /// An unusable results directory is not fatal: the sweep warns on
 /// stderr and runs without checkpoint/resume.
 ///
 /// # Errors
 ///
-/// Propagates backend failures and result-store write errors from the
-/// runner layer; points completed before the failure stay in the store,
-/// so a rerun resumes after them.
-pub fn run_sweep_stored(
+/// Propagates backend failures (an invalid point, a rejected
+/// configuration, a simulation error) and result-store write errors;
+/// points completed before the failure stay in the store, so a rerun
+/// resumes after them.
+pub fn run_sweep(
     sweep_id: &str,
     points: &[SweepPoint],
     cfg: &SweepConfig,
     measures: &[&str],
+    identity: &[String],
     opts: &RunOpts<'_>,
 ) -> io::Result<Vec<Series>> {
     let specs: Vec<PointSpec> = points
@@ -344,7 +225,7 @@ pub fn run_sweep_stored(
                 opts.backend,
                 opts.split.as_ref(),
                 opts.backend == BackendKind::Analytic && opts.backend_opts.analytic_lump,
-                &opts.fingerprint_extra,
+                identity,
             ),
         ) {
             Ok(store) => Some(store),
@@ -364,21 +245,50 @@ pub fn run_sweep_stored(
         None => SweepRunner::new(opts.progress),
     };
     let stored = runner.run(&specs, |_, i| {
-        let ms = run_point_backend_split(
-            &points[i],
-            cfg,
-            i,
-            opts.backend,
-            &opts.backend_opts,
-            &opts.runner,
-            opts.progress,
-            opts.check,
-            opts.split.as_ref(),
-        )
-        .map_err(io::Error::from)?;
+        let ms = measure_point(&points[i], cfg, i, opts).map_err(io::Error::from)?;
         Ok(ms.estimates().iter().map(StoredEstimate::from).collect())
     })?;
     Ok(series_from(&stored, measures))
+}
+
+/// Runs the backend of `opts` at sweep point `index`: the plain
+/// replication loop, or one RESTART tree per replication when
+/// `opts.split` is set (an empty spec reproduces the plain loop bit for
+/// bit).
+fn measure_point(
+    point: &SweepPoint,
+    cfg: &SweepConfig,
+    index: usize,
+    opts: &RunOpts<'_>,
+) -> Result<MeasureSet, BackendError> {
+    let backend = ItuaBackend::for_params_with(opts.backend, &point.params, &opts.backend_opts)?;
+    let origin = stream_seed(cfg.base_seed, index as u64);
+    match &opts.split {
+        Some(spec) => run_measures_split(
+            &backend,
+            cfg.replications,
+            cfg.confidence,
+            origin,
+            point.horizon,
+            &point.sample_times,
+            spec,
+            &opts.runner,
+            opts.progress,
+            opts.check,
+        )
+        .map(|run| run.measures),
+        None => run_measures_checked(
+            &backend,
+            cfg.replications,
+            cfg.confidence,
+            origin,
+            point.horizon,
+            &point.sample_times,
+            &opts.runner,
+            opts.progress,
+            opts.check,
+        ),
+    }
 }
 
 /// The result-store id for a sweep run with a given backend: DES keeps
@@ -404,9 +314,8 @@ fn store_id(sweep_id: &str, backend: BackendKind, split: Option<&SplitSpec>) -> 
 /// thread/batch configuration is not (it never changes results). The
 /// `lump=on` part is pushed only for lumped analytic runs, so every
 /// pre-lumping store fingerprint is reproduced bit for bit.
-/// Scenario-identity parts ([`RunOpts::fingerprint_extra`]) are appended
-/// last, so an empty extra list reproduces the pre-scenario fingerprint
-/// bit for bit.
+/// Scenario-identity parts are appended last, so an empty list
+/// reproduces the pre-scenario fingerprint bit for bit.
 fn sweep_fingerprint(
     points: &[SweepPoint],
     cfg: &SweepConfig,
@@ -493,6 +402,30 @@ mod tests {
         }
     }
 
+    fn reps(replications: u32) -> SweepConfig {
+        SweepConfig {
+            replications,
+            ..Default::default()
+        }
+    }
+
+    /// A storeless sweep under `opts` with no identity parts.
+    fn sweep(
+        points: &[SweepPoint],
+        cfg: &SweepConfig,
+        measures: &[&str],
+        opts: &RunOpts<'_>,
+    ) -> Vec<Series> {
+        run_sweep("t", points, cfg, measures, &[], opts).unwrap()
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("itua-studies-sweep-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn fingerprint_records_lumping_without_disturbing_unlumped_ids() {
         let cfg = SweepConfig::default();
@@ -510,71 +443,76 @@ mod tests {
     }
 
     #[test]
-    fn run_point_produces_measures() {
-        let cfg = SweepConfig {
-            replications: 20,
-            ..Default::default()
-        };
-        let ms = run_point(&tiny_point(1.0, "s"), &cfg, 0);
-        assert!(ms.mean(names::UNAVAILABILITY).is_some());
-        assert!(ms.mean(names::UNRELIABILITY).is_some());
-    }
-
-    #[test]
     fn run_sweep_collects_ordered_series() {
-        let cfg = SweepConfig {
-            replications: 10,
-            ..Default::default()
-        };
         let points = vec![
             tiny_point(2.0, "a"),
             tiny_point(1.0, "a"),
             tiny_point(1.0, "b"),
         ];
-        let series = run_sweep(&points, &cfg, &[names::UNAVAILABILITY]);
-        assert_eq!(series.len(), 2);
-        let a = series.iter().find(|s| s.name == "a").unwrap();
+        let measures = [names::UNAVAILABILITY, names::UNRELIABILITY];
+        let series = sweep(&points, &reps(10), &measures, &RunOpts::default());
+        // One series per (series name, measure) pair.
+        assert_eq!(series.len(), 4);
+        let a = series
+            .iter()
+            .find(|s| s.name == "a" && s.measure == names::UNAVAILABILITY)
+            .unwrap();
         assert_eq!(a.points.len(), 2);
         assert!(a.points[0].0 < a.points[1].0, "points must be x-sorted");
     }
 
     #[test]
     fn sweep_is_reproducible() {
-        let cfg = SweepConfig {
-            replications: 15,
-            ..Default::default()
-        };
         let points = vec![tiny_point(1.0, "a")];
-        let s1 = run_sweep(&points, &cfg, &[names::UNAVAILABILITY]);
-        let s2 = run_sweep(&points, &cfg, &[names::UNAVAILABILITY]);
+        let s1 = sweep(
+            &points,
+            &reps(15),
+            &[names::UNAVAILABILITY],
+            &RunOpts::default(),
+        );
+        let s2 = sweep(
+            &points,
+            &reps(15),
+            &[names::UNAVAILABILITY],
+            &RunOpts::default(),
+        );
         assert_eq!(s1, s2);
     }
 
     #[test]
-    fn run_point_is_thread_count_invariant() {
-        let cfg = SweepConfig {
-            replications: 24,
-            ..Default::default()
+    fn sweep_is_thread_count_invariant() {
+        // Several points, so nonzero point indices (and their derived
+        // stream origins) are covered, and the stores must match byte
+        // for byte, not just the rendered series.
+        let points = vec![
+            tiny_point(1.0, "a"),
+            tiny_point(2.0, "a"),
+            tiny_point(1.0, "b"),
+        ];
+        let measures = [names::UNAVAILABILITY, names::UNRELIABILITY];
+        let run = |threads: usize| {
+            let dir = temp_dir(&format!("threads{threads}"));
+            let opts = RunOpts {
+                runner: RunnerConfig::default().with_threads(threads),
+                results_dir: Some(dir.clone()),
+                ..Default::default()
+            };
+            let series = sweep(&points, &reps(24), &measures, &opts);
+            let bytes = std::fs::read(dir.join("t.json")).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            (series, bytes)
         };
-        let point = tiny_point(1.0, "s");
-        let serial =
-            run_point_with(&point, &cfg, 3, &RunnerConfig::serial(), &NullProgress).estimates();
+        let serial = run(1);
         for threads in [2, 4, 8] {
-            let rc = RunnerConfig::default().with_threads(threads);
-            let parallel = run_point_with(&point, &cfg, 3, &rc, &NullProgress).estimates();
-            assert_eq!(parallel, serial, "threads = {threads}");
+            assert_eq!(run(threads), serial, "threads = {threads}");
         }
     }
 
     #[test]
     fn stored_sweep_resumes_without_resimulating() {
-        let cfg = SweepConfig {
-            replications: 8,
-            ..Default::default()
-        };
-        let dir =
-            std::env::temp_dir().join(format!("itua-studies-sweep-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = reps(8);
+        let dir = temp_dir("resume");
+        let tracker = ResumeTracker(std::sync::Mutex::new(Vec::new()));
         let opts = RunOpts {
             results_dir: Some(dir.clone()),
             ..Default::default()
@@ -582,19 +520,24 @@ mod tests {
         let points = vec![tiny_point(1.0, "a"), tiny_point(2.0, "a")];
         let measures = [names::UNAVAILABILITY];
 
-        let first = run_sweep_stored("t", &points, &cfg, &measures, &opts).unwrap();
+        let first = sweep(&points, &cfg, &measures, &opts);
         // Resumed run reads both points back from the store.
-        let second = run_sweep_stored("t", &points, &cfg, &measures, &opts).unwrap();
-        assert_eq!(second, first);
+        let resumed = RunOpts {
+            progress: &tracker,
+            results_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+        assert_eq!(sweep(&points, &cfg, &measures, &resumed), first);
+        assert_eq!(*tracker.0.lock().unwrap(), vec![true, true]);
         // And matches the storeless path bit for bit.
-        assert_eq!(run_sweep(&points, &cfg, &measures), first);
+        assert_eq!(sweep(&points, &cfg, &measures, &RunOpts::default()), first);
 
         // A changed configuration must not resume from the stale store.
         let cfg2 = SweepConfig {
             base_seed: cfg.base_seed + 1,
             ..cfg
         };
-        let third = run_sweep_stored("t", &points, &cfg2, &measures, &opts).unwrap();
+        let third = sweep(&points, &cfg2, &measures, &opts);
         assert_ne!(third, first);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -620,13 +563,8 @@ mod tests {
         // The batch size is an amortisation knob, not part of the sweep
         // fingerprint: a store written at one batch size must be resumed
         // (not recomputed) at another, with identical results.
-        let cfg = SweepConfig {
-            replications: 8,
-            ..Default::default()
-        };
-        let dir =
-            std::env::temp_dir().join(format!("itua-studies-sweep-batch-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = reps(8);
+        let dir = temp_dir("batch");
         let points = vec![tiny_point(1.0, "a"), tiny_point(2.0, "a")];
         let measures = [names::UNAVAILABILITY];
 
@@ -636,7 +574,7 @@ mod tests {
             results_dir: Some(dir.clone()),
             ..Default::default()
         };
-        let first = run_sweep_stored("t", &points, &cfg, &measures, &opts_batch4).unwrap();
+        let first = sweep(&points, &cfg, &measures, &opts_batch4);
 
         let tracker = ResumeTracker(std::sync::Mutex::new(Vec::new()));
         let opts_batch32 = RunOpts {
@@ -646,7 +584,7 @@ mod tests {
             results_dir: Some(dir.clone()),
             ..Default::default()
         };
-        let second = run_sweep_stored("t", &points, &cfg, &measures, &opts_batch32).unwrap();
+        let second = sweep(&points, &cfg, &measures, &opts_batch32);
         assert_eq!(second, first);
         assert_eq!(
             *tracker.0.lock().unwrap(),
@@ -657,46 +595,32 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_extra_keys_the_store_by_scenario_identity() {
-        let cfg = SweepConfig {
-            replications: 6,
-            ..Default::default()
-        };
-        let dir =
-            std::env::temp_dir().join(format!("itua-studies-sweep-extra-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn identity_parts_key_the_store_by_scenario_identity() {
+        let cfg = reps(6);
+        let dir = temp_dir("identity");
         let points = vec![tiny_point(1.0, "a")];
         let measures = [names::UNAVAILABILITY];
-
-        let opts_v1 = RunOpts {
-            results_dir: Some(dir.clone()),
-            fingerprint_extra: vec!["scn=v1".into()],
-            ..Default::default()
+        let v1 = vec!["scn=v1".to_owned()];
+        let v2 = vec!["scn=v2".to_owned()];
+        let run = |identity: &[String], tracker: &ResumeTracker| {
+            let opts = RunOpts {
+                results_dir: Some(dir.clone()),
+                progress: tracker,
+                ..Default::default()
+            };
+            run_sweep("t", &points, &cfg, &measures, identity, &opts).unwrap()
         };
-        let first = run_sweep_stored("t", &points, &cfg, &measures, &opts_v1).unwrap();
+        let first = run(&v1, &ResumeTracker(std::sync::Mutex::new(Vec::new())));
 
         // Same identity: the store resumes.
         let tracker = ResumeTracker(std::sync::Mutex::new(Vec::new()));
-        let opts_same = RunOpts {
-            results_dir: Some(dir.clone()),
-            progress: &tracker,
-            fingerprint_extra: vec!["scn=v1".into()],
-            ..Default::default()
-        };
-        let second = run_sweep_stored("t", &points, &cfg, &measures, &opts_same).unwrap();
-        assert_eq!(second, first);
+        assert_eq!(run(&v1, &tracker), first);
         assert_eq!(*tracker.0.lock().unwrap(), vec![true]);
 
         // An edited scenario (different identity hash) must not resume
         // the stale store, even though the points are unchanged.
         let tracker = ResumeTracker(std::sync::Mutex::new(Vec::new()));
-        let opts_v2 = RunOpts {
-            results_dir: Some(dir.clone()),
-            progress: &tracker,
-            fingerprint_extra: vec!["scn=v2".into()],
-            ..Default::default()
-        };
-        let third = run_sweep_stored("t", &points, &cfg, &measures, &opts_v2).unwrap();
+        let third = run(&v2, &tracker);
         assert_eq!(third, first, "same points and seeds, same estimates");
         assert_eq!(
             *tracker.0.lock().unwrap(),
@@ -708,66 +632,46 @@ mod tests {
 
     #[test]
     fn split_sweep_uses_its_own_store_and_empty_spec_matches_plain() {
-        let cfg = SweepConfig {
-            replications: 10,
-            ..Default::default()
-        };
-        let dir =
-            std::env::temp_dir().join(format!("itua-studies-sweep-split-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = reps(10);
+        let dir = temp_dir("split");
         let points = vec![tiny_point(1.0, "a")];
         let measures = [names::UNAVAILABILITY, names::UNRELIABILITY];
-
-        let plain_opts = RunOpts {
-            results_dir: Some(dir.clone()),
-            ..Default::default()
+        let run = |split: Option<SplitSpec>| {
+            let opts = RunOpts {
+                results_dir: Some(dir.clone()),
+                split,
+                ..Default::default()
+            };
+            run_sweep("fig", &points, &cfg, &measures, &[], &opts).unwrap()
         };
-        let plain = run_sweep_stored("fig", &points, &cfg, &measures, &plain_opts).unwrap();
+        let plain = run(None);
 
         // An empty spec through the splitting path is bit-identical to
         // the plain loop but still checkpoints separately (different
         // sampling machinery, separate resume lineage).
-        let empty_opts = RunOpts {
-            results_dir: Some(dir.clone()),
-            split: Some(SplitSpec::none()),
-            ..Default::default()
-        };
-        let empty = run_sweep_stored("fig", &points, &cfg, &measures, &empty_opts).unwrap();
+        let empty = run(Some(SplitSpec::none()));
         assert_eq!(empty, plain);
         assert!(dir.join("fig.json").is_file());
         assert!(dir.join("fig-split.json").is_file());
 
         // A real spec changes the sampling scheme; the fingerprint keeps
         // it from resuming the empty-spec store.
-        let split_opts = RunOpts {
-            results_dir: Some(dir.clone()),
-            split: Some("1x4".parse().unwrap()),
-            ..Default::default()
-        };
-        let split = run_sweep_stored("fig", &points, &cfg, &measures, &split_opts).unwrap();
+        let split = run(Some("1x4".parse().unwrap()));
         assert_eq!(split.len(), plain.len());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn san_backend_runs_through_the_same_pipeline() {
-        let cfg = SweepConfig {
-            replications: 12,
-            ..Default::default()
-        };
         let opts = RunOpts {
             backend: BackendKind::San,
             ..Default::default()
         };
         let points = vec![tiny_point(1.0, "a")];
-        let series = run_sweep_stored("t", &points, &cfg, &[names::UNAVAILABILITY], &opts).unwrap();
+        let series = sweep(&points, &reps(12), &[names::UNAVAILABILITY], &opts);
         assert_eq!(series.len(), 1);
         let (_, v) = series[0].points[0];
         assert!((0.0..=1.0).contains(&v.mean));
-        // Same seeds, different encoding: the SAN result is a genuine
-        // second opinion, not a relabeled DES run.
-        let des = run_sweep(&points, &cfg, &[names::UNAVAILABILITY]);
-        assert_eq!(des.len(), 1);
     }
 
     /// A point small enough for the analytic backend even in debug
@@ -787,17 +691,13 @@ mod tests {
 
     #[test]
     fn analytic_backend_runs_through_the_same_pipeline() {
-        let cfg = SweepConfig {
-            replications: 12,
-            ..Default::default()
-        };
         let opts = RunOpts {
             backend: BackendKind::Analytic,
             ..Default::default()
         };
         let points = vec![micro_analytic_point(1.0, "a")];
         let measures = [names::UNAVAILABILITY, names::UNRELIABILITY];
-        let series = run_sweep_stored("t", &points, &cfg, &measures, &opts).unwrap();
+        let series = sweep(&points, &reps(12), &measures, &opts);
         assert_eq!(series.len(), 2);
         for s in &series {
             let (_, v) = s.points[0];
@@ -808,15 +708,7 @@ mod tests {
 
     #[test]
     fn backends_checkpoint_into_separate_stores() {
-        let cfg = SweepConfig {
-            replications: 6,
-            ..Default::default()
-        };
-        let dir = std::env::temp_dir().join(format!(
-            "itua-studies-sweep-backends-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("backends");
         for backend in [BackendKind::Des, BackendKind::San, BackendKind::Analytic] {
             // The analytic backend needs a state-space-tractable point;
             // the simulators are happy with it too, but keeping their
@@ -830,7 +722,15 @@ mod tests {
                 results_dir: Some(dir.clone()),
                 ..Default::default()
             };
-            run_sweep_stored("fig", &points, &cfg, &[names::UNAVAILABILITY], &opts).unwrap();
+            run_sweep(
+                "fig",
+                &points,
+                &reps(6),
+                &[names::UNAVAILABILITY],
+                &[],
+                &opts,
+            )
+            .unwrap();
         }
         assert!(dir.join("fig.json").is_file());
         assert!(dir.join("fig-san.json").is_file());
@@ -840,22 +740,21 @@ mod tests {
 
     #[test]
     fn unusable_results_dir_degrades_to_storeless_run() {
-        let cfg = SweepConfig {
-            replications: 6,
-            ..Default::default()
-        };
         // A file where the directory should be: the store cannot open.
-        let bogus =
-            std::env::temp_dir().join(format!("itua-studies-sweep-bogus-{}", std::process::id()));
+        let bogus = temp_dir("bogus");
         std::fs::write(&bogus, b"not a directory").unwrap();
         let opts = RunOpts {
             results_dir: Some(bogus.clone()),
             ..Default::default()
         };
         let points = vec![tiny_point(1.0, "a")];
-        let series = run_sweep_stored("t", &points, &cfg, &[names::UNAVAILABILITY], &opts).unwrap();
+        let measures = [names::UNAVAILABILITY];
+        let series = sweep(&points, &reps(6), &measures, &opts);
         // The run completes and matches the storeless path exactly.
-        assert_eq!(run_sweep(&points, &cfg, &[names::UNAVAILABILITY]), series);
+        assert_eq!(
+            sweep(&points, &reps(6), &measures, &RunOpts::default()),
+            series
+        );
         std::fs::remove_file(&bogus).unwrap();
     }
 

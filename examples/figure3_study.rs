@@ -1,21 +1,24 @@
 //! The paper's §4.1 study: how should a fixed pool of hosts be divided
 //! into security domains?
 //!
-//! Reproduces Figure 3 at reduced replication count (use the
-//! `figure3` binary in `crates/bench` for publication-grade runs) and
-//! prints the design-question answer the paper derives from it.
+//! Reproduces Figure 3 at reduced replication count through the
+//! built-in `figure3` scenario (`itua run figure3` runs the same path at
+//! publication grade) and prints the design-question answer the paper
+//! derives from it.
 //!
 //! Run with: `cargo run --release --example figure3_study`
 
-use itua_repro::studies::sweep::SweepConfig;
-use itua_repro::studies::{figure3, table};
+use itua_repro::scenario::registry;
+use itua_repro::studies::sweep::{RunOpts, SweepConfig};
+use itua_repro::studies::table;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let cfg = SweepConfig {
         replications: 500,
         ..SweepConfig::default()
     };
-    let fig = figure3::run(&cfg);
+    let figure3 = registry::find("figure3").expect("figure3 is a built-in scenario");
+    let fig = figure3.run(&cfg, &RunOpts::default())?.remove(0);
     println!("{}", table::render(&fig));
 
     // The design question of §4.1: is it better to use many small domains?
@@ -32,4 +35,5 @@ fn main() {
         "=> distribute hosts into as many domains as physical constraints allow\n   \
          (the paper's §4.1 conclusion)."
     );
+    Ok(())
 }

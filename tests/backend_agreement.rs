@@ -4,8 +4,8 @@
 //! of the analytic value — not merely agree with the other simulator.
 //!
 //! All three backends run through the unified pipeline
-//! ([`itua_repro::runner::run_measures`]), exactly the code path the
-//! figure binaries use with `--backend des|san|analytic`. The analytic
+//! ([`itua_repro::runner::run_measures`]), exactly the code path
+//! `itua run` uses with `--backend des|san|analytic`. The analytic
 //! leg short-circuits replication and returns zero-variance estimates.
 //!
 //! Compared measures are the ones with a marking-level reward

@@ -8,7 +8,7 @@
 //! encodings run through the unified backend pipeline
 //! ([`itua_repro::runner::run_measures`]), which spreads the replications
 //! over worker threads with per-thread scratch reuse — so this also
-//! exercises exactly the code path the figure binaries use with
+//! exercises exactly the code path `itua run` uses with
 //! `--backend des` / `--backend san`.
 //!
 //! `frac_corrupt_hosts_at_exclusion` is deliberately not compared: the

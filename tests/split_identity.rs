@@ -92,7 +92,7 @@ proptest! {
     fn inert_splitting_matches_plain_path(
         domains in 1usize..3,
         reps_per_app in 1usize..3,
-        replications in 1u32..16,
+        replications in 2u32..16,
         horizon in 0.5f64..3.0,
         seed in any::<u64>(),
         factor in 2u32..6,
