@@ -150,43 +150,13 @@ impl MeasureSet {
         }
     }
 
-    /// Creates an empty weighted aggregate for importance-splitting runs;
-    /// observations are recorded per split tree via
+    /// Records one replication's output: the one-leaf, weight-1 case of
     /// [`MeasureSet::record_tree`].
-    pub fn new_weighted(level: f64) -> Self {
-        MeasureSet {
-            est: ReplicationEstimator::new_weighted(level),
-        }
-    }
-
-    /// Records one replication's output.
     pub fn record(&mut self, out: &RunOutput) {
-        self.est
-            .record(names::UNAVAILABILITY, out.unavailability(out.horizon));
-        self.est.record(names::UNRELIABILITY, out.unreliability());
-        if let Some(f) = out.mean_exclusion_corrupt_fraction() {
-            self.est.record(names::FRAC_CORRUPT_AT_EXCLUSION, f);
-        }
-        if let Some(t) = out.first_byzantine_time {
-            self.est.record(names::TIME_TO_FIRST_BYZANTINE, t);
-        }
-        if let Some(t) = out.first_improper_time {
-            self.est.record(names::TIME_TO_FIRST_IMPROPER, t);
-        }
-        for s in &out.snapshots {
-            self.est.record(
-                &format!("{}@{}", names::FRAC_DOMAINS_EXCLUDED, s.time),
-                s.frac_domains_excluded,
-            );
-            self.est.record(
-                &format!("{}@{}", names::REPLICAS_RUNNING, s.time),
-                s.mean_replicas_running,
-            );
-            self.est.record(
-                &format!("{}@{}", names::LOAD_PER_HOST, s.time),
-                s.load_per_host,
-            );
-        }
+        self.record_leaves(
+            std::iter::once((1.0, out)),
+            out.snapshots.iter().map(|s| s.time),
+        );
     }
 
     /// Records one importance-splitting tree's weighted leaves as a single
@@ -201,7 +171,7 @@ impl MeasureSet {
     /// weighted ratio `Σw·v / Σw` over the observing leaves, carrying
     /// weight `Σw` so the effective sample size reflects how much of the
     /// tree's probability mass observed the event; trees with no observing
-    /// leaf are skipped, mirroring the plain path.
+    /// leaf are skipped, as are plain runs that never observe the event.
     ///
     /// A tree whose branches were all roulette-killed (`leaves` empty)
     /// still contributes `0` to every unconditional measure — dropping it
@@ -209,13 +179,9 @@ impl MeasureSet {
     /// the run arguments, used to reconstruct the snapshot schedule for
     /// such empty trees.
     ///
-    /// A single-leaf tree with weight 1 (no split fired) reproduces
-    /// [`MeasureSet::record`] bit-for-bit: every `w·x` and `Σw·v/Σw`
-    /// collapses to `x` exactly at `w == 1.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this set was not created with [`MeasureSet::new_weighted`].
+    /// A single-leaf tree with weight 1 (no split fired) is exactly
+    /// [`MeasureSet::record`]: every `w·x` and `Σw·v/Σw` is `x` at
+    /// `w == 1.0`.
     pub fn record_tree(&mut self, leaves: &[(f64, RunOutput)], horizon: f64, sample_times: &[f64]) {
         let mut schedule = Vec::new();
         crate::des::clamp_sample_times(sample_times, horizon, &mut schedule);
@@ -225,47 +191,48 @@ impl MeasureSet {
                 .all(|(_, o)| o.snapshots.len() == schedule.len()),
             "leaf snapshots do not match the sample schedule"
         );
+        self.record_leaves(leaves.iter().map(|(w, o)| (*w, o)), schedule.into_iter());
+    }
 
+    /// Records one observation per measure from weighted leaves whose
+    /// snapshots follow the schedule `times` (see
+    /// [`MeasureSet::record_tree`] for the estimator).
+    fn record_leaves<'a, L>(&mut self, leaves: L, times: impl Iterator<Item = f64>)
+    where
+        L: Iterator<Item = (f64, &'a RunOutput)> + Clone,
+    {
+        // Float sums start at -0.0, the additive identity, so every `Σ w·x`
+        // over one weight-1 leaf is `x` bit for bit.
         let unavailability: f64 = leaves
-            .iter()
+            .clone()
             .map(|(w, o)| w * o.unavailability(o.horizon))
             .sum();
-        self.est
-            .record_weighted(names::UNAVAILABILITY, unavailability, 1.0);
-        let unreliability: f64 = leaves.iter().map(|(w, o)| w * o.unreliability()).sum();
-        self.est
-            .record_weighted(names::UNRELIABILITY, unreliability, 1.0);
-        for (i, &t) in schedule.iter().enumerate() {
+        self.est.record(names::UNAVAILABILITY, unavailability);
+        let unreliability: f64 = leaves.clone().map(|(w, o)| w * o.unreliability()).sum();
+        self.est.record(names::UNRELIABILITY, unreliability);
+        for (i, t) in times.enumerate() {
             let total = |f: fn(&Snapshot) -> f64| -> f64 {
-                leaves.iter().map(|(w, o)| w * f(&o.snapshots[i])).sum()
+                leaves.clone().map(|(w, o)| w * f(&o.snapshots[i])).sum()
             };
-            self.est.record_weighted(
+            self.est.record(
                 &format!("{}@{}", names::FRAC_DOMAINS_EXCLUDED, t),
                 total(|s| s.frac_domains_excluded),
-                1.0,
             );
-            self.est.record_weighted(
+            self.est.record(
                 &format!("{}@{}", names::REPLICAS_RUNNING, t),
                 total(|s| s.mean_replicas_running),
-                1.0,
             );
-            self.est.record_weighted(
+            self.est.record(
                 &format!("{}@{}", names::LOAD_PER_HOST, t),
                 total(|s| s.load_per_host),
-                1.0,
             );
         }
 
         let mut conditional = |name: &str, value: fn(&RunOutput) -> Option<f64>| {
-            let mut wsum = 0.0;
-            let mut vsum = 0.0;
-            for (w, o) in leaves {
-                if let Some(v) = value(o) {
-                    wsum += w;
-                    vsum += w * v;
-                }
-            }
+            let observing = leaves.clone().filter_map(|(w, o)| value(o).map(|v| (w, v)));
+            let wsum: f64 = observing.clone().map(|(w, _)| w).sum();
             if wsum > 0.0 {
+                let vsum: f64 = observing.map(|(w, v)| w * v).sum();
                 self.est.record_weighted(name, vsum / wsum, wsum);
             }
         };
@@ -295,7 +262,7 @@ impl MeasureSet {
         self.est.estimates()
     }
 
-    /// Underlying estimator (for precision-based stopping).
+    /// Underlying estimator (per-measure observation counts).
     pub fn estimator(&self) -> &ReplicationEstimator {
         &self.est
     }
@@ -388,7 +355,7 @@ mod tests {
     #[test]
     fn record_tree_single_leaf_weight_one_matches_record() {
         let mut plain = MeasureSet::new(0.95);
-        let mut split = MeasureSet::new_weighted(0.95);
+        let mut split = MeasureSet::new(0.95);
         for rep in 0..6 {
             let mut out = sample_output();
             out.improper_time_per_app[0] += rep as f64 * 0.1;
@@ -413,7 +380,7 @@ mod tests {
 
     #[test]
     fn record_tree_empty_tree_still_counts_for_unconditional_measures() {
-        let mut ms = MeasureSet::new_weighted(0.95);
+        let mut ms = MeasureSet::new(0.95);
         ms.record_tree(&[], 5.0, &[5.0]);
         ms.record_tree(&[(1.0, sample_output())], 5.0, &[5.0]);
         assert_eq!(ms.estimator().count(names::UNAVAILABILITY), 2);
@@ -429,7 +396,7 @@ mod tests {
 
     #[test]
     fn record_tree_splits_average_with_weights() {
-        let mut ms = MeasureSet::new_weighted(0.95);
+        let mut ms = MeasureSet::new(0.95);
         // Two half-weight leaves with byzantine flags true/false: the
         // tree's unreliability total is 0.5 * 0.25 + 0.5 * 0.25 with the
         // sample_output flags (1 of 4 apps byzantine each).

@@ -9,8 +9,6 @@
 //! * [`ctmc`] — continuous-time Markov chains: transient distribution by
 //!   **uniformization** with truncated Poisson weights, expected
 //!   time-averaged/accumulated rewards over an interval, and steady state.
-//! * [`dtmc`] — discrete-time chains: power iteration and absorption
-//!   probabilities.
 //! * [`poisson`] — truncated Poisson weight computation used by
 //!   uniformization.
 //! * [`uniformize`] — the fused uniformization walk behind the transient
@@ -38,11 +36,9 @@
 #![warn(missing_docs)]
 
 pub mod ctmc;
-pub mod dtmc;
 pub mod poisson;
 pub mod sparse;
 pub mod uniformize;
 
 pub use ctmc::Ctmc;
-pub use dtmc::Dtmc;
 pub use sparse::CsrMatrix;

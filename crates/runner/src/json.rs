@@ -94,17 +94,17 @@ impl Json {
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected, arrays and objects nested at most 128
+    /// deep).
     ///
     /// # Errors
     ///
     /// Returns [`JsonError`] with the byte offset of the first problem.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(input, &mut pos, 0)?;
+        skip_ws(input.as_bytes(), &mut pos);
+        if pos != input.len() {
             return Err(JsonError {
                 offset: pos,
                 message: "trailing characters after document",
@@ -193,14 +193,21 @@ fn expect(b: &[u8], pos: &mut usize, lit: &'static str) -> Result<(), JsonError>
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// store nests five levels; the cap keeps a hostile file from exhausting
+/// the stack of the recursive-descent parser.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(s, pos).map(Json::Str),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(*pos, "nesting too deep")),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -210,7 +217,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(s, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -232,13 +239,13 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(s, pos)?;
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return Err(err(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(s, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -255,7 +262,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let b = s.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return Err(err(*pos, "expected string"));
     }
@@ -298,18 +306,19 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
+            Some(&c) if c < 0x20 => return Err(err(*pos, "raw control character in string")),
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| err(*pos, "bad UTF-8"))?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| err(*pos, "unterminated string"))?;
-                if (c as u32) < 0x20 {
-                    return Err(err(*pos, "raw control character in string"));
+                // Copy the run up to the next quote, backslash or control
+                // byte. All three are ASCII, so the run ends on a character
+                // boundary of the (already valid UTF-8) input.
+                let start = *pos;
+                while b
+                    .get(*pos)
+                    .is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20)
+                {
+                    *pos += 1;
                 }
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(&s[start..*pos]);
             }
         }
     }
@@ -398,6 +407,27 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let e = Json::parse(&deep).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert_eq!(e.message, "nesting too deep");
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(Json::parse(&objects).is_err());
+        // Nesting up to the cap still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn megabyte_string_round_trips() {
+        let long: String = "aé\"µ\\\n€x".chars().cycle().take(1 << 20).collect();
+        assert!(long.len() >= 1 << 20);
+        let v = Json::Arr(vec![Json::Str(long)]);
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! with `stream_seed(tree_seed, b)` (the third tier of the seed
 //! hierarchy), and trees are reduced in replication order, so estimates
 //! are bit-identical for every thread count, chunk size, and batch size.
-//! With an empty [`SplitSpec`] the root branch is never reseeded and the
-//! weighted estimator collapses bitwise to the unweighted one, so the
+//! With an empty [`SplitSpec`] the root branch is never reseeded and every
+//! tree is one weight-1 leaf, which [`MeasureSet::record_tree`] records
+//! exactly as [`MeasureSet::record`] records a plain replication, so the
 //! result equals the plain replication path bit for bit.
 
 use crate::backend::{
@@ -158,7 +159,7 @@ pub fn run_measures_split(
         )?;
         Ok::<_, BackendError>((stats, leaves))
     });
-    let mut measures = MeasureSet::new_weighted(confidence);
+    let mut measures = MeasureSet::new(confidence);
     let mut totals = SplitTotals::default();
     for tree in trees {
         let (stats, leaves) = tree?;

@@ -7,7 +7,10 @@
 //! [`ResultStore::completed`] lets the orchestrator restart at the first
 //! incomplete point. A fingerprint mismatch (different replication count,
 //! seed, point set, …) discards the stale file rather than mixing results
-//! from different configurations.
+//! from different configurations. A stored point without estimates (an
+//! older build wrote those for single-replication runs, which are now
+//! rejected) is not complete: the sweep re-runs it, and the new result
+//! replaces it in place, so the file keeps the sweep's point order.
 //!
 //! Format (versioned):
 //!
@@ -96,8 +99,9 @@ impl ResultStore {
     /// Opens (or creates) the store for `sweep_id` under `dir`.
     ///
     /// An existing file with the same fingerprint is loaded for resume; a
-    /// file with a different fingerprint (or an unreadable one) is
-    /// discarded and the store starts empty.
+    /// file with a different fingerprint, or one that does not parse
+    /// (truncated, not UTF-8, nested too deep), is discarded and the store
+    /// starts empty.
     ///
     /// # Errors
     ///
@@ -111,9 +115,10 @@ impl ResultStore {
             fingerprint: fingerprint.to_owned(),
             points: Vec::new(),
         };
-        match fs::read_to_string(&path) {
-            Ok(text) => {
-                if let Some(points) = decode(&text, sweep_id, fingerprint) {
+        match fs::read(&path) {
+            Ok(bytes) => {
+                let text = std::str::from_utf8(&bytes).ok();
+                if let Some(points) = text.and_then(|t| decode(t, sweep_id, fingerprint)) {
                     store.points = points;
                 }
             }
@@ -123,19 +128,24 @@ impl ResultStore {
         Ok(store)
     }
 
-    /// The completed point with this key, if any.
+    /// The completed point with this key, if any. A stored point without
+    /// estimates is not complete.
     pub fn completed(&self, key: &str) -> Option<&StoredPoint> {
-        self.points.iter().find(|p| p.key == key)
+        self.complete_points().find(|p| p.key == key)
     }
 
     /// Number of completed points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.complete_points().count()
     }
 
     /// Whether no point has completed yet.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.len() == 0
+    }
+
+    fn complete_points(&self) -> impl Iterator<Item = &StoredPoint> {
+        self.points.iter().filter(|p| !p.estimates.is_empty())
     }
 
     /// The file this store persists to.
@@ -333,6 +343,10 @@ mod tests {
         let dir = tmp_dir("corrupt");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("fig.json"), "{ not json").unwrap();
+        let store = ResultStore::open(&dir, "fig", "fp").unwrap();
+        assert!(store.is_empty());
+        // Invalid UTF-8 (a file cut inside a multi-byte character) too.
+        fs::write(dir.join("fig.json"), b"{\"sweep\":\"\xc2").unwrap();
         let store = ResultStore::open(&dir, "fig", "fp").unwrap();
         assert!(store.is_empty());
         fs::remove_dir_all(&dir).unwrap();

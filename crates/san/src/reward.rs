@@ -430,13 +430,13 @@ mod tests {
         let sim = SanSimulator::new(san);
         // E[fraction of [0,T] with q = 1] = 1 - (1 - e^{-T})/T for rate 1.
         let horizon = 2.0;
-        let mut est = itua_stats::online::OnlineStats::new();
+        let mut est = itua_stats::weighted::WeightedStats::new();
         for seed in 0..4000 {
             let mut rv = TimeAveraged::new("frac_q", move |m| m.get(q) as f64);
             sim.run(seed, horizon, &mut [&mut rv]).unwrap();
             let obs = rv.observations();
             assert_eq!(obs.len(), 1);
-            est.push(obs[0].value);
+            est.push(obs[0].value, 1.0);
         }
         let expected = 1.0 - (1.0 - (-horizon).exp()) / horizon;
         assert!(

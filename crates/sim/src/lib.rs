@@ -12,9 +12,10 @@
 //!   firing-time distributions.
 //! * [`queue`] — a pending-event set: a time-ordered priority queue with
 //!   deterministic FIFO tie-breaking and O(log n) cancellation.
-//! * [`engine`] — a tiny event-loop executive tying a clock, a queue, and an
-//!   event handler together for models that do not need the full SAN
-//!   formalism.
+//!
+//! Each simulator (the SAN simulator in `itua-san`, the direct ITUA
+//! discrete-event model in `itua-core`) runs its own event loop over
+//! these pieces.
 //!
 //! # Example
 //!
@@ -37,11 +38,9 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod engine;
 pub mod queue;
 pub mod rng;
 
 pub use dist::{Distribution, Exponential, ParamError};
-pub use engine::{Engine, EventHandler};
 pub use queue::{EventKey, EventQueue};
 pub use rng::Rng;

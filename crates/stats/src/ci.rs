@@ -1,6 +1,5 @@
 //! Confidence intervals over replicate observations.
 
-use crate::online::OnlineStats;
 use crate::tdist::t_quantile;
 use crate::weighted::WeightedStats;
 use std::fmt;
@@ -48,53 +47,32 @@ pub struct ConfidenceInterval {
 }
 
 impl ConfidenceInterval {
-    /// Builds an interval from raw observations.
+    /// Builds an interval from raw observations, each counted once
+    /// (weight 1).
     ///
     /// # Errors
     ///
     /// Returns [`CiError::TooFewObservations`] with fewer than two
     /// observations and [`CiError::BadLevel`] for a level outside `(0, 1)`.
     pub fn from_observations(obs: &[f64], level: f64) -> Result<Self, CiError> {
-        let stats: OnlineStats = obs.iter().copied().collect();
+        let mut stats = WeightedStats::new();
+        for &x in obs {
+            stats.push(x, 1.0);
+        }
         Self::from_stats(&stats, level)
-    }
-
-    /// Builds an interval from an accumulated [`OnlineStats`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ConfidenceInterval::from_observations`].
-    pub fn from_stats(stats: &OnlineStats, level: f64) -> Result<Self, CiError> {
-        if !(0.0..1.0).contains(&level) || level <= 0.0 {
-            return Err(CiError::BadLevel);
-        }
-        let n = stats.count();
-        if n < 2 {
-            return Err(CiError::TooFewObservations);
-        }
-        let se = stats.std_error().expect("n >= 2");
-        let df = (n - 1) as f64;
-        let t = t_quantile(0.5 + level / 2.0, df);
-        Ok(ConfidenceInterval {
-            mean: stats.mean(),
-            half_width: t * se,
-            n,
-            level,
-        })
     }
 
     /// Builds an interval from an accumulated [`WeightedStats`], using the
     /// effective sample size `n_eff = (Σw)² / Σw²` for the t-distribution's
     /// degrees of freedom (clamped to at least 1). `n` reports the raw
-    /// observation count. When every weight is exactly `1.0` this is
-    /// bit-identical to [`ConfidenceInterval::from_stats`]: `n_eff` equals
-    /// the count exactly for integer-representable counts, so `df` and `t`
-    /// match, and the clamp is inactive since `df >= 1` at `n >= 2`.
+    /// observation count. At weight 1, `n_eff` is the count exactly, so
+    /// this is the classical interval with `n − 1` degrees of freedom (the
+    /// clamp is inactive since `n − 1 >= 1` at `n >= 2`).
     ///
     /// # Errors
     ///
     /// Same as [`ConfidenceInterval::from_observations`].
-    pub fn from_weighted_stats(stats: &WeightedStats, level: f64) -> Result<Self, CiError> {
+    pub fn from_stats(stats: &WeightedStats, level: f64) -> Result<Self, CiError> {
         if !(0.0..1.0).contains(&level) || level <= 0.0 {
             return Err(CiError::BadLevel);
         }

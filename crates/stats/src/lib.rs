@@ -4,19 +4,17 @@
 //! confidence interval computed over independent replications. This crate
 //! provides the same machinery:
 //!
-//! * [`online`] — numerically stable streaming moments (Welford).
+//! * [`weighted`] — numerically stable streaming moments (weighted
+//!   Welford), the one accumulator behind every estimate: a plain
+//!   replication is a weight-1 observation, an importance-splitting one
+//!   carries its likelihood weight.
 //! * [`timeweighted`] — integrals of piecewise-constant sample paths, for
 //!   interval-of-time (time-averaged) reward variables.
 //! * [`special`] — special functions (log-gamma, incomplete beta, normal
 //!   quantile) implemented from scratch.
 //! * [`tdist`] — Student-t CDF and quantiles built on [`special`].
 //! * [`ci`] — confidence intervals over replicate observations.
-//! * [`replication`] — a multi-measure replication harness with
-//!   relative-precision stopping.
-//! * [`batch`] — batch-means estimation for steady-state measures.
-//! * [`histogram`] — fixed-bin histograms and exact percentiles.
-//! * [`weighted`] — weight-carrying moments for importance-splitting
-//!   estimators, bit-compatible with [`online`] at weight 1.
+//! * [`replication`] — a multi-measure replication estimator.
 //!
 //! # Example
 //!
@@ -32,10 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod ci;
-pub mod histogram;
-pub mod online;
 pub mod replication;
 pub mod special;
 pub mod tdist;
@@ -43,7 +38,6 @@ pub mod timeweighted;
 pub mod weighted;
 
 pub use ci::ConfidenceInterval;
-pub use online::OnlineStats;
-pub use replication::{Estimate, ReplicationEstimator, Weighting};
+pub use replication::{Estimate, ReplicationEstimator};
 pub use timeweighted::TimeWeighted;
 pub use weighted::WeightedStats;

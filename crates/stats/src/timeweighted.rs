@@ -86,34 +86,6 @@ impl TimeWeighted {
         self.integral + self.current * (time - self.last_time)
     }
 
-    /// Appends another accumulator's sample path after this one's.
-    ///
-    /// `other` must describe a later, non-overlapping stretch of the same
-    /// signal: its start time must not precede this accumulator's last
-    /// update. The gap `[self.last_time, other.start_time]`, if any, is
-    /// integrated at this accumulator's current level (the signal is
-    /// piecewise constant, so it holds its value until the next change).
-    /// After the merge, `self` behaves exactly as if every `set` call of
-    /// `other` had been applied to it directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other.start_time` precedes `self`'s last update (the
-    /// paths overlap and their concatenation is ambiguous).
-    pub fn merge(&mut self, other: &TimeWeighted) {
-        assert!(
-            other.start_time >= self.last_time,
-            "cannot merge overlapping sample paths: other starts at {} before last update {}",
-            other.start_time,
-            self.last_time
-        );
-        self.integral += self.current * (other.start_time - self.last_time);
-        self.integral += other.integral;
-        self.last_time = other.last_time;
-        self.current = other.current;
-        self.max_level = self.max_level.max(other.max_level);
-    }
-
     /// Time-averaged value over `[start, time]`; 0 for an empty interval.
     pub fn mean_until(&self, time: f64) -> f64 {
         let span = time - self.start_time;
@@ -174,43 +146,6 @@ mod tests {
     fn empty_interval_mean_is_zero() {
         let tw = TimeWeighted::new(5.0, 2.0);
         assert_eq!(tw.mean_until(5.0), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_single_path() {
-        // Build one path in a single accumulator...
-        let mut whole = TimeWeighted::new(0.0, 1.0);
-        whole.set(1.0, 3.0);
-        whole.set(2.0, 0.5);
-        whole.set(4.0, 2.0);
-        // ...and the same path split at t = 2 across two accumulators.
-        let mut left = TimeWeighted::new(0.0, 1.0);
-        left.set(1.0, 3.0);
-        let mut right = TimeWeighted::new(2.0, 0.5);
-        right.set(4.0, 2.0);
-        left.merge(&right);
-        assert_eq!(left.integral_until(5.0), whole.integral_until(5.0));
-        assert_eq!(left.mean_until(5.0), whole.mean_until(5.0));
-        assert_eq!(left.current(), whole.current());
-        assert_eq!(left.max_level(), whole.max_level());
-    }
-
-    #[test]
-    fn merge_integrates_gap_at_current_level() {
-        let mut a = TimeWeighted::new(0.0, 2.0); // level 2 from t = 0
-        let b = TimeWeighted::new(3.0, 0.0); // level 0 from t = 3
-        a.merge(&b);
-        // [0,3) at level 2 → 6, [3,…) at level 0.
-        assert_eq!(a.integral_until(10.0), 6.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn merge_overlapping_paths_panics() {
-        let mut a = TimeWeighted::new(0.0, 1.0);
-        a.set(5.0, 2.0);
-        let b = TimeWeighted::new(3.0, 0.0);
-        a.merge(&b);
     }
 
     #[test]

@@ -1,22 +1,18 @@
-//! Weighted streaming moments for importance-splitting estimators.
+//! Weighted streaming moments: the one accumulator behind every estimate.
 //!
-//! Importance splitting (RESTART) produces observations that carry
-//! likelihood weights: a branch that survived `k` splits of factor `R`
-//! contributes its value with weight `R^-k`. [`WeightedStats`] accumulates
-//! such `(value, weight)` pairs with a weighted Welford recurrence and
-//! reports the weighted mean, the reliability-weights sample variance, and
-//! the effective sample size `n_eff = (Σw)² / Σw²` used for t-intervals.
+//! A plain replication contributes its value with weight 1. Importance
+//! splitting (RESTART) produces observations that carry likelihood
+//! weights: a branch that survived `k` splits of factor `R` contributes
+//! its value with weight `R^-k`. [`WeightedStats`] accumulates such
+//! `(value, weight)` pairs with a weighted Welford recurrence and reports
+//! the weighted mean, the reliability-weights sample variance, and the
+//! effective sample size `n_eff = (Σw)² / Σw²` used for t-intervals.
 //!
-//! The recurrence is arranged so that a stream of weight-`1.0` pushes is
-//! **bit-identical** to [`OnlineStats`](crate::online::OnlineStats): every
-//! intermediate expression evaluates to the exact same sequence of floating
-//! point operations (`w * delta / w1` with `w == 1.0` multiplies by an
-//! exact `1.0` and divides by the exact integer-valued `Σw`). This is what
-//! lets the splitting path degenerate to the plain replication path when no
-//! split ever fires, and it is pinned by the `weighted_collapse` property
-//! tests.
-
-use crate::online::OnlineStats;
+//! At weight 1 the recurrence is the classical unweighted Welford update:
+//! `w * delta / w1` multiplies by an exact `1.0` and divides by `Σw`,
+//! which equals the count exactly, and `n_eff = n·n/n` is exactly `n`
+//! while `n² < 2⁵³`. Plain replications therefore get the textbook
+//! `n − 1` degrees of freedom with no separate unweighted code path.
 
 /// Streaming weighted mean/variance/min/max accumulator.
 ///
@@ -59,9 +55,9 @@ impl WeightedStats {
     ///
     /// # Panics
     ///
-    /// Panics if `x` is NaN or `w` is not a finite positive number (a bad
-    /// weight silently corrupts every later statistic, so it is rejected
-    /// loudly, mirroring [`OnlineStats::push`]).
+    /// Panics if `x` is NaN or `w` is not a finite positive number (a NaN
+    /// observation or a bad weight silently corrupts every later
+    /// statistic, so it is rejected loudly).
     pub fn push(&mut self, x: f64, w: f64) {
         assert!(!x.is_nan(), "NaN observation");
         assert!(
@@ -106,8 +102,7 @@ impl WeightedStats {
 
     /// Unbiased (reliability-weights) sample variance
     /// `Σw(x-mean)² / (Σw − Σw²/Σw)`; `None` with fewer than two
-    /// observations. Collapses to [`OnlineStats::sample_variance`] at
-    /// weight 1.
+    /// observations. At weight 1 this is `Σ(x-mean)² / (n − 1)`.
     pub fn sample_variance(&self) -> Option<f64> {
         if self.count < 2 {
             None
@@ -131,47 +126,12 @@ impl WeightedStats {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Merges another accumulator into this one (parallel weighted
-    /// Welford). The arithmetic mirrors [`OnlineStats::merge`] with `Σw`
-    /// standing in for the count, so merging weight-1 accumulators stays
-    /// bit-identical to the unweighted merge.
-    pub fn merge(&mut self, other: &WeightedStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let delta = other.mean - self.mean;
-        let total = self.w1 + other.w1;
-        self.mean += delta * other.w1 / total;
-        self.m2 += other.m2 + delta * delta * self.w1 * other.w1 / total;
-        self.w1 = total;
-        self.w2 += other.w2;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Whether this accumulator is bitwise identical to `other` under the
-    /// weight-1 embedding (same count, mean, second moment, min, max).
-    /// Test/diagnostic helper for the collapse property.
-    pub fn collapses_to(&self, other: &OnlineStats) -> bool {
-        self.count == other.count()
-            && self.mean.to_bits() == other.mean().to_bits()
-            && self.min() == other.min()
-            && self.max() == other.max()
-            && self.sample_variance().map(f64::to_bits) == other.sample_variance().map(f64::to_bits)
-            && self.std_error().map(f64::to_bits) == other.std_error().map(f64::to_bits)
-    }
 }
 
 impl Default for WeightedStats {
     fn default() -> Self {
-        // Same caveat as OnlineStats: a derived Default would zero min/max
-        // instead of using the identity elements of min/max.
+        // Careful: a derived Default would set min/max to 0.0 rather than
+        // the identity elements of min/max.
         WeightedStats::new()
     }
 }
@@ -221,57 +181,54 @@ mod tests {
         assert!((s.n_eff() - 100.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn weight_one_collapses_to_online_stats() {
-        let mut w = WeightedStats::new();
-        let mut o = OnlineStats::new();
-        for i in 0..1000 {
-            let x = (i as f64 * 0.37).sin() * 1e3;
-            w.push(x, 1.0);
-            o.push(x);
+    /// Pushes every value at weight 1, as a plain replication does.
+    fn unit_weights(xs: impl IntoIterator<Item = f64>) -> WeightedStats {
+        let mut s = WeightedStats::new();
+        for x in xs {
+            s.push(x, 1.0);
         }
-        assert!(w.collapses_to(&o));
+        s
     }
 
     #[test]
-    fn merge_matches_sequential() {
-        let data: Vec<(f64, f64)> = (0..200)
-            .map(|i| ((i as f64).sqrt(), 0.1 + (i % 7) as f64))
-            .collect();
-        let (a_data, b_data) = data.split_at(73);
-        let mut a = WeightedStats::new();
-        for &(x, w) in a_data {
-            a.push(x, w);
-        }
-        let mut b = WeightedStats::new();
-        for &(x, w) in b_data {
-            b.push(x, w);
-        }
-        let mut whole = WeightedStats::new();
-        for &(x, w) in &data {
-            whole.push(x, w);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.total_weight() - whole.total_weight()).abs() < 1e-9);
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.sample_variance().unwrap() - whole.sample_variance().unwrap()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
+    fn single_observation() {
+        let s = unit_weights([3.5]);
+        assert_eq!(s.mean(), 3.5);
+        assert_eq!(s.sample_variance(), None);
+        assert_eq!(s.std_error(), None);
+        assert_eq!(s.n_eff(), 1.0);
+        assert_eq!(s.min(), Some(3.5));
+        assert_eq!(s.max(), Some(3.5));
     }
 
     #[test]
-    fn merge_with_empty() {
-        let mut a = WeightedStats::new();
-        a.push(1.0, 2.0);
-        a.push(3.0, 0.5);
-        let before = a.clone();
-        a.merge(&WeightedStats::new());
-        assert_eq!(a, before);
+    fn matches_naive_two_pass() {
+        let xs: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin() + 10.0).collect();
+        let s = unit_weights(xs.iter().copied());
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
+        assert!((s.mean() - mean).abs() < 1e-12);
+        assert!((s.sample_variance().unwrap() - var).abs() < 1e-12);
+        assert_eq!(s.n_eff(), 1000.0);
+    }
 
-        let mut e = WeightedStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
+    #[test]
+    fn stable_for_large_offset() {
+        // Classic catastrophic-cancellation case for naive algorithms.
+        let offset = 1e9;
+        let s = unit_weights([offset + 4.0, offset + 7.0, offset + 13.0, offset + 16.0]);
+        assert!((s.sample_variance().unwrap() - 30.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn std_error_shrinks_with_n() {
+        let mut s = unit_weights((0..100).map(|i| (i % 2) as f64));
+        let se100 = s.std_error().unwrap();
+        for i in 0..900 {
+            s.push((i % 2) as f64, 1.0);
+        }
+        let se1000 = s.std_error().unwrap();
+        assert!(se1000 < se100);
     }
 
     #[test]

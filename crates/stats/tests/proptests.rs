@@ -1,39 +1,49 @@
 //! Property-based tests for the statistics crate.
 
-use itua_stats::batch::BatchMeans;
-use itua_stats::histogram::percentile;
-use itua_stats::online::OnlineStats;
 use itua_stats::tdist::{t_cdf, t_quantile};
 use itua_stats::timeweighted::TimeWeighted;
+use itua_stats::weighted::WeightedStats;
 use proptest::prelude::*;
 
 proptest! {
-    /// Welford matches the naive two-pass computation.
+    /// Welford at weight 1 matches the naive two-pass computation.
     #[test]
     fn welford_matches_two_pass(xs in prop::collection::vec(-1e6f64..1e6, 2..200)) {
-        let s: OnlineStats = xs.iter().copied().collect();
+        let mut s = WeightedStats::new();
+        for &x in &xs {
+            s.push(x, 1.0);
+        }
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
         let scale = 1.0 + mean.abs() + var.abs();
         prop_assert!((s.mean() - mean).abs() / scale < 1e-9);
         prop_assert!((s.sample_variance().unwrap() - var).abs() / scale.powi(2) < 1e-6);
+        prop_assert_eq!(s.n_eff(), xs.len() as f64);
         prop_assert_eq!(s.min().unwrap(), xs.iter().copied().fold(f64::INFINITY, f64::min));
         prop_assert_eq!(s.max().unwrap(), xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
     }
 
-    /// Merging partitions equals processing the whole stream.
+    /// Weighted Welford under random weights matches the two-pass
+    /// weighted mean, reliability-weights variance and effective sample
+    /// size.
     #[test]
-    fn merge_equals_sequential(
-        xs in prop::collection::vec(-1e3f64..1e3, 2..200),
-        split in 0usize..200,
+    fn weighted_welford_matches_two_pass(
+        data in prop::collection::vec((-1e6f64..1e6, 1e-3f64..1e3), 2..200),
     ) {
-        let split = split.min(xs.len());
-        let (left, right) = xs.split_at(split);
-        let mut merged: OnlineStats = left.iter().copied().collect();
-        merged.merge(&right.iter().copied().collect());
-        let whole: OnlineStats = xs.iter().copied().collect();
-        prop_assert_eq!(merged.count(), whole.count());
-        prop_assert!((merged.mean() - whole.mean()).abs() < 1e-8 * (1.0 + whole.mean().abs()));
+        let mut s = WeightedStats::new();
+        for &(x, w) in &data {
+            s.push(x, w);
+        }
+        let w1: f64 = data.iter().map(|(_, w)| w).sum();
+        let w2: f64 = data.iter().map(|(_, w)| w * w).sum();
+        let mean = data.iter().map(|(x, w)| w * x).sum::<f64>() / w1;
+        let m2: f64 = data.iter().map(|(x, w)| w * (x - mean).powi(2)).sum();
+        let var = m2 / (w1 - w2 / w1);
+        let scale = 1.0 + mean.abs() + var.abs();
+        prop_assert!((s.mean() - mean).abs() / scale < 1e-9);
+        prop_assert!((s.sample_variance().unwrap() - var).abs() / scale.powi(2) < 1e-6);
+        prop_assert!((s.n_eff() - w1 * w1 / w2).abs() < 1e-9 * data.len() as f64);
+        prop_assert_eq!(s.count(), data.len() as u64);
     }
 
     /// The t quantile is monotone in p and inverts the CDF.
@@ -43,16 +53,6 @@ proptest! {
         prop_assert!((t_cdf(q, df) - p).abs() < 1e-8);
         let q2 = t_quantile((p + 0.005).min(0.995), df);
         prop_assert!(q2 >= q);
-    }
-
-    /// Percentiles lie within the sample range and are monotone in q.
-    #[test]
-    fn percentile_bounds(mut xs in prop::collection::vec(-1e6f64..1e6, 1..100), q in 0.0f64..1.0) {
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p = percentile(&xs, q).unwrap();
-        prop_assert!(p >= xs[0] && p <= xs[xs.len() - 1]);
-        let p2 = percentile(&xs, (q + 0.05).min(1.0)).unwrap();
-        prop_assert!(p2 >= p);
     }
 
     /// The time-weighted mean lies between the extreme levels.
@@ -72,18 +72,5 @@ proptest! {
         let lo = levels.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = levels.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9);
-    }
-
-    /// Batch means: grand mean equals the mean of the consumed prefix.
-    #[test]
-    fn batch_means_grand_mean(xs in prop::collection::vec(-100.0f64..100.0, 10..300), bs in 1u64..20) {
-        let mut bm = BatchMeans::new(bs);
-        for &x in &xs {
-            bm.push(x);
-        }
-        let consumed = (xs.len() as u64 / bs * bs) as usize;
-        prop_assume!(consumed > 0);
-        let expected = xs[..consumed].iter().sum::<f64>() / consumed as f64;
-        prop_assert!((bm.mean() - expected).abs() < 1e-9 * (1.0 + expected.abs()));
     }
 }

@@ -391,6 +391,7 @@ pub fn series_for<'a>(all: &'a [Series], measure: &str) -> Vec<&'a Series> {
 mod tests {
     use super::*;
     use itua_core::measures::names;
+    use itua_runner::json::Json;
 
     fn tiny_point(x: f64, series: &str) -> SweepPoint {
         SweepPoint {
@@ -555,6 +556,72 @@ mod tests {
             resumed: bool,
         ) {
             self.0.lock().unwrap().push(resumed);
+        }
+    }
+
+    /// `obj` with the value of `key` replaced.
+    fn with_field(obj: &Json, key: &str, value: Json) -> Json {
+        let Json::Obj(fields) = obj else {
+            panic!("not an object: {obj}")
+        };
+        let replace = |(k, v): &(String, Json)| {
+            let v = if k == key { value.clone() } else { v.clone() };
+            (k.clone(), v)
+        };
+        Json::Obj(fields.iter().map(replace).collect())
+    }
+
+    #[test]
+    fn interrupted_or_corrupted_store_resumes_to_the_uninterrupted_bytes() {
+        let cfg = reps(6);
+        let points = vec![
+            tiny_point(1.0, "a"),
+            tiny_point(2.0, "a"),
+            tiny_point(1.0, "b"),
+        ];
+        let measures = [names::UNAVAILABILITY];
+        // Runs the sweep into `dir`; returns the store bytes and the
+        // number of points simulated rather than resumed.
+        let run = |dir: &PathBuf| {
+            let tracker = ResumeTracker(std::sync::Mutex::new(Vec::new()));
+            let opts = RunOpts {
+                progress: &tracker,
+                results_dir: Some(dir.clone()),
+                ..Default::default()
+            };
+            sweep(&points, &cfg, &measures, &opts);
+            let resumed = tracker.0.into_inner().unwrap();
+            let simulated = resumed.iter().filter(|&&r| !r).count();
+            (std::fs::read(dir.join("t.json")).unwrap(), simulated)
+        };
+        let full_dir = temp_dir("interrupt-full");
+        let (full, simulated) = run(&full_dir);
+        assert_eq!(simulated, 3);
+        std::fs::remove_dir_all(&full_dir).unwrap();
+
+        let doc = Json::parse(std::str::from_utf8(&full).unwrap()).unwrap();
+        let stored = doc.get("points").and_then(Json::as_arr).unwrap();
+        let first_only = with_field(&doc, "points", Json::Arr(stored[..1].to_vec()));
+        let mut gap = stored.to_vec();
+        gap[1] = with_field(&gap[1], "estimates", Json::Arr(Vec::new()));
+        let gap = with_field(&doc, "points", Json::Arr(gap));
+        let cases = [
+            ("truncated", full[..full.len() / 2].to_vec(), false, 3),
+            ("nested", vec![b'['; 200_000], false, 3),
+            ("first-point", first_only.to_string().into_bytes(), true, 2),
+            ("empty-estimates", gap.to_string().into_bytes(), false, 1),
+        ];
+        for (tag, bytes, garbage_tmp, expected) in cases {
+            let dir = temp_dir(&format!("interrupt-{tag}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("t.json"), bytes).unwrap();
+            if garbage_tmp {
+                std::fs::write(dir.join("t.json.tmp"), b"{\"points\":[\xff").unwrap();
+            }
+            let (resumed, simulated) = run(&dir);
+            assert!(resumed == full, "{tag}: resumed store differs");
+            assert_eq!(simulated, expected, "{tag}: points re-simulated");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 

@@ -5,7 +5,7 @@
 //!
 //! * [`sim`] — discrete-event kernel (RNG, distributions, event queue).
 //! * [`stats`] — estimators, confidence intervals, replications.
-//! * [`markov`] — sparse CTMC/DTMC numerical solvers.
+//! * [`markov`] — sparse CTMC numerical solvers.
 //! * [`san`] — the stochastic activity network formalism and simulator.
 //! * [`itua`] — the ITUA intrusion-tolerant replication model (the paper's
 //!   object of study) in both SAN and direct discrete-event form.

@@ -14,10 +14,9 @@
 //!
 //! In both cases the root branch is never reseeded, so it replays exactly
 //! the trajectory of the corresponding plain replication, and every tree
-//! contributes one weight-1 leaf. The third property pins the estimator
-//! half of that collapse in isolation: a weighted
-//! [`ReplicationEstimator`] fed weight-1 observations is bitwise equal to
-//! the unweighted one.
+//! contributes one weight-1 leaf. There is one estimator on both paths (a
+//! plain replication is one weight-1 observation), so that leaf is
+//! recorded exactly as the plain replication is.
 
 use itua_repro::itua::params::Params;
 use itua_repro::rare::SplitSpec;
@@ -25,7 +24,6 @@ use itua_repro::runner::backend::{run_measures_checked, ModelCheck};
 use itua_repro::runner::{
     run_measures_split, BackendKind, ItuaBackend, NullProgress, RunnerConfig,
 };
-use itua_repro::stats::replication::ReplicationEstimator;
 use proptest::prelude::*;
 
 /// A small configuration whose state space keeps debug-mode trajectories
@@ -111,25 +109,5 @@ proptest! {
                 prop_assert_eq!(&got, &reference, "{} spec {:?}", kind, spec);
             }
         }
-    }
-
-    /// A weighted estimator fed weight-1 observations is bitwise equal to
-    /// the unweighted estimator on the same values.
-    #[test]
-    fn weighted_estimator_collapses_at_weight_one(
-        values in prop::collection::vec(0.0f64..1e3, 2..40),
-        level in 0.5f64..0.999,
-    ) {
-        let mut unweighted = ReplicationEstimator::new(level);
-        let mut weighted = ReplicationEstimator::new_weighted(level);
-        for v in &values {
-            unweighted.record("m", *v);
-            weighted.record_weighted("m", *v, 1.0);
-        }
-        let a = unweighted.estimate("m").expect("unweighted estimate");
-        let b = weighted.estimate("m").expect("weighted estimate");
-        prop_assert_eq!(a.ci.mean.to_bits(), b.ci.mean.to_bits());
-        prop_assert_eq!(a.ci.half_width.to_bits(), b.ci.half_width.to_bits());
-        prop_assert_eq!(a.ci.n, b.ci.n);
     }
 }
