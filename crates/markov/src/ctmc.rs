@@ -120,7 +120,8 @@ pub struct Ctmc {
 
 impl Ctmc {
     /// Builds a CTMC from off-diagonal transition rates
-    /// `(from, to, rate)`. Duplicate transitions are summed.
+    /// `(from, to, rate)`. Duplicate transitions are summed in input
+    /// order ([`CsrMatrix::from_triplets`]).
     ///
     /// # Errors
     ///

@@ -2,7 +2,11 @@
 //!
 //! Just enough linear algebra for the Markov solvers: construction from
 //! (row, col, value) triplets with duplicate summing, row iteration,
-//! `y = xᵀA` and `y = Ax` products, and transposition.
+//! `y = xᵀA` and `y = Ax` products, and transposition. Construction and
+//! transposition are counting sorts, linear in the entry count apart from
+//! the column sort inside each row, and keep the summation order of
+//! duplicates fixed (input order), so a matrix is bit-for-bit a function
+//! of its triplet list.
 
 use std::fmt;
 
@@ -58,7 +62,13 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Builds a matrix from (row, col, value) triplets.
     ///
-    /// Duplicate coordinates are summed; explicit zeros are dropped.
+    /// Duplicate coordinates are summed in input order (the first value
+    /// plus the second, plus the third, …); entries that are zero after
+    /// summing, explicit or cancelled, are dropped.
+    ///
+    /// Assembly is a counting sort on rows, which keeps input order within
+    /// each row, followed by a stable sort on columns inside each row; no
+    /// sorted or merged copy of the triplets is made.
     ///
     /// # Errors
     ///
@@ -77,37 +87,38 @@ impl CsrMatrix {
                 return Err(SparseError::NonFiniteValue);
             }
         }
-        let mut sorted: Vec<(usize, usize, f64)> = triplets.to_vec();
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
-
-        // Merge duplicate coordinates.
-        let mut merged: Vec<(usize, usize, f64)> = Vec::with_capacity(sorted.len());
-        for (r, c, v) in sorted {
-            match merged.last_mut() {
-                Some(&mut (lr, lc, ref mut lv)) if lr == r && lc == c => *lv += v,
-                _ => merged.push((r, c, v)),
-            }
+        let mut row_ptr = row_starts(rows, triplets.iter().map(|&(r, _, _)| r));
+        let mut fill = row_ptr[..rows].to_vec();
+        let mut entries = vec![(0usize, 0.0f64); triplets.len()];
+        for &(r, c, v) in triplets {
+            entries[fill[r]] = (c, v);
+            fill[r] += 1;
         }
 
-        let mut row_ptr = vec![0usize; rows + 1];
-        let mut col_idx = Vec::with_capacity(merged.len());
-        let mut values: Vec<f64> = Vec::with_capacity(merged.len());
-        let mut current_row = 0usize;
-        for (r, c, v) in merged {
-            if v == 0.0 {
-                continue; // drop explicit/cancelled zeros
+        // Sum each run of equal columns and drop zeros, row by row;
+        // `row_ptr[r]` is read before it is overwritten with the row's
+        // compacted start.
+        let mut col_idx = Vec::with_capacity(entries.len());
+        let mut values: Vec<f64> = Vec::with_capacity(entries.len());
+        for r in 0..rows {
+            let row = &mut entries[row_ptr[r]..row_ptr[r + 1]];
+            row.sort_by_key(|&(c, _)| c);
+            row_ptr[r] = col_idx.len();
+            let mut k = 0;
+            while k < row.len() {
+                let (c, mut v) = row[k];
+                k += 1;
+                while k < row.len() && row[k].0 == c {
+                    v += row[k].1;
+                    k += 1;
+                }
+                if v != 0.0 {
+                    col_idx.push(c);
+                    values.push(v);
+                }
             }
-            while current_row < r {
-                current_row += 1;
-                row_ptr[current_row] = col_idx.len();
-            }
-            col_idx.push(c);
-            values.push(v);
         }
-        while current_row < rows {
-            current_row += 1;
-            row_ptr[current_row] = col_idx.len();
-        }
+        row_ptr[rows] = col_idx.len();
         Ok(CsrMatrix {
             rows,
             cols,
@@ -195,22 +206,49 @@ impl CsrMatrix {
         y
     }
 
-    /// Returns the transpose.
+    /// Returns the transpose, by a counting sort on columns in O(nnz):
+    /// walking the rows in order fills every column of the result in
+    /// increasing row order, so no entry moves after it is placed.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
+        let row_ptr = row_starts(self.cols, self.col_idx.iter().copied());
+        let mut fill = row_ptr[..self.cols].to_vec();
+        let mut col_idx = vec![0usize; self.nnz()];
+        let mut values = vec![0.0f64; self.nnz()];
         for r in 0..self.rows {
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                triplets.push((self.col_idx[k], r, self.values[k]));
+                let slot = &mut fill[self.col_idx[k]];
+                col_idx[*slot] = r;
+                values[*slot] = self.values[k];
+                *slot += 1;
             }
         }
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
-            .expect("transpose of a valid matrix is valid")
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Sum of the entries in `row`.
     pub fn row_sum(&self, row: usize) -> f64 {
         self.row(row).map(|(_, v)| v).sum()
     }
+}
+
+/// Row starts for entries whose row indices are `rows_of`: row `r`'s
+/// entries go to `starts[r]..starts[r + 1]`, and `starts[rows]` is their
+/// count.
+fn row_starts(rows: usize, rows_of: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut starts = vec![0usize; rows + 1];
+    for r in rows_of {
+        starts[r + 1] += 1;
+    }
+    for r in 0..rows {
+        starts[r + 1] += starts[r];
+    }
+    starts
 }
 
 #[cfg(test)]

@@ -18,19 +18,26 @@ proptest! {
         prop_assert_eq!(m.transpose().transpose(), m);
     }
 
-    /// `get` agrees with a dense reconstruction from the triplets.
+    /// `get` agrees bit for bit with a dense accumulator that sums
+    /// duplicates in input order, every nonzero cell is stored and no
+    /// other, and the transpose holds the same bits at the mirrored cells.
     #[test]
     fn csr_matches_dense(triplets in arb_triplets(6)) {
         let m = CsrMatrix::from_triplets(6, 6, &triplets).unwrap();
+        let t = m.transpose();
         let mut dense = [[0.0f64; 6]; 6];
         for &(r, c, v) in &triplets {
             dense[r][c] += v;
         }
         for (r, row) in dense.iter().enumerate() {
             for (c, &v) in row.iter().enumerate() {
-                prop_assert!((m.get(r, c) - v).abs() < 1e-9);
+                prop_assert_eq!(m.get(r, c).to_bits(), v.to_bits(), "({}, {})", r, c);
+                prop_assert_eq!(t.get(c, r).to_bits(), v.to_bits(), "transpose ({}, {})", c, r);
             }
         }
+        let nonzero = dense.iter().flatten().filter(|&&v| v != 0.0).count();
+        prop_assert_eq!(m.nnz(), nonzero);
+        prop_assert_eq!(t.nnz(), nonzero);
     }
 
     /// `xᵀA` and `Aᵀx` agree.

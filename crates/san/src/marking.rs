@@ -175,13 +175,16 @@ impl Marking {
         self.dirty.clear();
     }
 
-    /// A copy of this marking with an empty dirty log (canonical form for
-    /// state-space hashing).
-    pub(crate) fn canonical(&self) -> Marking {
-        Marking {
-            values: self.values.clone(),
-            dirty: Vec::new(),
-        }
+    /// Overwrites every token count with `values` and clears the dirty
+    /// log, reusing both buffers: the state-space generator resets its
+    /// scratch markings with this before each firing instead of cloning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not have one entry per place.
+    pub(crate) fn assign(&mut self, values: &[i32]) {
+        self.values.copy_from_slice(values);
+        self.dirty.clear();
     }
 }
 
@@ -253,22 +256,17 @@ mod tests {
     }
 
     #[test]
-    fn canonical_strips_dirty() {
-        let mut m = Marking::new(&[0]);
-        m.set(pid(0), 1);
-        let c = m.canonical();
-        assert_eq!(c.values(), &[1]);
-        assert_eq!(c.dirty_len(), 0);
-    }
-
-    #[test]
-    fn equality_ignores_nothing_but_values() {
-        // Two markings with same values but different dirty logs are equal
-        // only in canonical form; the simulator always compares canonical
-        // markings.
+    fn assign_copies_values_and_clears_dirty() {
+        // Equality compares the dirty log too: two markings with the same
+        // values are equal only once `assign` has cleared the log.
         let a = Marking::new(&[1, 2]);
         let mut b = Marking::new(&[1, 0]);
-        b.set(PlaceId(1), 2);
-        assert_eq!(a, b.canonical());
+        b.set(pid(1), 2);
+        assert_ne!(a, b);
+        b.assign(&[1, 2]);
+        assert_eq!(b.dirty_len(), 0);
+        assert_eq!(a, b);
+        b.assign(&[0, 5]);
+        assert_eq!(b.values(), &[0, 5]);
     }
 }

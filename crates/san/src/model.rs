@@ -136,6 +136,12 @@ impl Activity {
         self.cases.iter().map(|c| (c.weight)(marking)).collect()
     }
 
+    /// [`Activity::case_weights`] into a reused buffer (cleared first).
+    pub(crate) fn case_weights_into(&self, marking: &Marking, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.cases.iter().map(|c| (c.weight)(marking)));
+    }
+
     /// Whether the activity fires in zero time.
     pub fn is_instantaneous(&self) -> bool {
         matches!(self.timing, Timing::Instantaneous)

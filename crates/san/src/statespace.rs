@@ -9,12 +9,23 @@
 //! instantaneous firings (uniform choice among enabled activities, case
 //! weights within an activity) until only *tangible* markings remain,
 //! accumulating path probabilities.
+//!
+//! The successor loop allocates nothing per successor. Each timed firing
+//! goes into a reused scratch [`Marking`]; one resolver (`Resolver`)
+//! resolves it, and the initial marking, over a flat `i32` work stack with
+//! reused buffers, so a tangible successor costs one pop; and the interner
+//! canonicalizes into one reused buffer and looks the state up by
+//! `&[i32]`. Only a newly found state allocates its stored copy. The
+//! floating-point work is the textbook order, kept exactly: states are
+//! numbered in breadth-first first-encounter order, a cascade pops last in
+//! first out and merges its outcomes in first-encounter order, and each
+//! rate is `rate * (w / total) * p`.
 
 use crate::marking::Marking;
 use crate::model::{ActivityId, San, SanError, Timing};
 use crate::sym::SymmetrySpec;
 use itua_markov::ctmc::{Ctmc, CtmcError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Maximum depth of instantaneous-firing chains during vanishing-marking
@@ -109,54 +120,14 @@ impl StateSpace {
             }
         }
 
-        let mut index: HashMap<Marking, usize> = HashMap::new();
-        let mut markings: Vec<Marking> = Vec::new();
-        let mut orbit_sizes: Vec<u128> = Vec::new();
+        let mut states = Interner::new(sym, max_states, san.num_places());
+        let mut resolver = Resolver::new(san, max_states);
         let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
-        let mut frontier: VecDeque<usize> = VecDeque::new();
 
-        let intern = |m: Marking,
-                      markings: &mut Vec<Marking>,
-                      orbit_sizes: &mut Vec<u128>,
-                      index: &mut HashMap<Marking, usize>,
-                      frontier: &mut VecDeque<usize>|
-         -> Result<usize, SanError> {
-            let m = match sym {
-                Some(sym) => {
-                    let mut vals = m.values().to_vec();
-                    sym.canonicalize(&mut vals);
-                    Marking::new(&vals)
-                }
-                None => m,
-            };
-            if let Some(&i) = index.get(&m) {
-                return Ok(i);
-            }
-            if markings.len() >= max_states {
-                return Err(SanError::StateSpaceTooLarge(max_states));
-            }
-            let i = markings.len();
-            if let Some(sym) = sym {
-                orbit_sizes.push(sym.orbit_size(m.values()));
-            }
-            index.insert(m.clone(), i);
-            markings.push(m);
-            frontier.push_back(i);
-            Ok(i)
-        };
-
-        let init_marking = san.initial_marking().canonical();
-        let resolved = resolve_vanishing(san, &init_marking, max_states)?;
+        resolver.resolve(san.initial_marking().values())?;
         let mut initial = Vec::new();
-        for (m, p) in resolved {
-            let i = intern(
-                m,
-                &mut markings,
-                &mut orbit_sizes,
-                &mut index,
-                &mut frontier,
-            )?;
-            initial.push((i, p));
+        for (values, p) in resolver.outcomes() {
+            initial.push((states.intern(values)?, p));
         }
         // Merge duplicate initial entries.
         initial.sort_by_key(|&(i, _)| i);
@@ -169,18 +140,26 @@ impl StateSpace {
             }
         });
 
-        while let Some(s) = frontier.pop_front() {
-            let marking = markings[s].clone();
+        // The state being expanded, the scratch each of its firings starts
+        // from, and the case weights of the activity being fired.
+        let mut state = san.initial_marking();
+        let mut next = san.initial_marking();
+        let mut weights: Vec<f64> = Vec::new();
+        // States are expanded in the order they were interned, which is
+        // breadth-first order.
+        let mut s = 0;
+        while s < states.markings.len() {
+            state.assign(states.markings[s].values());
             for (_, act) in san.activities() {
                 let rate_fn = match act.timing() {
                     Timing::Exponential(r) => r,
                     Timing::Instantaneous => continue,
                     Timing::General(_) => unreachable!("checked above"),
                 };
-                if !act.enabled(&marking) {
+                if !act.enabled(&state) {
                     continue;
                 }
-                let rate = rate_fn(&marking);
+                let rate = rate_fn(&state);
                 if !(rate.is_finite() && rate >= 0.0) {
                     return Err(SanError::BadValue(act.name().to_owned()));
                 }
@@ -190,7 +169,7 @@ impl StateSpace {
                 // A NaN or infinite weight poisons the total; a negative
                 // one is caught where zero-weight cases are skipped, so the
                 // common path runs no extra test.
-                let weights = act.case_weights(&marking);
+                act.case_weights_into(&state, &mut weights);
                 let total: f64 = weights.iter().sum();
                 if !(total.is_finite() && total > 0.0) {
                     return Err(SanError::BadValue(act.name().to_owned()));
@@ -202,17 +181,11 @@ impl StateSpace {
                         }
                         continue;
                     }
-                    let mut next = marking.clone();
+                    next.assign(state.values());
                     act.fire(case, &mut next);
-                    let next = next.canonical();
-                    for (tangible, p) in resolve_vanishing(san, &next, max_states)? {
-                        let t = intern(
-                            tangible,
-                            &mut markings,
-                            &mut orbit_sizes,
-                            &mut index,
-                            &mut frontier,
-                        )?;
+                    resolver.resolve(next.values())?;
+                    for (values, p) in resolver.outcomes() {
+                        let t = states.intern(values)?;
                         // A transition into the state's own orbit is a
                         // self-loop — a no-op for CTMC dynamics — and is
                         // dropped, whether or not the space is lumped.
@@ -222,13 +195,14 @@ impl StateSpace {
                     }
                 }
             }
+            s += 1;
         }
 
         Ok(StateSpace {
-            markings,
+            markings: states.markings,
             transitions,
             initial,
-            orbit_sizes: sym.map(|_| orbit_sizes),
+            orbit_sizes: sym.map(|_| states.orbit_sizes),
         })
     }
 
@@ -336,75 +310,211 @@ impl StateSpace {
     }
 }
 
+/// The tangible states found so far, numbered in first-encounter order.
+struct Interner<'a> {
+    sym: Option<&'a SymmetrySpec>,
+    max_states: usize,
+    /// Stored marking values → state number. Lookup-only: numbers are
+    /// assigned from `markings.len()`, and the map is never iterated.
+    index: HashMap<Box<[i32]>, usize>,
+    markings: Vec<Marking>,
+    /// Orbit size of each state, when lumped.
+    orbit_sizes: Vec<u128>,
+    /// The buffer a marking is canonicalized in before it is looked up.
+    canon: Vec<i32>,
+}
+
+impl<'a> Interner<'a> {
+    fn new(sym: Option<&'a SymmetrySpec>, max_states: usize, num_places: usize) -> Self {
+        Interner {
+            sym,
+            max_states,
+            index: HashMap::new(),
+            markings: Vec::new(),
+            orbit_sizes: Vec::new(),
+            canon: vec![0; num_places],
+        }
+    }
+
+    /// The number of the state `values` stands for (its orbit's canonical
+    /// representative, when lumped), interning it first if it is new.
+    fn intern(&mut self, values: &[i32]) -> Result<usize, SanError> {
+        let key = match self.sym {
+            Some(sym) => {
+                self.canon.copy_from_slice(values);
+                sym.canonicalize(&mut self.canon);
+                &self.canon[..]
+            }
+            None => values,
+        };
+        if let Some(&i) = self.index.get(key) {
+            return Ok(i);
+        }
+        if self.markings.len() >= self.max_states {
+            return Err(SanError::StateSpaceTooLarge(self.max_states));
+        }
+        let i = self.markings.len();
+        if let Some(sym) = self.sym {
+            self.orbit_sizes.push(sym.orbit_size(key));
+        }
+        self.index.insert(key.into(), i);
+        self.markings.push(Marking::new(key));
+        Ok(i)
+    }
+}
+
 /// Distributes a marking over its tangible successors: follows enabled
 /// instantaneous activities (uniform among activities, weight-proportional
 /// among cases) until no instantaneous activity is enabled.
-fn resolve_vanishing(
-    san: &San,
-    marking: &Marking,
+///
+/// Every buffer is kept across calls, so a resolution allocates nothing
+/// once the buffers have grown to the widest cascade seen.
+struct Resolver<'a> {
+    san: &'a San,
     max_states: usize,
-) -> Result<Vec<(Marking, f64)>, SanError> {
-    let budget = vanishing_budget(max_states);
-    let mut pops = 0usize;
-    let mut result: Vec<(Marking, f64)> = Vec::new();
-    // Reused across pops; the same "enabled instantaneous activities of a
-    // marking" definition the simulator's enabling index maintains.
-    let mut enabled: Vec<ActivityId> = Vec::new();
-    // Work queue of (marking, probability, depth).
-    let mut work: Vec<(Marking, f64, usize)> = vec![(marking.clone(), 1.0, 0)];
-    while let Some((m, p, depth)) = work.pop() {
-        pops += 1;
-        if pops > budget {
-            return Err(SanError::StateSpaceTooLarge(max_states));
+    /// Pops allowed per resolution ([`vanishing_budget`]).
+    budget: usize,
+    /// Places per marking.
+    width: usize,
+    /// Pending markings, `width` values each, popped last in first out.
+    stack: Vec<i32>,
+    /// Probability and firing depth of each pending marking.
+    pending: Vec<(f64, usize)>,
+    /// The popped marking, and the scratch each of its firings starts from.
+    popped: Marking,
+    next: Marking,
+    enabled: Vec<ActivityId>,
+    weights: Vec<f64>,
+    /// Tangible markings in the order they were popped, `width` values
+    /// each, and the probability of the path to each.
+    reached: Vec<i32>,
+    reached_p: Vec<f64>,
+    /// Indices into `reached`, sorted to find equal markings.
+    order: Vec<usize>,
+    /// The merged outcomes in first-encounter order: the index in
+    /// `reached` of each distinct marking's first encounter, and its
+    /// summed probability.
+    merged: Vec<(usize, f64)>,
+}
+
+impl<'a> Resolver<'a> {
+    fn new(san: &'a San, max_states: usize) -> Self {
+        Resolver {
+            san,
+            max_states,
+            budget: vanishing_budget(max_states),
+            width: san.num_places(),
+            stack: Vec::new(),
+            pending: Vec::new(),
+            popped: san.initial_marking(),
+            next: san.initial_marking(),
+            enabled: Vec::new(),
+            weights: Vec::new(),
+            reached: Vec::new(),
+            reached_p: Vec::new(),
+            order: Vec::new(),
+            merged: Vec::new(),
         }
-        if depth > MAX_VANISHING_DEPTH {
-            return Err(SanError::Unstabilized {
-                marking: m.values().to_vec(),
-            });
-        }
-        san.enabled_instantaneous_into(&m, &mut enabled);
-        if enabled.is_empty() {
-            result.push((m, p));
-            continue;
-        }
-        let share = p / enabled.len() as f64;
-        for &id in &enabled {
-            let act = san.activity(id);
-            let weights = act.case_weights(&m);
-            let total: f64 = weights.iter().sum();
-            if !(total.is_finite() && total > 0.0) {
-                return Err(SanError::BadValue(act.name().to_owned()));
+    }
+
+    /// Resolves the marking `start`; [`Resolver::outcomes`] then lists
+    /// its tangible outcomes.
+    fn resolve(&mut self, start: &[i32]) -> Result<(), SanError> {
+        let width = self.width;
+        self.stack.clear();
+        self.stack.extend_from_slice(start);
+        self.pending.clear();
+        self.pending.push((1.0, 0));
+        self.reached.clear();
+        self.reached_p.clear();
+        let mut pops = 0usize;
+        while let Some((p, depth)) = self.pending.pop() {
+            let top = self.stack.len() - width;
+            self.popped.assign(&self.stack[top..]);
+            self.stack.truncate(top);
+            pops += 1;
+            if pops > self.budget {
+                return Err(SanError::StateSpaceTooLarge(self.max_states));
             }
-            for (case, &w) in weights.iter().enumerate() {
-                if w <= 0.0 {
-                    if w < 0.0 {
-                        return Err(SanError::BadValue(act.name().to_owned()));
-                    }
-                    continue;
+            if depth > MAX_VANISHING_DEPTH {
+                return Err(SanError::Unstabilized {
+                    marking: self.popped.values().to_vec(),
+                });
+            }
+            // The same "enabled instantaneous activities of a marking"
+            // definition the simulator's enabling index maintains.
+            self.san
+                .enabled_instantaneous_into(&self.popped, &mut self.enabled);
+            if self.enabled.is_empty() {
+                self.reached.extend_from_slice(self.popped.values());
+                self.reached_p.push(p);
+                continue;
+            }
+            let share = p / self.enabled.len() as f64;
+            for &id in &self.enabled {
+                let act = self.san.activity(id);
+                act.case_weights_into(&self.popped, &mut self.weights);
+                let total: f64 = self.weights.iter().sum();
+                if !(total.is_finite() && total > 0.0) {
+                    return Err(SanError::BadValue(act.name().to_owned()));
                 }
-                let mut next = m.clone();
-                act.fire(case, &mut next);
-                work.push((next.canonical(), share * (w / total), depth + 1));
+                for (case, &w) in self.weights.iter().enumerate() {
+                    if w <= 0.0 {
+                        if w < 0.0 {
+                            return Err(SanError::BadValue(act.name().to_owned()));
+                        }
+                        continue;
+                    }
+                    self.next.assign(self.popped.values());
+                    act.fire(case, &mut self.next);
+                    self.stack.extend_from_slice(self.next.values());
+                    self.pending.push((share * (w / total), depth + 1));
+                }
             }
         }
+        self.merge();
+        Ok(())
     }
-    // Merge identical tangible markings, keeping first-encounter order:
-    // a randomly-seeded HashMap iteration here would scramble state
-    // numbering (and thus floating-point summation order) from run to
-    // run, breaking the byte-identical result stores the analytic
-    // backend promises.
-    let mut index: HashMap<Marking, usize> = HashMap::new();
-    let mut merged: Vec<(Marking, f64)> = Vec::new();
-    for (m, p) in result {
-        match index.get(&m) {
-            Some(&i) => merged[i].1 += p,
-            None => {
-                index.insert(m.clone(), merged.len());
-                merged.push((m, p));
+
+    /// Merges identical reached markings, keeping first-encounter order
+    /// and summing each marking's probabilities in encounter order. Both
+    /// orders are load-bearing: outcomes are interned in this order, so
+    /// it fixes the state numbering and with it every later summation
+    /// order, which the byte-identical analytic stores rely on. Sorting
+    /// the indices by (marking, index) puts each marking's encounters
+    /// side by side in encounter order, so the merge is O(k log k) in the
+    /// k markings reached.
+    fn merge(&mut self) {
+        let (width, reached) = (self.width, &self.reached);
+        let at = |i: usize| &reached[i * width..(i + 1) * width];
+        let n = self.reached_p.len();
+        self.order.clear();
+        self.order.extend(0..n);
+        self.order
+            .sort_unstable_by(|&a, &b| at(a).cmp(at(b)).then(a.cmp(&b)));
+        self.merged.clear();
+        let mut k = 0;
+        while k < n {
+            let first = self.order[k];
+            let mut p = self.reached_p[first];
+            k += 1;
+            while k < n && at(self.order[k]) == at(first) {
+                p += self.reached_p[self.order[k]];
+                k += 1;
             }
+            self.merged.push((first, p));
         }
+        self.merged.sort_unstable_by_key(|&(first, _)| first);
     }
-    Ok(merged)
+
+    /// The tangible outcomes of the last [`Resolver::resolve`]: distinct
+    /// markings in first-encounter order, with their probabilities.
+    fn outcomes(&self) -> impl Iterator<Item = (&[i32], f64)> + '_ {
+        let width = self.width;
+        self.merged
+            .iter()
+            .map(move |&(i, p)| (&self.reached[i * width..(i + 1) * width], p))
+    }
 }
 
 #[cfg(test)]
@@ -600,6 +710,76 @@ mod tests {
             StateSpace::generate(&san, 100),
             Err(SanError::StateSpaceTooLarge(100))
         ));
+    }
+
+    /// A timed `go` at rate `lambda` that puts a token on `x` and on `y`,
+    /// enabling two instantaneous activities at once: `fx` moves `x` to
+    /// `dx` and `fy` moves `y` to `dy`. With `contended`, both also need
+    /// the single token on `lock`, so whichever fires first disables the
+    /// other and the two firing orders reach different tangible markings.
+    fn two_instantaneous(lambda: f64, contended: bool) -> StdArc<San> {
+        let mut b = SanBuilder::new("pair");
+        let start = b.place("start", 1);
+        let x = b.place("x", 0);
+        let y = b.place("y", 0);
+        let dx = b.place("dx", 0);
+        let dy = b.place("dy", 0);
+        let lock = b.place("lock", 1);
+        b.timed_activity("go", lambda)
+            .input_arc(start, 1)
+            .output_arc(x, 1)
+            .output_arc(y, 1)
+            .build()
+            .unwrap();
+        for (name, from, to) in [("fx", x, dx), ("fy", y, dy)] {
+            let act = b.instantaneous_activity(name).input_arc(from, 1);
+            let act = if contended {
+                act.input_arc(lock, 1)
+            } else {
+                act
+            };
+            act.output_arc(to, 1).build().unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn commuting_cascade_merges_into_one_transition_at_the_full_rate() {
+        // Both firing orders of `fx` and `fy` land on dx = dy = 1, each
+        // with probability 1/2: the cascade merges them into one tangible
+        // successor of probability exactly 1.
+        let lambda = 0.3;
+        let san = two_instantaneous(lambda, false);
+        let ss = StateSpace::generate(&san, 100).unwrap();
+        assert_eq!(ss.num_states(), 2);
+        assert_eq!(ss.marking(1).values(), &[0, 0, 0, 1, 1, 1]);
+        assert_eq!(ss.transitions().len(), 1);
+        let (from, to, rate) = ss.transitions()[0];
+        assert_eq!((from, to), (0, 1));
+        assert_eq!(rate.to_bits(), lambda.to_bits());
+    }
+
+    #[test]
+    fn diverging_cascade_keeps_first_encounter_order() {
+        // The firing orders reach different markings. The cascade pops
+        // last-in first-out and `fy` (the higher activity id) is pushed
+        // last, so its outcome is met, interned and listed first.
+        let lambda = 3.0;
+        let san = two_instantaneous(lambda, true);
+        let ss = StateSpace::generate(&san, 100).unwrap();
+        assert_eq!(ss.num_states(), 3);
+        assert_eq!(ss.marking(1).values(), &[0, 1, 0, 0, 1, 0]);
+        assert_eq!(ss.marking(2).values(), &[0, 0, 1, 1, 0, 0]);
+        // `rate * (w / total) * p` with one case (w / total = 1) and a
+        // path probability of 1/2.
+        let half = lambda * 0.5;
+        let got: Vec<(usize, usize, u64)> = ss
+            .transitions()
+            .iter()
+            .map(|&(f, t, r)| (f, t, r.to_bits()))
+            .collect();
+        assert_eq!(got, vec![(0, 1, half.to_bits()), (0, 2, half.to_bits())]);
+        assert_eq!(half + half, lambda);
     }
 
     /// One activity from `p` with `case_fn` weights `[2.0, -1.0]`: a

@@ -24,6 +24,8 @@
 //! target orbit yields the quotient CTMC, and any orbit-invariant reward
 //! is solved exactly on it.
 
+use std::cmp::Ordering;
+
 // ---------------------------------------------------------------------
 // Symmetry specification
 // ---------------------------------------------------------------------
@@ -146,8 +148,16 @@ impl SymmetrySpec {
 
     /// Rewrites `values` in place to the lexicographically least member of
     /// its orbit: blocks are sorted within each unit, then units are
-    /// sorted by their full value key. Idempotent, and invariant under
-    /// any permutation of units or of blocks within a unit.
+    /// sorted by their full value key (shared values, then block values in
+    /// slot order). Idempotent, and invariant under any permutation of
+    /// units or of blocks within a unit.
+    ///
+    /// Both sorts are insertion sorts that compare slots through their
+    /// place indices and swap whole slots in `values`, so a call allocates
+    /// nothing. Slots are few (hosts per domain, domains, replicas per
+    /// application), and the successors the state-space generator passes
+    /// in are usually sorted already, which costs one comparison per
+    /// adjacent pair.
     ///
     /// # Panics
     ///
@@ -159,35 +169,9 @@ impl SymmetrySpec {
         );
         for g in &self.groups {
             for u in &g.units {
-                if u.blocks.len() > 1 {
-                    let mut blocks: Vec<Vec<i32>> = u
-                        .blocks
-                        .iter()
-                        .map(|b| b.iter().map(|&p| values[p]).collect())
-                        .collect();
-                    blocks.sort_unstable();
-                    for (slot, vals) in u.blocks.iter().zip(&blocks) {
-                        for (&p, &x) in slot.iter().zip(vals) {
-                            values[p] = x;
-                        }
-                    }
-                }
+                insertion_sort(values, &u.blocks);
             }
-            if g.units.len() > 1 {
-                let mut keys: Vec<Vec<i32>> = g.units.iter().map(|u| unit_key(u, values)).collect();
-                keys.sort_unstable();
-                for (u, k) in g.units.iter().zip(&keys) {
-                    let mut it = k.iter();
-                    for &p in &u.shared {
-                        values[p] = *it.next().expect("key length matches unit");
-                    }
-                    for b in &u.blocks {
-                        for &p in b {
-                            values[p] = *it.next().expect("key length matches unit");
-                        }
-                    }
-                }
-            }
+            insertion_sort(values, &g.units);
         }
     }
 
@@ -267,14 +251,47 @@ impl SymmetrySpec {
     }
 }
 
-/// Builds the per-unit sort key: shared values then block values in slot
-/// order (blocks are assumed already sorted by [`SymmetrySpec::canonicalize`]).
-fn unit_key(u: &SymmetryUnit, values: &[i32]) -> Vec<i32> {
-    let mut k: Vec<i32> = u.shared.iter().map(|&p| values[p]).collect();
-    for b in &u.blocks {
-        k.extend(b.iter().map(|&p| values[p]));
+/// A block or a unit: a slot whose places form one sort key.
+trait Slot {
+    /// The slot's place indices in key order. Congruent slots list the
+    /// same number of places, position for position.
+    fn places(&self) -> impl Iterator<Item = usize> + '_;
+}
+
+impl Slot for Vec<usize> {
+    fn places(&self) -> impl Iterator<Item = usize> + '_ {
+        self.iter().copied()
     }
-    k
+}
+
+impl Slot for SymmetryUnit {
+    /// Shared places, then every block's places in slot order.
+    fn places(&self) -> impl Iterator<Item = usize> + '_ {
+        self.shared
+            .iter()
+            .chain(self.blocks.iter().flatten())
+            .copied()
+    }
+}
+
+/// Sorts the congruent `slots` by the values at their places, in
+/// lexicographic order, by swapping whole slots in `values`.
+fn insertion_sort<S: Slot>(values: &mut [i32], slots: &[S]) {
+    for i in 1..slots.len() {
+        for j in (1..=i).rev() {
+            let (a, b) = (&slots[j - 1], &slots[j]);
+            let order = a
+                .places()
+                .map(|p| values[p])
+                .cmp(b.places().map(|p| values[p]));
+            if order != Ordering::Greater {
+                break;
+            }
+            for (p, q) in a.places().zip(b.places()) {
+                values.swap(p, q);
+            }
+        }
+    }
 }
 
 /// `n! / Π(run lengths)!` for a *sorted* slice — the number of distinct

@@ -5,6 +5,7 @@ use itua_san::marking::Marking;
 use itua_san::model::{SanBuilder, SanError};
 use itua_san::simulator::SanSimulator;
 use itua_san::statespace::StateSpace;
+use itua_san::sym::{SymmetryGroup, SymmetrySpec, SymmetryUnit};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -238,5 +239,143 @@ proptest! {
             (0..k).fold(1usize, |acc, i| acc * (n - i) / (i + 1))
         };
         prop_assert_eq!(ss.num_states(), expected);
+    }
+
+    /// `canonicalize` maps every member of an orbit to one representative
+    /// in sorted form, and `orbit_size` is an orbit invariant, on random
+    /// specs: 1–2 groups of 1–4 units, each with 0–2 shared places and
+    /// 0–4 blocks of 1–3 places, over a shuffled place numbering with up
+    /// to two ungrouped places. Values are drawn from {0, 1, 2}, so equal
+    /// blocks and equal units are common.
+    #[test]
+    fn canonicalize_picks_one_sorted_member_of_the_orbit(
+        shapes in prop::collection::vec((1usize..5, 0usize..3, 0usize..5, 1usize..4), 1..3),
+        ungrouped in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SplitMix(seed);
+        let num_places = ungrouped
+            + shapes
+                .iter()
+                .map(|&(units, shared, blocks, len)| units * (shared + blocks * len))
+                .sum::<usize>();
+        let mut order: Vec<usize> = (0..num_places).collect();
+        rng.shuffle(&mut order);
+        let mut next = order.into_iter();
+        let mut take = |n: usize| next.by_ref().take(n).collect::<Vec<usize>>();
+        let groups: Vec<SymmetryGroup> = shapes
+            .iter()
+            .map(|&(units, shared, blocks, len)| SymmetryGroup {
+                units: (0..units)
+                    .map(|_| SymmetryUnit {
+                        shared: take(shared),
+                        blocks: (0..blocks).map(|_| take(len)).collect(),
+                    })
+                    .collect(),
+            })
+            .collect();
+        let spec = SymmetrySpec::new(num_places, groups.clone()).unwrap();
+        let values: Vec<i32> = (0..num_places).map(|_| rng.below(3) as i32).collect();
+
+        let mut canon = values.clone();
+        spec.canonicalize(&mut canon);
+        let mut again = canon.clone();
+        spec.canonicalize(&mut again);
+        prop_assert_eq!(&again, &canon, "not idempotent");
+
+        // A random group element: permute the units of every group, and
+        // the blocks within every unit.
+        let mut image = values.clone();
+        for g in &groups {
+            let mut units: Vec<usize> = (0..g.units.len()).collect();
+            rng.shuffle(&mut units);
+            for (from, &to) in g.units.iter().zip(&units) {
+                let to = &g.units[to];
+                for (&p, &q) in from.shared.iter().zip(&to.shared) {
+                    image[q] = values[p];
+                }
+                let mut blocks: Vec<usize> = (0..from.blocks.len()).collect();
+                rng.shuffle(&mut blocks);
+                for (block, &b) in from.blocks.iter().zip(&blocks) {
+                    for (&p, &q) in block.iter().zip(&to.blocks[b]) {
+                        image[q] = values[p];
+                    }
+                }
+            }
+        }
+        let mut image_canon = image.clone();
+        spec.canonicalize(&mut image_canon);
+        prop_assert_eq!(&image_canon, &canon, "orbit members canonicalize apart");
+        prop_assert_eq!(spec.orbit_size(&image), spec.orbit_size(&values));
+        prop_assert_eq!(spec.orbit_size(&canon), spec.orbit_size(&values));
+
+        // The representative is sorted: blocks within a unit, then units
+        // by their key (shared values, then block values in slot order).
+        let gather = |places: &[usize]| places.iter().map(|&p| canon[p]).collect::<Vec<i32>>();
+        for g in &groups {
+            let mut keys = Vec::new();
+            for u in &g.units {
+                let blocks: Vec<Vec<i32>> = u.blocks.iter().map(|b| gather(b)).collect();
+                prop_assert!(blocks.windows(2).all(|w| w[0] <= w[1]), "blocks out of order");
+                let mut key = gather(&u.shared);
+                key.extend(blocks.concat());
+                keys.push(key);
+            }
+            prop_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "units out of order");
+        }
+
+        // And it is a member of the orbit: every unit's shared values
+        // and multiset of blocks survive, as do the ungrouped places.
+        let contents = |v: &[i32], g: &SymmetryGroup| {
+            let mut units: Vec<(Vec<i32>, Vec<Vec<i32>>)> = g
+                .units
+                .iter()
+                .map(|u| {
+                    let mut blocks: Vec<Vec<i32>> =
+                        u.blocks.iter().map(|b| b.iter().map(|&p| v[p]).collect()).collect();
+                    blocks.sort();
+                    (u.shared.iter().map(|&p| v[p]).collect(), blocks)
+                })
+                .collect();
+            units.sort();
+            units
+        };
+        for g in &groups {
+            prop_assert_eq!(contents(&canon, g), contents(&values, g));
+        }
+        let grouped: Vec<usize> = groups
+            .iter()
+            .flat_map(|g| g.units.iter())
+            .flat_map(|u| u.shared.iter().chain(u.blocks.iter().flatten()))
+            .copied()
+            .collect();
+        for p in (0..num_places).filter(|p| !grouped.contains(p)) {
+            prop_assert_eq!(canon[p], values[p]);
+        }
+    }
+}
+
+/// SplitMix64, for the shuffles and values of one generated case.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// Fisher–Yates.
+    fn shuffle<T>(&mut self, xs: &mut [T]) {
+        for i in (1..xs.len()).rev() {
+            let j = self.below(i + 1);
+            xs.swap(i, j);
+        }
     }
 }
