@@ -20,9 +20,12 @@
 //!   headline point; structural, deterministic, and gated at ≥ 20 by
 //!   `cargo xtask bench-json --check`.
 //! * `build_ms` / `solve_ms` — wall-clock for lumped state-space +
-//!   CTMC construction and for the uniformization solve; compared
-//!   against the committed baseline with the same regression factor as
-//!   the hot-path benchmark.
+//!   CTMC construction and for the uniformization solve at one thread;
+//!   `build_ms_2t` / `solve_ms_2t` the same at two threads (generation
+//!   and the solve on two-worker teams). Each is compared against the
+//!   committed baseline with the same regression factor as the hot-path
+//!   benchmark. The two thread counts must give bit-identical orbit
+//!   counts and measures.
 //! * `micro_max_rel_err` — the worst relative disagreement between the
 //!   lumped and unlumped solutions across every measure on a micro
 //!   configuration both can solve; gated at ≤ 1e-9 (the lumping is an
@@ -76,23 +79,58 @@ fn micro_params() -> Params {
     no_spread(2, 1, 1, 2)
 }
 
-fn build(params: &Params, lump: bool) -> ItuaAnalytic {
+fn build(params: &Params, lump: bool, threads: usize) -> ItuaAnalytic {
     ItuaAnalytic::with_options(
         params,
         &AnalyticOptions {
             max_states: MAX_STATES,
             lump,
-            threads: 1,
+            threads,
         },
     )
     .expect("configuration fits the lumped budget")
 }
 
+/// One timed lumped build and solve of `params` at `threads` threads.
+struct Run {
+    build_ms: f64,
+    solve_ms: f64,
+    lumped_states: usize,
+    full_states: u128,
+    unavailability: f64,
+    unreliability: f64,
+}
+
+fn run(params: &Params, threads: usize) -> Run {
+    let t0 = Instant::now();
+    let analytic = build(params, true, threads);
+    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t1 = Instant::now();
+    let solution = analytic
+        .solve(HORIZON, &[HORIZON], 0.95)
+        .expect("lumped headline solve");
+    let solve_ms = t1.elapsed().as_secs_f64() * 1e3;
+    Run {
+        build_ms,
+        solve_ms,
+        lumped_states: analytic.num_states(),
+        full_states: analytic
+            .full_state_total()
+            .expect("lumped backend records the unreduced total"),
+        unavailability: solution
+            .mean("unavailability")
+            .expect("unavailability measure"),
+        unreliability: solution
+            .mean("unreliability")
+            .expect("unreliability measure"),
+    }
+}
+
 /// Worst relative disagreement between lumped and unlumped solutions
 /// across every measure on the micro point.
 fn micro_max_rel_err() -> f64 {
-    let full = build(&micro_params(), false);
-    let lumped = build(&micro_params(), true);
+    let full = build(&micro_params(), false, 1);
+    let lumped = build(&micro_params(), true, 1);
     let a = full
         .solve(HORIZON, &[HORIZON], 0.95)
         .expect("unlumped micro solve");
@@ -128,26 +166,27 @@ fn main() {
         headline_params()
     };
 
-    let t0 = Instant::now();
-    let analytic = build(&params, true);
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let lumped_states = analytic.num_states();
-    let full_states = analytic
-        .full_state_total()
-        .expect("lumped backend records the unreduced total");
+    let one = run(&params, 1);
+    let two = run(&params, 2);
+    assert_eq!(
+        (two.lumped_states, two.full_states),
+        (one.lumped_states, one.full_states),
+        "orbit counts differ between one and two threads"
+    );
+    assert_eq!(
+        (two.unavailability.to_bits(), two.unreliability.to_bits()),
+        (one.unavailability.to_bits(), one.unreliability.to_bits()),
+        "measures differ between one and two threads"
+    );
+    let Run {
+        build_ms,
+        solve_ms,
+        lumped_states,
+        full_states,
+        unavailability,
+        unreliability,
+    } = one;
     let reduction = full_states as f64 / lumped_states as f64;
-
-    let t1 = Instant::now();
-    let solution = analytic
-        .solve(HORIZON, &[HORIZON], 0.95)
-        .expect("lumped headline solve");
-    let solve_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let unavailability = solution
-        .mean("unavailability")
-        .expect("unavailability measure");
-    let unreliability = solution
-        .mean("unreliability")
-        .expect("unreliability measure");
 
     let micro_err = micro_max_rel_err();
 
@@ -157,6 +196,8 @@ fn main() {
     );
     println!("  build                  {build_ms:.0} ms");
     println!("  solve                  {solve_ms:.0} ms");
+    println!("  build, 2 threads       {:.0} ms", two.build_ms);
+    println!("  solve, 2 threads       {:.0} ms", two.solve_ms);
     println!("  unavailability         {unavailability:.6e}");
     println!("  unreliability          {unreliability:.6e}");
     println!("  micro_max_rel_err      {micro_err:.3e}");
@@ -172,6 +213,8 @@ fn main() {
         ("reduction_factor".into(), reduction),
         ("build_ms".into(), build_ms),
         ("solve_ms".into(), solve_ms),
+        ("build_ms_2t".into(), two.build_ms),
+        ("solve_ms_2t".into(), two.solve_ms),
         ("unavailability".into(), unavailability),
         ("unreliability".into(), unreliability),
         ("micro_max_rel_err".into(), micro_err),

@@ -32,8 +32,10 @@ use std::str::FromStr;
 ///   ignores it),
 /// * `--seed S` — base seed,
 /// * `--csv` — also print the figure as CSV,
-/// * `--threads N` — worker threads (default: one per core; results are
-///   identical for every choice),
+/// * `--threads N` — worker threads: the simulators' replication workers,
+///   and for the analytic backend the teams that generate the state
+///   space and walk the uniformization (default: one per core; results
+///   are identical for every choice),
 /// * `--batch N` — replications per batched backend call (default 32;
 ///   purely an amortisation knob, results are identical for every
 ///   choice),
@@ -212,8 +214,9 @@ impl FigureCli {
         let runner = RunnerConfig::default()
             .with_threads(self.threads)
             .with_batch_size(self.batch_size);
-        // The analytic kernel is bit-identical at any thread count, so
-        // the simulators' worker count doubles as its matvec width.
+        // The analytic generator and kernel are bit-identical at any
+        // thread count, so the simulators' worker count doubles as their
+        // team size.
         let mut backend_opts = self.backend_opts;
         backend_opts.analytic_threads = runner.effective_threads();
         RunOpts {

@@ -632,15 +632,20 @@ pub struct OracleAgreement {
     pub max_rel_dev: f64,
 }
 
+/// Workers the [`oracle`] generates its chains on.
+const ORACLE_WORKERS: usize = 2;
+
 /// Checks exploration and generation against each other in one pass.
 /// Explores the model once unreduced and once under [`symmetry_spec`];
 /// orbit sizes must sum to the full state count (total and tangible) and
 /// the exact place bounds must agree. Then both state-space generators
 /// are compared with the explored graphs, vanishing states eliminated
-/// ([`reach::compare_generated`]): [`StateSpace::generate`] with the
-/// unreduced graph, [`StateSpace::generate_lumped`] with the quotient.
-/// Intended for micro configurations, where the full space fits the
-/// budget.
+/// ([`reach::compare_generated`]): the plain chain with the unreduced
+/// graph, the lumped chain with the quotient. Both chains are generated
+/// by [`StateSpace::explore`] on two workers, so the check covers the
+/// generator's worker team (which gives the same chain at any size, and
+/// runs inline on a one-core machine). Intended for micro
+/// configurations, where the full space fits the budget.
 ///
 /// # Errors
 ///
@@ -670,9 +675,9 @@ pub fn oracle(model: &ItuaSan, max_states: usize) -> Result<OracleAgreement, Str
     if quot.place_max != full.place_max {
         return Err("exact place bounds disagree between quotient and full explorer".to_owned());
     }
-    let plain = StateSpace::generate(&model.san, max_states)
+    let plain = StateSpace::explore(&model.san, None, max_states, ORACLE_WORKERS)
         .map_err(|e| format!("statespace generator failed: {e}"))?;
-    let lumped = StateSpace::generate_lumped(&model.san, &sym, max_states)
+    let lumped = StateSpace::explore(&model.san, Some(&sym), max_states, ORACLE_WORKERS)
         .map_err(|e| format!("lumped statespace generator failed: {e}"))?;
     let plain_dev = reach::compare_generated(&full, &plain)
         .map_err(|e| format!("statespace generator vs unreduced graph: {e}"))?;

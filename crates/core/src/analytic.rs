@@ -144,8 +144,9 @@ fn describe(params: &Params) -> String {
 ///
 /// Lumping changes *which* chain is solved (the exact symmetry quotient
 /// instead of the full tangible space), so it participates in sweep
-/// fingerprints; the thread count only sizes the worker team of the
-/// bit-identical uniformization walk and never influences results.
+/// fingerprints; the thread count only sizes the worker teams of the
+/// bit-identical state-space generation and uniformization walk, and
+/// never influences results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalyticOptions {
     /// Bound on generated states (lumped: orbits) before failing fast.
@@ -153,8 +154,8 @@ pub struct AnalyticOptions {
     /// Generate the chain in canonical orbit-representative form under
     /// [`crate::analysis::symmetry_spec`]. Exact; on by default.
     pub lump: bool,
-    /// Worker-team size for the uniformization walk (results are
-    /// bit-identical at any count).
+    /// Worker-team size for state-space generation and for the
+    /// uniformization walk (results are bit-identical at any count).
     pub threads: usize,
 }
 
@@ -168,12 +169,12 @@ impl Default for AnalyticOptions {
     }
 }
 
-/// Measures the lumped state count for `model` under the same budget, so
-/// a [`AnalyticError::TooLarge`] from the unlumped path can report whether
-/// `--lump` would have fit.
-fn lumped_probe(model: &ItuaSan, max_states: usize) -> Option<usize> {
+/// Measures the lumped state count for `model` under the same budget, on
+/// up to `threads` workers, so a [`AnalyticError::TooLarge`] from the
+/// unlumped path can report whether `--lump` would have fit.
+fn lumped_probe(model: &ItuaSan, max_states: usize, threads: usize) -> Option<usize> {
     let sym = crate::analysis::symmetry_spec(model);
-    StateSpace::generate_lumped(&model.san, &sym, max_states)
+    StateSpace::explore(&model.san, Some(&sym), max_states, threads)
         .ok()
         .map(|ss| ss.num_states())
 }
@@ -247,24 +248,20 @@ impl ItuaAnalytic {
     /// the same budget.
     pub fn with_options(params: &Params, opts: &AnalyticOptions) -> Result<Self, AnalyticError> {
         let model = san_model::build(params).map_err(AnalyticError::Build)?;
-        let ss = if opts.lump {
-            let sym = crate::analysis::symmetry_spec(&model);
-            StateSpace::generate_lumped(&model.san, &sym, opts.max_states)
-        } else {
-            StateSpace::generate(&model.san, opts.max_states)
-        }
-        .map_err(|e| match e {
-            SanError::StateSpaceTooLarge(max) => AnalyticError::TooLarge {
-                max_states: max,
-                config: describe(params),
-                lumped_fit: if opts.lump {
-                    None
-                } else {
-                    lumped_probe(&model, max)
+        let sym = opts.lump.then(|| crate::analysis::symmetry_spec(&model));
+        let ss = StateSpace::explore(&model.san, sym.as_ref(), opts.max_states, opts.threads)
+            .map_err(|e| match e {
+                SanError::StateSpaceTooLarge(max) => AnalyticError::TooLarge {
+                    max_states: max,
+                    config: describe(params),
+                    lumped_fit: if opts.lump {
+                        None
+                    } else {
+                        lumped_probe(&model, max, opts.threads)
+                    },
                 },
-            },
-            other => AnalyticError::San(other),
-        })?;
+                other => AnalyticError::San(other),
+            })?;
 
         let places = &model.places;
         let num_domains = params.num_domains as f64;

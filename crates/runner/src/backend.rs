@@ -320,8 +320,8 @@ pub struct BackendOptions {
     /// Solve the analytic backend on the symmetry-lumped chain (exact;
     /// the default).
     pub analytic_lump: bool,
-    /// Worker threads for the analytic uniformization kernel (results
-    /// are bit-identical at any count).
+    /// Worker threads for the analytic state-space generation and
+    /// uniformization kernel (results are bit-identical at any count).
     pub analytic_threads: usize,
 }
 

@@ -185,29 +185,23 @@ impl SymmetrySpec {
     ///
     /// Panics if `values` is shorter than the spec's place count.
     pub fn orbit_size(&self, values: &[i32]) -> u128 {
-        assert!(
-            values.len() >= self.num_places,
-            "marking too short for spec"
-        );
+        let mut canon = values.to_vec();
+        self.canonicalize(&mut canon);
+        self.canonical_orbit_size(&canon)
+    }
+
+    /// [`SymmetrySpec::orbit_size`] of a marking that
+    /// [`SymmetrySpec::canonicalize`] has left in canonical form. Equal
+    /// blocks of a unit, and equal units of a group, sit side by side
+    /// there, so each multiplicity is a run of equal adjacent slots,
+    /// counted in place without allocating.
+    pub(crate) fn canonical_orbit_size(&self, canon: &[i32]) -> u128 {
         let mut orbit = 1u128;
         for g in &self.groups {
-            let mut keys: Vec<Vec<i32>> = Vec::with_capacity(g.units.len());
             for u in &g.units {
-                let mut blocks: Vec<Vec<i32>> = u
-                    .blocks
-                    .iter()
-                    .map(|b| b.iter().map(|&p| values[p]).collect())
-                    .collect();
-                blocks.sort_unstable();
-                orbit = orbit.saturating_mul(distinct_arrangements(&blocks));
-                let mut k: Vec<i32> = u.shared.iter().map(|&p| values[p]).collect();
-                for b in &blocks {
-                    k.extend_from_slice(b);
-                }
-                keys.push(k);
+                orbit = orbit.saturating_mul(distinct_arrangements(canon, &u.blocks));
             }
-            keys.sort_unstable();
-            orbit = orbit.saturating_mul(distinct_arrangements(&keys));
+            orbit = orbit.saturating_mul(distinct_arrangements(canon, &g.units));
         }
         orbit
     }
@@ -294,20 +288,23 @@ fn insertion_sort<S: Slot>(values: &mut [i32], slots: &[S]) {
     }
 }
 
-/// `n! / Π(run lengths)!` for a *sorted* slice — the number of distinct
-/// arrangements of its elements. Saturating.
-fn distinct_arrangements<T: Eq>(sorted: &[T]) -> u128 {
-    let mut total = 0usize;
+/// `n! / Π(run lengths)!` for `n` sorted congruent `slots`, where a run
+/// is a stretch of adjacent slots with equal values: the number of
+/// distinct arrangements of the slots. Saturating.
+fn distinct_arrangements<S: Slot>(values: &[i32], slots: &[S]) -> u128 {
+    let same = |a: &S, b: &S| {
+        a.places()
+            .map(|p| values[p])
+            .eq(b.places().map(|p| values[p]))
+    };
     let mut out = 1u128;
     let mut i = 0;
-    while i < sorted.len() {
+    while i < slots.len() {
         let mut j = i + 1;
-        while j < sorted.len() && sorted[j] == sorted[i] {
+        while j < slots.len() && same(&slots[i], &slots[j]) {
             j += 1;
         }
-        let run = j - i;
-        total += run;
-        out = out.saturating_mul(binomial(total, run));
+        out = out.saturating_mul(binomial(j, j - i));
         i = j;
     }
     out

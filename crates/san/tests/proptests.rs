@@ -246,7 +246,9 @@ proptest! {
     /// specs: 1–2 groups of 1–4 units, each with 0–2 shared places and
     /// 0–4 blocks of 1–3 places, over a shuffled place numbering with up
     /// to two ungrouped places. Values are drawn from {0, 1, 2}, so equal
-    /// blocks and equal units are common.
+    /// blocks and equal units are common. Where every group has at most 3
+    /// units of at most 3 blocks, `orbit_size` must also equal the number
+    /// of distinct markings found by enumerating the whole group.
     #[test]
     fn canonicalize_picks_one_sorted_member_of_the_orbit(
         shapes in prop::collection::vec((1usize..5, 0usize..3, 0usize..5, 1usize..4), 1..3),
@@ -308,6 +310,12 @@ proptest! {
         prop_assert_eq!(&image_canon, &canon, "orbit members canonicalize apart");
         prop_assert_eq!(spec.orbit_size(&image), spec.orbit_size(&values));
         prop_assert_eq!(spec.orbit_size(&canon), spec.orbit_size(&values));
+        if groups.iter().all(|g| g.units.len() <= 3 && g.units[0].blocks.len() <= 3) {
+            // Groups act on disjoint places, so the orbit is the product
+            // of the groups' orbits.
+            let enumerated: u128 = groups.iter().map(|g| orbit_by_enumeration(&values, g)).product();
+            prop_assert_eq!(spec.orbit_size(&values), enumerated);
+        }
 
         // The representative is sorted: blocks within a unit, then units
         // by their key (shared values, then block values in slot order).
@@ -353,6 +361,63 @@ proptest! {
             prop_assert_eq!(canon[p], values[p]);
         }
     }
+}
+
+/// The number of distinct markings of `g`'s places that `values` is
+/// mapped to by every permutation of `g`'s units combined with every
+/// permutation of the blocks within each unit: its orbit size, by
+/// enumeration.
+fn orbit_by_enumeration(values: &[i32], g: &SymmetryGroup) -> u128 {
+    let unit_perms = permutations(g.units.len());
+    let block_perms = permutations(g.units[0].blocks.len());
+    let places: Vec<usize> = g
+        .units
+        .iter()
+        .flat_map(|u| u.shared.iter().chain(u.blocks.iter().flatten()))
+        .copied()
+        .collect();
+    let mut images = std::collections::BTreeSet::new();
+    for units in &unit_perms {
+        // The block permutation of each unit, counted like an odometer.
+        let mut blocks = vec![0; g.units.len()];
+        loop {
+            let mut image = values.to_vec();
+            for (u, from) in g.units.iter().enumerate() {
+                let to = &g.units[units[u]];
+                for (&p, &q) in from.shared.iter().zip(&to.shared) {
+                    image[q] = values[p];
+                }
+                for (b, block) in from.blocks.iter().enumerate() {
+                    for (&p, &q) in block.iter().zip(&to.blocks[block_perms[blocks[u]][b]]) {
+                        image[q] = values[p];
+                    }
+                }
+            }
+            images.insert(places.iter().map(|&p| image[p]).collect::<Vec<i32>>());
+            let Some(u) = (0..blocks.len()).find(|&u| blocks[u] + 1 < block_perms.len()) else {
+                break;
+            };
+            blocks[u] += 1;
+            blocks[..u].fill(0);
+        }
+    }
+    images.len() as u128
+}
+
+/// Every permutation of `0..n`.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for p in permutations(n - 1) {
+        for i in 0..n {
+            let mut q = p.clone();
+            q.insert(i, n - 1);
+            out.push(q);
+        }
+    }
+    out
 }
 
 /// SplitMix64, for the shuffles and values of one generated case.

@@ -16,8 +16,9 @@
 //!   (full tangible states per lumped orbit) must stay at or above
 //!   [`MIN_LUMPING_REDUCTION`], `current.micro_max_rel_err` (lumped vs
 //!   unlumped cross-check) at or below [`MAX_LUMPED_REL_ERR`], and the
-//!   `build_ms`/`solve_ms` wall-clock figures within
-//!   [`REGRESSION_FACTOR`] of their baselines.
+//!   `build_ms`/`solve_ms` wall-clock figures, one-thread and two-thread
+//!   (`build_ms_2t`/`solve_ms_2t`), within [`REGRESSION_FACTOR`] of
+//!   their baselines.
 //!
 //! The parser is deliberately minimal — xtask has no dependencies, and
 //! both files are written by the benches themselves as one-line objects
@@ -133,7 +134,7 @@ pub fn check_rare(text: &str) -> Result<Vec<String>, String> {
 
 /// Checks the analytic lumping file: the structural reduction and
 /// exactness gates plus a timing regression check on the build/solve
-/// wall-clock figures.
+/// wall-clock figures at one and two threads.
 ///
 /// Returns the list of violations (empty = clean).
 ///
@@ -159,7 +160,7 @@ pub fn check_analytic(text: &str) -> Result<Vec<String>, String> {
             "micro_max_rel_err {rel_err:.3e} above the {MAX_LUMPED_REL_ERR:.0e} ceiling"
         ));
     }
-    for name in ["build_ms", "solve_ms"] {
+    for name in ["build_ms", "solve_ms", "build_ms_2t", "solve_ms_2t"] {
         let (Some(cur), Some(base)) = (lookup(&current, name), lookup(&baseline, name)) else {
             // Before a baseline is recorded there is nothing to regress
             // against (mirrors check_san's new-scenario rule).
@@ -218,7 +219,7 @@ mod tests {
         assert_eq!(check_rare(bad).unwrap().len(), 1);
     }
 
-    const ANALYTIC: &str = r#"{"schema":"itua-analytic-lumped-v1","unit":"states, reduction factor, milliseconds, relative error","baseline":{"reduction_factor":163.2,"micro_max_rel_err":1.0e-12,"build_ms":16000.0,"solve_ms":138000.0},"current":{"reduction_factor":163.2,"micro_max_rel_err":1.0e-12,"build_ms":16500.0,"solve_ms":139000.0}}"#;
+    const ANALYTIC: &str = r#"{"schema":"itua-analytic-lumped-v1","unit":"states, reduction factor, milliseconds, relative error","baseline":{"reduction_factor":163.2,"micro_max_rel_err":1.0e-12,"build_ms":16000.0,"solve_ms":138000.0,"build_ms_2t":9000.0,"solve_ms_2t":80000.0},"current":{"reduction_factor":163.2,"micro_max_rel_err":1.0e-12,"build_ms":16500.0,"solve_ms":139000.0,"build_ms_2t":9500.0,"solve_ms_2t":81000.0}}"#;
 
     #[test]
     fn analytic_within_gates_is_clean() {
@@ -249,11 +250,22 @@ mod tests {
     }
 
     #[test]
+    fn analytic_two_thread_regression_is_flagged() {
+        let bad = ANALYTIC.replace("\"build_ms_2t\":9500.0", "\"build_ms_2t\":12000.0");
+        let violations = check_analytic(&bad).unwrap();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with("build_ms_2t:"), "{violations:?}");
+    }
+
+    #[test]
     fn analytic_missing_baseline_timings_are_ignored() {
         let text = ANALYTIC.replace(
-            "\"baseline\":{\"reduction_factor\":163.2,\"micro_max_rel_err\":1.0e-12,\"build_ms\":16000.0,\"solve_ms\":138000.0}",
+            "\"baseline\":{\"reduction_factor\":163.2,\"micro_max_rel_err\":1.0e-12,\"build_ms\":16000.0,\"solve_ms\":138000.0,\"build_ms_2t\":9000.0,\"solve_ms_2t\":80000.0}",
             "\"baseline\":{\"reduction_factor\":163.2,\"micro_max_rel_err\":1.0e-12}",
         );
+        assert_eq!(check_analytic(&text).unwrap(), Vec::<String>::new());
+        // A baseline recorded before the two-thread fields existed.
+        let text = ANALYTIC.replace(",\"build_ms_2t\":9000.0,\"solve_ms_2t\":80000.0}", "}");
         assert_eq!(check_analytic(&text).unwrap(), Vec::<String>::new());
     }
 

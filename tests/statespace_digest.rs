@@ -11,7 +11,9 @@
 //! floating-point order of a rate fails it.
 //!
 //! The configurations are the points the `exact-build` and `exact-stiff`
-//! benchmark workloads solve, read from their scenario files.
+//! benchmark workloads solve, read from their scenario files. Each chain
+//! is generated on one, two and four workers (capped at the machine's
+//! parallelism) and must give the same digest every time.
 
 use itua_repro::itua::{analysis, san_model};
 use itua_repro::runner::BackendKind;
@@ -64,17 +66,23 @@ fn digest(ss: &StateSpace) -> (usize, usize, u64) {
     (ss.num_states(), ss.transitions().len(), h.0)
 }
 
-/// Generates the first point of the scenario file `scn`, lumped or not.
-fn generate(scn: &str, lump: bool) -> StateSpace {
+/// The digest of the first point of the scenario file `scn`, generated
+/// lumped or not on `workers` workers.
+fn generated(scn: &str, lump: bool, workers: usize) -> (usize, usize, u64) {
     let scenario = FileScenario::parse(scn, "digest").expect("benchmark scenario parses");
     let point = scenario.points(BackendKind::Analytic).remove(0);
     let model = san_model::build(&point.params).expect("model builds");
-    if lump {
-        StateSpace::generate_lumped(&model.san, &analysis::symmetry_spec(&model), 1_000_000)
-    } else {
-        StateSpace::generate(&model.san, 1_000_000)
+    let sym = lump.then(|| analysis::symmetry_spec(&model));
+    let ss = StateSpace::explore(&model.san, sym.as_ref(), 1_000_000, workers)
+        .expect("state space fits the budget");
+    digest(&ss)
+}
+
+/// Asserts that `scn` generates the pinned chain on 1, 2 and 4 workers.
+fn assert_pinned(scn: &str, lump: bool, pinned: (usize, usize, u64)) {
+    for workers in [1, 2, 4] {
+        assert_eq!(generated(scn, lump, workers), pinned, "{workers} workers");
     }
-    .expect("state space fits the budget")
 }
 
 const EXACT_BUILD: &str = include_str!("../examples/benchmark/workloads/exact-build.scn");
@@ -82,24 +90,15 @@ const EXACT_STIFF: &str = include_str!("../examples/benchmark/workloads/exact-st
 
 #[test]
 fn exact_build_lumped_chain_is_pinned() {
-    assert_eq!(
-        digest(&generate(EXACT_BUILD, true)),
-        (17_388, 153_540, 0xb150_6280_59f6_f94f)
-    );
+    assert_pinned(EXACT_BUILD, true, (17_388, 153_540, 0xb150_6280_59f6_f94f));
 }
 
 #[test]
 fn exact_stiff_lumped_chain_is_pinned() {
-    assert_eq!(
-        digest(&generate(EXACT_STIFF, true)),
-        (5_823, 48_258, 0x943e_3cd2_51f0_acaa)
-    );
+    assert_pinned(EXACT_STIFF, true, (5_823, 48_258, 0x943e_3cd2_51f0_acaa));
 }
 
 #[test]
 fn exact_stiff_unlumped_chain_is_pinned() {
-    assert_eq!(
-        digest(&generate(EXACT_STIFF, false)),
-        (20_331, 166_860, 0xac67_9bf5_982c_09b2)
-    );
+    assert_pinned(EXACT_STIFF, false, (20_331, 166_860, 0xac67_9bf5_982c_09b2));
 }
