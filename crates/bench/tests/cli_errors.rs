@@ -1,9 +1,10 @@
 //! User errors at the `itua` command line end in a message and exit
-//! code 2, never a panic: malformed flags, and replication counts too
-//! small for a confidence interval.
+//! code 2, never a panic: malformed flags, replication counts too small
+//! for a confidence interval, and horizons too long to uniformize.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 fn itua(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_itua"))
@@ -100,4 +101,23 @@ fn the_exact_backend_ignores_the_replication_count() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("±0.00000"), "{stdout}");
+}
+
+#[test]
+fn a_horizon_too_long_to_uniformize_exits_2_promptly() {
+    // Λ·t ≈ 1e300 is far past the uniformization bound: the run must fail
+    // at once, naming the time, instead of building a Poisson window.
+    let scn = micro_scn("huge-horizon", "horizon = 1e300\n");
+    let start = Instant::now();
+    let stderr = assert_user_error(&[
+        "run",
+        scn.to_str().unwrap(),
+        "--backend",
+        "analytic",
+        "--no-resume",
+        "--quiet",
+    ]);
+    assert!(start.elapsed() < Duration::from_secs(20), "{stderr}");
+    assert!(stderr.contains("time 1e300"), "{stderr}");
+    assert!(stderr.contains("too long to uniformize"), "{stderr}");
 }

@@ -11,20 +11,26 @@
 //! * [`Ctmc::steady_state`] — stationary distribution by Gauss–Seidel /
 //!   power iteration on the uniformized chain.
 //!
-//! All uniformization solvers run on one sparse kernel: a *gather*
+//! Every uniformization step, in the steady-state iteration and in the
+//! fused walk alike, runs one sparse kernel (`StepKernel`): a *gather*
 //! formulation of `y = xᵀ(I + Q/Λ)` over the transposed (incoming) CSR
-//! structure. Each output element accumulates its incoming terms in
-//! ascending-source order with the self-loop term merged in at `s == t` —
-//! the exact floating-point order the classic scatter formulation
+//! structure. Each row is split once at its diagonal position; an output
+//! element sums its incoming terms from sources below it, adds the
+//! precomputed self-loop term, then sums the terms from sources above it
+//! — the exact floating-point order the classic scatter formulation
 //! produces — so results are bit-identical to the scatter kernel, and to
-//! themselves at any thread count. The transient and reward solvers are
-//! thin wrappers over the fused walk of [`crate::uniformize`], which runs
-//! the kernel on a worker team spawned once per solve
+//! themselves at any thread count. The kernel has no data-dependent
+//! branch: zero terms are added, not skipped, which changes no bit (see
+//! `StepKernel::step_rows`). The transient and reward solvers are thin
+//! wrappers over the fused walk of [`crate::uniformize`], which runs the
+//! kernel on a worker team spawned once per solve
 //! ([`Ctmc::with_threads`]).
 
 use crate::sparse::{CsrMatrix, SparseError};
-use crate::uniformize::{self, Walk};
+use crate::uniformize::{self, load, Walk};
 use std::fmt;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Error from CTMC construction or solving.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +59,8 @@ pub enum CtmcError {
     /// probability vector).
     BadInitialDistribution,
     /// A time point was negative or non-finite, or so large that the
-    /// uniformized Poisson mean `Λ·t` overflows.
+    /// uniformized Poisson mean `Λ·t` exceeds
+    /// [`crate::poisson::MAX_LAMBDA_T`].
     BadTime(f64),
 }
 
@@ -75,7 +82,12 @@ impl fmt::Display for CtmcError {
                 )
             }
             CtmcError::BadInitialDistribution => write!(f, "invalid initial distribution"),
-            CtmcError::BadTime(t) => write!(f, "time {t} is not finite and nonnegative"),
+            CtmcError::BadTime(t) => write!(
+                f,
+                "time {t:?} is negative, not finite, or too long to uniformize \
+                 (Λ·t above {:e})",
+                crate::poisson::MAX_LAMBDA_T
+            ),
         }
     }
 }
@@ -197,46 +209,6 @@ impl Ctmc {
         &self.incoming
     }
 
-    /// One inline step of the uniformized DTMC, `y = xᵀ P` with
-    /// `P = I + Q/Λ`, written into the caller's buffer (every element
-    /// overwritten).
-    fn uniformized_step_into(&self, x: &[f64], lambda: f64, y: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.n);
-        debug_assert_eq!(y.len(), self.n);
-        for (t, yt) in y.iter_mut().enumerate() {
-            *yt = self.gather_row(t, |s| x[s], lambda);
-        }
-    }
-
-    /// Element `t` of `xᵀP`, reading the iterate through `x`.
-    ///
-    /// Accumulates the incoming terms in ascending-source order, with the
-    /// self-loop term `x[t]·(1 − E[t]/Λ)` merged in at the position
-    /// `s == t` — exactly the order in which the scatter formulation
-    /// (outer loop over sources) adds contributions to `y[t]`, including
-    /// its skip of zero-mass sources. Identical term order means identical
-    /// rounding, so gather and scatter agree bit for bit.
-    #[inline]
-    pub(crate) fn gather_row(&self, t: usize, x: impl Fn(usize) -> f64, lambda: f64) -> f64 {
-        let xt = x(t);
-        let mut acc = 0.0;
-        let mut self_term_pending = xt != 0.0;
-        for (s, r) in self.incoming.row(t) {
-            if self_term_pending && s > t {
-                acc += xt * (1.0 - self.exit_rates[t] / lambda);
-                self_term_pending = false;
-            }
-            let xs = x(s);
-            if xs != 0.0 {
-                acc += xs * r / lambda;
-            }
-        }
-        if self_term_pending {
-            acc += xt * (1.0 - self.exit_rates[t] / lambda);
-        }
-        acc
-    }
-
     /// The original scatter formulation of the uniformized step, kept as
     /// the oracle the gather kernel is tested against bit for bit.
     #[cfg(test)]
@@ -262,7 +234,8 @@ impl Ctmc {
     ///
     /// * [`CtmcError::BadInitialDistribution`] if `initial` does not sum
     ///   to ~1 or has the wrong length;
-    /// * [`CtmcError::BadTime`] if `t` is negative or not finite.
+    /// * [`CtmcError::BadTime`] if `t` is negative or not finite, or
+    ///   `Λ·t` exceeds [`crate::poisson::MAX_LAMBDA_T`].
     pub fn transient(&self, initial: &[f64], t: f64, epsilon: f64) -> Result<Vec<f64>, CtmcError> {
         let mut multi = self.transient_multi(initial, &[t], epsilon)?;
         Ok(multi
@@ -344,16 +317,23 @@ impl Ctmc {
     /// Returns [`CtmcError::NoConvergence`] if the L1 change between
     /// iterations has not dropped below `tol` within `max_iter` steps.
     pub fn steady_state(&self, tol: f64, max_iter: usize) -> Result<Vec<f64>, CtmcError> {
-        let lambda = self.uniformization_rate();
-        let mut x = vec![1.0 / self.n as f64; self.n];
-        let mut y = vec![0.0; self.n];
+        let kernel = StepKernel::new(self, self.uniformization_rate());
+        let uniform = (1.0 / self.n as f64).to_bits();
+        let mut x: Vec<AtomicU64> = (0..self.n).map(|_| AtomicU64::new(uniform)).collect();
+        let mut y: Vec<AtomicU64> = (0..self.n).map(|_| AtomicU64::new(0)).collect();
         let mut residual = f64::INFINITY;
         for _ in 0..max_iter {
-            self.uniformized_step_into(&x, lambda, &mut y);
-            residual = x.iter().zip(&y).map(|(a, b)| (a - b).abs()).sum::<f64>();
+            kernel.step_rows(0..self.n, &x, &y);
+            residual = (0..self.n)
+                .map(|s| (load(&x, s) - load(&y, s)).abs())
+                .sum::<f64>();
             std::mem::swap(&mut x, &mut y);
             if residual < tol {
                 // Renormalize against drift.
+                let mut x: Vec<f64> = x
+                    .into_iter()
+                    .map(|a| f64::from_bits(a.into_inner()))
+                    .collect();
                 let s: f64 = x.iter().sum();
                 for v in &mut x {
                     *v /= s;
@@ -454,9 +434,104 @@ impl Ctmc {
     }
 }
 
+/// One chain's uniformized step `y = xᵀP`, `P = I + Q/Λ`, laid out for
+/// the gather kernel [`StepKernel::step_rows`]: the incoming CSR, each
+/// row's split at its diagonal position and each state's self-loop
+/// probability. Built per walk (or per steady-state solve) and dropped
+/// with it.
+pub(crate) struct StepKernel<'a> {
+    row_ptr: &'a [usize],
+    /// Incoming sources, ascending within each row.
+    sources: &'a [usize],
+    /// Incoming rates, aligned with `sources`.
+    rates: &'a [f64],
+    lambda: f64,
+    /// Per row `t`: the position of its first incoming entry whose source
+    /// is above `t`. No source equals `t`: [`Ctmc::from_rates`] rejects
+    /// self-loops.
+    split: Vec<usize>,
+    /// Per state `t`: `1.0 - exit_rates[t] / lambda`, the self-loop
+    /// probability of the uniformized chain.
+    self_prob: Vec<f64>,
+}
+
+impl<'a> StepKernel<'a> {
+    /// The kernel for `chain`'s step at uniformization rate `lambda`.
+    pub(crate) fn new(chain: &'a Ctmc, lambda: f64) -> Self {
+        let (row_ptr, sources, rates) = chain.incoming.parts();
+        let split = row_ptr
+            .windows(2)
+            .enumerate()
+            .map(|(t, w)| w[0] + sources[w[0]..w[1]].partition_point(|&s| s < t))
+            .collect();
+        let self_prob = chain.exit_rates.iter().map(|e| 1.0 - e / lambda).collect();
+        StepKernel {
+            row_ptr,
+            sources,
+            rates,
+            lambda,
+            split,
+            self_prob,
+        }
+    }
+
+    /// Writes rows `rows` of `y = xᵀP`, reading the iterate `x` (f64
+    /// bits, as the walk's team shares them).
+    ///
+    /// Row `t` sums `x[s]·r/Λ` over its incoming entries with `s < t`,
+    /// adds `x[t]·self_prob[t]`, then sums the entries with `s > t`:
+    /// ascending-source order with the self term at the diagonal, which
+    /// is the order in which the scatter formulation (outer loop over
+    /// sources) adds contributions to `y[t]`. Identical term order means
+    /// identical rounding, so gather and scatter agree bit for bit.
+    ///
+    /// The scatter formulation skips a zero source; this kernel adds its
+    /// term instead, and no bit changes:
+    ///
+    /// * every stored rate `r` is positive and finite — the CSR drops
+    ///   zeros, and [`Ctmc::from_rates`] rejects negative and non-finite
+    ///   rates;
+    /// * `Λ = 1.02 · max exit` (1 for an all-absorbing chain) is positive,
+    ///   and finite on every path that takes a step and returns: the walk
+    ///   rejects an infinite `Λ·t`, and a steady-state iteration whose
+    ///   exit rates overflow turns NaN and fails to converge, skips or no
+    ///   skips;
+    /// * so a zero source contributes a zero term (`0·r/Λ`), and so does a
+    ///   zero `x[t]`, because `self_prob[t] ≥ 1 − 1/1.02 > 0`;
+    /// * iterates are nonnegative, so the accumulator starts at `+0.0`
+    ///   and only ever adds nonnegative terms: it is never `-0.0`, and
+    ///   adding a zero of either sign to it is exact.
+    ///
+    /// The test oracle and the proptests' reference step keep their skips.
+    pub(crate) fn step_rows(&self, rows: Range<usize>, x: &[AtomicU64], y: &[AtomicU64]) {
+        let lambda = self.lambda;
+        let per_row = self.row_ptr[rows.start..=rows.end]
+            .windows(2)
+            .zip(&self.split[rows.clone()])
+            .zip(&self.self_prob[rows.clone()])
+            .zip(&x[rows.clone()])
+            .zip(&y[rows]);
+        for ((((ends, &split), &self_prob), xt), yt) in per_row {
+            let (lo, hi) = (ends[0], ends[1]);
+            let (below, above) = self.sources[lo..hi].split_at(split - lo);
+            let (rates_below, rates_above) = self.rates[lo..hi].split_at(split - lo);
+            let mut acc = 0.0;
+            for (&s, &r) in below.iter().zip(rates_below) {
+                acc += load(x, s) * r / lambda;
+            }
+            acc += f64::from_bits(xt.load(Relaxed)) * self_prob;
+            for (&s, &r) in above.iter().zip(rates_above) {
+                acc += load(x, s) * r / lambda;
+            }
+            yt.store(acc.to_bits(), Relaxed);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Two-state repairable system: failure rate λ, repair rate μ.
     fn two_state(lambda: f64, mu: f64) -> Ctmc {
@@ -693,49 +768,94 @@ mod tests {
         assert!((p[0] - pi[0]).abs() < 1e-9);
     }
 
-    /// A deterministic pseudo-random chain: `n` states, ~`deg` outgoing
-    /// edges per state with LCG-derived targets and rates.
-    fn pseudo_random_chain(n: usize, deg: usize, seed: u64) -> Ctmc {
+    /// A pseudo-random chain on `n` states with up to `deg` outgoing edges
+    /// per state and rates spread over seven decades, shaped to reach
+    /// every case of the split-row kernel: each state keeps all of its
+    /// incoming edges, none, only those from sources below it (the split
+    /// at the row's end) or only those from above (the split at its
+    /// start), and about one state in four is absorbing.
+    fn shaped_chain(n: usize, deg: usize, seed: u64) -> Ctmc {
         let mut state = seed;
-        let mut next = || {
+        let mut next = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            state >> 33
+            (state >> 33) as usize
         };
+        let keep: Vec<usize> = (0..n).map(|_| next() % 4).collect();
+        let absorbing: Vec<bool> = (0..n).map(|_| next() % 4 == 0).collect();
         let mut rates = Vec::new();
-        for s in 0..n {
+        for (s, &absorbing) in absorbing.iter().enumerate() {
             for _ in 0..deg {
-                let t = (next() as usize) % n;
-                if t == s {
-                    continue;
+                let t = next() % n;
+                let r =
+                    10f64.powi((next() % 7) as i32 - 3) * (1.0 + (next() % 1000) as f64 / 999.0);
+                let kept = match keep[t] {
+                    0 => true,
+                    1 => false,
+                    2 => s < t,
+                    _ => s > t,
+                };
+                if s != t && kept && !absorbing {
+                    rates.push((s, t, r));
                 }
-                let r = 0.25 + (next() % 1000) as f64 / 500.0;
-                rates.push((s, t, r));
             }
         }
         Ctmc::from_rates(n, &rates).unwrap()
     }
 
-    #[test]
-    fn gather_step_is_bit_identical_to_scatter_oracle() {
-        let ctmc = pseudo_random_chain(97, 5, 20030622);
-        let lambda = ctmc.uniformization_rate();
-        // A few iterates, including sparse early vectors with zero mass.
-        let mut x = vec![0.0; 97];
-        x[13] = 1.0;
-        for step in 0..40 {
-            let scatter = ctmc.uniformized_step_scatter(&x, lambda);
-            let mut gather = vec![0.0; 97];
-            ctmc.uniformized_step_into(&x, lambda, &mut gather);
-            for (s, (a, b)) in scatter.iter().zip(&gather).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "step {step}, state {s}: {a} vs {b}"
-                );
+    /// One step `xᵀP` through the kernel, computed as two row ranges split
+    /// at `cut`, as two workers of a team would.
+    fn kernel_step(kernel: &StepKernel, x: &[f64], cut: usize) -> Vec<f64> {
+        let x: Vec<AtomicU64> = x.iter().map(|p| AtomicU64::new(p.to_bits())).collect();
+        let y: Vec<AtomicU64> = x.iter().map(|_| AtomicU64::new(0)).collect();
+        kernel.step_rows(0..cut, &x, &y);
+        kernel.step_rows(cut..x.len(), &x, &y);
+        y.into_iter()
+            .map(|a| f64::from_bits(a.into_inner()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The split-row kernel is bit-identical to the scatter oracle,
+        /// which skips zero terms, on chains with states that have no
+        /// incoming edges, only incoming edges from below or from above,
+        /// and absorbing states, from an all-zero start, a point mass, or
+        /// a vector with exact zeros of both signs.
+        #[test]
+        fn gather_step_is_bit_identical_to_scatter_oracle(
+            n in 1usize..48,
+            deg in 0usize..7,
+            seed in any::<u64>(),
+            start in 0u8..3,
+            mass in prop::collection::vec(prop_oneof![Just(0.0), Just(-0.0), 0.0f64..1.0], 48),
+        ) {
+            let ctmc = shaped_chain(n, deg, seed);
+            let lambda = ctmc.uniformization_rate();
+            let kernel = StepKernel::new(&ctmc, lambda);
+            let mut x = match start {
+                0 => vec![0.0; n],
+                1 => {
+                    let mut x = vec![0.0; n];
+                    x[seed as usize % n] = 1.0;
+                    x
+                }
+                _ => mass[..n].to_vec(),
+            };
+            for step in 0..12 {
+                let scatter = ctmc.uniformized_step_scatter(&x, lambda);
+                let gather = kernel_step(&kernel, &x, (seed >> 32) as usize % (n + 1));
+                for (s, (a, b)) in scatter.iter().zip(&gather).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "step {step}, state {s}: {a} vs {b}"
+                    );
+                }
+                x = gather;
             }
-            x = gather;
         }
     }
 

@@ -7,6 +7,27 @@
 //! truncate both tails at a requested mass `1 - ε` (the approach of Fox &
 //! Glynn, in a simplified but robust form).
 
+/// The largest Poisson mean `λt` that [`PoissonWeights::new`] accepts;
+/// [`crate::uniformize::solve`] rejects a larger `Λ·t` as
+/// [`crate::ctmc::CtmcError::BadTime`].
+///
+/// The right tail is expanded from the mode until a weight falls below
+/// `1e-18` of the mode's, and may not run past `mode + 10⁷`
+/// (`MAX_TAIL`). At `k = mode + d` that ratio is
+/// `exp(−d²/(2λt) + O(d³/(λt)²))`, so the expansion stops near
+/// `d = √(2 ln 10¹⁸ · λt) ≈ 9.1σ` with `σ = √(λt)`; the cubic term only
+/// moves it by a relative `O(1/σ)`. The window is exact only if the
+/// expansion stops before the limit: `9.1·√(λt) < 10⁷`, i.e.
+/// `λt < 1.2·10¹²`. At this bound the tail ends at `mode + 9 104 577`
+/// (9.1046σ, computed by the same recurrence), and the window holds
+/// about `1.8·10⁷` weights (≈150 MB). A mean past it would also ask the
+/// walk for more than `10¹²` steps.
+pub const MAX_LAMBDA_T: f64 = 1e12;
+
+/// How far right of the mode the tail expansion may run; below
+/// [`MAX_LAMBDA_T`] it always stops short of this.
+const MAX_TAIL: usize = 10_000_000;
+
 /// Poisson weights `P[N = k]` for `k` in `[left, right]`, truncated so the
 /// retained mass is at least `1 - epsilon`.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,11 +45,12 @@ impl PoissonWeights {
     ///
     /// # Panics
     ///
-    /// Panics if `lambda_t` is negative/NaN or `epsilon` not in `(0, 1)`.
+    /// Panics if `lambda_t` is negative, NaN or above [`MAX_LAMBDA_T`], or
+    /// `epsilon` not in `(0, 1)`.
     pub fn new(lambda_t: f64, epsilon: f64) -> Self {
         assert!(
-            lambda_t >= 0.0 && lambda_t.is_finite(),
-            "lambda_t must be finite nonnegative"
+            (0.0..=MAX_LAMBDA_T).contains(&lambda_t),
+            "lambda_t must be in [0, MAX_LAMBDA_T]"
         );
         assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon in (0,1)");
 
@@ -58,9 +80,7 @@ impl PoissonWeights {
                 break;
             }
             right_weights.push(w);
-            if k > mode + 10_000_000 {
-                break; // absurd guard; lambda_t this large is rejected upstream
-            }
+            assert!(k - mode <= MAX_TAIL, "lambda_t within MAX_LAMBDA_T");
         }
         let mut left_weights = vec![];
         let mut k = mode;

@@ -168,6 +168,13 @@ impl CsrMatrix {
         (self.row_ptr[row]..self.row_ptr[row + 1]).map(move |k| (self.col_idx[k], self.values[k]))
     }
 
+    /// The CSR arrays `(row_ptr, col_idx, values)`: row `r` stores its
+    /// entries at positions `row_ptr[r]..row_ptr[r + 1]`, in ascending
+    /// column order.
+    pub(crate) fn parts(&self) -> (&[usize], &[usize], &[f64]) {
+        (&self.row_ptr, &self.col_idx, &self.values)
+    }
+
     /// Dense `y = A·x` (column vector product).
     ///
     /// # Panics

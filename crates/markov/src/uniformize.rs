@@ -9,17 +9,20 @@
 //! uniformization rate `Λ`, Poisson windows and step count, stopping when
 //! its last consumer is satisfied.
 //!
+//! Each walk builds its chain's step kernel once (`ctmc::StepKernel`:
+//! every row's split at its diagonal position and every state's
+//! self-loop probability at the walk's `Λ`) and drops it with the solve.
 //! The loop runs on a worker team spawned once per solve
 //! (`std::thread::scope`), synchronized by one [`Barrier`] per step. Each
 //! worker owns one contiguous range of output rows per chain: it computes
-//! those rows of the next iterate (the bit-exact gather kernel of
-//! [`Ctmc`]) and adds its rows' Poisson-weighted terms into the
-//! transient accumulators. The reward dot product is one sequential sum
-//! over the whole iterate, in index order, computed by worker 0 while the
-//! others step; its row range is shortened to pay for it. The iterate
-//! buffers are shared as `AtomicU64` f64 bits with relaxed ordering — the
-//! barrier orders every write before every read — which keeps the crate
-//! free of `unsafe`.
+//! those rows of the next iterate with the kernel — branch-free and
+//! bit-identical to the scatter formulation — and adds its rows'
+//! Poisson-weighted terms into the transient accumulators. The reward dot
+//! product is one sequential sum over the whole iterate, in index order,
+//! computed by worker 0 while the others step; its row range is shortened
+//! to pay for it. The iterate buffers are shared as `AtomicU64` f64 bits
+//! with relaxed ordering — the barrier orders every write before every
+//! read — which keeps the crate free of `unsafe`.
 //!
 //! Every output element sees the same floating-point operations in the
 //! same order as a separate [`Ctmc::expected_accumulated_reward`],
@@ -27,8 +30,8 @@
 //! wrappers over this module — so results are bit-identical to the
 //! separate calls and to themselves at any thread count.
 
-use crate::ctmc::{Ctmc, CtmcError};
-use crate::poisson::PoissonWeights;
+use crate::ctmc::{Ctmc, CtmcError, StepKernel};
+use crate::poisson::{PoissonWeights, MAX_LAMBDA_T};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Barrier;
@@ -37,16 +40,24 @@ use std::sync::Barrier;
 /// team member must have per step before [`solve`] spawns it; below this
 /// the whole walk runs inline on the calling thread.
 ///
-/// Measured on a 2-core x86-64 host (release build, ε = 1e-10, best of
-/// several runs): random chains with five outgoing edges per state break
-/// even on a team of two between 6 000 and 12 000 units, so a second
-/// worker joins at 12 000. The Figure 4
-/// micro chains sit on both sides: 1 094 units (162 orbits) solve in
-/// 0.09 ms inline and 0.36 ms on a team of two; 49 212 units (4 509
-/// orbits) in 6.6 ms inline and 3.8 ms on the team. The `exact-stiff`
-/// benchmark point — 5 823 orbits, a 35 478-nonzero base chain and a
-/// 9 333-nonzero absorbed chain, 56 457 units over 5 576 steps — solves
-/// in 1.0 s inline and 0.55 s on two workers.
+/// Measured with the split-row kernel on a 2-vCPU x86-64 host (release
+/// build, ε = 1e-10): random chains with five outgoing edges per state,
+/// about 200 steps per solve, 31 interleaved inline/team solves per size.
+/// A team of two loses at 6 000 and 7 800 units (it won at most 1 of 31
+/// pairs), breaks even near 12 000 (median ratio 1.06, 19 of 31 won) and
+/// wins by 1.5–1.6× from 15 000 up; a round with a loaded second vCPU
+/// put the team behind up to 15 000. The old kernel,
+/// with its per-element branches, broke even near 6 000 under the same
+/// protocol: a faster step makes the per-step barrier relatively dearer.
+/// A second worker still joins at 12 000, the new break-even; raising the
+/// constant would only move chains of 12 000–15 000 units inline, where
+/// the two measured within noise. The Figure 4 micro chains stay on
+/// their sides: 1 094 units (162 orbits) solve in 0.09 ms inline and
+/// 0.40 ms on a team of two; 49 212 units (4 509 orbits) in 5.9 ms inline
+/// and 4.5 ms on the team (medians). The `exact-stiff` benchmark point —
+/// 5 823 orbits, a 35 478-nonzero base chain and a 9 333-nonzero absorbed
+/// chain, 56 457 units over 5 576 steps — solves in 0.80 s inline and
+/// 0.48 s on two workers (medians of 7).
 pub const MIN_WORK_PER_WORKER: usize = 6_000;
 
 /// What one chain contributes to a fused solve.
@@ -83,7 +94,7 @@ pub struct WalkOutput {
 /// * [`CtmcError::BadInitialDistribution`] if an initial distribution has
 ///   the wrong length or is not a probability vector;
 /// * [`CtmcError::BadTime`] for a negative or non-finite time, or one so
-///   large that `Λ·t` overflows.
+///   large that `Λ·t` exceeds [`MAX_LAMBDA_T`].
 ///
 /// # Panics
 ///
@@ -151,6 +162,8 @@ struct Plan<'a> {
     chain: &'a Ctmc,
     initial: &'a [f64],
     lambda: f64,
+    /// The chain's step at rate `lambda`.
+    kernel: StepKernel<'a>,
     /// The reward vector and its coefficient per iterate: `P[N ≥ k+1]`
     /// for iterate `k` (exactly 1 left of the Poisson window), ending
     /// where the tail mass reaches zero.
@@ -173,7 +186,7 @@ impl<'a> Plan<'a> {
         chain.check_initial(walk.initial)?;
         let lambda = chain.uniformization_rate();
         let weights = |t: f64| -> Result<Option<PoissonWeights>, CtmcError> {
-            if !(t >= 0.0 && (lambda * t).is_finite()) {
+            if !(t >= 0.0 && lambda * t <= MAX_LAMBDA_T) {
                 return Err(CtmcError::BadTime(t));
             }
             Ok((t > 0.0).then(|| PoissonWeights::new(lambda * t, epsilon)))
@@ -224,6 +237,7 @@ impl<'a> Plan<'a> {
             chain,
             initial: walk.initial,
             lambda,
+            kernel: StepKernel::new(chain, lambda),
             reward,
             windows,
             last,
@@ -283,7 +297,7 @@ impl<'a> Plan<'a> {
 /// step each element is written by one worker and read by others only
 /// after the next [`Barrier::wait`], whose internal mutex orders every
 /// access before the wait ahead of every access after it.
-fn load(x: &[AtomicU64], s: usize) -> f64 {
+pub(crate) fn load(x: &[AtomicU64], s: usize) -> f64 {
     f64::from_bits(x[s].load(Relaxed))
 }
 
@@ -323,11 +337,7 @@ fn run_worker(plans: &[Plan], w: usize, k_max: usize, barrier: Option<&Barrier>)
                 }
             }
             if k < last {
-                let y = &p.bufs[y_idx];
-                for t in rows {
-                    let v = p.chain.gather_row(t, |s| load(x, s), p.lambda);
-                    y[t].store(v.to_bits(), Relaxed);
-                }
+                p.kernel.step_rows(rows, x, &p.bufs[y_idx]);
             }
         }
         if k < k_max {
@@ -337,4 +347,43 @@ fn run_worker(plans: &[Plan], w: usize, k_max: usize, barrier: Option<&Barrier>)
         }
     }
     rewards
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn huge_horizon_is_bad_time_not_a_hang() {
+        // Λ·t = 1.02e300: rejected before any Poisson window is built.
+        let chain = Ctmc::from_rates(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let initial = [1.0, 0.0];
+        let reward = [0.0, 1.0];
+        let walks = [
+            Walk {
+                chain: &chain,
+                initial: &initial,
+                reward: None,
+                times: &[1.0, 1e300],
+            },
+            Walk {
+                chain: &chain,
+                initial: &initial,
+                reward: Some((&reward, 1e300)),
+                times: &[],
+            },
+        ];
+        for walk in walks {
+            assert_eq!(solve(&[walk], 1e-10, 1), Err(CtmcError::BadTime(1e300)));
+        }
+        // So is a time just past the bound.
+        let just_over = MAX_LAMBDA_T / chain.uniformization_rate() * 1.000_001;
+        let walk = Walk {
+            chain: &chain,
+            initial: &initial,
+            reward: None,
+            times: &[just_over],
+        };
+        assert_eq!(solve(&[walk], 1e-10, 1), Err(CtmcError::BadTime(just_over)));
+    }
 }

@@ -14,7 +14,15 @@
 //! benchmark workloads solve, read from their scenario files. Each chain
 //! is generated on one, two and four workers (capped at the machine's
 //! parallelism) and must give the same digest every time.
+//!
+//! The solver's output is pinned the same way: the bits of every measure
+//! [`ItuaAnalytic::solve`] returns for the first point of each workload,
+//! as the uniformization walk produced them when the values were
+//! recorded. A change to the step kernel's floating-point operations or
+//! their order, to the Poisson windows or to the reward sums fails these
+//! tests, with no store diff against an older build needed.
 
+use itua_repro::itua::analytic::{AnalyticOptions, ItuaAnalytic};
 use itua_repro::itua::{analysis, san_model};
 use itua_repro::runner::BackendKind;
 use itua_repro::san::statespace::StateSpace;
@@ -101,4 +109,63 @@ fn exact_stiff_lumped_chain_is_pinned() {
 #[test]
 fn exact_stiff_unlumped_chain_is_pinned() {
     assert_pinned(EXACT_STIFF, false, (20_331, 166_860, 0xac67_9bf5_982c_09b2));
+}
+
+/// `(name, value bits)` of every measure the lumped analytic backend
+/// solves at the first point of `scn`, with the walk on `threads` workers.
+fn solved(scn: &str, threads: usize) -> Vec<(String, u64)> {
+    let scenario = FileScenario::parse(scn, "digest").expect("benchmark scenario parses");
+    let point = scenario.points(BackendKind::Analytic).remove(0);
+    let opts = AnalyticOptions {
+        threads,
+        ..AnalyticOptions::default()
+    };
+    let analytic = ItuaAnalytic::with_options(&point.params, &opts).expect("model solves");
+    let measures = analytic
+        .solve(point.horizon, &point.sample_times, 0.95)
+        .expect("solve succeeds");
+    measures
+        .estimates()
+        .into_iter()
+        .map(|e| (e.name, e.ci.mean.to_bits()))
+        .collect()
+}
+
+/// Asserts that the first point of `scn` solves to the pinned bits on
+/// each team size in `threads`.
+fn assert_solved(scn: &str, threads: &[usize], pinned: &[(&str, u64)]) {
+    let pinned: Vec<(String, u64)> = pinned.iter().map(|&(n, b)| (n.to_owned(), b)).collect();
+    for &t in threads {
+        assert_eq!(solved(scn, t), pinned, "{t} threads");
+    }
+}
+
+#[test]
+fn exact_build_measures_are_pinned() {
+    assert_solved(
+        EXACT_BUILD,
+        &[1, 2],
+        &[
+            ("unavailability", 0x3fae_69b4_b8ac_1ef5),
+            ("unreliability", 0x3fa2_cfb9_3613_61e0),
+        ],
+    );
+}
+
+/// The stiff solve takes about 15 s per team size in a debug build, so it
+/// is pinned on the two-worker walk only; the CI store diffs compare its
+/// one-, two- and eight-thread runs.
+#[test]
+fn exact_stiff_measures_are_pinned() {
+    assert_solved(
+        EXACT_STIFF,
+        &[2],
+        &[
+            ("frac_domains_excluded@5", 0x3fbc_d204_b0f4_cc22),
+            ("load_per_host@5", 0x3fef_91b8_414f_c1f8),
+            ("replicas_running@5", 0x3ffc_5fbb_1991_b29a),
+            ("unavailability", 0x3f9d_b70a_8bfc_1d28),
+            ("unreliability", 0x3fb2_46df_284e_2b22),
+        ],
+    );
 }
