@@ -7,12 +7,12 @@
 //! against host operating systems. Replica corruption — the only route to
 //! a Byzantine failure and hence to unreliability mass — is then gated by
 //! a prior host corruption, which is exactly the upward crossing of the
-//! `CorruptDomainCount` importance level the splitting engine forks on.
+//! corrupt-domain importance level the splitting engine forks on.
 //!
-//! Both arms run the same number of independent trees through the same
-//! weighted estimator path (`run_measures_split`); the plain arm uses an
-//! empty [`SplitSpec`], which is bit-identical to the unweighted
-//! replication loop. The figure of merit is
+//! Both arms run the same number of independent trees through the one
+//! replication loop (`run_measures_split`); the plain arm uses an empty
+//! [`SplitSpec`], which is plain replication: one-leaf trees. The figure
+//! of merit is
 //!
 //! ```text
 //! event_reduction = (steps_plain * hw_plain²) / (steps_split * hw_split²)
@@ -60,7 +60,7 @@ const SPEC: &str = "1x10,2x10";
 ///   of the 4-replica group needs **two** corrupt replicas, and each
 ///   replica corruption needs a prior corruption of its own host (remote
 ///   attack weights for replicas and managers are zero). The rare path
-///   therefore climbs the `CorruptDomainCount` level twice — precisely
+///   therefore climbs the corrupt-domain level twice — precisely
 ///   the staircase RESTART multiplies effort on.
 /// * All IDS channels that would *exclude* domains are disabled
 ///   (`false_alarm_rate = 0`, per-category attack detection

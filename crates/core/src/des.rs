@@ -30,6 +30,7 @@
 
 use crate::measures::{RunOutput, Snapshot};
 use crate::params::{ManagementScheme, Params, ParamsError, PlacementConstraint};
+use itua_rare::SplitBranch;
 use itua_sim::queue::EventQueue;
 use itua_sim::rng::Rng;
 use itua_stats::timeweighted::TimeWeighted;
@@ -125,24 +126,30 @@ pub struct ItuaDes {
     params: Params,
 }
 
-/// Reusable per-thread simulation state for [`ItuaDes::run_into`].
+/// Reusable per-thread simulation state, and the root branch of a RESTART
+/// tree.
 ///
-/// Holds the event queue, host/domain/replica/app vectors, and sample
-/// buffer so a worker thread can run many replications without
+/// Holds the event queue, host/domain/replica/app vectors, and the sample
+/// schedule, so a worker thread can run many replications without
 /// reallocating them. A scratch is tied to the parameter set it was
 /// created from ([`ItuaDes::scratch`]); reusing it never changes results —
-/// every `run_into` fully resets the state, so output depends only on the
-/// `(seed, horizon, sample_times)` arguments.
+/// every [`ItuaDes::begin`] fully resets the state, so a run depends only
+/// on its seed, horizon and sample times.
+///
+/// Between [`ItuaDes::begin`] and [`itua_rare::SplitBranch::finish`] the
+/// scratch is one in-flight trajectory: `itua_rare::run_tree` steps it in
+/// place, and `Clone` deep-copies the entire mid-run state, including the
+/// event queue and the run's RNG, when a split forks it.
+#[derive(Clone)]
 pub struct DesScratch {
     state: State,
     samples: Vec<f64>,
+    next_sample: usize,
+    snapshots: Vec<Snapshot>,
+    horizon: f64,
 }
 
 /// Mutable simulation state for one run.
-///
-/// `Clone` deep-copies the entire mid-run state, including the event queue
-/// and the run's RNG; an importance-splitting branch clones the state at a
-/// level crossing and continues independently.
 #[derive(Clone)]
 struct State {
     p: Params,
@@ -178,11 +185,15 @@ impl ItuaDes {
         &self.params
     }
 
-    /// Creates a reusable scratch for [`ItuaDes::run_into`].
+    /// Creates a reusable scratch for [`ItuaDes::run_into`] and
+    /// [`ItuaDes::begin`].
     pub fn scratch(&self) -> DesScratch {
         DesScratch {
             state: State::new(self.params.clone(), Rng::seed_from_u64(0)),
             samples: Vec::new(),
+            next_sample: 0,
+            snapshots: Vec::new(),
+            horizon: 0.0,
         }
     }
 
@@ -218,8 +229,23 @@ impl ItuaDes {
         sample_times: &[f64],
         scratch: &mut DesScratch,
     ) -> RunOutput {
+        self.prepare(horizon, sample_times, scratch);
+        self.begin(seed, scratch);
+        while let Ok(true) = scratch.step() {}
+        scratch.finish()
+    }
+
+    /// Sets the horizon and the sample schedule of the runs `scratch`
+    /// starts next: sample times beyond the horizon are clamped to it.
+    /// Every replication of a batch shares them, so a batch prepares once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon` is not positive and finite, or if `scratch` was
+    /// created for a different topology (host/domain/app counts).
+    pub fn prepare(&self, horizon: f64, sample_times: &[f64], scratch: &mut DesScratch) {
         assert!(horizon > 0.0 && horizon.is_finite(), "bad horizon");
-        let DesScratch { state: st, samples } = scratch;
+        let st = &mut scratch.state;
         assert!(
             st.hosts.len() == self.params.total_hosts()
                 && st.domains.len() == self.params.num_domains
@@ -227,49 +253,20 @@ impl ItuaDes {
             "scratch does not match this model's topology"
         );
         st.p = self.params.clone();
-        st.reset(Rng::seed_from_u64(seed));
-        st.initial_placement();
-
-        clamp_sample_times(sample_times, horizon, samples);
-        let mut snapshots = Vec::with_capacity(samples.len());
-        let mut next_sample = 0usize;
-
-        while step_state(st, horizon, samples, &mut next_sample, &mut snapshots) {}
-
-        finish_output(st, horizon, snapshots)
+        clamp_sample_times(sample_times, horizon, &mut scratch.samples);
+        scratch.horizon = horizon;
     }
 
-    /// Creates one importance-splitting branch at its time-zero state.
-    ///
-    /// The branch reproduces [`ItuaDes::run_into`] exactly when stepped to
-    /// the horizon without splits: the same seed initialization, placement
-    /// draws, sample clamping, and per-event handling (both paths share
-    /// [`step_state`]), so a run in which no threshold is crossed is
-    /// bit-identical to the plain replication path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is not positive and finite.
-    pub fn split_branch<'a, L>(
-        &self,
-        seed: u64,
-        horizon: f64,
-        sample_times: &[f64],
-        level_fn: &'a L,
-    ) -> DesBranch<'a, L> {
-        assert!(horizon > 0.0 && horizon.is_finite(), "bad horizon");
-        let mut state = State::new(self.params.clone(), Rng::seed_from_u64(seed));
-        state.initial_placement();
-        let mut samples = Vec::new();
-        clamp_sample_times(sample_times, horizon, &mut samples);
-        DesBranch {
-            level_fn,
-            state,
-            samples,
-            next_sample: 0,
-            snapshots: Vec::new(),
-            horizon,
-        }
+    /// Resets `scratch` to the time-zero state of the replication seeded
+    /// `seed`, on the horizon and sample schedule of the last
+    /// [`ItuaDes::prepare`]: initial placement drawn, processes armed, no
+    /// event fired yet. The scratch is then the root branch of the
+    /// replication's RESTART tree.
+    pub fn begin(&self, seed: u64, scratch: &mut DesScratch) {
+        scratch.state.reset(Rng::seed_from_u64(seed));
+        scratch.state.initial_placement();
+        scratch.next_sample = 0;
+        scratch.snapshots = Vec::with_capacity(scratch.samples.len());
     }
 }
 
@@ -288,124 +285,51 @@ pub(crate) fn clamp_sample_times(sample_times: &[f64], horizon: f64, out: &mut V
     out.dedup();
 }
 
-/// Advances a run by one event: delivers due snapshots, then pops and
-/// handles the next event. Returns `false` once the queue is drained or
-/// the next event lies beyond the horizon (setting `st.now = horizon`).
-///
-/// Both [`ItuaDes::run_into`] and the splitting branches drive the
-/// simulation exclusively through this function, which is what makes the
-/// two paths bit-identical when no split fires.
-fn step_state(
-    st: &mut State,
-    horizon: f64,
-    samples: &[f64],
-    next_sample: &mut usize,
-    snapshots: &mut Vec<Snapshot>,
-) -> bool {
-    let next_time = st.queue.peek_time();
-    let cutoff = match next_time {
-        Some(t) if t <= horizon => t,
-        _ => horizon,
-    };
-    while *next_sample < samples.len() && samples[*next_sample] <= cutoff {
-        snapshots.push(st.snapshot(samples[*next_sample]));
-        *next_sample += 1;
-    }
-    match next_time {
-        Some(t) if t <= horizon => {
-            let (t, ev) = st.queue.pop().expect("peeked");
-            st.now = t;
-            st.handle(ev);
-            true
+/// A DES run as one RESTART branch. Its importance level is the number of
+/// domains that are excluded or contain any compromised host (host OS,
+/// manager, or a live corrupt replica): the domains the intrusion has
+/// already reached on its way to a Byzantine failure.
+impl SplitBranch for DesScratch {
+    type Output = RunOutput;
+    type Error = std::convert::Infallible;
+
+    /// Delivers due snapshots, then pops and handles the next event.
+    /// Returns `Ok(false)` once the queue is drained or the next event
+    /// lies beyond the horizon (setting the clock to the horizon).
+    fn step(&mut self) -> Result<bool, Self::Error> {
+        let st = &mut self.state;
+        let next_time = st.queue.peek_time();
+        let cutoff = match next_time {
+            Some(t) if t <= self.horizon => t,
+            _ => self.horizon,
+        };
+        while self.next_sample < self.samples.len() && self.samples[self.next_sample] <= cutoff {
+            self.snapshots
+                .push(st.snapshot(self.samples[self.next_sample]));
+            self.next_sample += 1;
         }
-        _ => {
-            st.now = horizon;
-            false
+        match next_time {
+            Some(t) if t <= self.horizon => {
+                let (t, ev) = st.queue.pop().expect("peeked");
+                st.now = t;
+                st.handle(ev);
+                Ok(true)
+            }
+            _ => {
+                st.now = self.horizon;
+                Ok(false)
+            }
         }
     }
-}
 
-/// Builds the run's [`RunOutput`] once stepping has finished.
-fn finish_output(st: &mut State, horizon: f64, snapshots: Vec<Snapshot>) -> RunOutput {
-    RunOutput {
-        horizon,
-        improper_time_per_app: st
-            .apps
-            .iter()
-            .map(|a| a.improper.integral_until(horizon))
-            .collect(),
-        byzantine_per_app: st.apps.iter().map(|a| a.byzantine).collect(),
-        exclusion_corrupt_fractions: std::mem::take(&mut st.exclusion_fractions),
-        snapshots,
-        first_byzantine_time: st.first_byzantine_time,
-        first_improper_time: st.first_improper_time,
-    }
-}
-
-/// Read-only view of a DES run's state, exposed to importance level
-/// functions between events.
-pub struct DesStateView<'a>(&'a State);
-
-impl DesStateView<'_> {
-    /// Number of domains that are excluded or contain any compromised
-    /// host (host OS, manager, or a live corrupt replica) — the natural
-    /// importance level for unreliability: domains the intrusion has
-    /// already reached.
-    pub fn corrupt_domain_count(&self) -> u32 {
-        let st = self.0;
+    fn level(&self) -> u32 {
+        let st = &self.state;
         let hpd = st.p.hosts_per_domain;
         (0..st.p.num_domains)
             .filter(|&d| {
                 st.domains[d].excluded || (d * hpd..(d + 1) * hpd).any(|h| st.host_compromised(h))
             })
             .count() as u32
-    }
-}
-
-/// One importance-splitting trajectory of the DES backend.
-///
-/// Created by [`ItuaDes::split_branch`]; driven by `itua_rare::run_tree`.
-pub struct DesBranch<'a, L> {
-    level_fn: &'a L,
-    state: State,
-    samples: Vec<f64>,
-    next_sample: usize,
-    snapshots: Vec<Snapshot>,
-    horizon: f64,
-}
-
-impl<L> Clone for DesBranch<'_, L> {
-    fn clone(&self) -> Self {
-        DesBranch {
-            level_fn: self.level_fn,
-            state: self.state.clone(),
-            samples: self.samples.clone(),
-            next_sample: self.next_sample,
-            snapshots: self.snapshots.clone(),
-            horizon: self.horizon,
-        }
-    }
-}
-
-impl<L> itua_rare::SplitBranch for DesBranch<'_, L>
-where
-    L: for<'s> itua_rare::LevelFn<DesStateView<'s>>,
-{
-    type Output = RunOutput;
-    type Error = std::convert::Infallible;
-
-    fn step(&mut self) -> Result<bool, Self::Error> {
-        Ok(step_state(
-            &mut self.state,
-            self.horizon,
-            &self.samples,
-            &mut self.next_sample,
-            &mut self.snapshots,
-        ))
-    }
-
-    fn level(&self) -> u32 {
-        self.level_fn.level(&DesStateView(&self.state))
     }
 
     fn reseed(&mut self, seed: u64) {
@@ -417,8 +341,22 @@ where
         self.state.rng.bernoulli(p)
     }
 
-    fn finish(mut self) -> RunOutput {
-        finish_output(&mut self.state, self.horizon, self.snapshots)
+    fn finish(&mut self) -> RunOutput {
+        let st = &mut self.state;
+        let horizon = self.horizon;
+        RunOutput {
+            horizon,
+            improper_time_per_app: st
+                .apps
+                .iter()
+                .map(|a| a.improper.integral_until(horizon))
+                .collect(),
+            byzantine_per_app: st.apps.iter().map(|a| a.byzantine).collect(),
+            exclusion_corrupt_fractions: std::mem::take(&mut st.exclusion_fractions),
+            snapshots: std::mem::take(&mut self.snapshots),
+            first_byzantine_time: st.first_byzantine_time,
+            first_improper_time: st.first_improper_time,
+        }
     }
 }
 
@@ -1273,20 +1211,30 @@ mod tests {
         }
     }
 
+    /// Runs the tree seeded `seed` under `spec` rooted in `root`.
+    fn tree(
+        des: &ItuaDes,
+        root: &mut DesScratch,
+        seed: u64,
+        spec: &itua_rare::SplitSpec,
+    ) -> (itua_rare::TreeStats, Vec<(f64, RunOutput)>) {
+        des.begin(seed, root);
+        let mut leaves = Vec::new();
+        let Ok(stats) = itua_rare::run_tree(root, seed, spec, &mut leaves);
+        (stats, leaves)
+    }
+
     #[test]
-    fn split_branch_without_splits_matches_plain_run() {
-        // Driving a branch through run_tree with an empty spec must be
-        // bit-identical to ItuaDes::run — the splitting path reuses the
-        // exact step loop and the root branch never reseeds.
+    fn scratch_root_without_splits_matches_plain_run() {
+        // A tree with an empty spec rooted in a reused scratch is the
+        // plain replication: one weight-1 leaf, bit-identical to
+        // ItuaDes::run, since the root never reseeds.
         let des = ItuaDes::new(small_params()).unwrap();
-        let level = crate::split::CorruptDomainCount;
+        let mut root = des.scratch();
+        des.prepare(5.0, &[1.0, 5.0], &mut root);
         for seed in 0..20u64 {
             let plain = des.run(seed, 5.0, &[1.0, 5.0]);
-            let branch = des.split_branch(seed, 5.0, &[1.0, 5.0], &level);
-            let mut leaves = Vec::new();
-            let stats =
-                itua_rare::run_tree(branch, seed, &itua_rare::SplitSpec::none(), &mut leaves)
-                    .unwrap();
+            let (stats, leaves) = tree(&des, &mut root, seed, &itua_rare::SplitSpec::none());
             assert_eq!(stats.branches, 1);
             assert_eq!(leaves.len(), 1);
             assert_eq!(leaves[0].0, 1.0);
@@ -1295,15 +1243,24 @@ mod tests {
     }
 
     #[test]
-    fn split_branch_with_splits_produces_weighted_leaves() {
+    fn scratch_root_with_splits_produces_weighted_leaves() {
+        // Trees rooted in one reused scratch, split or not before, match
+        // trees rooted in a fresh scratch: the reset after a split is
+        // complete.
         let des = ItuaDes::new(small_params()).unwrap();
-        let level = crate::split::CorruptDomainCount;
         let spec: itua_rare::SplitSpec = "1x4".parse().unwrap();
+        let mut root = des.scratch();
+        des.prepare(5.0, &[5.0], &mut root);
         let mut split_trees = 0u32;
         for seed in 0..40u64 {
-            let branch = des.split_branch(seed, 5.0, &[5.0], &level);
-            let mut leaves = Vec::new();
-            let stats = itua_rare::run_tree(branch, seed, &spec, &mut leaves).unwrap();
+            let (stats, leaves) = tree(&des, &mut root, seed, &spec);
+            let mut fresh = des.scratch();
+            des.prepare(5.0, &[5.0], &mut fresh);
+            assert_eq!(
+                tree(&des, &mut fresh, seed, &spec),
+                (stats, leaves.clone()),
+                "seed {seed}"
+            );
             if stats.branches > 1 {
                 split_trees += 1;
             }

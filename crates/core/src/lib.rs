@@ -57,10 +57,8 @@ pub mod measures;
 pub mod params;
 pub mod san_exec;
 pub mod san_model;
-pub mod split;
 
 pub use analytic::ItuaAnalytic;
 pub use des::ItuaDes;
 pub use params::{ManagementScheme, Params};
 pub use san_exec::ItuaSanRunner;
-pub use split::CorruptDomainCount;

@@ -3,10 +3,11 @@
 //!
 //! This is the glue that lets the SAN encoding ride the generic experiment
 //! pipeline: [`ItuaSanRunner`] owns the flattened model plus a
-//! [`SanSimulator`], and `run_into` drives one replication through a
-//! measure observer that tracks improper-service time, Byzantine faults,
-//! exclusions, and instant-of-time snapshots — the exact measure
-//! definitions of [`crate::measures`].
+//! [`SanSimulator`], and [`ItuaSanRunner::begin`] starts one replication
+//! on a [`SanScratch`], the RESTART branch the runner steps. Every event
+//! goes through a measure observer that tracks improper-service time,
+//! Byzantine faults, exclusions, and instant-of-time snapshots — the exact
+//! measure definitions of [`crate::measures`].
 //!
 //! One known semantic gap, inherent to the SAN encoding: the
 //! "fraction of corrupt hosts at exclusion" measure counts host-OS and
@@ -20,10 +21,10 @@
 use crate::measures::{RunOutput, Snapshot};
 use crate::params::Params;
 use crate::san_model::{self, BuildError, ItuaSan, ItuaSanPlaces};
+use itua_rare::SplitBranch;
 use itua_san::marking::Marking;
 use itua_san::model::{ActivityId, SanError};
 use itua_san::simulator::{Observer, RunCursor, SanSimulator, SimScratch};
-use itua_sim::rng::stream_seed;
 use itua_stats::timeweighted::TimeWeighted;
 
 /// Runs the composed ITUA SAN as a replication backend producing
@@ -34,15 +35,23 @@ pub struct ItuaSanRunner {
     sim: SanSimulator,
 }
 
-/// Reusable per-thread state for [`ItuaSanRunner::run_into`]: the
+/// Reusable per-thread state, and the root branch of a RESTART tree: the
 /// simulator's [`SimScratch`] plus the measure observer, whose buffers are
-/// reset (not reallocated) for every replication. `Clone` copies the full
-/// mid-run state, which is what lets importance splitting fork a run at a
-/// level crossing.
+/// reset (not reallocated) for every replication, and the cursor of the
+/// run in flight.
+///
+/// Between [`ItuaSanRunner::begin`] and [`itua_rare::SplitBranch::finish`]
+/// the scratch is one in-flight trajectory: `itua_rare::run_tree` steps it
+/// in place, and `Clone` copies the full mid-run state when a split forks
+/// it.
 #[derive(Clone)]
 pub struct SanScratch {
+    simulator: SanSimulator,
     sim: SimScratch,
     observer: MeasureObserver,
+    /// `None` until the first [`ItuaSanRunner::begin`].
+    cursor: Option<RunCursor>,
+    horizon: f64,
 }
 
 impl ItuaSanRunner {
@@ -72,11 +81,15 @@ impl ItuaSanRunner {
         &self.model
     }
 
-    /// Creates a reusable scratch for [`ItuaSanRunner::run_into`].
+    /// Creates a reusable scratch for [`ItuaSanRunner::run_into`] and
+    /// [`ItuaSanRunner::begin`].
     pub fn scratch(&self) -> SanScratch {
         SanScratch {
+            simulator: self.sim.clone(),
             sim: self.sim.scratch(),
             observer: MeasureObserver::new(&self.model),
+            cursor: None,
+            horizon: 0.0,
         }
     }
 
@@ -99,54 +112,10 @@ impl ItuaSanRunner {
         sample_times: &[f64],
         scratch: &mut SanScratch,
     ) -> Result<RunOutput, SanError> {
-        assert!(horizon > 0.0 && horizon.is_finite(), "bad horizon");
-        scratch.observer.reset(horizon, sample_times);
-        self.sim.run_with_scratch(
-            seed,
-            horizon,
-            &mut [&mut scratch.observer],
-            &mut scratch.sim,
-        )?;
-        Ok(scratch.observer.take_output(horizon))
-    }
-
-    /// Runs the half-open replication range `reps`, appending one result
-    /// per replication in ascending order; replication `rep` is seeded
-    /// `stream_seed(origin_seed, rep)`.
-    ///
-    /// The per-run sample-time schedule is identical across a batch, so
-    /// its clamp/filter/sort/dedup happens once here instead of once per
-    /// replication. Outputs are bit-identical to per-replication
-    /// [`ItuaSanRunner::run_into`] calls with the same seeds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is not positive and finite.
-    pub fn run_batch_into<E: From<SanError>>(
-        &self,
-        origin_seed: u64,
-        reps: std::ops::Range<u32>,
-        horizon: f64,
-        sample_times: &[f64],
-        scratch: &mut SanScratch,
-        out: &mut Vec<Result<RunOutput, E>>,
-    ) {
-        assert!(horizon > 0.0 && horizon.is_finite(), "bad horizon");
-        scratch.observer.prepare_samples(horizon, sample_times);
-        for rep in reps {
-            scratch.observer.reset_run();
-            let result = self
-                .sim
-                .run_with_scratch(
-                    stream_seed(origin_seed, u64::from(rep)),
-                    horizon,
-                    &mut [&mut scratch.observer],
-                    &mut scratch.sim,
-                )
-                .map(|_| scratch.observer.take_output(horizon))
-                .map_err(E::from);
-            out.push(result);
-        }
+        self.prepare(horizon, sample_times, scratch);
+        self.begin(seed, scratch)?;
+        while scratch.step()? {}
+        Ok(scratch.finish())
     }
 
     /// Runs one replication with a fresh scratch; see
@@ -166,13 +135,28 @@ impl ItuaSanRunner {
         self.run_into(seed, horizon, sample_times, &mut scratch)
     }
 
-    /// Begins one replication as an importance-splitting branch: the run
-    /// is initialized (stabilized initial marking, observer `on_init`,
-    /// initial schedule) but no timed event has fired yet. Driving it with
-    /// [`itua_rare::run_tree`] and an empty
-    /// [`itua_rare::SplitSpec`] reproduces [`ItuaSanRunner::run_into`]
-    /// bit for bit: the branch steps through the exact same
-    /// [`itua_san::simulator::SanSimulator`] event loop.
+    /// Sets the horizon and the sample schedule of the runs `scratch`
+    /// starts next, with the same clamp/filter/sort/dedup the DES applies.
+    /// Every replication of a batch shares them, so a batch prepares once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon` is not positive and finite.
+    pub fn prepare(&self, horizon: f64, sample_times: &[f64], scratch: &mut SanScratch) {
+        assert!(horizon > 0.0 && horizon.is_finite(), "bad horizon");
+        // A scratch may come from another runner of the same structure
+        // (other rates); its runs step under this one's model.
+        scratch.simulator.clone_from(&self.sim);
+        scratch.observer.prepare_samples(horizon, sample_times);
+        scratch.horizon = horizon;
+    }
+
+    /// Resets `scratch` to the time-zero state of the replication seeded
+    /// `seed`, on the horizon and sample schedule of the last
+    /// [`ItuaSanRunner::prepare`]: initial marking stabilized, observer
+    /// `on_init` delivered, initial schedule drawn, no timed event fired
+    /// yet. The scratch is then the root branch of the replication's
+    /// RESTART tree.
     ///
     /// # Errors
     ///
@@ -181,123 +165,74 @@ impl ItuaSanRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `horizon` is not positive and finite.
-    pub fn split_branch<'a, L>(
-        &'a self,
-        seed: u64,
-        horizon: f64,
-        sample_times: &[f64],
-        level_fn: &'a L,
-    ) -> Result<SanBranch<'a, L>, SanError> {
-        assert!(horizon > 0.0 && horizon.is_finite(), "bad horizon");
-        let mut scratch = self.scratch();
-        scratch.observer.reset(horizon, sample_times);
+    /// Panics if `scratch` was created for a structurally different model.
+    pub fn begin(&self, seed: u64, scratch: &mut SanScratch) -> Result<(), SanError> {
+        scratch.observer.reset_run();
         let cursor = self.sim.begin_run(
             seed,
-            horizon,
+            scratch.horizon,
             &mut [&mut scratch.observer],
             &mut scratch.sim,
         )?;
-        Ok(SanBranch {
-            runner: self,
-            level_fn,
-            scratch,
-            cursor,
-            horizon,
-        })
+        scratch.cursor = Some(cursor);
+        Ok(())
     }
 }
 
-/// Read-only view of a mid-run SAN marking handed to
-/// [`itua_rare::LevelFn`] implementations.
-pub struct SanStateView<'a> {
-    marking: &'a Marking,
-    places: &'a ItuaSanPlaces,
-}
+/// The panic message of a scratch stepped before its first
+/// [`ItuaSanRunner::begin`].
+const NOT_BEGUN: &str = "no run has begun on this scratch";
 
-impl SanStateView<'_> {
-    /// Number of security domains that are excluded or currently house a
-    /// compromised host OS or a corrupt ITUA manager.
-    ///
-    /// This is the SAN analog of
-    /// [`crate::des::DesStateView::corrupt_domain_count`]. One caveat:
-    /// replica-only corruption is not attributable to a domain in the SAN
-    /// encoding (replica submodels are anonymous), so a domain whose only
-    /// corruption is an intruded replica does not raise the level here.
-    /// Level functions only steer the splitting effort — any such
-    /// discrepancy affects variance, never the estimate's expectation.
-    pub fn corrupt_domain_count(&self) -> u32 {
-        let p = self.places;
-        (0..p.domain_excluded.len())
-            .filter(|&d| {
-                self.marking.get(p.domain_excluded[d]) > 0
-                    || self.marking.get(p.domain_corrupt_hosts[d]) > 0
-                    || self.marking.get(p.domain_mgrs_corrupt[d]) > 0
-            })
-            .count() as u32
-    }
-}
-
-/// One importance-splitting branch of a SAN replication: the cloneable
-/// mid-run state (scratch + cursor) plus the simulator and level function
-/// it steps under. Implements [`itua_rare::SplitBranch`].
-pub struct SanBranch<'a, L> {
-    runner: &'a ItuaSanRunner,
-    level_fn: &'a L,
-    scratch: SanScratch,
-    cursor: RunCursor,
-    horizon: f64,
-}
-
-impl<L> Clone for SanBranch<'_, L> {
-    fn clone(&self) -> Self {
-        SanBranch {
-            runner: self.runner,
-            level_fn: self.level_fn,
-            scratch: self.scratch.clone(),
-            cursor: self.cursor.clone(),
-            horizon: self.horizon,
-        }
-    }
-}
-
-impl<L> itua_rare::SplitBranch for SanBranch<'_, L>
-where
-    L: for<'s> itua_rare::LevelFn<SanStateView<'s>>,
-{
+/// A SAN run as one RESTART branch. Its importance level is the number of
+/// security domains that are excluded or currently house a compromised
+/// host OS or a corrupt ITUA manager: the SAN analogue of the DES level.
+/// Replica-only corruption is not attributable to a domain in the SAN
+/// encoding (replica submodels are anonymous), so a domain whose only
+/// corruption is an intruded replica does not raise the level here. The
+/// level only steers the splitting effort: the discrepancy affects
+/// variance, never the estimate's expectation.
+impl SplitBranch for SanScratch {
     type Output = RunOutput;
     type Error = SanError;
 
+    /// Advances the run by one event through the simulator's
+    /// [`SanSimulator::step_run`].
     fn step(&mut self) -> Result<bool, SanError> {
-        let SanScratch { sim, observer } = &mut self.scratch;
-        self.runner
-            .sim
-            .step_run(self.horizon, &mut [observer], sim, &mut self.cursor)
+        let cursor = self.cursor.as_mut().expect(NOT_BEGUN);
+        self.simulator.step_run(
+            self.horizon,
+            &mut [&mut self.observer],
+            &mut self.sim,
+            cursor,
+        )
     }
 
     fn level(&self) -> u32 {
-        self.level_fn.level(&SanStateView {
-            marking: self.scratch.sim.marking(),
-            places: &self.runner.model.places,
-        })
+        let (p, marking) = (&self.observer.places, self.sim.marking());
+        (0..p.domain_excluded.len())
+            .filter(|&d| {
+                marking.get(p.domain_excluded[d]) > 0
+                    || marking.get(p.domain_corrupt_hosts[d]) > 0
+                    || marking.get(p.domain_mgrs_corrupt[d]) > 0
+            })
+            .count() as u32
     }
 
     fn reseed(&mut self, seed: u64) {
-        self.cursor.reseed(seed);
+        let cursor = self.cursor.as_mut().expect(NOT_BEGUN);
+        cursor.reseed(seed);
         // Decorrelate this branch from its siblings: redraw the pending
         // completion times (memoryless, so the trajectory law given the
         // cloned marking is unchanged) from the new stream.
-        self.runner
-            .sim
-            .resample_pending(&mut self.scratch.sim, &mut self.cursor);
+        self.simulator.resample_pending(&mut self.sim, cursor);
     }
 
     fn survives(&mut self, p: f64) -> bool {
-        self.cursor.survives(p)
+        self.cursor.as_mut().expect(NOT_BEGUN).survives(p)
     }
 
-    fn finish(mut self) -> RunOutput {
-        self.scratch.observer.take_output(self.horizon)
+    fn finish(&mut self) -> RunOutput {
+        self.observer.take_output(self.horizon)
     }
 }
 
@@ -336,12 +271,6 @@ impl MeasureObserver {
             exclusion_fractions: Vec::new(),
             snapshots: Vec::new(),
         }
-    }
-
-    /// Prepares the observer for a fresh replication.
-    fn reset(&mut self, horizon: f64, sample_times: &[f64]) {
-        self.prepare_samples(horizon, sample_times);
-        self.reset_run();
     }
 
     /// Prepares the sample-time schedule, shared by every replication of
@@ -409,7 +338,7 @@ impl MeasureObserver {
     }
 
     /// Extracts the run's measures. Accumulator vectors are moved out (the
-    /// output owns them anyway); the next [`MeasureObserver::reset`]
+    /// output owns them anyway); the next [`MeasureObserver::reset_run`]
     /// rebuilds them.
     fn take_output(&mut self, horizon: f64) -> RunOutput {
         RunOutput {
@@ -495,40 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_runs_match_per_replication_runs() {
-        // The batched entry point must produce byte-identical outputs to
-        // one `run_into` call per replication with the same stream seeds,
-        // for any way the replication range is split into batches.
-        let runner = ItuaSanRunner::new(&small_params()).unwrap();
-        let origin = 0xABCD;
-        let reps = 12u32;
-        let mut scratch = runner.scratch();
-        let reference: Vec<RunOutput> = (0..reps)
-            .map(|rep| {
-                runner
-                    .run_into(
-                        stream_seed(origin, u64::from(rep)),
-                        5.0,
-                        &[1.0, 5.0],
-                        &mut scratch,
-                    )
-                    .unwrap()
-            })
-            .collect();
-        for batch in [1u32, 4, 32] {
-            let mut out: Vec<Result<RunOutput, SanError>> = Vec::new();
-            let mut start = 0;
-            while start < reps {
-                let end = (start + batch).min(reps);
-                runner.run_batch_into(origin, start..end, 5.0, &[1.0, 5.0], &mut scratch, &mut out);
-                start = end;
-            }
-            let got: Vec<RunOutput> = out.into_iter().map(Result::unwrap).collect();
-            assert_eq!(got, reference, "batch={batch}");
-        }
-    }
-
-    #[test]
     fn scratch_reuse_is_exact_across_heterogeneous_runs() {
         // Interleave horizons and sample grids of different lengths so a
         // stale buffer from the previous replication (longer snapshot
@@ -554,20 +449,30 @@ mod tests {
         }
     }
 
+    /// Runs the tree seeded `seed` under `spec` rooted in `root`.
+    fn tree(
+        runner: &ItuaSanRunner,
+        root: &mut SanScratch,
+        seed: u64,
+        spec: &itua_rare::SplitSpec,
+    ) -> (itua_rare::TreeStats, Vec<(f64, RunOutput)>) {
+        runner.begin(seed, root).unwrap();
+        let mut leaves = Vec::new();
+        let stats = itua_rare::run_tree(root, seed, spec, &mut leaves).unwrap();
+        (stats, leaves)
+    }
+
     #[test]
-    fn split_branch_without_splits_matches_plain_run() {
-        // The splitting path reuses the simulator's begin_run/step_run
-        // loop, so a tree with no thresholds must reproduce run_into bit
-        // for bit (root branch, no reseed, no roulette draws).
+    fn scratch_root_without_splits_matches_plain_run() {
+        // A tree with an empty spec rooted in a reused scratch is the
+        // plain replication: one weight-1 leaf, bit-identical to
+        // ItuaSanRunner::run (root branch, no reseed, no roulette draws).
         let runner = ItuaSanRunner::new(&small_params()).unwrap();
-        let level = crate::split::CorruptDomainCount;
+        let mut root = runner.scratch();
+        runner.prepare(5.0, &[1.0, 5.0], &mut root);
         for seed in 0..15u64 {
             let plain = runner.run(seed, 5.0, &[1.0, 5.0]).unwrap();
-            let branch = runner.split_branch(seed, 5.0, &[1.0, 5.0], &level).unwrap();
-            let mut leaves = Vec::new();
-            let stats =
-                itua_rare::run_tree(branch, seed, &itua_rare::SplitSpec::none(), &mut leaves)
-                    .unwrap();
+            let (stats, leaves) = tree(&runner, &mut root, seed, &itua_rare::SplitSpec::none());
             assert_eq!(stats.branches, 1);
             assert_eq!(leaves.len(), 1);
             assert_eq!(leaves[0].0, 1.0);
@@ -576,15 +481,24 @@ mod tests {
     }
 
     #[test]
-    fn split_branch_with_splits_produces_weighted_leaves() {
+    fn scratch_root_with_splits_produces_weighted_leaves() {
+        // Trees rooted in one reused scratch, split or not before, match
+        // trees rooted in a fresh scratch: the reset after a split is
+        // complete.
         let runner = ItuaSanRunner::new(&small_params()).unwrap();
-        let level = crate::split::CorruptDomainCount;
         let spec: itua_rare::SplitSpec = "1x4".parse().unwrap();
+        let mut root = runner.scratch();
+        runner.prepare(5.0, &[5.0], &mut root);
         let mut split_trees = 0u32;
         for seed in 0..30u64 {
-            let branch = runner.split_branch(seed, 5.0, &[5.0], &level).unwrap();
-            let mut leaves = Vec::new();
-            let stats = itua_rare::run_tree(branch, seed, &spec, &mut leaves).unwrap();
+            let (stats, leaves) = tree(&runner, &mut root, seed, &spec);
+            let mut fresh = runner.scratch();
+            runner.prepare(5.0, &[5.0], &mut fresh);
+            assert_eq!(
+                tree(&runner, &mut fresh, seed, &spec),
+                (stats, leaves.clone()),
+                "seed {seed}"
+            );
             if stats.branches > 1 {
                 split_trees += 1;
             }

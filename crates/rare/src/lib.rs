@@ -19,17 +19,19 @@
 //! The crate is deliberately backend-agnostic: the scheduler in
 //! [`run_tree`] drives anything implementing [`SplitBranch`] (one clonable
 //! in-flight trajectory) and never looks inside the simulator. The ITUA
-//! discrete-event and SAN backends implement `SplitBranch` in `itua-core`,
-//! and `itua-runner` folds the resulting weighted leaves into the weighted
-//! replication estimator.
+//! discrete-event and SAN backends implement `SplitBranch` on their
+//! per-thread scratch states in `itua-core`, whose level is the
+//! corrupt-domain count, and `itua-runner` runs every simulated
+//! replication as one tree rooted in that scratch: with an empty spec the
+//! tree is the plain replication itself.
 //!
 //! # Determinism
 //!
 //! Every branch created by a split is reseeded from a third tier of the
 //! hierarchical splitmix64 streams: branch `b` of the replication with root
 //! seed `s` runs on `stream_seed(s, b)` (branch 0 — the root — keeps its
-//! original stream so that a run in which nothing crosses a threshold is
-//! bit-identical to the plain replication path). Branch indices are
+//! original stream, so a run in which nothing crosses a threshold draws
+//! exactly what the plain replication draws). Branch indices are
 //! allocated in the deterministic depth-first order of the scheduler, so a
 //! split tree is a pure function of `(root seed, splitting spec)` —
 //! independent of thread count, batch size, and wall-clock.
@@ -39,23 +41,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-
-/// Maps a simulator state to its importance level.
-///
-/// Levels are small non-negative integers; level `0` is the initial
-/// region and higher levels are "closer" to the rare event. The function
-/// must be memoryless — a pure function of the current state — because the
-/// scheduler re-evaluates it after every event.
-pub trait LevelFn<S: ?Sized> {
-    /// The importance level of `state`.
-    fn level(&self, state: &S) -> u32;
-}
-
-impl<S: ?Sized, F: Fn(&S) -> u32> LevelFn<S> for F {
-    fn level(&self, state: &S) -> u32 {
-        self(state)
-    }
-}
 
 /// One in-flight trajectory that the splitting scheduler can step, clone,
 /// reseed, and finish.
@@ -76,7 +61,12 @@ pub trait SplitBranch: Clone {
     /// called), `Ok(true)` while events remain.
     fn step(&mut self) -> Result<bool, Self::Error>;
 
-    /// The current importance level of the trajectory.
+    /// The current importance level of the trajectory: a small integer,
+    /// `0` in the initial region and higher "closer" to the rare event.
+    /// It must be a pure function of the current state, because the
+    /// scheduler reads it after each event, and reading it must draw
+    /// nothing, because the scheduler skips it when the spec has no
+    /// threshold.
     fn level(&self) -> u32;
 
     /// Replaces the branch's random stream with a fresh one derived from
@@ -88,8 +78,9 @@ pub trait SplitBranch: Clone {
     /// roulette survival trial.
     fn survives(&mut self, p: f64) -> bool;
 
-    /// Consumes the finished branch and produces its output.
-    fn finish(self) -> Self::Output;
+    /// Produces the output of a branch that has reached the horizon. The
+    /// branch is not stepped again afterwards.
+    fn finish(&mut self) -> Self::Output;
 }
 
 /// One splitting threshold: crossing `threshold` upward splits the
@@ -243,113 +234,149 @@ pub struct TreeStats {
     pub killed: u32,
 }
 
-struct BranchRun<B> {
-    branch: B,
+/// The weight of one branch and the thresholds it has split through.
+struct Lineage {
     weight: f64,
     /// Thresholds this branch has split through, innermost last. Falling
     /// below `spawn.last()` triggers roulette against that level's factor.
     spawn: Vec<SplitLevel>,
 }
 
+/// A tree being grown: its spec, its counters, and the branches split off
+/// but not yet run, most recent last.
+struct Tree<'a, B> {
+    spec: &'a SplitSpec,
+    rep_seed: u64,
+    stats: TreeStats,
+    next_branch: u64,
+    pending: Vec<(B, Lineage)>,
+}
+
+impl<B: SplitBranch> Tree<'_, B> {
+    /// Steps `branch` until it reaches the horizon (`Ok(true)`) or loses a
+    /// roulette trial (`Ok(false)`), pushing every branch a split creates
+    /// onto `pending`. The level is read only when the spec has a
+    /// threshold to compare it with.
+    fn grow(&mut self, branch: &mut B, lineage: &mut Lineage) -> Result<bool, B::Error> {
+        let armed = !self.spec.is_empty();
+        let mut before = if armed { branch.level() } else { 0 };
+        loop {
+            let running = branch.step()?;
+            self.stats.steps += 1;
+            if armed {
+                let after = branch.level();
+                if after > before {
+                    self.split(branch, lineage, before, after);
+                } else if after < before && !roulette(branch, lineage, after) {
+                    self.stats.killed += 1;
+                    return Ok(false);
+                }
+                before = after;
+            }
+            if !running {
+                self.stats.leaves += 1;
+                return Ok(true);
+            }
+        }
+    }
+
+    /// Splits `branch` once per threshold it crossed upward, lowest first.
+    /// A multi-level jump multiplies the factors; the branch budget caps
+    /// the expansion.
+    fn split(&mut self, branch: &B, lineage: &mut Lineage, before: u32, after: u32) {
+        let mut mult: u32 = 1;
+        for level in &self.spec.levels {
+            if before < level.threshold && level.threshold <= after {
+                let next = mult.saturating_mul(level.factor);
+                // Accepting this threshold means `next - 1` clones in
+                // total for this crossing; stop splitting when that would
+                // blow the tree's branch budget (the weight stays
+                // untouched, so the estimator stays unbiased).
+                if self.stats.branches.saturating_add(next - 1) > MAX_BRANCHES_PER_TREE {
+                    break;
+                }
+                lineage.weight /= f64::from(level.factor);
+                lineage.spawn.push(*level);
+                mult = next;
+            }
+        }
+        for _ in 1..mult {
+            let mut clone = branch.clone();
+            clone.reseed(itua_sim::rng::stream_seed(self.rep_seed, self.next_branch));
+            self.next_branch += 1;
+            self.stats.branches += 1;
+            let lineage = Lineage {
+                weight: lineage.weight,
+                spawn: lineage.spawn.clone(),
+            };
+            self.pending.push((clone, lineage));
+        }
+    }
+}
+
+/// Symmetric Russian roulette on each threshold `branch` has fallen below
+/// `level`, innermost first. Returns whether the branch survives.
+fn roulette<B: SplitBranch>(branch: &mut B, lineage: &mut Lineage, level: u32) -> bool {
+    while let Some(spawn) = lineage.spawn.last().copied() {
+        if level >= spawn.threshold {
+            break;
+        }
+        if !branch.survives(1.0 / f64::from(spawn.factor)) {
+            return false;
+        }
+        lineage.weight *= f64::from(spawn.factor);
+        lineage.spawn.pop();
+    }
+    true
+}
+
 /// Runs one complete split tree from `root` and appends each surviving
 /// leaf's `(weight, output)` to `out`.
 ///
-/// The root branch is branch 0 and keeps its own stream; branch `b > 0`
-/// runs on `stream_seed(rep_seed, b)` where indices are assigned in the
-/// deterministic order branches are created. Branches execute serially
-/// (depth-first, most recent split first) inside the caller's replication
-/// slot, so the surrounding chunk-ordered reduction keeps results
-/// bit-identical at any thread count.
+/// The root is stepped in place, so a caller can root every tree in one
+/// reused state; only a split clones it. The root is branch 0 and keeps
+/// its own stream; branch `b > 0` runs on `stream_seed(rep_seed, b)`,
+/// where indices are assigned in the deterministic order branches are
+/// created. Branches execute serially (the root first, then depth-first,
+/// most recent split first) inside the caller's replication slot, so the
+/// surrounding chunk-ordered reduction keeps results bit-identical at any
+/// thread count.
 ///
-/// With an empty `spec` the tree is exactly one branch stepping to the
-/// horizon: no clone, no reseed, no roulette draw — bit-identical to the
-/// plain replication path.
+/// With an empty `spec` the tree is exactly the root stepping to the
+/// horizon: no level read, no clone, no reseed, no roulette draw.
 ///
 /// # Errors
 ///
 /// Propagates the first error returned by [`SplitBranch::step`].
 pub fn run_tree<B: SplitBranch>(
-    root: B,
+    root: &mut B,
     rep_seed: u64,
     spec: &SplitSpec,
     out: &mut Vec<(f64, B::Output)>,
 ) -> Result<TreeStats, B::Error> {
-    let mut stats = TreeStats {
-        branches: 1,
-        ..TreeStats::default()
+    let mut tree = Tree {
+        spec,
+        rep_seed,
+        stats: TreeStats {
+            branches: 1,
+            ..TreeStats::default()
+        },
+        next_branch: 1,
+        pending: Vec::new(),
     };
-    let mut next_branch: u64 = 1;
-    let mut stack = vec![BranchRun {
-        branch: root,
+    let mut lineage = Lineage {
         weight: 1.0,
         spawn: Vec::new(),
-    }];
-
-    'branches: while let Some(mut run) = stack.pop() {
-        loop {
-            let before = run.branch.level();
-            let running = run.branch.step()?;
-            stats.steps += 1;
-            let after = run.branch.level();
-
-            if after > before {
-                // Collect the thresholds crossed upward, lowest first, and
-                // split once per threshold. A multi-level jump multiplies
-                // the factors; the branch budget caps the expansion.
-                let mut mult: u32 = 1;
-                for level in &spec.levels {
-                    if before < level.threshold && level.threshold <= after {
-                        let next = mult.saturating_mul(level.factor);
-                        // Accepting this threshold means `next - 1` clones in
-                        // total for this crossing; stop splitting when that
-                        // would blow the tree's branch budget (the weight
-                        // stays untouched, so the estimator stays unbiased).
-                        if stats.branches.saturating_add(next - 1) > MAX_BRANCHES_PER_TREE {
-                            break;
-                        }
-                        run.weight /= f64::from(level.factor);
-                        run.spawn.push(*level);
-                        mult = next;
-                    }
-                }
-                for _ in 1..mult {
-                    let mut clone = BranchRun {
-                        branch: run.branch.clone(),
-                        weight: run.weight,
-                        spawn: run.spawn.clone(),
-                    };
-                    clone
-                        .branch
-                        .reseed(itua_sim::rng::stream_seed(rep_seed, next_branch));
-                    next_branch += 1;
-                    stats.branches += 1;
-                    stack.push(clone);
-                }
-            } else if after < before {
-                // Symmetric Russian roulette on each threshold fallen below,
-                // innermost first.
-                while let Some(level) = run.spawn.last().copied() {
-                    if after >= level.threshold {
-                        break;
-                    }
-                    if run.branch.survives(1.0 / f64::from(level.factor)) {
-                        run.weight *= f64::from(level.factor);
-                        run.spawn.pop();
-                    } else {
-                        stats.killed += 1;
-                        continue 'branches;
-                    }
-                }
-            }
-
-            if !running {
-                stats.leaves += 1;
-                out.push((run.weight, run.branch.finish()));
-                continue 'branches;
-            }
+    };
+    if tree.grow(root, &mut lineage)? {
+        out.push((lineage.weight, root.finish()));
+    }
+    while let Some((mut branch, mut lineage)) = tree.pending.pop() {
+        if tree.grow(&mut branch, &mut lineage)? {
+            out.push((lineage.weight, branch.finish()));
         }
     }
-    Ok(stats)
+    Ok(tree.stats)
 }
 
 #[cfg(test)]
@@ -400,8 +427,8 @@ mod tests {
             self.rng.bernoulli(p)
         }
 
-        fn finish(self) -> Self::Output {
-            (self.level(), self.id_trail)
+        fn finish(&mut self) -> Self::Output {
+            (self.level(), self.id_trail.clone())
         }
     }
 
@@ -430,7 +457,7 @@ mod tests {
     fn empty_spec_is_single_leaf_weight_one() {
         let mut out = Vec::new();
         let stats = run_tree(
-            ScriptBranch::new(&[0, 1, 2, 1, 0], 7),
+            &mut ScriptBranch::new(&[0, 1, 2, 1, 0], 7),
             7,
             &SplitSpec::none(),
             &mut out,
@@ -446,11 +473,60 @@ mod tests {
         assert_eq!(out[0].1 .1, vec![7]);
     }
 
+    /// A branch that counts down its remaining events and must never be
+    /// asked for its level, reseeded, or rouletted.
+    #[derive(Clone)]
+    struct Blind {
+        left: u32,
+    }
+
+    impl SplitBranch for Blind {
+        type Output = u32;
+        type Error = std::convert::Infallible;
+
+        fn step(&mut self) -> Result<bool, Self::Error> {
+            self.left -= 1;
+            Ok(self.left > 0)
+        }
+
+        fn level(&self) -> u32 {
+            panic!("level read without a threshold")
+        }
+
+        fn reseed(&mut self, _seed: u64) {
+            panic!("root reseeded")
+        }
+
+        fn survives(&mut self, _p: f64) -> bool {
+            panic!("roulette without a threshold")
+        }
+
+        fn finish(&mut self) -> u32 {
+            self.left
+        }
+    }
+
+    #[test]
+    fn empty_spec_steps_the_root_in_place_without_reading_its_level() {
+        let mut root = Blind { left: 5 };
+        let mut out = Vec::new();
+        let stats = run_tree(&mut root, 9, &SplitSpec::none(), &mut out).unwrap();
+        assert_eq!(stats.steps, 5);
+        assert_eq!(out, vec![(1.0, 0)]);
+        assert_eq!(root.left, 0, "the caller's root was not stepped");
+    }
+
     #[test]
     fn upward_crossing_splits_with_weight_division() {
         // Script rises to level 1 and stays: 4-way split, no roulette.
         let mut out = Vec::new();
-        let stats = run_tree(ScriptBranch::new(&[0, 1, 1], 3), 3, &spec("1x4"), &mut out).unwrap();
+        let stats = run_tree(
+            &mut ScriptBranch::new(&[0, 1, 1], 3),
+            3,
+            &spec("1x4"),
+            &mut out,
+        )
+        .unwrap();
         assert_eq!(stats.branches, 4);
         assert_eq!(stats.leaves, 4);
         assert_eq!(out.len(), 4);
@@ -472,7 +548,7 @@ mod tests {
         // 0 → 2 in one step crosses both thresholds: 2 × 3 = 6 branches.
         let mut out = Vec::new();
         let stats = run_tree(
-            ScriptBranch::new(&[0, 2, 2], 11),
+            &mut ScriptBranch::new(&[0, 2, 2], 11),
             11,
             &spec("1x2,2x3"),
             &mut out,
@@ -495,7 +571,7 @@ mod tests {
         for seed in 0..trees {
             let mut out = Vec::new();
             run_tree(
-                ScriptBranch::new(&[0, 1, 0, 0], seed),
+                &mut ScriptBranch::new(&[0, 1, 0, 0], seed),
                 seed,
                 &spec("1x8"),
                 &mut out,
@@ -512,7 +588,7 @@ mod tests {
         let run = |seed: u64| {
             let mut out = Vec::new();
             let stats = run_tree(
-                ScriptBranch::new(&[0, 1, 0, 1, 2, 0, 1], seed),
+                &mut ScriptBranch::new(&[0, 1, 0, 1, 2, 0, 1], seed),
                 seed,
                 &spec("1x4,2x2"),
                 &mut out,
@@ -531,7 +607,13 @@ mod tests {
         // cap; with it, the tree stays bounded and weights stay positive.
         let script: Vec<u32> = (0..200).map(|i| [0, 1][i % 2]).collect();
         let mut out = Vec::new();
-        let stats = run_tree(ScriptBranch::new(&script, 5), 5, &spec("1x64"), &mut out).unwrap();
+        let stats = run_tree(
+            &mut ScriptBranch::new(&script, 5),
+            5,
+            &spec("1x64"),
+            &mut out,
+        )
+        .unwrap();
         assert!(stats.branches <= MAX_BRANCHES_PER_TREE);
         for (w, _) in &out {
             assert!(*w > 0.0);

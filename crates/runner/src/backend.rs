@@ -1,35 +1,40 @@
 //! The backend abstraction: one execution path for every encoding of the
 //! ITUA process.
 //!
-//! A [`Backend`] turns `(seed, horizon, sample_times)` into a
-//! [`RunOutput`] — the paper's per-replication measure record — using a
-//! per-thread reusable [`Backend::Scratch`] so simulation state (event
+//! [`ItuaBackend`] is the encoding chosen at runtime and the only
+//! implementor of [`Backend`]. It turns `(seed, horizon, sample_times)`
+//! into a [`RunOutput`] — the paper's per-replication measure record —
+//! using a per-thread reusable [`ItuaScratch`], so simulation state (event
 //! queues, host/place vectors) is allocated once per worker thread, not
-//! once per replication. Both simulation encodings implement it:
+//! once per replication. Two simulation encodings run replications:
 //!
 //! * the direct DES ([`itua_core::des::ItuaDes`]), and
 //! * the composed SAN ([`itua_core::san_exec::ItuaSanRunner`]).
 //!
+//! Each one's scratch is also the root branch of a RESTART tree
+//! ([`itua_rare::SplitBranch`]): a replication starts on the scratch and
+//! `itua_rare::run_tree` steps it in place, so a tree with an empty
+//! [`SplitSpec`] is the plain replication itself, and [`Backend::run`] is
+//! exactly that one-leaf tree.
+//!
 //! A third, non-simulation backend solves small configurations exactly
 //! ([`itua_core::analytic::ItuaAnalytic`]): it reports its measures
 //! through [`Backend::exact_measures`] instead of per-replication runs,
-//! and [`run_measures`] short-circuits the replication loop for it.
+//! and the replication loop short-circuits for it.
 //!
-//! [`run_measures`] is the shared replication loop: it fans replications
-//! out through [`replicate_batched`] (chunk-ordered deterministic
-//! reduction, `stream_seed` seeding, batch-amortised per-run setup via
-//! [`Backend::run_batch`]) and folds the outputs into a [`MeasureSet`]
-//! in replication order, so results are bit-identical for every thread
-//! count and batch size — for every backend (trivially so for the
-//! analytic one, which never consults seed or thread).
+//! The replication loop itself is [`crate::split::run_measures_split`];
+//! [`run_measures`] is that loop with an empty spec and the quick model
+//! check.
 
-use crate::engine::{replicate_batched, RunnerConfig};
+use crate::engine::RunnerConfig;
 use crate::progress::Progress;
+use crate::split::run_measures_split;
 use itua_core::analytic::{AnalyticError, AnalyticOptions, ItuaAnalytic};
 use itua_core::des::{DesScratch, ItuaDes};
 use itua_core::measures::{MeasureSet, RunOutput};
 use itua_core::params::Params;
 use itua_core::san_exec::{ItuaSanRunner, SanScratch};
+use itua_rare::{run_tree, SplitSpec, TreeStats};
 use itua_sim::rng::stream_seed;
 
 /// Error from a backend run (model construction or simulation failure).
@@ -74,14 +79,14 @@ impl From<AnalyticError> for BackendError {
     }
 }
 
-/// A simulation encoding that can execute one replication of the ITUA
-/// process.
+/// An encoding of the ITUA process that can execute one replication.
 ///
-/// Implementations must be deterministic functions of the arguments: given
-/// the same `(seed, horizon, sample_times)`, `run` must return the same
-/// [`RunOutput`] regardless of the scratch's history. That contract is what
-/// lets [`run_measures`] reuse one scratch per worker thread while keeping
-/// results bit-identical for every thread count.
+/// [`ItuaBackend`] is the one implementor. Implementations must be
+/// deterministic functions of the arguments: given the same
+/// `(seed, horizon, sample_times)`, `run` must return the same
+/// [`RunOutput`] regardless of the scratch's history. That contract is
+/// what lets the replication loop reuse one scratch per worker thread
+/// while keeping results bit-identical for every thread count.
 pub trait Backend: Sync {
     /// Reusable per-thread simulation state.
     type Scratch: Send;
@@ -95,7 +100,8 @@ pub trait Backend: Sync {
     /// # Errors
     ///
     /// Returns [`BackendError`] if the underlying simulator fails (the DES
-    /// is infallible; the SAN can report stabilization livelock).
+    /// is infallible; the SAN can report stabilization livelock) or the
+    /// backend is exact and simulates nothing.
     fn run(
         &self,
         seed: u64,
@@ -107,13 +113,9 @@ pub trait Backend: Sync {
     /// Runs the half-open replication range `reps`, appending one result
     /// per replication (in ascending index order) to `out`.
     ///
-    /// Replication `rep` must be seeded `stream_seed(origin_seed, rep)`
-    /// and produce exactly the output [`Backend::run`] would — the
-    /// default does precisely that. Backends override this only to
-    /// amortise per-replication setup that is identical across the batch
-    /// (the SAN backend prepares its sample-time schedule once), never to
-    /// change results: outputs must be bit-identical for every batch
-    /// size.
+    /// Replication `rep` is seeded `stream_seed(origin_seed, rep)` and
+    /// produces exactly the output [`Backend::run`] would, so outputs are
+    /// bit-identical for every batch size.
     fn run_batch(
         &self,
         origin_seed: u64,
@@ -134,8 +136,8 @@ pub trait Backend: Sync {
     }
 
     /// For deterministic (exact) backends: the full measure set, computed
-    /// without replication. `Some` short-circuits the replication loop in
-    /// [`run_measures`]; the default `None` means "simulate".
+    /// without replication. `Some` short-circuits the replication loop;
+    /// the default `None` means "simulate".
     fn exact_measures(
         &self,
         _horizon: f64,
@@ -177,7 +179,7 @@ pub trait Backend: Sync {
     }
 }
 
-/// Whether [`run_measures_checked`] verifies the model before simulating.
+/// Whether the replication loop verifies the model before simulating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ModelCheck {
     /// Run [`Backend::self_check`] once before the replication loop and
@@ -195,68 +197,6 @@ pub enum ModelCheck {
     },
     /// Skip the check (`--no-check`).
     Off,
-}
-
-impl Backend for ItuaDes {
-    type Scratch = DesScratch;
-
-    fn scratch(&self) -> DesScratch {
-        ItuaDes::scratch(self)
-    }
-
-    fn run(
-        &self,
-        seed: u64,
-        horizon: f64,
-        sample_times: &[f64],
-        scratch: &mut DesScratch,
-    ) -> Result<RunOutput, BackendError> {
-        Ok(self.run_into(seed, horizon, sample_times, scratch))
-    }
-}
-
-impl Backend for ItuaSanRunner {
-    type Scratch = SanScratch;
-
-    fn scratch(&self) -> SanScratch {
-        ItuaSanRunner::scratch(self)
-    }
-
-    fn run(
-        &self,
-        seed: u64,
-        horizon: f64,
-        sample_times: &[f64],
-        scratch: &mut SanScratch,
-    ) -> Result<RunOutput, BackendError> {
-        Ok(self.run_into(seed, horizon, sample_times, scratch)?)
-    }
-
-    fn run_batch(
-        &self,
-        origin_seed: u64,
-        reps: std::ops::Range<u32>,
-        horizon: f64,
-        sample_times: &[f64],
-        scratch: &mut SanScratch,
-        out: &mut Vec<Result<RunOutput, BackendError>>,
-    ) {
-        self.run_batch_into(origin_seed, reps, horizon, sample_times, scratch, out);
-    }
-
-    fn self_check(&self) -> Result<(), BackendError> {
-        itua_core::analysis::quick_check(self.model()).map_err(|e| {
-            BackendError::new(format!(
-                "SAN model failed its structural self-check (pass --no-check to \
-                 simulate anyway):\n{e}"
-            ))
-        })
-    }
-
-    fn self_check_deep(&self, max_states: usize) -> Result<(), BackendError> {
-        itua_core::analysis::deep_check(self.model(), max_states)
-            .map_err(|e| BackendError::new(format!("SAN model failed its exhaustive check:\n{e}")))
-    }
 }
 
 /// Which encoding of the ITUA process executes a study.
@@ -350,7 +290,7 @@ impl BackendOptions {
     }
 }
 
-/// A [`Backend`] chosen at runtime: any ITUA encoding behind one type.
+/// The [`Backend`]: any ITUA encoding, chosen at runtime, behind one type.
 pub enum ItuaBackend {
     /// Direct DES.
     Des(ItuaDes),
@@ -419,36 +359,60 @@ impl ItuaBackend {
             ItuaBackend::Analytic(_) => BackendKind::Analytic,
         }
     }
-}
 
-impl Backend for ItuaAnalytic {
-    type Scratch = ();
-
-    fn scratch(&self) {}
-
-    fn run(
-        &self,
-        _seed: u64,
-        _horizon: f64,
-        _sample_times: &[f64],
-        _scratch: &mut (),
-    ) -> Result<RunOutput, BackendError> {
-        Err(BackendError::new(
-            "analytic backend is exact and produces no per-replication output; \
-             run_measures short-circuits through exact_measures",
-        ))
+    /// Sets the horizon and sample schedule of the trees `scratch` roots
+    /// next; a batch of trees shares them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scratch` belongs to another kind of backend, or if a
+    /// simulator gets a horizon that is not positive and finite.
+    pub(crate) fn prepare(&self, horizon: f64, sample_times: &[f64], scratch: &mut ItuaScratch) {
+        match (self, scratch) {
+            (ItuaBackend::Des(b), ItuaScratch::Des(s)) => b.prepare(horizon, sample_times, s),
+            (ItuaBackend::San(b), ItuaScratch::San(s)) => b.prepare(horizon, sample_times, s),
+            (ItuaBackend::Analytic(_), ItuaScratch::Analytic) => {}
+            _ => panic!("scratch kind does not match backend kind"),
+        }
     }
 
-    fn exact_measures(
+    /// Runs the RESTART tree of the replication seeded `seed` under
+    /// `spec`, rooted in `scratch` on the schedule of the last
+    /// [`ItuaBackend::prepare`], and appends one `(weight, output)` pair
+    /// per surviving leaf to `leaves`. With an empty spec the tree is the
+    /// plain replication: one weight-1 leaf.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BackendError`] for the analytic backend (exact, nothing
+    /// to simulate) or a SAN stabilization livelock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scratch` belongs to another kind of backend.
+    pub(crate) fn tree(
         &self,
-        horizon: f64,
-        sample_times: &[f64],
-        confidence: f64,
-    ) -> Option<Result<MeasureSet, BackendError>> {
-        Some(
-            self.solve(horizon, sample_times, confidence)
-                .map_err(Into::into),
-        )
+        seed: u64,
+        spec: &SplitSpec,
+        scratch: &mut ItuaScratch,
+        leaves: &mut Vec<(f64, RunOutput)>,
+    ) -> Result<TreeStats, BackendError> {
+        match (self, scratch) {
+            (ItuaBackend::Des(b), ItuaScratch::Des(s)) => {
+                b.begin(seed, s);
+                let Ok(stats) = run_tree(&mut **s, seed, spec, leaves);
+                Ok(stats)
+            }
+            (ItuaBackend::San(b), ItuaScratch::San(s)) => {
+                b.begin(seed, s)?;
+                Ok(run_tree(&mut **s, seed, spec, leaves)?)
+            }
+            (ItuaBackend::Analytic(_), ItuaScratch::Analytic) => Err(BackendError::new(
+                "analytic backend is exact and simulates nothing; the replication \
+                 loop short-circuits through exact_measures",
+            )),
+            _ => panic!("scratch kind does not match backend kind"),
+        }
     }
 }
 
@@ -457,12 +421,13 @@ impl Backend for ItuaBackend {
 
     fn scratch(&self) -> ItuaScratch {
         match self {
-            ItuaBackend::Des(b) => ItuaScratch::Des(Box::new(Backend::scratch(b))),
-            ItuaBackend::San(b) => ItuaScratch::San(Box::new(Backend::scratch(b))),
+            ItuaBackend::Des(b) => ItuaScratch::Des(Box::new(b.scratch())),
+            ItuaBackend::San(b) => ItuaScratch::San(Box::new(b.scratch())),
             ItuaBackend::Analytic(_) => ItuaScratch::Analytic,
         }
     }
 
+    /// The one-leaf tree of [`ItuaBackend::tree`] under an empty spec.
     fn run(
         &self,
         seed: u64,
@@ -470,41 +435,13 @@ impl Backend for ItuaBackend {
         sample_times: &[f64],
         scratch: &mut ItuaScratch,
     ) -> Result<RunOutput, BackendError> {
-        match (self, scratch) {
-            (ItuaBackend::Des(b), ItuaScratch::Des(s)) => {
-                Backend::run(b, seed, horizon, sample_times, s)
-            }
-            (ItuaBackend::San(b), ItuaScratch::San(s)) => {
-                Backend::run(b, seed, horizon, sample_times, s)
-            }
-            (ItuaBackend::Analytic(b), ItuaScratch::Analytic) => {
-                Backend::run(b, seed, horizon, sample_times, &mut ())
-            }
-            _ => panic!("scratch kind does not match backend kind"),
-        }
-    }
-
-    fn run_batch(
-        &self,
-        origin_seed: u64,
-        reps: std::ops::Range<u32>,
-        horizon: f64,
-        sample_times: &[f64],
-        scratch: &mut ItuaScratch,
-        out: &mut Vec<Result<RunOutput, BackendError>>,
-    ) {
-        match (self, scratch) {
-            (ItuaBackend::Des(b), ItuaScratch::Des(s)) => {
-                Backend::run_batch(b, origin_seed, reps, horizon, sample_times, s, out);
-            }
-            (ItuaBackend::San(b), ItuaScratch::San(s)) => {
-                Backend::run_batch(b, origin_seed, reps, horizon, sample_times, s, out);
-            }
-            (ItuaBackend::Analytic(b), ItuaScratch::Analytic) => {
-                Backend::run_batch(b, origin_seed, reps, horizon, sample_times, &mut (), out);
-            }
-            _ => panic!("scratch kind does not match backend kind"),
-        }
+        self.prepare(horizon, sample_times, scratch);
+        let mut leaves = Vec::with_capacity(1);
+        self.tree(seed, &SplitSpec::none(), scratch, &mut leaves)?;
+        let (_, out) = leaves
+            .pop()
+            .expect("a tree without thresholds has one leaf");
+        Ok(out)
     }
 
     fn exact_measures(
@@ -515,33 +452,47 @@ impl Backend for ItuaBackend {
     ) -> Option<Result<MeasureSet, BackendError>> {
         match self {
             ItuaBackend::Des(_) | ItuaBackend::San(_) => None,
-            ItuaBackend::Analytic(b) => b.exact_measures(horizon, sample_times, confidence),
+            ItuaBackend::Analytic(b) => Some(
+                b.solve(horizon, sample_times, confidence)
+                    .map_err(Into::into),
+            ),
         }
     }
 
     fn self_check(&self) -> Result<(), BackendError> {
         match self {
             ItuaBackend::Des(_) | ItuaBackend::Analytic(_) => Ok(()),
-            ItuaBackend::San(b) => b.self_check(),
+            ItuaBackend::San(b) => itua_core::analysis::quick_check(b.model()).map_err(|e| {
+                BackendError::new(format!(
+                    "SAN model failed its structural self-check (pass --no-check to \
+                     simulate anyway):\n{e}"
+                ))
+            }),
         }
     }
 
     fn self_check_deep(&self, max_states: usize) -> Result<(), BackendError> {
         match self {
             ItuaBackend::Des(_) | ItuaBackend::Analytic(_) => Ok(()),
-            ItuaBackend::San(b) => b.self_check_deep(max_states),
+            ItuaBackend::San(b) => {
+                itua_core::analysis::deep_check(b.model(), max_states).map_err(|e| {
+                    BackendError::new(format!("SAN model failed its exhaustive check:\n{e}"))
+                })
+            }
         }
     }
 }
 
 /// Runs `replications` independent replications of `backend` and reduces
-/// them into a [`MeasureSet`] at the given confidence level.
+/// them into a [`MeasureSet`] at the given confidence level: the
+/// replication loop ([`run_measures_split`]) with an empty spec under
+/// [`ModelCheck::Quick`].
 ///
 /// Replication `i` is seeded with `stream_seed(origin_seed, i)`; outputs
 /// are recorded in replication order on the calling thread, so the result
-/// is bit-identical for every thread count and chunk size in `runner`.
-/// Each worker thread allocates one scratch and reuses it for all its
-/// replications.
+/// is bit-identical for every thread count, chunk size and batch size in
+/// `runner`. Each worker thread allocates one scratch and reuses it for
+/// all its replications.
 ///
 /// An exact backend (one whose [`Backend::exact_measures`] returns `Some`)
 /// skips the replication loop entirely: its zero-variance measure set is
@@ -550,8 +501,10 @@ impl Backend for ItuaBackend {
 ///
 /// # Errors
 ///
-/// Returns the first (in replication order) [`BackendError`] any
-/// replication produced.
+/// As [`run_measures_split`]: a bad horizon or sample time, a failed
+/// model check, fewer than two replications on a simulating backend, or
+/// the first (in replication order) [`BackendError`] any replication
+/// produced.
 ///
 /// # Example
 ///
@@ -577,8 +530,8 @@ impl Backend for ItuaBackend {
 /// assert!(ms.mean(itua_core::measures::names::UNAVAILABILITY).is_some());
 /// ```
 #[allow(clippy::too_many_arguments)]
-pub fn run_measures<B: Backend>(
-    backend: &B,
+pub fn run_measures(
+    backend: &ItuaBackend,
     replications: u32,
     confidence: f64,
     origin_seed: u64,
@@ -587,116 +540,19 @@ pub fn run_measures<B: Backend>(
     runner: &RunnerConfig,
     progress: &dyn Progress,
 ) -> Result<MeasureSet, BackendError> {
-    run_measures_checked(
+    run_measures_split(
         backend,
         replications,
         confidence,
         origin_seed,
         horizon,
         sample_times,
+        &SplitSpec::none(),
         runner,
         progress,
         ModelCheck::Quick,
     )
-}
-
-/// The pre-flight every replication loop runs before touching `backend`:
-/// rejects a horizon that is not finite and positive and any NaN sample
-/// time, then applies the `check` policy. The simulators would otherwise
-/// panic on such a horizon in a worker thread, or clamp a NaN sample time
-/// to the horizon, where the analytic backend rejects both; checking here
-/// gives every backend the same error.
-///
-/// # Errors
-///
-/// A [`BackendError`] naming the bad horizon or sample time, or the
-/// model check's failure.
-pub(crate) fn preflight<B: Backend>(
-    backend: &B,
-    horizon: f64,
-    sample_times: &[f64],
-    check: ModelCheck,
-) -> Result<(), BackendError> {
-    if !(horizon > 0.0 && horizon.is_finite()) {
-        return Err(BackendError::new(format!(
-            "horizon {horizon} is not finite and positive"
-        )));
-    }
-    if let Some(t) = sample_times.iter().find(|t| t.is_nan()) {
-        return Err(BackendError::new(format!(
-            "sample time {t} is not a number"
-        )));
-    }
-    match check {
-        ModelCheck::Quick => backend.self_check(),
-        ModelCheck::Deep { max_states } => backend.self_check_deep(max_states),
-        ModelCheck::Off => Ok(()),
-    }
-}
-
-/// Refuses fewer than two replications for a simulating backend: a
-/// confidence interval needs two observations per measure, and one
-/// replication would yield a measure set with no estimates at all. Both
-/// replication loops call this after their exact short-circuit, so the
-/// analytic backend keeps ignoring the replication count.
-///
-/// # Errors
-///
-/// A [`BackendError`] naming the replication count.
-pub(crate) fn check_replications(replications: u32) -> Result<(), BackendError> {
-    if replications < 2 {
-        return Err(BackendError::new(format!(
-            "a simulating backend needs at least 2 replications per point for a \
-             confidence interval, got {replications}"
-        )));
-    }
-    Ok(())
-}
-
-/// [`run_measures`] with an explicit [`ModelCheck`] policy: under
-/// [`ModelCheck::Quick`] (the [`run_measures`] default) the backend's
-/// [`Backend::self_check`] runs once up front and a failing model is
-/// refused instead of simulated.
-///
-/// # Errors
-///
-/// Returns the pre-flight failure (a horizon that is not finite and
-/// positive, a NaN sample time, or the model check's), fewer than two
-/// replications on a simulating backend, or the first (in replication
-/// order) [`BackendError`] any replication produced.
-#[allow(clippy::too_many_arguments)]
-pub fn run_measures_checked<B: Backend>(
-    backend: &B,
-    replications: u32,
-    confidence: f64,
-    origin_seed: u64,
-    horizon: f64,
-    sample_times: &[f64],
-    runner: &RunnerConfig,
-    progress: &dyn Progress,
-    check: ModelCheck,
-) -> Result<MeasureSet, BackendError> {
-    preflight(backend, horizon, sample_times, check)?;
-    if let Some(exact) = backend.exact_measures(horizon, sample_times, confidence) {
-        let measures = exact?;
-        progress.on_replications(replications, replications);
-        return Ok(measures);
-    }
-    check_replications(replications)?;
-    let outputs = replicate_batched(
-        replications,
-        runner,
-        progress,
-        || backend.scratch(),
-        |reps, scratch, out| {
-            backend.run_batch(origin_seed, reps, horizon, sample_times, scratch, out);
-        },
-    );
-    let mut measures = MeasureSet::new(confidence);
-    for out in outputs {
-        measures.record(&out?);
-    }
-    Ok(measures)
+    .map(|run| run.measures)
 }
 
 #[cfg(test)]
@@ -943,18 +799,20 @@ mod tests {
         let backend = ItuaBackend::for_params(BackendKind::San, &small_params()).unwrap();
         backend.self_check().unwrap();
         let run = |check| {
-            run_measures_checked(
+            run_measures_split(
                 &backend,
                 4,
                 0.95,
                 1,
                 2.0,
                 &[2.0],
+                &SplitSpec::none(),
                 &RunnerConfig::serial(),
                 &NullProgress,
                 check,
             )
             .unwrap()
+            .measures
             .estimates()
         };
         // The check only gates; it must not influence the estimates.
@@ -970,18 +828,20 @@ mod tests {
         let backend = ItuaBackend::for_params(BackendKind::San, &params).unwrap();
         backend.self_check_deep(200_000).unwrap();
         let run = |check| {
-            run_measures_checked(
+            run_measures_split(
                 &backend,
                 4,
                 0.95,
                 1,
                 2.0,
                 &[2.0],
+                &SplitSpec::none(),
                 &RunnerConfig::serial(),
                 &NullProgress,
                 check,
             )
             .unwrap()
+            .measures
             .estimates()
         };
         assert_eq!(
@@ -993,6 +853,43 @@ mod tests {
         // Too small a budget is a structured refusal, not a hang.
         let err = backend.self_check_deep(3).unwrap_err().to_string();
         assert!(err.contains("state budget"), "{err}");
+    }
+
+    #[test]
+    fn run_batch_matches_per_replication_runs() {
+        // `run` and `run_batch` are one-leaf trees rooted in the scratch:
+        // any way of cutting the replication range into batches gives the
+        // outputs of one `run` per replication with the same stream seeds.
+        for kind in [BackendKind::Des, BackendKind::San] {
+            let backend = ItuaBackend::for_params(kind, &small_params()).unwrap();
+            let (origin, reps) = (0xABCD, 12u32);
+            let mut scratch = backend.scratch();
+            let reference: Vec<RunOutput> = (0..reps)
+                .map(|rep| {
+                    let seed = stream_seed(origin, u64::from(rep));
+                    backend.run(seed, 5.0, &[1.0, 5.0], &mut scratch).unwrap()
+                })
+                .collect();
+            for batch in [1u32, 4, 32] {
+                let mut out = Vec::new();
+                let mut start = 0;
+                while start < reps {
+                    let end = (start + batch).min(reps);
+                    backend.run_batch(origin, start..end, 5.0, &[1.0, 5.0], &mut scratch, &mut out);
+                    start = end;
+                }
+                let got: Vec<RunOutput> = out.into_iter().map(Result::unwrap).collect();
+                assert_eq!(got, reference, "{kind} batch={batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn analytic_backend_refuses_to_run_a_replication() {
+        let backend = ItuaBackend::for_params(BackendKind::Analytic, &micro_params()).unwrap();
+        let mut scratch = backend.scratch();
+        let err = backend.run(1, 5.0, &[5.0], &mut scratch).unwrap_err();
+        assert!(err.to_string().contains("simulates nothing"), "{err}");
     }
 
     #[test]

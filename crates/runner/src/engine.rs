@@ -69,106 +69,50 @@ impl RunnerConfig {
     }
 }
 
-/// Runs `f(0), f(1), …, f(replications - 1)` across worker threads and
-/// returns the results **in replication order**.
+/// Runs replications `0..replications` across worker threads and returns
+/// one result per replication, **in replication order**.
 ///
-/// The work function sees only the replication index; derive all
-/// randomness from it (e.g. `stream_seed(base, index)`) and the output is
-/// independent of the thread count and of scheduling. Progress is reported
-/// after every completed chunk via [`Progress::on_replications`].
+/// Each worker thread owns a reusable scratch value created once by
+/// `init` and hands `f` a whole half-open *range* of replication indices
+/// at a time; `f` appends one result per index (in ascending order) to the
+/// output buffer. A simulation backend can thus build its event queue and
+/// state vectors once per thread, and perform per-run setup that is
+/// identical across replications (sample-time schedules) once per batch,
+/// instead of once per replication.
+///
+/// Replications are partitioned into fixed-size chunks; batches never
+/// straddle chunk boundaries. The determinism contract: each index's
+/// result must depend only on that index — derive all randomness from it
+/// (e.g. `stream_seed(base, index)`), and treat the scratch as an
+/// allocation cache, not a communication channel — so the output is
+/// bit-identical for every thread count, chunk size, *and* batch size
+/// ([`RunnerConfig::batch_size`]; `0` is treated as 1). Progress is
+/// reported after every completed chunk via [`Progress::on_replications`].
 ///
 /// Panics in `f` propagate to the caller once all workers have stopped.
 ///
 /// # Example
 ///
 /// ```
-/// use itua_runner::engine::{replicate, RunnerConfig};
+/// use itua_runner::engine::{replicate_batched, RunnerConfig};
 /// use itua_runner::progress::NullProgress;
 ///
-/// let squares = replicate(5, &RunnerConfig::default(), &NullProgress, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16]);
-/// ```
-pub fn replicate<R, F>(
-    replications: u32,
-    config: &RunnerConfig,
-    progress: &dyn Progress,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u32) -> R + Sync,
-{
-    replicate_with_scratch(replications, config, progress, || (), |i, _scratch| f(i))
-}
-
-/// Like [`replicate`], but each worker thread owns a reusable scratch value
-/// created once by `init` and threaded through every replication that worker
-/// executes.
-///
-/// This is the allocation-amortising form: a simulation backend can build
-/// its event queue, state vectors, and sample buffers once per thread and
-/// reset them per replication instead of reallocating per replication. The
-/// determinism contract is unchanged — `f(i, scratch)` must produce a result
-/// that depends only on `i` (the scratch is an allocation cache, not a
-/// communication channel), and results are reassembled in chunk order, so
-/// the output is bit-identical for any thread count and chunk size.
-///
-/// # Example
-///
-/// ```
-/// use itua_runner::engine::{replicate_with_scratch, RunnerConfig};
-/// use itua_runner::progress::NullProgress;
-///
-/// // Scratch here is a reusable buffer; the result ignores its history.
-/// let sums = replicate_with_scratch(
+/// // The scratch is a reusable buffer; each result ignores its history.
+/// let sums = replicate_batched(
 ///     4,
 ///     &RunnerConfig::default(),
 ///     &NullProgress,
 ///     Vec::new,
-///     |i, buf: &mut Vec<u32>| {
-///         buf.clear();
-///         buf.extend(0..=i);
-///         buf.iter().sum::<u32>()
+///     |reps, buf: &mut Vec<u32>, out| {
+///         for i in reps {
+///             buf.clear();
+///             buf.extend(0..=i);
+///             out.push(buf.iter().sum::<u32>());
+///         }
 ///     },
 /// );
 /// assert_eq!(sums, vec![0, 1, 3, 6]);
 /// ```
-pub fn replicate_with_scratch<R, S, I, F>(
-    replications: u32,
-    config: &RunnerConfig,
-    progress: &dyn Progress,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(u32, &mut S) -> R + Sync,
-{
-    replicate_batched(
-        replications,
-        config,
-        progress,
-        init,
-        |range, scratch, out| {
-            for i in range {
-                out.push(f(i, scratch));
-            }
-        },
-    )
-}
-
-/// Like [`replicate_with_scratch`], but hands each worker a whole
-/// half-open *range* of replication indices at a time, appending one
-/// result per index (in ascending order) to the output buffer.
-///
-/// This is the batch-amortising form: a backend can perform per-run setup
-/// that is identical across replications (sample-time schedules, buffer
-/// sizing) once per batch instead of once per replication. Batches never
-/// straddle chunk boundaries, and the determinism contract is unchanged —
-/// each index's result must depend only on that index — so the output is
-/// bit-identical for every thread count, chunk size, *and* batch size
-/// ([`RunnerConfig::batch_size`]; `0` is treated as 1).
 pub fn replicate_batched<R, S, I, F>(
     replications: u32,
     config: &RunnerConfig,
@@ -267,6 +211,32 @@ mod tests {
     use crate::progress::NullProgress;
     use std::sync::atomic::AtomicUsize;
 
+    /// `f(0), f(1), …` through [`replicate_batched`] with a stateless
+    /// scratch, each replication on its own.
+    fn each<R: Send>(
+        replications: u32,
+        config: &RunnerConfig,
+        progress: &dyn Progress,
+        f: impl Fn(u32) -> R + Sync,
+    ) -> Vec<R> {
+        replicate_batched(
+            replications,
+            config,
+            progress,
+            || (),
+            |reps, (), out| out.extend(reps.map(&f)),
+        )
+    }
+
+    /// The scratch-reusing work of the scratch tests, over a range.
+    fn scratch_sums(reps: std::ops::Range<u32>, buf: &mut Vec<u64>, out: &mut Vec<u64>) {
+        for i in reps {
+            buf.clear();
+            buf.extend((0..4).map(|k| itua_sim::rng::stream_seed(u64::from(i), k)));
+            out.push(buf.iter().fold(0u64, |a, b| a.wrapping_add(*b)));
+        }
+    }
+
     #[test]
     fn preserves_replication_order() {
         for threads in [1, 2, 4, 8] {
@@ -275,34 +245,36 @@ mod tests {
                 chunk_size: 3,
                 ..Default::default()
             };
-            let got = replicate(100, &cfg, &NullProgress, |i| i);
+            let got = each(100, &cfg, &NullProgress, |i| i);
             assert_eq!(got, (0..100).collect::<Vec<_>>(), "threads = {threads}");
         }
     }
 
     #[test]
     fn identical_results_across_thread_and_chunk_choices() {
-        let work = |i: u32| itua_sim::rng::stream_seed(42, i as u64);
-        let reference = replicate(257, &RunnerConfig::serial(), &NullProgress, work);
+        let work = |i: u32| itua_sim::rng::stream_seed(42, u64::from(i));
+        let reference = each(257, &RunnerConfig::serial(), &NullProgress, work);
         for threads in [2, 3, 8] {
             for chunk_size in [1, 7, 64, 1000] {
-                let cfg = RunnerConfig {
-                    threads,
-                    chunk_size,
-                    ..Default::default()
-                };
-                assert_eq!(
-                    replicate(257, &cfg, &NullProgress, work),
-                    reference,
-                    "threads={threads} chunk={chunk_size}"
-                );
+                for batch_size in [0, 1, 5, 32] {
+                    let cfg = RunnerConfig {
+                        threads,
+                        chunk_size,
+                        batch_size,
+                    };
+                    assert_eq!(
+                        each(257, &cfg, &NullProgress, work),
+                        reference,
+                        "threads={threads} chunk={chunk_size} batch={batch_size}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn zero_replications_is_empty() {
-        let out: Vec<u32> = replicate(0, &RunnerConfig::default(), &NullProgress, |i| i);
+        let out: Vec<u32> = each(0, &RunnerConfig::default(), &NullProgress, |i| i);
         assert!(out.is_empty());
     }
 
@@ -314,7 +286,7 @@ mod tests {
             chunk_size: 5,
             ..Default::default()
         };
-        let out = replicate(83, &cfg, &NullProgress, |i| {
+        let out = each(83, &cfg, &NullProgress, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -336,7 +308,7 @@ mod tests {
             chunk_size: 10,
             ..Default::default()
         };
-        replicate(45, &cfg, &last, |i| i);
+        each(45, &cfg, &last, |i| i);
         assert_eq!(last.0.load(Ordering::Relaxed), 45);
     }
 
@@ -344,13 +316,13 @@ mod tests {
     fn scratch_reuse_does_not_change_results() {
         // A work function that abuses its scratch as a dirty buffer still
         // yields thread-count-invariant results as long as it resets first.
-        let work = |i: u32, buf: &mut Vec<u64>| {
-            buf.clear();
-            buf.extend((0..4).map(|k| itua_sim::rng::stream_seed(i as u64, k)));
-            buf.iter().fold(0u64, |a, b| a.wrapping_add(*b))
-        };
-        let reference =
-            replicate_with_scratch(123, &RunnerConfig::serial(), &NullProgress, Vec::new, work);
+        let reference = replicate_batched(
+            123,
+            &RunnerConfig::serial(),
+            &NullProgress,
+            Vec::new,
+            scratch_sums,
+        );
         for threads in [2, 4, 8] {
             let cfg = RunnerConfig {
                 threads,
@@ -358,7 +330,7 @@ mod tests {
                 ..Default::default()
             };
             assert_eq!(
-                replicate_with_scratch(123, &cfg, &NullProgress, Vec::new, work),
+                replicate_batched(123, &cfg, &NullProgress, Vec::new, scratch_sums),
                 reference,
                 "threads={threads}"
             );
@@ -373,14 +345,14 @@ mod tests {
             chunk_size: 4,
             ..Default::default()
         };
-        replicate_with_scratch(
+        replicate_batched(
             60,
             &cfg,
             &NullProgress,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
             },
-            |i, _| i,
+            |reps, (), out| out.extend(reps),
         );
         // One scratch per spawned worker, never one per replication.
         assert_eq!(inits.load(Ordering::Relaxed), 3);

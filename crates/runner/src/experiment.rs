@@ -14,11 +14,11 @@
 //! thread and recorded into one [`ReplicationEstimator`] in replication
 //! order, so the estimates are bit-identical for every thread count.
 
-use crate::engine::{replicate_with_scratch, RunnerConfig};
+use crate::engine::{replicate_batched, RunnerConfig};
 use crate::progress::Progress;
 use itua_san::model::SanError;
 use itua_san::reward::{Observation, RewardVariable};
-use itua_san::simulator::{Observer, SanSimulator};
+use itua_san::simulator::{Observer, SanSimulator, SimScratch};
 use itua_sim::rng::stream_seed;
 use itua_stats::replication::{Estimate, ReplicationEstimator};
 
@@ -109,27 +109,28 @@ pub fn run_experiment_parallel<F>(
 where
     F: Fn() -> Vec<Box<dyn RewardVariable>> + Sync,
 {
-    let per_rep: Vec<Result<Vec<Observation>, SanError>> = replicate_with_scratch(
+    let run = |rep: u32, scratch: &mut SimScratch| {
+        let mut variables = make_variables();
+        {
+            let mut observers: Vec<&mut dyn Observer> = variables
+                .iter_mut()
+                .map(|v| v.as_mut() as &mut dyn Observer)
+                .collect();
+            sim.run_with_scratch(
+                config.seed_for(rep),
+                config.horizon,
+                &mut observers,
+                scratch,
+            )?;
+        }
+        Ok(variables.iter().flat_map(|v| v.observations()).collect())
+    };
+    let per_rep: Vec<Result<Vec<Observation>, SanError>> = replicate_batched(
         config.replications,
         runner,
         progress,
         || sim.scratch(),
-        |rep, scratch| {
-            let mut variables = make_variables();
-            {
-                let mut observers: Vec<&mut dyn Observer> = variables
-                    .iter_mut()
-                    .map(|v| v.as_mut() as &mut dyn Observer)
-                    .collect();
-                sim.run_with_scratch(
-                    config.seed_for(rep),
-                    config.horizon,
-                    &mut observers,
-                    scratch,
-                )?;
-            }
-            Ok(variables.iter().flat_map(|v| v.observations()).collect())
-        },
+        |reps, scratch, out| out.extend(reps.map(|rep| run(rep, scratch))),
     );
 
     let mut est = ReplicationEstimator::new(config.confidence);

@@ -7,23 +7,27 @@
 //! rest of the stack (`itua-san` experiments, `itua-studies` sweeps, the
 //! `itua` CLI) plugs into:
 //!
-//! * [`engine`] — shards replications across scoped worker threads in
-//!   fixed-size chunks claimed from a shared counter. Replication `i` is
-//!   seeded by `stream_seed(base, i)` regardless of which worker runs it,
-//!   and results are reassembled in replication order before reduction, so
-//!   **estimates are bit-identical for every thread count** (including the
-//!   sequential path).
-//! * [`backend`] — the [`backend::Backend`] trait: one execution path for
-//!   both encodings of the ITUA process (direct DES and composed SAN),
-//!   with per-thread reusable scratch state.
+//! * [`engine`] — [`engine::replicate_batched`] shards replications
+//!   across scoped worker threads in fixed-size chunks claimed from a
+//!   shared counter, in batches on one scratch per worker. Replication `i`
+//!   is seeded by `stream_seed(base, i)` regardless of which worker runs
+//!   it, and results are reassembled in replication order before
+//!   reduction, so **estimates are bit-identical for every thread count
+//!   and batch size** (including the sequential path).
+//! * [`backend`] — [`backend::ItuaBackend`], the one implementor of the
+//!   [`backend::Backend`] trait: one execution path for every encoding of
+//!   the ITUA process (direct DES, composed SAN, exact CTMC), with
+//!   per-thread reusable scratch state that is also the root branch of a
+//!   replication's RESTART tree.
 //! * [`experiment`] — the parallel replication loop for raw SANs plus
 //!   reward variables, and its [`experiment::ExperimentConfig`] (the
 //!   only experiment path; the old sequential loop in `itua-san` was
 //!   retired in its favor and the config type moved here).
-//! * [`split`] — the RESTART importance-splitting replication loop
-//!   ([`split::run_measures_split`]): one splitting tree per replication,
-//!   weighted leaves reduced tree-by-tree, bit-identical across thread
-//!   counts and collapsing to the plain loop when no thresholds are set.
+//! * [`split`] — the replication loop ([`split::run_measures_split`]):
+//!   one RESTART tree per replication, rooted in the worker's scratch and
+//!   split under an optional spec, weighted leaves reduced tree by tree
+//!   in replication order. Without thresholds every tree is one
+//!   plain replication ([`backend::run_measures`]).
 //! * [`progress`] — observer interface plus a console implementation
 //!   reporting replications/second, ETA, and per-point estimates as they
 //!   land.
@@ -51,7 +55,7 @@ pub mod sweep;
 pub use backend::{
     run_measures, Backend, BackendError, BackendKind, BackendOptions, ItuaBackend, ItuaScratch,
 };
-pub use engine::{replicate, replicate_batched, replicate_with_scratch, RunnerConfig};
+pub use engine::{replicate_batched, RunnerConfig};
 pub use experiment::{run_experiment_parallel, ExperimentConfig};
 pub use progress::{ConsoleProgress, NullProgress, Progress};
 pub use split::{run_measures_split, SplitRun, SplitTotals};

@@ -1,38 +1,38 @@
-//! The importance-splitting replication loop: [`run_measures_split`] is
-//! the rare-event counterpart of [`crate::backend::run_measures`].
+//! The replication loop: [`run_measures_split`] runs every simulated
+//! replication of a point and reduces them into estimates.
 //!
-//! Each replication becomes one RESTART *tree* instead of one trajectory:
-//! the backend starts a root branch ([`ItuaBackend::run_split_tree`]),
-//! `itua-rare` forks it at upward crossings of the
-//! [`CorruptDomainCount`] importance level and Russian-roulettes branches
-//! that fall back below their spawn level, and every surviving leaf
-//! contributes a weighted [`RunOutput`]. The per-tree weighted totals go
-//! through [`MeasureSet::record_tree`], whose estimator treats trees —
-//! not leaves — as the iid unit, so confidence intervals stay valid.
+//! Each replication is one RESTART *tree*: the worker's scratch is the
+//! root branch (see [`ItuaBackend`]), `itua-rare` steps it in place, forks
+//! it at upward crossings of the corrupt-domain importance level and
+//! Russian-roulettes branches that fall back below their spawn level, and
+//! every surviving leaf contributes a weighted [`RunOutput`]. The
+//! per-tree weighted totals go through [`MeasureSet::record_tree`], whose
+//! estimator treats trees — not leaves — as the iid unit, so confidence
+//! intervals stay valid. With an empty [`SplitSpec`] (plain replication,
+//! [`crate::backend::run_measures`]) the level is never read, the root is
+//! never reseeded, and every tree is one weight-1 leaf, which
+//! [`MeasureSet::record_tree`] records exactly as [`MeasureSet::record`]
+//! records a replication.
 //!
-//! Determinism matches the plain loop exactly: tree `i` derives from
+//! Trees fan out through [`replicate_batched`] with one scratch per worker
+//! thread and the runner's batch size. Tree `i` derives from
 //! `stream_seed(origin_seed, i)`, branch `b > 0` of that tree is reseeded
 //! with `stream_seed(tree_seed, b)` (the third tier of the seed
 //! hierarchy), and trees are reduced in replication order, so estimates
 //! are bit-identical for every thread count, chunk size, and batch size.
-//! With an empty [`SplitSpec`] the root branch is never reseeded and every
-//! tree is one weight-1 leaf, which [`MeasureSet::record_tree`] records
-//! exactly as [`MeasureSet::record`] records a plain replication, so the
-//! result equals the plain replication path bit for bit.
+//!
+//! [`RunOutput`]: itua_core::measures::RunOutput
 
-use crate::backend::{
-    check_replications, preflight, Backend, BackendError, ItuaBackend, ModelCheck,
-};
-use crate::engine::{replicate, RunnerConfig};
+use crate::backend::{Backend, BackendError, ItuaBackend, ModelCheck};
+use crate::engine::{replicate_batched, RunnerConfig};
 use crate::progress::Progress;
-use itua_core::measures::{MeasureSet, RunOutput};
-use itua_core::split::CorruptDomainCount;
-use itua_rare::{run_tree, SplitSpec, TreeStats};
+use itua_core::measures::MeasureSet;
+use itua_rare::{SplitSpec, TreeStats};
 use itua_sim::rng::stream_seed;
 
-/// Work totals accumulated across every tree of a splitting run; the
-/// currency the rare-event benchmark compares against plain replication
-/// ("simulated events per unit of CI width").
+/// Work totals accumulated across every tree of a run; the currency the
+/// rare-event benchmark compares against plain replication ("simulated
+/// events per unit of CI width").
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SplitTotals {
     /// Trees simulated (= replications).
@@ -68,57 +68,25 @@ pub struct SplitRun {
     pub totals: SplitTotals,
 }
 
-impl ItuaBackend {
-    /// Runs one importance-splitting tree: root seeded `seed`, split
-    /// according to `spec` on the [`CorruptDomainCount`] level, appending
-    /// one `(weight, output)` pair per surviving leaf to `leaves`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError`] for the analytic backend (exact, nothing
-    /// to simulate) or a SAN stabilization livelock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is not positive and finite.
-    pub fn run_split_tree(
-        &self,
-        seed: u64,
-        horizon: f64,
-        sample_times: &[f64],
-        spec: &SplitSpec,
-        leaves: &mut Vec<(f64, RunOutput)>,
-    ) -> Result<TreeStats, BackendError> {
-        const LEVEL: CorruptDomainCount = CorruptDomainCount;
-        match self {
-            ItuaBackend::Des(b) => {
-                let branch = b.split_branch(seed, horizon, sample_times, &LEVEL);
-                match run_tree(branch, seed, spec, leaves) {
-                    Ok(stats) => Ok(stats),
-                    Err(infallible) => match infallible {},
-                }
-            }
-            ItuaBackend::San(b) => {
-                let branch = b.split_branch(seed, horizon, sample_times, &LEVEL)?;
-                run_tree(branch, seed, spec, leaves).map_err(Into::into)
-            }
-            ItuaBackend::Analytic(_) => Err(BackendError::new(
-                "analytic backend is exact and simulates nothing; importance \
-                 splitting does not apply",
-            )),
-        }
-    }
-}
-
-/// Runs `replications` independent splitting trees of `backend` and
-/// reduces them into a weighted [`MeasureSet`].
+/// Runs `replications` independent RESTART trees of `backend` under
+/// `spec` and reduces them into a weighted [`MeasureSet`]: the one
+/// replication loop.
 ///
-/// Tree `i` is seeded `stream_seed(origin_seed, i)` and recorded in
-/// replication order, so the result is bit-identical for every thread
-/// count and chunk size. An exact backend short-circuits to its
-/// zero-variance measures — `spec` steers only the simulation effort,
-/// never the estimand, so the analytic solution remains the oracle for
-/// any splitting configuration.
+/// First a pre-flight rejects a horizon that is not finite and positive
+/// and any NaN sample time, then applies the `check` policy. The
+/// simulators would otherwise panic on such a horizon in a worker thread,
+/// or clamp a NaN sample time to the horizon, where the analytic backend
+/// rejects both; checking here gives every backend the same error.
+///
+/// An exact backend then short-circuits to its zero-variance measures and
+/// reports no replications to `progress` — `spec` steers only the
+/// simulation effort, never the estimand, so the analytic solution
+/// remains the oracle for any splitting configuration. A simulating
+/// backend needs at least two trees, since a confidence interval needs
+/// two observations per measure. Tree `i` is seeded
+/// `stream_seed(origin_seed, i)` and recorded in replication order, so
+/// the result is bit-identical for every thread count, chunk size and
+/// batch size.
 ///
 /// # Errors
 ///
@@ -138,27 +106,49 @@ pub fn run_measures_split(
     progress: &dyn Progress,
     check: ModelCheck,
 ) -> Result<SplitRun, BackendError> {
-    preflight(backend, horizon, sample_times, check)?;
+    if !(horizon > 0.0 && horizon.is_finite()) {
+        return Err(BackendError::new(format!(
+            "horizon {horizon} is not finite and positive"
+        )));
+    }
+    if let Some(t) = sample_times.iter().find(|t| t.is_nan()) {
+        return Err(BackendError::new(format!(
+            "sample time {t} is not a number"
+        )));
+    }
+    match check {
+        ModelCheck::Quick => backend.self_check()?,
+        ModelCheck::Deep { max_states } => backend.self_check_deep(max_states)?,
+        ModelCheck::Off => {}
+    }
     if let Some(exact) = backend.exact_measures(horizon, sample_times, confidence) {
-        let measures = exact?;
-        progress.on_replications(replications, replications);
         return Ok(SplitRun {
-            measures,
+            measures: exact?,
             totals: SplitTotals::default(),
         });
     }
-    check_replications(replications)?;
-    let trees = replicate(replications, runner, progress, |rep| {
-        let mut leaves = Vec::new();
-        let stats = backend.run_split_tree(
-            stream_seed(origin_seed, u64::from(rep)),
-            horizon,
-            sample_times,
-            spec,
-            &mut leaves,
-        )?;
-        Ok::<_, BackendError>((stats, leaves))
-    });
+    if replications < 2 {
+        return Err(BackendError::new(format!(
+            "a simulating backend needs at least 2 replications per point for a \
+             confidence interval, got {replications}"
+        )));
+    }
+    let trees = replicate_batched(
+        replications,
+        runner,
+        progress,
+        || backend.scratch(),
+        |reps, scratch, out| {
+            backend.prepare(horizon, sample_times, scratch);
+            for rep in reps {
+                let seed = stream_seed(origin_seed, u64::from(rep));
+                // Sized for the one leaf of a tree that never splits.
+                let mut leaves = Vec::with_capacity(1);
+                let tree = backend.tree(seed, spec, scratch, &mut leaves);
+                out.push(tree.map(|stats| (stats, leaves)));
+            }
+        },
+    );
     let mut measures = MeasureSet::new(confidence);
     let mut totals = SplitTotals::default();
     for tree in trees {
@@ -176,6 +166,7 @@ mod tests {
     use crate::progress::NullProgress;
     use itua_core::params::Params;
     use itua_stats::replication::Estimate;
+    use std::sync::Mutex;
 
     fn small_params() -> Params {
         Params::default().with_domains(4, 2).with_applications(2, 3)
@@ -189,37 +180,38 @@ mod tests {
     }
 
     #[test]
-    fn empty_spec_is_bit_identical_to_plain_loop() {
+    fn unreachable_thresholds_are_bit_identical_to_the_empty_spec() {
+        // The corrupt-domain level never exceeds the 4 domains, so `5x4`
+        // is armed but never fires: the trees read their level after every
+        // event and still draw exactly what the empty spec draws.
+        let unreachable: SplitSpec = "5x4".parse().unwrap();
         for kind in [BackendKind::Des, BackendKind::San] {
             let backend = ItuaBackend::for_params(kind, &small_params()).unwrap();
-            let plain = run_measures(
-                &backend,
-                24,
-                0.95,
-                7,
-                3.0,
-                &[1.0, 3.0],
-                &RunnerConfig::serial(),
-                &NullProgress,
-            )
-            .unwrap();
-            let split = run_measures_split(
-                &backend,
-                24,
-                0.95,
-                7,
-                3.0,
-                &[1.0, 3.0],
-                &SplitSpec::none(),
-                &RunnerConfig::serial(),
-                &NullProgress,
-                ModelCheck::Quick,
-            )
-            .unwrap();
-            assert_eq!(split.measures.estimates(), plain.estimates(), "{kind}");
-            assert_eq!(split.totals.trees, 24);
-            assert_eq!(split.totals.branches, 24);
-            assert_eq!(split.totals.killed, 0);
+            let run = |spec: &SplitSpec| {
+                run_measures_split(
+                    &backend,
+                    24,
+                    0.95,
+                    7,
+                    3.0,
+                    &[1.0, 3.0],
+                    spec,
+                    &RunnerConfig::serial(),
+                    &NullProgress,
+                    ModelCheck::Quick,
+                )
+                .unwrap()
+            };
+            let (empty, armed) = (run(&SplitSpec::none()), run(&unreachable));
+            assert_eq!(
+                armed.measures.estimates(),
+                empty.measures.estimates(),
+                "{kind}"
+            );
+            assert_eq!(armed.totals, empty.totals, "{kind}");
+            assert_eq!(empty.totals.trees, 24);
+            assert_eq!(empty.totals.branches, 24);
+            assert_eq!(empty.totals.killed, 0);
         }
     }
 
@@ -228,7 +220,7 @@ mod tests {
         let spec: SplitSpec = "1x4,2x4".parse().unwrap();
         for kind in [BackendKind::Des, BackendKind::San] {
             let backend = ItuaBackend::for_params(kind, &small_params()).unwrap();
-            let run = |threads| {
+            let run = |threads, batch| {
                 run_measures_split(
                     &backend,
                     32,
@@ -237,21 +229,26 @@ mod tests {
                     3.0,
                     &[3.0],
                     &spec,
-                    &RunnerConfig::default().with_threads(threads),
+                    &RunnerConfig::default()
+                        .with_threads(threads)
+                        .with_batch_size(batch),
                     &NullProgress,
                     ModelCheck::Off,
                 )
                 .unwrap()
             };
-            let reference = run(1);
-            for threads in [2, 8] {
-                let got = run(threads);
+            let reference = run(1, 32);
+            for (threads, batch) in [(2, 32), (8, 32), (1, 1), (8, 4)] {
+                let got = run(threads, batch);
                 assert_eq!(
                     got.measures.estimates(),
                     reference.measures.estimates(),
-                    "{kind} threads={threads}"
+                    "{kind} threads={threads} batch={batch}"
                 );
-                assert_eq!(got.totals, reference.totals, "{kind} threads={threads}");
+                assert_eq!(
+                    got.totals, reference.totals,
+                    "{kind} threads={threads} batch={batch}"
+                );
             }
         }
     }
@@ -303,52 +300,79 @@ mod tests {
         }
     }
 
-    /// Runs both replication loops (plain, and splitting with an empty
-    /// spec) on the micro configuration under `kind`, returning each
-    /// loop's estimates or error message.
-    fn both_loops(
+    /// Every `on_replications` call a run makes, in order.
+    #[derive(Default)]
+    struct Recorded(Mutex<Vec<(u32, u32)>>);
+
+    impl Progress for Recorded {
+        fn on_replications(&self, done: u32, total: u32) {
+            self.0.lock().unwrap().push((done, total));
+        }
+    }
+
+    fn recorded_calls(kind: BackendKind, params: &Params, replications: u32) -> Vec<(u32, u32)> {
+        let backend = ItuaBackend::for_params(kind, params).unwrap();
+        let progress = Recorded::default();
+        run_measures(
+            &backend,
+            replications,
+            0.95,
+            1,
+            2.0,
+            &[2.0],
+            &RunnerConfig::serial(),
+            &progress,
+        )
+        .unwrap();
+        progress.0.into_inner().unwrap()
+    }
+
+    #[test]
+    fn exact_short_circuit_reports_no_replications() {
+        // The analytic backend simulates nothing, so it must not tell the
+        // console it ran the requested replications.
+        assert_eq!(
+            recorded_calls(BackendKind::Analytic, &micro_params(), 2000),
+            []
+        );
+    }
+
+    #[test]
+    fn simulated_run_reports_its_replications_up_to_the_total() {
+        let calls = recorded_calls(BackendKind::Des, &micro_params(), 70);
+        assert_eq!(calls.last(), Some(&(70, 70)), "{calls:?}");
+    }
+
+    /// Runs the replication loop on the micro configuration under `kind`,
+    /// returning its estimates or error message.
+    fn run_loop(
         kind: BackendKind,
         replications: u32,
         horizon: f64,
         sample_times: &[f64],
-    ) -> [Result<Vec<Estimate>, String>; 2] {
+    ) -> Result<Vec<Estimate>, String> {
         let backend = ItuaBackend::for_params(kind, &micro_params()).unwrap();
-        let runner = RunnerConfig::default().with_threads(2);
-        let (conf, seed) = (0.95, 1);
-        let plain = run_measures(
+        run_measures(
             &backend,
             replications,
-            conf,
-            seed,
+            0.95,
+            1,
             horizon,
             sample_times,
-            &runner,
+            &RunnerConfig::default().with_threads(2),
             &NullProgress,
-        );
-        let split = run_measures_split(
-            &backend,
-            replications,
-            conf,
-            seed,
-            horizon,
-            sample_times,
-            &SplitSpec::none(),
-            &runner,
-            &NullProgress,
-            ModelCheck::Quick,
         )
-        .map(|run| run.measures);
-        [plain, split].map(|r| r.map(|m| m.estimates()).map_err(|e| e.to_string()))
+        .map(|m| m.estimates())
+        .map_err(|e| e.to_string())
     }
 
-    /// Runs `horizon`/`sample_times` through both replication loops on
-    /// every backend and returns the common error: each backend and loop
-    /// must refuse alike, without panicking.
+    /// Runs `horizon`/`sample_times` through the loop on every backend and
+    /// returns the common error: each backend must refuse alike, without
+    /// panicking.
     fn common_rejection(horizon: f64, sample_times: &[f64]) -> String {
         let mut errors: Vec<String> = BackendKind::ALL
             .into_iter()
-            .flat_map(|kind| both_loops(kind, 4, horizon, sample_times))
-            .map(Result::unwrap_err)
+            .map(|kind| run_loop(kind, 4, horizon, sample_times).unwrap_err())
             .collect();
         assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:?}");
         errors.swap_remove(0)
@@ -369,29 +393,27 @@ mod tests {
     }
 
     #[test]
-    fn fewer_than_two_replications_are_rejected_by_both_simulating_loops() {
+    fn fewer_than_two_replications_are_rejected_by_simulating_backends() {
         for reps in [0, 1] {
             for kind in [BackendKind::Des, BackendKind::San] {
-                for result in both_loops(kind, reps, 2.0, &[2.0]) {
-                    assert_eq!(
-                        result.unwrap_err(),
-                        format!(
-                            "a simulating backend needs at least 2 replications per point \
-                             for a confidence interval, got {reps}"
-                        ),
-                        "{kind}"
-                    );
-                }
+                assert_eq!(
+                    run_loop(kind, reps, 2.0, &[2.0]).unwrap_err(),
+                    format!(
+                        "a simulating backend needs at least 2 replications per point \
+                         for a confidence interval, got {reps}"
+                    ),
+                    "{kind}"
+                );
             }
             // The exact backend never replicates, so it ignores the count.
-            let [plain, split] = both_loops(BackendKind::Analytic, reps, 2.0, &[2.0]);
-            assert!(!plain.as_ref().unwrap().is_empty());
-            assert_eq!(plain, split);
+            assert!(!run_loop(BackendKind::Analytic, reps, 2.0, &[2.0])
+                .unwrap()
+                .is_empty());
         }
     }
 
     #[test]
-    fn deep_check_gates_the_splitting_loop() {
+    fn deep_check_gates_the_loop() {
         let params = Params::default().with_domains(1, 2).with_applications(1, 2);
         let backend = ItuaBackend::for_params(BackendKind::San, &params).unwrap();
         let err = run_measures_split(
@@ -409,14 +431,5 @@ mod tests {
         .unwrap_err()
         .to_string();
         assert!(err.contains("state budget"), "{err}");
-    }
-
-    #[test]
-    fn run_split_tree_rejects_analytic() {
-        let backend = ItuaBackend::for_params(BackendKind::Analytic, &micro_params()).unwrap();
-        let mut leaves = Vec::new();
-        assert!(backend
-            .run_split_tree(1, 5.0, &[5.0], &SplitSpec::none(), &mut leaves)
-            .is_err());
     }
 }

@@ -4,18 +4,16 @@
 //! [`run_sweep`] is the one entry point. Each point builds an
 //! [`ItuaBackend`] (DES, composed SAN or exact CTMC — see
 //! [`RunOpts::backend`]) and hands it to the runner's replication loop
-//! ([`run_measures_checked`], or [`run_measures_split`] under
-//! `--split-levels`), which spreads the replications over the
-//! [`RunnerConfig`]'s worker threads with one reusable scratch state per
-//! thread (bit-identical results for every thread count). The sweep adds
+//! ([`run_measures_split`], with the `--split-levels` spec or an empty
+//! one), which spreads the replications over the [`RunnerConfig`]'s
+//! worker threads with one reusable scratch state per thread
+//! (bit-identical results for every thread count and batch size). The sweep adds
 //! progress reporting plus checkpoint/resume through a JSON result store.
 
 use itua_core::measures::MeasureSet;
 use itua_core::params::Params;
 use itua_rare::SplitSpec;
-use itua_runner::backend::{
-    run_measures_checked, BackendError, BackendKind, BackendOptions, ItuaBackend, ModelCheck,
-};
+use itua_runner::backend::{BackendError, BackendKind, BackendOptions, ItuaBackend, ModelCheck};
 use itua_runner::engine::RunnerConfig;
 use itua_runner::progress::{NullProgress, Progress};
 use itua_runner::split::run_measures_split;
@@ -147,12 +145,13 @@ pub struct RunOpts<'a> {
     /// (`--no-check`). The check only gates: it never changes estimates.
     pub check: ModelCheck,
     /// RESTART importance-splitting thresholds (`--split-levels`). `Some`
-    /// routes every point through
-    /// [`itua_runner::split::run_measures_split`] instead of the plain
-    /// replication loop, checkpoints into a separate `-split` store, and
-    /// enters the sweep fingerprint (the splitting configuration changes
-    /// the sampling scheme, though never the estimand). The analytic
-    /// backend ignores the spec — it stays the exact oracle.
+    /// splits every point's replication trees in
+    /// [`itua_runner::split::run_measures_split`] under the spec instead
+    /// of running them as plain one-leaf trees, checkpoints into a
+    /// separate `-split` store, and enters the sweep fingerprint (the
+    /// splitting configuration changes the sampling scheme, though never
+    /// the estimand). The analytic backend ignores the spec — it stays the
+    /// exact oracle.
     pub split: Option<SplitSpec>,
 }
 
@@ -251,10 +250,9 @@ pub fn run_sweep(
     Ok(series_from(&stored, measures))
 }
 
-/// Runs the backend of `opts` at sweep point `index`: the plain
-/// replication loop, or one RESTART tree per replication when
-/// `opts.split` is set (an empty spec reproduces the plain loop bit for
-/// bit).
+/// Runs the backend of `opts` at sweep point `index` through the
+/// runner's replication loop: one RESTART tree per replication, split
+/// under `opts.split` and plain (one-leaf trees) without it.
 fn measure_point(
     point: &SweepPoint,
     cfg: &SweepConfig,
@@ -262,33 +260,19 @@ fn measure_point(
     opts: &RunOpts<'_>,
 ) -> Result<MeasureSet, BackendError> {
     let backend = ItuaBackend::for_params_with(opts.backend, &point.params, &opts.backend_opts)?;
-    let origin = stream_seed(cfg.base_seed, index as u64);
-    match &opts.split {
-        Some(spec) => run_measures_split(
-            &backend,
-            cfg.replications,
-            cfg.confidence,
-            origin,
-            point.horizon,
-            &point.sample_times,
-            spec,
-            &opts.runner,
-            opts.progress,
-            opts.check,
-        )
-        .map(|run| run.measures),
-        None => run_measures_checked(
-            &backend,
-            cfg.replications,
-            cfg.confidence,
-            origin,
-            point.horizon,
-            &point.sample_times,
-            &opts.runner,
-            opts.progress,
-            opts.check,
-        ),
-    }
+    run_measures_split(
+        &backend,
+        cfg.replications,
+        cfg.confidence,
+        stream_seed(cfg.base_seed, index as u64),
+        point.horizon,
+        &point.sample_times,
+        opts.split.as_ref().unwrap_or(&SplitSpec::none()),
+        &opts.runner,
+        opts.progress,
+        opts.check,
+    )
+    .map(|run| run.measures)
 }
 
 /// The result-store id for a sweep run with a given backend: DES keeps
@@ -713,9 +697,9 @@ mod tests {
         };
         let plain = run(None);
 
-        // An empty spec through the splitting path is bit-identical to
-        // the plain loop but still checkpoints separately (different
-        // sampling machinery, separate resume lineage).
+        // An empty spec runs the plain one-leaf trees, bit-identical to
+        // a run without a spec, but still checkpoints separately (a
+        // separate resume lineage).
         let empty = run(Some(SplitSpec::none()));
         assert_eq!(empty, plain);
         assert!(dir.join("fig.json").is_file());

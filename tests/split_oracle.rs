@@ -1,7 +1,7 @@
 //! Cross-backend oracle for the rare-event engine: importance splitting
-//! changes *how* trajectories are sampled (forking at upward
-//! [`CorruptDomainCount`] crossings, Russian roulette below the spawn
-//! level, weighted leaves), but never the estimand. On a configuration
+//! changes *how* trajectories are sampled (forking at upward crossings of
+//! the corrupt-domain level, Russian roulette below the spawn level,
+//! weighted leaves), but never the estimand. On a configuration
 //! small enough for the analytic CTMC backend, the splitting estimate's
 //! confidence interval must therefore cover the exact value — for both
 //! simulation backends — and the estimates must be bit-identical for
