@@ -9,6 +9,11 @@
 //! activities pre-empt timed ones (vanishing-marking priority) and only
 //! cases with positive weight fire, so every probed marking is reachable
 //! and every firing is legal (no negative-token panics).
+#![expect(
+    clippy::disallowed_types,
+    reason = "the visited-marking set dedups exploration; membership-only, frontier order comes \
+              from a queue and seeded walks"
+)]
 
 use itua_san::marking::Marking;
 use itua_san::model::{ActivityId, San};
@@ -129,20 +134,15 @@ impl ProbeState<'_> {
     /// (vanishing priority), otherwise enabled timed ones.
     fn fireable(&self, m: &Marking) -> Vec<usize> {
         let mut inst = Vec::new();
-        let mut timed = Vec::new();
-        for (id, a) in self.san.activities() {
-            if a.enabled(m) {
-                if a.is_instantaneous() {
-                    inst.push(id.index());
-                } else {
-                    timed.push(id.index());
-                }
-            }
-        }
+        self.san.enabled_instantaneous_into(m, &mut inst);
         if inst.is_empty() {
-            timed
+            self.san
+                .activities()
+                .filter(|(_, a)| !a.is_instantaneous() && a.enabled(m))
+                .map(|(id, _)| id.index())
+                .collect()
         } else {
-            inst
+            inst.into_iter().map(ActivityId::index).collect()
         }
     }
 

@@ -38,10 +38,11 @@ pub struct Ratio {
     den: i128,
 }
 
-// The arithmetic methods deliberately shadow the `std::ops` names: they
-// are *checked* (Result-returning) like `i128::checked_mul`, so the
-// operator traits — which must return `Self` — cannot express them.
-#[allow(clippy::should_implement_trait)]
+#[expect(
+    clippy::should_implement_trait,
+    reason = "the arithmetic methods are checked (Result-returning) like `i128::checked_mul`, \
+              which the `std::ops` traits, returning `Self`, cannot express"
+)]
 impl Ratio {
     /// Zero.
     pub const ZERO: Ratio = Ratio { num: 0, den: 1 };

@@ -40,6 +40,11 @@
 //! Checking a permutation-closed *family* of invariants or laws on each
 //! canonical representative is then equivalent to checking it on every
 //! member of the orbit.
+#![expect(
+    clippy::disallowed_types,
+    reason = "marking->index maps are lookup-only; state numbering follows deterministic BFS \
+              discovery order and the maps are never iterated"
+)]
 
 use crate::probe::OnFire;
 use itua_san::marking::Marking;
@@ -330,11 +335,8 @@ fn explore_dyn(
     while let Some(s) = frontier.pop_front() {
         let vals = states[s].clone();
         let marking = Marking::new(&vals);
-        let inst: Vec<ActivityId> = san
-            .activities()
-            .filter(|(_, a)| a.is_instantaneous() && a.enabled(&marking))
-            .map(|(id, _)| id)
-            .collect();
+        let mut inst = Vec::new();
+        san.enabled_instantaneous_into(&marking, &mut inst);
         let is_tangible = inst.is_empty();
         debug_assert_eq!(tangible.len(), s);
         tangible.push(is_tangible);

@@ -42,7 +42,6 @@
 use itua_bench::tracked::write_tracked_json;
 use itua_core::analytic::{AnalyticOptions, ItuaAnalytic};
 use itua_core::params::Params;
-use std::time::Instant;
 
 /// Mission time (hours) for the exact solve.
 const HORIZON: f64 = 5.0;
@@ -101,11 +100,15 @@ struct Run {
     unreliability: f64,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "a timing harness: the wall clock is what it measures, never a model input"
+)]
 fn run(params: &Params, threads: usize) -> Run {
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let analytic = build(params, true, threads);
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
+    let t1 = std::time::Instant::now();
     let solution = analytic
         .solve(HORIZON, &[HORIZON], 0.95)
         .expect("lumped headline solve");

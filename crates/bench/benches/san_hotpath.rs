@@ -31,7 +31,6 @@ use itua_san::model::{San, SanBuilder};
 use itua_san::simulator::SanSimulator;
 use itua_sim::rng::stream_seed;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Base seed for every scenario's replication streams.
 const BENCH_SEED: u64 = 0xB_E4C;
@@ -156,6 +155,10 @@ fn median(mut samples: Vec<f64>) -> f64 {
 
 /// Times one scenario: `rounds` rounds of `reps` replications each (after
 /// one discarded warmup round), returning the median ns/replication.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a timing harness: the wall clock is what it measures, never a model input"
+)]
 fn measure(sc: &mut Scenario, rounds: usize, quick: bool) -> f64 {
     let reps = if quick { 1 } else { sc.reps };
     let mut rep = 0u64;
@@ -165,7 +168,7 @@ fn measure(sc: &mut Scenario, rounds: usize, quick: bool) -> f64 {
     }
     let mut samples = Vec::with_capacity(rounds);
     for _ in 0..rounds {
-        let t = Instant::now();
+        let t = std::time::Instant::now();
         for _ in 0..reps {
             (sc.run)(rep);
             rep += 1;
@@ -198,6 +201,10 @@ fn main() {
         }
         let ns = measure(&mut sc, rounds, quick);
         println!("{:<22} {:>14.0} ns/replication", sc.name, ns);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the tracked JSON records whole nanoseconds per replication"
+        )]
         results.push((sc.name.to_owned(), ns.round()));
     }
     assert!(!results.is_empty(), "no scenario matched --only filter");

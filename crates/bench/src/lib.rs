@@ -1,9 +1,6 @@
 //! The `itua` CLI's flag parser and drive path, and the tracked
 //! benchmarks' shared output helper.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod driver;
 pub mod tracked;
 

@@ -1,10 +1,11 @@
 //! User errors at the `itua` command line end in a message and exit
 //! code 2, never a panic: malformed flags, replication counts too small
-//! for a confidence interval, and horizons too long to uniformize.
+//! for a confidence interval, horizons too long to uniformize, and
+//! layouts past the size bounds.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn itua(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_itua"))
@@ -104,11 +105,15 @@ fn the_exact_backend_ignores_the_replication_count() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "times the CLI process for a promptness bound; no estimate reads it"
+)]
 fn a_horizon_too_long_to_uniformize_exits_2_promptly() {
     // Λ·t ≈ 1e300 is far past the uniformization bound: the run must fail
     // at once, naming the time, instead of building a Poisson window.
     let scn = micro_scn("huge-horizon", "horizon = 1e300\n");
-    let start = Instant::now();
+    let start = std::time::Instant::now();
     let stderr = assert_user_error(&[
         "run",
         scn.to_str().unwrap(),
@@ -120,4 +125,34 @@ fn a_horizon_too_long_to_uniformize_exits_2_promptly() {
     assert!(start.elapsed() < Duration::from_secs(20), "{stderr}");
     assert!(stderr.contains("time 1e300"), "{stderr}");
     assert!(stderr.contains("too long to uniformize"), "{stderr}");
+}
+
+#[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "times the CLI process for a promptness bound; no estimate reads it"
+)]
+fn layouts_past_the_size_bounds_exit_2_promptly() {
+    // A million domains once passed validation and then simulated
+    // without end; both size bounds now reject such a file up front.
+    for (tag, extra, bound) in [
+        ("huge-hosts", "domains = 1000000\n", "at most 1000 hosts"),
+        (
+            "huge-replicas",
+            "reps-per-app = 29\n",
+            "at most 28 replicas",
+        ),
+    ] {
+        let scn = micro_scn(tag, extra);
+        for cmd in ["run", "check"] {
+            let args = [cmd, scn.to_str().unwrap(), "--no-resume", "--quiet"];
+            let start = std::time::Instant::now();
+            let stderr = assert_user_error(&args);
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "{args:?}: {stderr}"
+            );
+            assert!(stderr.contains(bound), "{args:?}: {stderr}");
+        }
+    }
 }

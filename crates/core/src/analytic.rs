@@ -353,13 +353,8 @@ impl ItuaAnalytic {
         if let Some(&t) = sample_times.iter().find(|t| t.is_nan()) {
             return Err(AnalyticError::BadSampleTime(t));
         }
-        let mut samples: Vec<f64> = sample_times
-            .iter()
-            .map(|&t| t.min(horizon))
-            .filter(|&t| t > 0.0)
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        samples.dedup();
+        let mut samples = Vec::new();
+        crate::des::clamp_sample_times(sample_times, horizon, &mut samples);
 
         let base = Walk {
             chain: &self.ctmc,

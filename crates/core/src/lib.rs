@@ -47,9 +47,6 @@
 //! assert!(out.unavailability(5.0) >= 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod analysis;
 pub mod analytic;
 pub mod des;

@@ -543,10 +543,14 @@ mod tests {
         let mut scratch = runner.scratch();
         for seed in 0..30 {
             let out = runner.run_into(seed, 10.0, &[10.0], &mut scratch).unwrap();
-            let excluded = out.snapshots[0].frac_domains_excluded * 3.0;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "recovers the integer count of excluded domains from their fraction"
+            )]
+            let excluded = (out.snapshots[0].frac_domains_excluded * 3.0).round() as usize;
             assert_eq!(
                 out.exclusion_corrupt_fractions.len(),
-                excluded.round() as usize,
+                excluded,
                 "seed {seed}: one fraction per completed exclusion"
             );
         }

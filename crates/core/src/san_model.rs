@@ -889,6 +889,11 @@ impl SanTemplate for HostTemplate {
         // activity rate and the level increment (paper §3.4); levels are
         // stored in tenths.
         if p.spread_rate_domain > 0.0 {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "spread rates are scaled by SPREAD_SCALE and rounded once at build time to \
+                          integer token increments; documented model encoding, identical every run"
+            )]
             let inc = (p.spread_rate_domain * SPREAD_SCALE).round() as i32;
             b.timed_activity("propagate_domain", p.spread_rate_domain)
                 .predicate(&[corrupt, active, spread_dom_done], move |m| {
@@ -905,6 +910,11 @@ impl SanTemplate for HostTemplate {
                 .build()?;
         }
         if p.spread_rate_system > 0.0 {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "spread rates are scaled by SPREAD_SCALE and rounded once at build time to \
+                          integer token increments; documented model encoding, identical every run"
+            )]
             let inc = (p.spread_rate_system * SPREAD_SCALE).round().max(1.0) as i32;
             b.timed_activity("propagate_sys", p.spread_rate_system)
                 .predicate(&[corrupt, active, spread_sys_done], move |m| {

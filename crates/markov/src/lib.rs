@@ -32,9 +32,6 @@
 //! assert!((pi[0] - 0.9).abs() < 1e-9);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod ctmc;
 pub mod poisson;
 pub mod sparse;

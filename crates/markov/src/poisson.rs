@@ -62,6 +62,10 @@ impl PoissonWeights {
             };
         }
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "floor picks the Poisson mode as the stable-summation start index; exact below 2^53"
+        )]
         let mode = lambda_t.floor() as usize;
         // log P[N = mode] via Stirling-free accumulation is fine; use
         // ln k! = lgamma(k+1) through the stable product for moderate k.
@@ -188,6 +192,10 @@ mod tests {
     fn mode_is_retained_and_maximal() {
         for &lt in &[2.5, 10.0, 100.0] {
             let w = PoissonWeights::new(lt, 1e-10);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "recomputes the Poisson mode the weights are built around"
+            )]
             let mode = lt.floor() as usize;
             assert!(w.left <= mode && mode <= w.right);
             let mode_w = w.weights[mode - w.left];

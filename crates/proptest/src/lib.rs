@@ -22,6 +22,8 @@
 //! with `PROPTEST_CASES`). Generation is fully deterministic per test name,
 //! so CI failures reproduce locally.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Deterministic generator handed to strategies (splitmix64).
@@ -124,7 +126,7 @@ macro_rules! tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[expect(non_snake_case, reason = "the type parameters name the bindings")]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)

@@ -36,9 +36,6 @@
 //! split tree is a pure function of `(root seed, splitting spec)` —
 //! independent of thread count, batch size, and wall-clock.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::fmt;
 use std::str::FromStr;
 

@@ -529,7 +529,10 @@ impl Backend for ItuaBackend {
 /// .unwrap();
 /// assert!(ms.mean(itua_core::measures::names::UNAVAILABILITY).is_some());
 /// ```
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "public entry point: each argument is an independent run setting"
+)]
 pub fn run_measures(
     backend: &ItuaBackend,
     replications: u32,

@@ -40,9 +40,6 @@
 //! See `DESIGN.md` § "Runner subsystem" for the threading and determinism
 //! rationale.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod backend;
 pub mod engine;
 pub mod experiment;

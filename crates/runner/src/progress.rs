@@ -5,6 +5,10 @@
 //! replications/second, an ETA extrapolated from the measured rate, and
 //! each sweep point's estimates as they land — all on stderr, so stdout
 //! stays clean for tables and CSV.
+#![expect(
+    clippy::disallowed_types,
+    reason = "Instant throttles progress-line redraws on stderr only; estimates never see wall time"
+)]
 
 use crate::store::StoredEstimate;
 use std::sync::Mutex;
@@ -152,6 +156,10 @@ impl Progress for ConsoleProgress {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "rounds elapsed seconds for the ETA display on stderr; not a measure path"
+)]
 fn fmt_secs(secs: f64) -> String {
     if !secs.is_finite() {
         return "?".to_owned();

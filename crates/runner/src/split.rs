@@ -93,7 +93,10 @@ pub struct SplitRun {
 /// Returns the pre-flight failure (a bad horizon or sample time, or the
 /// `check` policy's), fewer than two trees on a simulating backend, or
 /// the first (in replication order) [`BackendError`] any tree produced.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "public entry point: each argument is an independent run setting"
+)]
 pub fn run_measures_split(
     backend: &ItuaBackend,
     replications: u32,

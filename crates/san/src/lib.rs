@@ -63,9 +63,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod compose;
 pub mod marking;
 pub mod model;

@@ -380,14 +380,15 @@ impl San {
     /// Collects the instantaneous activities enabled in `marking` into
     /// `out` (cleared first), in ascending activity-id order.
     ///
-    /// This is the *reference* enumeration both execution paths share:
-    /// the simulator rebuilds (and, in debug builds, cross-checks) its
+    /// This is the *reference* enumeration every consumer shares: the
+    /// simulator rebuilds (and, in debug builds, cross-checks) its
     /// incremental enabled-instantaneous set against it, and the
-    /// state-space generator's vanishing-marking resolution uses it
-    /// directly. The ascending-id order is load-bearing — the simulator
-    /// draws `enabled[rng.usize_below(len)]`, so any reordering would
-    /// change which activity a given RNG draw selects.
-    pub(crate) fn enabled_instantaneous_into(&self, marking: &Marking, out: &mut Vec<ActivityId>) {
+    /// state-space generator's vanishing-marking resolution and the
+    /// analyzer's explorers use it directly. The ascending-id order is
+    /// load-bearing — the simulator draws `enabled[rng.usize_below(len)]`,
+    /// so any reordering would change which activity a given RNG draw
+    /// selects.
+    pub fn enabled_instantaneous_into(&self, marking: &Marking, out: &mut Vec<ActivityId>) {
         out.clear();
         for (id, a) in self.activities() {
             if a.is_instantaneous() && a.enabled(marking) {

@@ -869,7 +869,7 @@ mod tests {
     /// Counts firings per activity.
     #[derive(Default)]
     struct FiringCounter {
-        counts: std::collections::HashMap<u32, u64>,
+        counts: std::collections::BTreeMap<u32, u64>,
         end_time: f64,
     }
 

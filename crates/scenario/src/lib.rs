@@ -26,9 +26,6 @@
 //! The `itua` binary (in `itua-bench`) fronts this crate:
 //! `itua list`, `itua run <scenario|file.scn>`, `itua check <scenario>`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod assert;
 pub mod file;
 pub mod keys;

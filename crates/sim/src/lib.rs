@@ -34,9 +34,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod dist;
 pub mod queue;
 pub mod rng;

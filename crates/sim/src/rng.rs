@@ -417,8 +417,8 @@ mod tests {
     fn stream_seeds_do_not_overlap_for_nearby_bases() {
         // The old `base + i` scheme made replication i of base b collide
         // with replication i-1 of base b+1. Streams must not.
-        use std::collections::HashSet;
-        let mut seen = HashSet::new();
+        use std::collections::BTreeSet;
+        let mut seen = BTreeSet::new();
         for base in 0..8u64 {
             for rep in 0..1000u64 {
                 assert!(

@@ -27,9 +27,6 @@
 //! assert!(ci.half_width > 0.0 && ci.half_width < 0.2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod ci;
 pub mod replication;
 pub mod special;

@@ -63,6 +63,10 @@ pub fn to_csv(fig: &FigureResult) -> String {
     out
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "display only: decides whether a table value prints as an integer"
+)]
 fn format_num(x: f64) -> String {
     if x == x.trunc() {
         format!("{}", x as i64)

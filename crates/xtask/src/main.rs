@@ -1,8 +1,5 @@
 //! Workspace maintenance tasks, invoked as `cargo xtask <command>`.
 //!
-//! * `lint` — the determinism lint described in [`lint`]. Exits 0 when
-//!   the tree is clean, 1 when violations or stale allowlist entries
-//!   exist, and 2 on usage errors.
 //! * `bench-json` — runs the tracked benchmarks in full mode and
 //!   rewrites the `current` sections of `BENCH_san.json` (SAN hot-path
 //!   timing medians), `BENCH_rare.json` (rare-event splitting figures),
@@ -18,7 +15,6 @@
 //!   § "Rare-event benchmark", and § "Symmetry-lumping benchmark".
 
 mod benchcheck;
-mod lint;
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -26,14 +22,15 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => run_lint(),
         Some("bench-json") => run_bench_json(&args[1..]),
         Some(other) => {
-            eprintln!("unknown command '{other}'\nusage: cargo xtask lint|bench-json [--check] [--only BENCH]");
+            eprintln!(
+                "unknown command '{other}'\nusage: cargo xtask bench-json [--check] [--only BENCH]"
+            );
             ExitCode::from(2)
         }
         None => {
-            eprintln!("usage: cargo xtask lint|bench-json [--check] [--only BENCH]");
+            eprintln!("usage: cargo xtask bench-json [--check] [--only BENCH]");
             ExitCode::from(2)
         }
     }
@@ -46,25 +43,6 @@ fn workspace_root() -> &'static Path {
         .ancestors()
         .nth(2)
         .expect("crates/xtask has a workspace root two levels up")
-}
-
-fn run_lint() -> ExitCode {
-    let root = workspace_root();
-    let allow = root.join(lint::ALLOWLIST_FILE);
-    match lint::run(root, &allow) {
-        Ok(outcome) => {
-            print!("{}", outcome.render());
-            if outcome.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("xtask lint: {e}");
-            ExitCode::from(2)
-        }
-    }
 }
 
 /// The tracked benchmarks: (bench target, JSON file at the workspace
