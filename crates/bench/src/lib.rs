@@ -49,7 +49,8 @@ use std::str::FromStr;
 ///   for byte,
 /// * `--results DIR` — result-store directory (default `results/`),
 /// * `--no-resume` — disable the result store: re-simulate every point
-///   and write no results file,
+///   and write no results file, wherever it appears among the flags
+///   (a `--results DIR` does not turn the store back on),
 /// * `--check` — run the full structural analyzer over every distinct
 ///   model of the study before simulating and exit with status 2 if any
 ///   hard finding surfaces (see [`check_models`]),
@@ -133,6 +134,7 @@ impl FigureCli {
             split: None,
             quiet: false,
         };
+        let mut no_resume = false;
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
@@ -159,7 +161,7 @@ impl FigureCli {
                 "--results" => {
                     cli.results_dir = Some(value(&mut it, &arg, "a directory path")?);
                 }
-                "--no-resume" => cli.results_dir = None,
+                "--no-resume" => no_resume = true,
                 "--check" => cli.check = true,
                 "--no-check" => cli.no_check = true,
                 "--exhaustive" => cli.exhaustive = true,
@@ -180,6 +182,9 @@ impl FigureCli {
                     ))
                 }
             }
+        }
+        if no_resume {
+            cli.results_dir = None;
         }
         Ok(cli)
     }
@@ -406,6 +411,16 @@ mod tests {
     fn no_resume_disables_the_store() {
         let cli = FigureCli::parse(["--no-resume".to_owned()]);
         assert_eq!(cli.results_dir, None);
+        // In either order, `--results DIR` does not turn the store back on.
+        for args in [
+            ["--no-resume", "--results", "out"],
+            ["--results", "out", "--no-resume"],
+        ] {
+            let cli = try_parse(&args).unwrap();
+            assert_eq!(cli.results_dir, None, "{args:?}");
+            let progress = cli.progress();
+            assert_eq!(cli.opts(progress.as_ref()).results_dir, None, "{args:?}");
+        }
     }
 
     #[test]

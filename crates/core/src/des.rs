@@ -129,12 +129,12 @@ pub struct ItuaDes {
 /// Reusable per-thread simulation state, and the root branch of a RESTART
 /// tree.
 ///
-/// Holds the event queue, host/domain/replica/app vectors, and the sample
-/// schedule, so a worker thread can run many replications without
-/// reallocating them. A scratch is tied to the parameter set it was
-/// created from ([`ItuaDes::scratch`]); reusing it never changes results —
-/// every [`ItuaDes::begin`] fully resets the state, so a run depends only
-/// on its seed, horizon and sample times.
+/// Holds the event queue, host/domain/replica/app vectors with their
+/// occupancy counters, and the sample schedule, so a worker thread can
+/// run many replications without reallocating them. A scratch is tied to
+/// the parameter set it was created from ([`ItuaDes::scratch`]); reusing
+/// it never changes results — every [`ItuaDes::begin`] fully resets the
+/// state, so a run depends only on its seed, horizon and sample times.
 ///
 /// Between [`ItuaDes::begin`] and [`itua_rare::SplitBranch::finish`] the
 /// scratch is one in-flight trajectory: `itua_rare::run_tree` steps it in
@@ -167,6 +167,13 @@ struct State {
     exclusion_fractions: Vec<f64>,
     first_byzantine_time: Option<f64>,
     first_improper_time: Option<f64>,
+    /// Live replicas of each app per domain, at `d * num_apps + app`.
+    domain_app_live: Vec<usize>,
+    /// Live replicas of each app per host, at `h * num_apps + app`.
+    host_app_live: Vec<usize>,
+    /// Placement candidates (domains, then hosts) of
+    /// [`State::start_replica_somewhere`], reused across calls.
+    candidates: Vec<usize>,
 }
 
 impl ItuaDes {
@@ -342,7 +349,7 @@ impl SplitBranch for DesScratch {
     }
 
     fn finish(&mut self) -> RunOutput {
-        let st = &mut self.state;
+        let st = &self.state;
         let horizon = self.horizon;
         RunOutput {
             horizon,
@@ -352,7 +359,9 @@ impl SplitBranch for DesScratch {
                 .map(|a| a.improper.integral_until(horizon))
                 .collect(),
             byzantine_per_app: st.apps.iter().map(|a| a.byzantine).collect(),
-            exclusion_corrupt_fractions: std::mem::take(&mut st.exclusion_fractions),
+            // Copied, not taken, so the next run records into the
+            // scratch's grown buffer.
+            exclusion_corrupt_fractions: st.exclusion_fractions.clone(),
             snapshots: std::mem::take(&mut self.snapshots),
             first_byzantine_time: st.first_byzantine_time,
             first_improper_time: st.first_improper_time,
@@ -411,6 +420,9 @@ impl State {
             exclusion_fractions: Vec::new(),
             first_byzantine_time: None,
             first_improper_time: None,
+            domain_app_live: vec![0; num_domains * num_apps],
+            host_app_live: vec![0; nh * num_apps],
+            candidates: Vec::new(),
         };
         st.reset(rng);
         st
@@ -418,7 +430,8 @@ impl State {
 
     /// Restores the pristine time-zero state (the one [`State::new`]
     /// produces) while keeping every allocation: the event queue's backing
-    /// storage, the per-host replica index vectors, and the replica arena.
+    /// storage, the per-host replica index vectors, the replica arena, the
+    /// occupancy counters and the placement candidates.
     ///
     /// Replication independence relies on this being a *complete* reset:
     /// any field mutated during a run must be restored here, so that a
@@ -460,6 +473,8 @@ impl State {
         self.exclusion_fractions.clear();
         self.first_byzantine_time = None;
         self.first_improper_time = None;
+        self.domain_app_live.fill(0);
+        self.host_app_live.fill(0);
     }
 
     // ------------------------------------------------------------------
@@ -718,8 +733,8 @@ impl State {
 
         // Replicas and manager on this host become more vulnerable:
         // invalidate and re-arm their attack processes at the higher rate.
-        let reps: Vec<usize> = self.hosts[h].replicas.clone();
-        for r in reps {
+        for i in 0..self.hosts[h].replicas.len() {
+            let r = self.hosts[h].replicas[i];
             if self.replicas[r].alive && !self.replicas[r].corrupt {
                 self.replicas[r].attack_epoch += 1;
                 self.schedule_replica_attack(r);
@@ -909,6 +924,7 @@ impl State {
             // excluded the replica from all future communication, and the
             // correct replicas asked for a replacement.
             self.replicas[r].alive = false;
+            self.count_live(r, false);
             self.apps[app].running -= 1;
             self.apps[app].need_recovery += 1;
             self.hosts[h].replicas.retain(|&rr| rr != r);
@@ -966,10 +982,10 @@ impl State {
             }
         }
         // Kill every replica on the host.
-        let reps: Vec<usize> = std::mem::take(&mut self.hosts[h].replicas);
-        for r in reps {
-            self.kill_replica(r);
+        for i in 0..self.hosts[h].replicas.len() {
+            self.kill_replica(self.hosts[h].replicas[i]);
         }
+        self.hosts[h].replicas.clear();
     }
 
     fn kill_replica(&mut self, r: usize) {
@@ -977,6 +993,7 @@ impl State {
             return;
         }
         self.replicas[r].alive = false;
+        self.count_live(r, false);
         let app = self.replicas[r].app;
         self.apps[app].running -= 1;
         if self.replicas[r].corrupt && !self.replicas[r].convicted {
@@ -1005,17 +1022,15 @@ impl State {
     /// Starts one replica of `app` on a uniformly random eligible
     /// domain/host. Returns false if nowhere is eligible.
     fn start_replica_somewhere(&mut self, app: usize) -> bool {
-        let eligible_domains: Vec<usize> = (0..self.p.num_domains)
-            .filter(|&d| self.domain_eligible(d, app))
-            .collect();
-        let Some(&d) = self.rng.choose(&eligible_domains) else {
+        let Some(d) =
+            self.choose_candidate(0..self.p.num_domains, |st, d| st.domain_eligible(d, app))
+        else {
             return false;
         };
         let lo = d * self.p.hosts_per_domain;
-        let eligible_hosts: Vec<usize> = (lo..lo + self.p.hosts_per_domain)
-            .filter(|&h| self.host_eligible(h, app))
-            .collect();
-        let Some(&h) = self.rng.choose(&eligible_hosts) else {
+        let Some(h) = self.choose_candidate(lo..lo + self.p.hosts_per_domain, |st, h| {
+            st.host_eligible(h, app)
+        }) else {
             return false;
         };
         let r = self.replicas.len();
@@ -1028,41 +1043,66 @@ impl State {
             attack_epoch: 0,
         });
         self.hosts[h].replicas.push(r);
+        self.count_live(r, true);
         self.apps[app].running += 1;
         self.update_improper(app);
         self.schedule_replica_attack(r);
         true
     }
 
-    fn domain_eligible(&self, d: usize, app: usize) -> bool {
-        if self.domains[d].excluded {
-            return false;
+    /// Draws one of the indices in `range` that pass `eligible`, uniformly,
+    /// through the reused candidate buffer; `None` if none passes.
+    fn choose_candidate(
+        &mut self,
+        range: std::ops::Range<usize>,
+        eligible: impl Fn(&Self, usize) -> bool,
+    ) -> Option<usize> {
+        self.candidates.clear();
+        for i in range {
+            if eligible(self, i) {
+                self.candidates.push(i);
+            }
         }
-        let lo = d * self.p.hosts_per_domain;
-        let hi = lo + self.p.hosts_per_domain;
-        match self.p.placement {
-            PlacementConstraint::OnePerDomain => {
+        self.rng.choose(&self.candidates).copied()
+    }
+
+    /// Counts replica `r` into (`live`) or out of the occupancy counters
+    /// of its app on its host and domain.
+    fn count_live(&mut self, r: usize, live: bool) {
+        let Replica { app, host, .. } = self.replicas[r];
+        let na = self.apps.len();
+        let (h, d) = (host * na + app, self.hosts[host].domain * na + app);
+        if live {
+            self.host_app_live[h] += 1;
+            self.domain_app_live[d] += 1;
+        } else {
+            self.host_app_live[h] -= 1;
+            self.domain_app_live[d] -= 1;
+        }
+    }
+
+    fn domain_eligible(&self, d: usize, app: usize) -> bool {
+        let dom = &self.domains[d];
+        let live = self.domain_app_live[d * self.apps.len() + app];
+        !dom.excluded
+            && match self.p.placement {
                 // No live replica of this app anywhere in the domain, and
                 // at least one live host.
-                self.domains[d].active_hosts > 0 && !(lo..hi).any(|h| self.host_has_app(h, app))
+                PlacementConstraint::OnePerDomain => live == 0 && dom.active_hosts > 0,
+                // Some live host holds no replica of this app: every live
+                // replica sits on a live host, at most one per host.
+                PlacementConstraint::OnePerHost => dom.active_hosts > live,
             }
-            PlacementConstraint::OnePerHost => (lo..hi).any(|h| self.host_eligible(h, app)),
-        }
     }
 
     fn host_eligible(&self, h: usize, app: usize) -> bool {
         self.hosts[h].alive
             && match self.p.placement {
                 PlacementConstraint::OnePerDomain => true, // domain filter did the work
-                PlacementConstraint::OnePerHost => !self.host_has_app(h, app),
+                PlacementConstraint::OnePerHost => {
+                    self.host_app_live[h * self.apps.len() + app] == 0
+                }
             }
-    }
-
-    fn host_has_app(&self, h: usize, app: usize) -> bool {
-        self.hosts[h]
-            .replicas
-            .iter()
-            .any(|&r| self.replicas[r].alive && self.replicas[r].app == app)
     }
 
     // ------------------------------------------------------------------
@@ -1156,6 +1196,35 @@ impl State {
         assert_eq!(self.corrupt_mgrs_total, corrupt_mgrs);
         let excl = self.domains.iter().filter(|d| d.excluded).count();
         assert_eq!(self.excluded_domains, excl);
+        // Occupancy counters, recounted from the replica arena. Every live
+        // replica sits on a live host and is listed there, which is what
+        // lets the counters stand in for a scan of the host lists.
+        let na = self.apps.len();
+        let mut host_live = vec![0; self.hosts.len() * na];
+        let mut domain_live = vec![0; self.domains.len() * na];
+        for (r, rep) in self.replicas.iter().enumerate() {
+            let listed = self.hosts[rep.host].replicas.contains(&r);
+            assert_eq!(listed, rep.alive, "replica {r} listing on its host");
+            if rep.alive {
+                assert!(
+                    self.hosts[rep.host].alive,
+                    "live replica {r} on a dead host"
+                );
+                host_live[rep.host * na + rep.app] += 1;
+                domain_live[self.hosts[rep.host].domain * na + rep.app] += 1;
+            }
+        }
+        assert_eq!(self.host_app_live, host_live, "per-host occupancy");
+        assert_eq!(self.domain_app_live, domain_live, "per-domain occupancy");
+        let constrained = match self.p.placement {
+            PlacementConstraint::OnePerDomain => &domain_live,
+            PlacementConstraint::OnePerHost => &host_live,
+        };
+        assert!(
+            constrained.iter().all(|&n| n <= 1),
+            "{:?} violated",
+            self.p.placement
+        );
         for (d, dom) in self.domains.iter().enumerate() {
             let lo = d * self.p.hosts_per_domain;
             let hi = lo + self.p.hosts_per_domain;
@@ -1163,19 +1232,6 @@ impl State {
             assert_eq!(dom.active_hosts, active, "domain {d} active hosts");
             if dom.excluded {
                 assert_eq!(active, 0, "excluded domain {d} has live hosts");
-            }
-            // Placement constraint.
-            if self.p.placement == PlacementConstraint::OnePerDomain {
-                for app in 0..self.apps.len() {
-                    let in_domain = (lo..hi)
-                        .flat_map(|h| self.hosts[h].replicas.iter())
-                        .filter(|&&r| self.replicas[r].alive && self.replicas[r].app == app)
-                        .count();
-                    assert!(
-                        in_domain <= 1,
-                        "app {app} has {in_domain} replicas in domain {d}"
-                    );
-                }
             }
         }
     }
@@ -1202,12 +1258,26 @@ mod tests {
 
     #[test]
     fn reused_scratch_matches_fresh_runs() {
-        let des = ItuaDes::new(small_params()).unwrap();
-        let mut scratch = des.scratch();
-        for seed in 0..40 {
-            let reused = des.run_into(seed, 5.0, &[1.0, 5.0], &mut scratch);
-            let fresh = des.run(seed, 5.0, &[1.0, 5.0]);
-            assert_eq!(reused, fresh, "seed {seed}");
+        // Under both schemes, with spread re-arming host attacks, runs
+        // leave excluded hosts, dead replicas, occupancy counts and
+        // placement candidates behind: the next begin must clear them all.
+        for scheme in [
+            ManagementScheme::DomainExclusion,
+            ManagementScheme::HostExclusion,
+        ] {
+            let p = small_params().with_scheme(scheme).with_spread_rate(4.0);
+            let des = ItuaDes::new(p).unwrap();
+            let mut scratch = des.scratch();
+            let mut excluding_runs = 0;
+            for seed in 0..40 {
+                let reused = des.run_into(seed, 5.0, &[1.0, 5.0], &mut scratch);
+                let fresh = des.run(seed, 5.0, &[1.0, 5.0]);
+                assert_eq!(reused, fresh, "{scheme:?} seed {seed}");
+                if scratch.state.hosts.iter().any(|h| !h.alive) {
+                    excluding_runs += 1;
+                }
+            }
+            assert!(excluding_runs > 0, "{scheme:?}: no run excluded a host");
         }
     }
 

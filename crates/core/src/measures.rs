@@ -140,6 +140,12 @@ impl RunOutput {
 #[derive(Debug, Clone)]
 pub struct MeasureSet {
     est: ReplicationEstimator,
+    /// Sample schedule of the observation being recorded.
+    schedule: Vec<f64>,
+    /// Each time of the last recorded schedule with its three `@t`
+    /// measure names, kept so that a run of observations on one schedule
+    /// formats the names once.
+    timed_names: Vec<(f64, [String; 3])>,
 }
 
 impl MeasureSet {
@@ -147,16 +153,17 @@ impl MeasureSet {
     pub fn new(level: f64) -> Self {
         MeasureSet {
             est: ReplicationEstimator::new(level),
+            schedule: Vec::new(),
+            timed_names: Vec::new(),
         }
     }
 
     /// Records one replication's output: the one-leaf, weight-1 case of
     /// [`MeasureSet::record_tree`].
     pub fn record(&mut self, out: &RunOutput) {
-        self.record_leaves(
-            std::iter::once((1.0, out)),
-            out.snapshots.iter().map(|s| s.time),
-        );
+        self.schedule.clear();
+        self.schedule.extend(out.snapshots.iter().map(|s| s.time));
+        self.record_leaves(std::iter::once((1.0, out)));
     }
 
     /// Records one importance-splitting tree's weighted leaves as a single
@@ -183,24 +190,38 @@ impl MeasureSet {
     /// [`MeasureSet::record`]: every `w·x` and `Σw·v/Σw` is `x` at
     /// `w == 1.0`.
     pub fn record_tree(&mut self, leaves: &[(f64, RunOutput)], horizon: f64, sample_times: &[f64]) {
-        let mut schedule = Vec::new();
-        crate::des::clamp_sample_times(sample_times, horizon, &mut schedule);
+        crate::des::clamp_sample_times(sample_times, horizon, &mut self.schedule);
         debug_assert!(
             leaves
                 .iter()
-                .all(|(_, o)| o.snapshots.len() == schedule.len()),
+                .all(|(_, o)| o.snapshots.len() == self.schedule.len()),
             "leaf snapshots do not match the sample schedule"
         );
-        self.record_leaves(leaves.iter().map(|(w, o)| (*w, o)), schedule.into_iter());
+        self.record_leaves(leaves.iter().map(|(w, o)| (*w, o)));
     }
 
     /// Records one observation per measure from weighted leaves whose
-    /// snapshots follow the schedule `times` (see
-    /// [`MeasureSet::record_tree`] for the estimator).
-    fn record_leaves<'a, L>(&mut self, leaves: L, times: impl Iterator<Item = f64>)
+    /// snapshots follow `self.schedule` (see [`MeasureSet::record_tree`]
+    /// for the estimator).
+    fn record_leaves<'a, L>(&mut self, leaves: L)
     where
         L: Iterator<Item = (f64, &'a RunOutput)> + Clone,
     {
+        let named_times = self.timed_names.iter().map(|(t, _)| t.to_bits());
+        if !named_times.eq(self.schedule.iter().map(|t| t.to_bits())) {
+            self.timed_names.clear();
+            self.timed_names.extend(self.schedule.iter().map(|&t| {
+                let name = |measure| format!("{measure}@{t}");
+                (
+                    t,
+                    [
+                        name(names::FRAC_DOMAINS_EXCLUDED),
+                        name(names::REPLICAS_RUNNING),
+                        name(names::LOAD_PER_HOST),
+                    ],
+                )
+            }));
+        }
         // Float sums start at -0.0, the additive identity, so every `Σ w·x`
         // over one weight-1 leaf is `x` bit for bit.
         let unavailability: f64 = leaves
@@ -210,22 +231,14 @@ impl MeasureSet {
         self.est.record(names::UNAVAILABILITY, unavailability);
         let unreliability: f64 = leaves.clone().map(|(w, o)| w * o.unreliability()).sum();
         self.est.record(names::UNRELIABILITY, unreliability);
-        for (i, t) in times.enumerate() {
+        for (i, (_, [excluded, running, load])) in self.timed_names.iter().enumerate() {
             let total = |f: fn(&Snapshot) -> f64| -> f64 {
                 leaves.clone().map(|(w, o)| w * f(&o.snapshots[i])).sum()
             };
-            self.est.record(
-                &format!("{}@{}", names::FRAC_DOMAINS_EXCLUDED, t),
-                total(|s| s.frac_domains_excluded),
-            );
-            self.est.record(
-                &format!("{}@{}", names::REPLICAS_RUNNING, t),
-                total(|s| s.mean_replicas_running),
-            );
-            self.est.record(
-                &format!("{}@{}", names::LOAD_PER_HOST, t),
-                total(|s| s.load_per_host),
-            );
+            self.est
+                .record(excluded, total(|s| s.frac_domains_excluded));
+            self.est.record(running, total(|s| s.mean_replicas_running));
+            self.est.record(load, total(|s| s.load_per_host));
         }
 
         let mut conditional = |name: &str, value: fn(&RunOutput) -> Option<f64>| {
@@ -376,6 +389,60 @@ mod tests {
             assert_eq!(x.min, y.min);
             assert_eq!(x.max, y.max);
         }
+    }
+
+    #[test]
+    fn record_tree_renames_when_the_schedule_changes() {
+        // One set reused across schedules (a time added, one moved, one
+        // clamped onto the horizon, all dropped) records what a set whose
+        // name cache is cold on every call records.
+        let schedules: [&[f64]; 6] = [
+            &[5.0],
+            &[1.0, 5.0],
+            &[1.0, 5.0],
+            &[2.0, 5.0],
+            &[2.0, 9.0],
+            &[],
+        ];
+        let mut reused = MeasureSet::new(0.95);
+        let mut cold = MeasureSet::new(0.95);
+        let mut calls_at = [0u64; 6];
+        for (k, &times) in schedules.iter().cycle().take(12).enumerate() {
+            let mut schedule = Vec::new();
+            crate::des::clamp_sample_times(times, 5.0, &mut schedule);
+            let mut out = sample_output();
+            out.improper_time_per_app[0] += k as f64 * 0.1;
+            out.snapshots = schedule
+                .iter()
+                .enumerate()
+                .map(|(i, &time)| Snapshot {
+                    time,
+                    load_per_host: 1.0 + (k + i) as f64 * 0.01,
+                    ..out.snapshots[0]
+                })
+                .collect();
+            for &t in &schedule {
+                calls_at[t as usize] += 1;
+            }
+            reused.record_tree(&[(1.0, out.clone())], 5.0, times);
+            cold.timed_names.clear();
+            cold.record_tree(&[(1.0, out)], 5.0, times);
+        }
+        assert_eq!(reused.estimates(), cold.estimates());
+        for t in [1, 2, 5] {
+            for measure in [
+                names::FRAC_DOMAINS_EXCLUDED,
+                names::REPLICAS_RUNNING,
+                names::LOAD_PER_HOST,
+            ] {
+                assert_eq!(
+                    reused.estimator().count(&format!("{measure}@{t}")),
+                    calls_at[t],
+                    "{measure}@{t}"
+                );
+            }
+        }
+        assert_eq!(reused.estimator().count(names::UNAVAILABILITY), 12);
     }
 
     #[test]

@@ -67,15 +67,20 @@ impl ReplicationEstimator {
     }
 
     /// Records one observation of `measure` carrying likelihood `weight`.
+    /// The name is copied only the first time `measure` is seen.
     ///
     /// # Panics
     ///
     /// Panics when `weight` is not a finite positive number.
     pub fn record_weighted(&mut self, measure: &str, value: f64, weight: f64) {
-        self.measures
-            .entry(measure.to_owned())
-            .or_default()
-            .push(value, weight);
+        if let Some(stats) = self.measures.get_mut(measure) {
+            stats.push(value, weight);
+        } else {
+            self.measures
+                .entry(measure.to_owned())
+                .or_default()
+                .push(value, weight);
+        }
     }
 
     /// Records an exact (zero-variance) value for `measure`, as produced by

@@ -14,11 +14,15 @@
 //!   seed 7), through both `run_measures_split` and `run_measures`;
 //! * 32 trees split at `1x4,2x4` (horizon 3, a sample at 3, seed 11).
 //!
+//! A third DES run pins the paths only Figure 5 reaches: host exclusion,
+//! one-per-host placement and spread re-arms (48 replications, horizon
+//! 10, samples at 5 and 10, seed 13).
+//!
 //! Each run is repeated at 1, 2 and 8 threads with batches of 1 and 32,
 //! and must reproduce the `to_bits` of every estimate's mean and
 //! half-width, and the [`SplitTotals`], recorded below.
 
-use itua_repro::itua::params::Params;
+use itua_repro::itua::params::{ManagementScheme, Params};
 use itua_repro::rare::SplitSpec;
 use itua_repro::runner::backend::ModelCheck;
 use itua_repro::runner::{
@@ -32,6 +36,8 @@ type Bits = Vec<(String, u64, u64)>;
 /// One pinned run: its arguments, and the bits it produced when the
 /// values were recorded.
 struct Pinned {
+    params: fn() -> Params,
+    horizon: f64,
     replications: u32,
     seed: u64,
     samples: &'static [f64],
@@ -42,6 +48,17 @@ struct Pinned {
 
 fn params() -> Params {
     Params::default().with_domains(4, 2).with_applications(2, 3)
+}
+
+/// Host exclusion (hence one-per-host placement) on three-host domains,
+/// with a fast intra-domain spread that re-arms host attacks.
+fn host_exclusion_params() -> Params {
+    Params::default()
+        .with_domains(4, 3)
+        .with_applications(2, 4)
+        .with_scheme(ManagementScheme::HostExclusion)
+        .with_host_corruption_multiplier(5.0)
+        .with_spread_rate(4.0)
 }
 
 fn runner(threads: usize, batch: u32) -> RunnerConfig {
@@ -68,7 +85,7 @@ fn source(estimates: &Bits, totals: &SplitTotals) -> String {
 }
 
 fn check(kind: BackendKind, pinned: &Pinned) {
-    let backend = ItuaBackend::for_params(kind, &params()).expect("valid params");
+    let backend = ItuaBackend::for_params(kind, &(pinned.params)()).expect("valid params");
     let spec: SplitSpec = pinned.spec.parse().expect("valid spec");
     let expected: Bits = pinned
         .estimates
@@ -83,7 +100,7 @@ fn check(kind: BackendKind, pinned: &Pinned) {
                 pinned.replications,
                 0.95,
                 pinned.seed,
-                3.0,
+                pinned.horizon,
                 pinned.samples,
                 &spec,
                 &rc,
@@ -103,7 +120,7 @@ fn check(kind: BackendKind, pinned: &Pinned) {
                     pinned.replications,
                     0.95,
                     pinned.seed,
-                    3.0,
+                    pinned.horizon,
                     pinned.samples,
                     &rc,
                     &NullProgress,
@@ -130,6 +147,11 @@ fn des_split_trees_are_pinned() {
 }
 
 #[test]
+fn des_host_exclusion_replications_are_pinned() {
+    check(BackendKind::Des, &DES_HOST_EXCLUSION);
+}
+
+#[test]
 fn san_plain_replications_are_pinned() {
     check(BackendKind::San, &SAN_PLAIN);
 }
@@ -140,6 +162,8 @@ fn san_split_trees_are_pinned() {
 }
 
 const DES_PLAIN: Pinned = Pinned {
+    params,
+    horizon: 3.0,
     replications: 24,
     seed: 7,
     samples: &[1.0, 3.0],
@@ -187,6 +211,8 @@ const DES_PLAIN: Pinned = Pinned {
 };
 
 const DES_SPLIT: Pinned = Pinned {
+    params,
+    horizon: 3.0,
     replications: 32,
     seed: 11,
     samples: &[3.0],
@@ -226,7 +252,57 @@ const DES_SPLIT: Pinned = Pinned {
     },
 };
 
+const DES_HOST_EXCLUSION: Pinned = Pinned {
+    params: host_exclusion_params,
+    horizon: 10.0,
+    replications: 48,
+    seed: 13,
+    samples: &[5.0, 10.0],
+    spec: "none",
+    estimates: &[
+        (
+            "frac_domains_excluded@10",
+            0x0000000000000000,
+            0x0000000000000000,
+        ),
+        (
+            "frac_domains_excluded@5",
+            0x0000000000000000,
+            0x0000000000000000,
+        ),
+        ("load_per_host@10", 0x3ff0a9f632c805b6, 0x3fb56a51fc312400),
+        ("load_per_host@5", 0x3fe97360e87b22d9, 0x3fa1e288c2b6abd6),
+        (
+            "replicas_running@10",
+            0x400eaaaaaaaaaaaa,
+            0x3fbe05bd33394223,
+        ),
+        ("replicas_running@5", 0x4010000000000000, 0x0000000000000000),
+        (
+            "time_to_first_byzantine",
+            0x401f19811d97f494,
+            0x3ff59ab2d5be6622,
+        ),
+        (
+            "time_to_first_improper",
+            0x401f19811d97f494,
+            0x3ff59ab2d5be6622,
+        ),
+        ("unavailability", 0x3f86d7ed9f9f0032, 0x3f84c2114643b6b3),
+        ("unreliability", 0x3fc2aaaaaaaaaaab, 0x3fb4397f8e3d9c2a),
+    ],
+    totals: SplitTotals {
+        trees: 48,
+        steps: 1486,
+        branches: 48,
+        leaves: 48,
+        killed: 0,
+    },
+};
+
 const SAN_PLAIN: Pinned = Pinned {
+    params,
+    horizon: 3.0,
     replications: 24,
     seed: 7,
     samples: &[1.0, 3.0],
@@ -274,6 +350,8 @@ const SAN_PLAIN: Pinned = Pinned {
 };
 
 const SAN_SPLIT: Pinned = Pinned {
+    params,
+    horizon: 3.0,
     replications: 32,
     seed: 11,
     samples: &[3.0],
