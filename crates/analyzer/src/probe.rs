@@ -109,13 +109,6 @@ pub struct ProbeData {
     pub delta_overflow: Vec<bool>,
 }
 
-impl ProbeData {
-    /// Distinct deltas observed for `activity` (any case).
-    pub fn deltas_of(&self, activity: usize) -> impl Iterator<Item = &CaseDelta> {
-        self.deltas.iter().filter(move |d| d.activity == activity)
-    }
-}
-
 struct ProbeState<'a> {
     san: &'a San,
     cfg: &'a ProbeConfig,

@@ -97,11 +97,6 @@ pub enum ReachError {
         /// The configured work budget.
         max_work: usize,
     },
-    /// A timed activity has a general (non-exponential) distribution.
-    GeneralTiming {
-        /// Activity name.
-        activity: String,
-    },
     /// A timed activity produced a NaN/infinite/negative rate at a
     /// reachable marking.
     BadRate {
@@ -136,9 +131,6 @@ impl std::fmt::Display for ReachError {
                     f,
                     "work budget exceeded: more than {max_work} firings explored"
                 )
-            }
-            ReachError::GeneralTiming { activity } => {
-                write!(f, "activity '{activity}' has a general distribution; exhaustive checking requires Markovian timing")
             }
             ReachError::BadRate { activity } => {
                 write!(
@@ -256,8 +248,8 @@ impl ReachGraph {
 /// # Errors
 ///
 /// Returns a structured [`ReachError`] on budget exhaustion
-/// (`StateBudget`, `WorkBudget`), general timing, or invalid
-/// rates/weights at a reachable marking.
+/// (`StateBudget`, `WorkBudget`) or invalid rates/weights at a
+/// reachable marking.
 pub fn explore(
     san: &San,
     cfg: &ReachConfig,
@@ -274,14 +266,6 @@ fn explore_dyn(
     symmetry: Option<&SymmetrySpec>,
     on_fire: &mut OnFire<'_>,
 ) -> Result<ReachGraph, ReachError> {
-    for (_, act) in san.activities() {
-        if matches!(act.timing(), Timing::General(_)) {
-            return Err(ReachError::GeneralTiming {
-                activity: act.name().to_owned(),
-            });
-        }
-    }
-
     let num_places = san.num_places();
     let mut index: HashMap<Vec<i32>, usize> = HashMap::new();
     let mut states: Vec<Vec<i32>> = Vec::new();

@@ -692,28 +692,6 @@ pub fn oracle(model: &ItuaSan, max_states: usize) -> Result<OracleAgreement, Str
     })
 }
 
-/// The deep (opt-in) model-check behind `Backend::self_check_deep`:
-/// exhaustive quotient proof plus the generator [`oracle`].
-///
-/// # Errors
-///
-/// Returns a newline-separated description of hard findings, budget
-/// errors, or oracle mismatches.
-pub fn deep_check(model: &ItuaSan, max_states: usize) -> Result<(), String> {
-    let report = exhaustive_check(model, max_states).map_err(|e| e.to_string())?;
-    if report.has_hard_findings() {
-        let lines: Vec<String> = report
-            .findings
-            .iter()
-            .filter(|f| f.severity == Severity::Hard)
-            .map(|f| format!("[{}] {}: {}", f.id, f.subject, f.detail))
-            .collect();
-        return Err(lines.join("\n"));
-    }
-    oracle(model, max_states)?;
-    Ok(())
-}
-
 /// A reachable firing that witnesses the `frac-corrupt-replica-blind`
 /// measure gap.
 #[derive(Debug, Clone)]
@@ -881,14 +859,6 @@ mod tests {
         assert!(agreement.tangible_states > 0);
         assert!(agreement.transitions > 0);
         assert!(agreement.max_rel_dev <= reach::RATE_REL_TOL);
-    }
-
-    #[test]
-    fn deep_check_accepts_micro_and_reports_budget() {
-        let model = micro();
-        assert_eq!(deep_check(&model, 200_000), Ok(()));
-        let err = deep_check(&model, 3).unwrap_err();
-        assert!(err.contains("state budget"), "{err}");
     }
 
     #[test]

@@ -159,24 +159,6 @@ pub trait Backend: Sync {
     fn self_check(&self) -> Result<(), BackendError> {
         Ok(())
     }
-
-    /// An exhaustive model check: prove the structural properties over the
-    /// *entire* reachable state space (quotiented by model symmetry) under
-    /// a state budget, instead of probing a sample of markings. Opt-in via
-    /// [`ModelCheck::Deep`] — exponentially more expensive than
-    /// [`Backend::self_check`] and only feasible on micro configurations.
-    /// The default falls back to the quick check. The SAN backend runs
-    /// [`itua_core::analysis::deep_check`]: every conservation family over
-    /// every reachable marking, livelock detection, and cross-validation
-    /// of the explorer against the analytic backend's state-space builder.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError`] describing every violation found, or a
-    /// budget-exceeded error when the space is larger than `max_states`.
-    fn self_check_deep(&self, _max_states: usize) -> Result<(), BackendError> {
-        self.self_check()
-    }
 }
 
 /// Whether the replication loop verifies the model before simulating.
@@ -188,13 +170,6 @@ pub enum ModelCheck {
     /// sweep point.
     #[default]
     Quick,
-    /// Run [`Backend::self_check_deep`]: exhaustively verify the model
-    /// over its full reachable state space (up to `max_states` quotient
-    /// states) before simulating. Micro configurations only.
-    Deep {
-        /// State budget for the exhaustive exploration.
-        max_states: usize,
-    },
     /// Skip the check (`--no-check`).
     Off,
 }
@@ -470,17 +445,6 @@ impl Backend for ItuaBackend {
             }),
         }
     }
-
-    fn self_check_deep(&self, max_states: usize) -> Result<(), BackendError> {
-        match self {
-            ItuaBackend::Des(_) | ItuaBackend::Analytic(_) => Ok(()),
-            ItuaBackend::San(b) => {
-                itua_core::analysis::deep_check(b.model(), max_states).map_err(|e| {
-                    BackendError::new(format!("SAN model failed its exhaustive check:\n{e}"))
-                })
-            }
-        }
-    }
 }
 
 /// Runs `replications` independent replications of `backend` and reduces
@@ -490,9 +454,9 @@ impl Backend for ItuaBackend {
 ///
 /// Replication `i` is seeded with `stream_seed(origin_seed, i)`; outputs
 /// are recorded in replication order on the calling thread, so the result
-/// is bit-identical for every thread count, chunk size and batch size in
-/// `runner`. Each worker thread allocates one scratch and reuses it for
-/// all its replications.
+/// is bit-identical for every thread count and batch size in `runner`.
+/// Each worker thread allocates one scratch and reuses it for all its
+/// replications.
 ///
 /// An exact backend (one whose [`Backend::exact_measures`] returns `Some`)
 /// skips the replication loop entirely: its zero-variance measure set is
@@ -820,42 +784,6 @@ mod tests {
         };
         // The check only gates; it must not influence the estimates.
         assert_eq!(run(ModelCheck::Quick), run(ModelCheck::Off));
-    }
-
-    #[test]
-    fn san_deep_check_gates_like_quick_on_micro() {
-        // micro_params zeroes spread, so use the spread-enabled micro
-        // config the core analysis tests use; the deep check is an
-        // exhaustive proof, not a probe, and must still only gate.
-        let params = Params::default().with_domains(1, 2).with_applications(1, 2);
-        let backend = ItuaBackend::for_params(BackendKind::San, &params).unwrap();
-        backend.self_check_deep(200_000).unwrap();
-        let run = |check| {
-            run_measures_split(
-                &backend,
-                4,
-                0.95,
-                1,
-                2.0,
-                &[2.0],
-                &SplitSpec::none(),
-                &RunnerConfig::serial(),
-                &NullProgress,
-                check,
-            )
-            .unwrap()
-            .measures
-            .estimates()
-        };
-        assert_eq!(
-            run(ModelCheck::Deep {
-                max_states: 200_000
-            }),
-            run(ModelCheck::Off)
-        );
-        // Too small a budget is a structured refusal, not a hang.
-        let err = backend.self_check_deep(3).unwrap_err().to_string();
-        assert!(err.contains("state budget"), "{err}");
     }
 
     #[test]

@@ -12,15 +12,16 @@
 use crate::progress::Progress;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+/// Replications per work unit. Results are reassembled in chunk order,
+/// so the chunk size sets only the scheduling granularity and the
+/// progress cadence, never a result.
+const CHUNK_SIZE: u32 = 32;
+
 /// How to spend the machine's cores on a replication workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunnerConfig {
     /// Worker threads; `0` means "one per available core".
     pub threads: usize,
-    /// Replications per work unit. Chunking is part of the deterministic
-    /// contract (results are reassembled in chunk order), so this does not
-    /// affect results, only scheduling granularity.
-    pub chunk_size: u32,
     /// Replications handed to the backend per [`replicate_batched`] call
     /// within a chunk. Purely an amortisation knob: each replication's
     /// result must depend only on its index, so batching never affects
@@ -32,7 +33,6 @@ impl Default for RunnerConfig {
     fn default() -> Self {
         RunnerConfig {
             threads: 0,
-            chunk_size: 32,
             batch_size: 32,
         }
     }
@@ -85,7 +85,7 @@ impl RunnerConfig {
 /// result must depend only on that index — derive all randomness from it
 /// (e.g. `stream_seed(base, index)`), and treat the scratch as an
 /// allocation cache, not a communication channel — so the output is
-/// bit-identical for every thread count, chunk size, *and* batch size
+/// bit-identical for every thread count *and* batch size
 /// ([`RunnerConfig::batch_size`]; `0` is treated as 1). Progress is
 /// reported after every completed chunk via [`Progress::on_replications`].
 ///
@@ -128,16 +128,15 @@ where
     if replications == 0 {
         return Vec::new();
     }
-    let chunk = config.chunk_size.max(1);
     let batch = config.batch_size.max(1);
-    let num_chunks = replications.div_ceil(chunk);
+    let num_chunks = replications.div_ceil(CHUNK_SIZE);
     let threads = config.effective_threads().min(num_chunks as usize).max(1);
 
     // Runs one chunk: its replications in batch-sized ranges, results
     // appended to `out` in index order.
     let run_chunk = |c: u32, scratch: &mut S, out: &mut Vec<R>| -> u32 {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(replications);
+        let lo = c * CHUNK_SIZE;
+        let hi = (lo + CHUNK_SIZE).min(replications);
         let before = out.len();
         let mut b = lo;
         while b < hi {
@@ -237,35 +236,45 @@ mod tests {
         }
     }
 
+    /// Replication counts covering a partial chunk, an exact chunk, one
+    /// replication past it and many chunks.
+    const COUNTS: [u32; 4] = [
+        CHUNK_SIZE - 1,
+        CHUNK_SIZE,
+        CHUNK_SIZE + 1,
+        8 * CHUNK_SIZE + 1,
+    ];
+
     #[test]
     fn preserves_replication_order() {
         for threads in [1, 2, 4, 8] {
-            let cfg = RunnerConfig {
-                threads,
-                chunk_size: 3,
-                ..Default::default()
-            };
-            let got = each(100, &cfg, &NullProgress, |i| i);
-            assert_eq!(got, (0..100).collect::<Vec<_>>(), "threads = {threads}");
+            for reps in COUNTS {
+                let cfg = RunnerConfig::default().with_threads(threads);
+                let got = each(reps, &cfg, &NullProgress, |i| i);
+                assert_eq!(
+                    got,
+                    (0..reps).collect::<Vec<_>>(),
+                    "threads={threads} reps={reps}"
+                );
+            }
         }
     }
 
     #[test]
-    fn identical_results_across_thread_and_chunk_choices() {
+    fn identical_results_across_thread_and_batch_choices() {
         let work = |i: u32| itua_sim::rng::stream_seed(42, u64::from(i));
-        let reference = each(257, &RunnerConfig::serial(), &NullProgress, work);
-        for threads in [2, 3, 8] {
-            for chunk_size in [1, 7, 64, 1000] {
+        for reps in COUNTS {
+            let reference = each(reps, &RunnerConfig::serial(), &NullProgress, work);
+            for threads in [2, 3, 8] {
                 for batch_size in [0, 1, 5, 32] {
                     let cfg = RunnerConfig {
                         threads,
-                        chunk_size,
                         batch_size,
                     };
                     assert_eq!(
-                        each(257, &cfg, &NullProgress, work),
+                        each(reps, &cfg, &NullProgress, work),
                         reference,
-                        "threads={threads} chunk={chunk_size} batch={batch_size}"
+                        "threads={threads} batch={batch_size} reps={reps}"
                     );
                 }
             }
@@ -280,18 +289,16 @@ mod tests {
 
     #[test]
     fn runs_every_replication_exactly_once() {
-        let calls = AtomicUsize::new(0);
-        let cfg = RunnerConfig {
-            threads: 4,
-            chunk_size: 5,
-            ..Default::default()
-        };
-        let out = each(83, &cfg, &NullProgress, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(out.len(), 83);
-        assert_eq!(calls.load(Ordering::Relaxed), 83);
+        for reps in COUNTS {
+            let calls = AtomicUsize::new(0);
+            let cfg = RunnerConfig::default().with_threads(4);
+            let out = each(reps, &cfg, &NullProgress, |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                i
+            });
+            assert_eq!(out.len(), reps as usize);
+            assert_eq!(calls.load(Ordering::Relaxed), reps as usize);
+        }
     }
 
     #[test]
@@ -302,52 +309,46 @@ mod tests {
                 self.0.fetch_max(done, Ordering::Relaxed);
             }
         }
-        let last = Last(AtomicU32::new(0));
-        let cfg = RunnerConfig {
-            threads: 2,
-            chunk_size: 10,
-            ..Default::default()
-        };
-        each(45, &cfg, &last, |i| i);
-        assert_eq!(last.0.load(Ordering::Relaxed), 45);
+        for reps in COUNTS {
+            let last = Last(AtomicU32::new(0));
+            each(reps, &RunnerConfig::default().with_threads(2), &last, |i| i);
+            assert_eq!(last.0.load(Ordering::Relaxed), reps);
+        }
     }
 
     #[test]
     fn scratch_reuse_does_not_change_results() {
         // A work function that abuses its scratch as a dirty buffer still
         // yields thread-count-invariant results as long as it resets first.
+        let reps = 8 * CHUNK_SIZE + 1;
         let reference = replicate_batched(
-            123,
+            reps,
             &RunnerConfig::serial(),
             &NullProgress,
             Vec::new,
             scratch_sums,
         );
         for threads in [2, 4, 8] {
-            let cfg = RunnerConfig {
-                threads,
-                chunk_size: 7,
-                ..Default::default()
-            };
-            assert_eq!(
-                replicate_batched(123, &cfg, &NullProgress, Vec::new, scratch_sums),
-                reference,
-                "threads={threads}"
-            );
+            for batch_size in [1, 7] {
+                let cfg = RunnerConfig {
+                    threads,
+                    batch_size,
+                };
+                assert_eq!(
+                    replicate_batched(reps, &cfg, &NullProgress, Vec::new, scratch_sums),
+                    reference,
+                    "threads={threads} batch={batch_size}"
+                );
+            }
         }
     }
 
     #[test]
     fn scratch_is_created_once_per_worker() {
         let inits = AtomicUsize::new(0);
-        let cfg = RunnerConfig {
-            threads: 3,
-            chunk_size: 4,
-            ..Default::default()
-        };
         replicate_batched(
-            60,
-            &cfg,
+            8 * CHUNK_SIZE + 1,
+            &RunnerConfig::default().with_threads(3),
             &NullProgress,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);

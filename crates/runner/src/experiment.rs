@@ -183,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_and_chunk_choices_are_bit_identical() {
+    fn thread_and_batch_choices_are_bit_identical() {
         let sim = repairable();
         let down = sim.san().place_id("down").unwrap();
         let cfg = ExperimentConfig {
@@ -207,15 +207,14 @@ mod tests {
         assert!((unavail.ci.mean - 0.1).abs() < 0.05, "{unavail:?}");
 
         for threads in [2, 4, 8] {
-            for chunk_size in [1, 7, 32] {
+            for batch_size in [1, 7, 32] {
                 let rc = RunnerConfig {
                     threads,
-                    chunk_size,
-                    ..Default::default()
+                    batch_size,
                 };
                 let parallel =
                     run_experiment_parallel(&sim, cfg, &rc, &NullProgress, make).unwrap();
-                assert_eq!(parallel, reference, "threads={threads} chunk={chunk_size}");
+                assert_eq!(parallel, reference, "threads={threads} batch={batch_size}");
             }
         }
     }

@@ -19,7 +19,7 @@
 //! `stream_seed(origin_seed, i)`, branch `b > 0` of that tree is reseeded
 //! with `stream_seed(tree_seed, b)` (the third tier of the seed
 //! hierarchy), and trees are reduced in replication order, so estimates
-//! are bit-identical for every thread count, chunk size, and batch size.
+//! are bit-identical for every thread count and batch size.
 //!
 //! [`RunOutput`]: itua_core::measures::RunOutput
 
@@ -85,8 +85,7 @@ pub struct SplitRun {
 /// backend needs at least two trees, since a confidence interval needs
 /// two observations per measure. Tree `i` is seeded
 /// `stream_seed(origin_seed, i)` and recorded in replication order, so
-/// the result is bit-identical for every thread count, chunk size and
-/// batch size.
+/// the result is bit-identical for every thread count and batch size.
 ///
 /// # Errors
 ///
@@ -121,7 +120,6 @@ pub fn run_measures_split(
     }
     match check {
         ModelCheck::Quick => backend.self_check()?,
-        ModelCheck::Deep { max_states } => backend.self_check_deep(max_states)?,
         ModelCheck::Off => {}
     }
     if let Some(exact) = backend.exact_measures(horizon, sample_times, confidence) {
@@ -413,26 +411,5 @@ mod tests {
                 .unwrap()
                 .is_empty());
         }
-    }
-
-    #[test]
-    fn deep_check_gates_the_loop() {
-        let params = Params::default().with_domains(1, 2).with_applications(1, 2);
-        let backend = ItuaBackend::for_params(BackendKind::San, &params).unwrap();
-        let err = run_measures_split(
-            &backend,
-            4,
-            0.95,
-            1,
-            2.0,
-            &[2.0],
-            &SplitSpec::none(),
-            &RunnerConfig::serial(),
-            &NullProgress,
-            ModelCheck::Deep { max_states: 3 },
-        )
-        .unwrap_err()
-        .to_string();
-        assert!(err.contains("state budget"), "{err}");
     }
 }

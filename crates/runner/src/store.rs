@@ -88,9 +88,12 @@ impl StoredPoint {
 #[derive(Debug)]
 pub struct ResultStore {
     path: PathBuf,
-    sweep_id: String,
-    fingerprint: String,
+    /// The document up to the opening `[` of its point list.
+    head: String,
     points: Vec<StoredPoint>,
+    /// Each point's encoded JSON text, in the slot of its point, so that
+    /// recording a point encodes only that point.
+    encoded: Vec<String>,
 }
 
 const FORMAT: f64 = 1.0;
@@ -109,23 +112,27 @@ impl ResultStore {
     pub fn open(dir: &Path, sweep_id: &str, fingerprint: &str) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
         let path = dir.join(format!("{sweep_id}.json"));
-        let mut store = ResultStore {
-            path: path.clone(),
-            sweep_id: sweep_id.to_owned(),
-            fingerprint: fingerprint.to_owned(),
-            points: Vec::new(),
-        };
-        match fs::read(&path) {
-            Ok(bytes) => {
-                let text = std::str::from_utf8(&bytes).ok();
-                if let Some(points) = text.and_then(|t| decode(t, sweep_id, fingerprint)) {
-                    store.points = points;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        let head = format!(
+            "{{\"format\":{},\"sweep\":{},\"fingerprint\":{},\"points\":[",
+            Json::Num(FORMAT),
+            Json::Str(sweep_id.to_owned()),
+            Json::Str(fingerprint.to_owned()),
+        );
+        let points = match fs::read(&path) {
+            Ok(bytes) => std::str::from_utf8(&bytes)
+                .ok()
+                .and_then(|t| decode(t, sweep_id, fingerprint))
+                .unwrap_or_default(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
-        }
-        Ok(store)
+        };
+        let encoded = points.iter().map(|p| encode(p).to_string()).collect();
+        Ok(ResultStore {
+            path,
+            head,
+            points,
+            encoded,
+        })
     }
 
     /// The completed point with this key, if any. A stored point without
@@ -155,62 +162,49 @@ impl ResultStore {
 
     /// Records a completed point and rewrites the file atomically.
     ///
-    /// A point with the same key replaces the previous entry.
+    /// A point with the same key replaces the previous entry. Only the
+    /// new point is encoded; the others keep their stored text.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; the previous file version survives a
     /// failed write (temp file + rename).
     pub fn record(&mut self, point: StoredPoint) -> io::Result<()> {
-        match self.points.iter_mut().find(|p| p.key == point.key) {
-            Some(existing) => *existing = point,
-            None => self.points.push(point),
+        let text = encode(&point).to_string();
+        match self.points.iter().position(|p| p.key == point.key) {
+            Some(i) => {
+                self.points[i] = point;
+                self.encoded[i] = text;
+            }
+            None => {
+                self.points.push(point);
+                self.encoded.push(text);
+            }
         }
+        let doc = format!("{}{}]}}", self.head, self.encoded.join(","));
         let tmp = self.path.with_extension("json.tmp");
-        fs::write(&tmp, self.encode().to_string())?;
+        fs::write(&tmp, doc)?;
         fs::rename(&tmp, &self.path)
     }
+}
 
-    fn encode(&self) -> Json {
+fn encode(p: &StoredPoint) -> Json {
+    let estimates = p.estimates.iter().map(|e| {
         Json::Obj(vec![
-            ("format".into(), Json::Num(FORMAT)),
-            ("sweep".into(), Json::Str(self.sweep_id.clone())),
-            ("fingerprint".into(), Json::Str(self.fingerprint.clone())),
-            (
-                "points".into(),
-                Json::Arr(
-                    self.points
-                        .iter()
-                        .map(|p| {
-                            Json::Obj(vec![
-                                ("key".into(), Json::Str(p.key.clone())),
-                                ("x".into(), Json::Num(p.x)),
-                                ("series".into(), Json::Str(p.series.clone())),
-                                (
-                                    "estimates".into(),
-                                    Json::Arr(
-                                        p.estimates
-                                            .iter()
-                                            .map(|e| {
-                                                Json::Obj(vec![
-                                                    ("name".into(), Json::Str(e.name.clone())),
-                                                    ("mean".into(), Json::Num(e.mean)),
-                                                    ("half_width".into(), Json::Num(e.half_width)),
-                                                    ("n".into(), Json::Num(e.n as f64)),
-                                                    ("min".into(), Json::Num(e.min)),
-                                                    ("max".into(), Json::Num(e.max)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("name".into(), Json::Str(e.name.clone())),
+            ("mean".into(), Json::Num(e.mean)),
+            ("half_width".into(), Json::Num(e.half_width)),
+            ("n".into(), Json::Num(e.n as f64)),
+            ("min".into(), Json::Num(e.min)),
+            ("max".into(), Json::Num(e.max)),
         ])
-    }
+    });
+    Json::Obj(vec![
+        ("key".into(), Json::Str(p.key.clone())),
+        ("x".into(), Json::Num(p.x)),
+        ("series".into(), Json::Str(p.series.clone())),
+        ("estimates".into(), Json::Arr(estimates.collect())),
+    ])
 }
 
 fn decode(text: &str, sweep_id: &str, fingerprint: &str) -> Option<Vec<StoredPoint>> {
@@ -312,6 +306,24 @@ mod tests {
         assert_eq!(store.completed("a").unwrap().x, 1.0);
         assert_eq!(store.completed("b").unwrap().estimates[0].n, 2000);
         assert!(store.completed("c").is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_holds_every_point_in_record_order() {
+        let dir = tmp_dir("bytes");
+        let mut store = ResultStore::open(&dir, "fig", "fp").unwrap();
+        store.record(point("a", 1.0)).unwrap();
+        store.record(point("b\"", 2.0)).unwrap();
+        store.record(point("a", 5.0)).unwrap();
+        drop(store);
+        let mut store = ResultStore::open(&dir, "fig", "fp").unwrap();
+        store.record(point("c", 3.0)).unwrap();
+        let estimates = r#""estimates":[{"name":"unavailability","mean":0.125,"half_width":0.01,"n":2000.0,"min":0.0,"max":1.0}]"#;
+        let expected = format!(
+            r#"{{"format":1.0,"sweep":"fig","fingerprint":"fp","points":[{{"key":"a","x":5.0,"series":"s",{estimates}}},{{"key":"b\"","x":2.0,"series":"s",{estimates}}},{{"key":"c","x":3.0,"series":"s",{estimates}}}]}}"#
+        );
+        assert_eq!(fs::read_to_string(store.path()).unwrap(), expected);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,6 +1,6 @@
 //! Property tests: for arbitrary small SAN models and experiment
 //! configurations, the engine must produce the same estimates — bit for
-//! bit — for every thread count and chunk size, with scratch state reused
+//! bit — for every thread count and batch size, with scratch state reused
 //! across replications on each worker.
 
 use itua_runner::engine::RunnerConfig;
@@ -42,10 +42,10 @@ proptest! {
         rate_a in 0.2f64..8.0,
         rate_b in 0.2f64..8.0,
         tokens in 1i32..3,
-        replications in 1u32..40,
+        replications in 1u32..100,
         horizon in 1.0f64..12.0,
         base_seed in proptest::prelude::any::<u64>(),
-        chunk_size in 1u32..9,
+        batch_size in 1u32..9,
     ) {
         let sim = tandem_chain(stages, &[rate_a, rate_b], tokens);
         let last = sim.san().place_id(&format!("p{stages}")).unwrap();
@@ -68,15 +68,15 @@ proptest! {
                 .unwrap();
 
         for threads in [1usize, 2, 4, 8] {
-            let rc = RunnerConfig { threads, chunk_size, ..Default::default() };
+            let rc = RunnerConfig { threads, batch_size };
             let parallel =
                 run_experiment_parallel(&sim, cfg, &rc, &NullProgress, make).unwrap();
             prop_assert_eq!(
                 &parallel,
                 &reference,
-                "threads={} chunk_size={}",
+                "threads={} batch_size={}",
                 threads,
-                chunk_size
+                batch_size
             );
         }
     }

@@ -22,7 +22,6 @@
 
 use crate::marking::PlaceId;
 use crate::model::{ActivityBuilder, San, SanBuilder, SanError, ValueFn};
-use itua_sim::dist::Distribution;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -292,11 +291,6 @@ impl<'a> SubnetBuilder<'a> {
         self.builder.place(format!("{}/{name}", self.prefix), init)
     }
 
-    /// Whether `name` refers to a shared place in scope.
-    pub fn is_shared(&self, name: &str) -> bool {
-        self.env.contains_key(name)
-    }
-
     /// Starts a timed activity with constant rate (named
     /// `{prefix}/{name}`).
     pub fn timed_activity(&mut self, name: &str, rate: f64) -> ActivityBuilder<'_> {
@@ -313,16 +307,6 @@ impl<'a> SubnetBuilder<'a> {
     ) -> ActivityBuilder<'_> {
         let full = format!("{}/{name}", self.prefix);
         self.builder.timed_activity_fn(full, rate, reads)
-    }
-
-    /// Starts a timed activity with a general firing-time distribution.
-    pub fn general_activity(
-        &mut self,
-        name: &str,
-        dist: Arc<dyn Distribution>,
-    ) -> ActivityBuilder<'_> {
-        let full = format!("{}/{name}", self.prefix);
-        self.builder.general_activity(full, dist)
     }
 
     /// Starts an instantaneous activity.

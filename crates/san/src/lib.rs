@@ -6,17 +6,17 @@
 //! solution machinery that the (closed-source) Möbius tool provided:
 //!
 //! * [`marking`] — places and markings (the state of a SAN).
-//! * [`model`] — activities (timed and instantaneous), cases, input and
-//!   output gates, and the [`model::SanBuilder`].
+//! * [`model`] — activities (exponentially timed and instantaneous),
+//!   cases, input and output gates, and the [`model::SanBuilder`].
 //! * [`compose`] — **Replicate/Join composed models** with shared places,
 //!   flattened into a single SAN for solution.
 //! * [`simulator`] — a discrete-event simulator implementing SAN execution
 //!   semantics (activity races, reactivation, instantaneous stabilization).
 //! * [`reward`] — reward variables: instant-of-time, interval-of-time
-//!   (time-averaged), sticky indicators, and event-triggered observations.
-//! * [`statespace`] — exhaustive state-space generation that flattens an
-//!   all-exponential SAN into a CTMC for `itua-markov` (with on-the-fly
-//!   elimination of vanishing markings), plain or symmetry-lumped.
+//!   (time-averaged) and sticky indicators.
+//! * [`statespace`] — exhaustive state-space generation that flattens a
+//!   SAN into a CTMC for `itua-markov` (with on-the-fly elimination of
+//!   vanishing markings), plain or symmetry-lumped.
 //! * [`sym`] — wreath-product marking symmetries: canonicalization and
 //!   orbit sizes, shared by the lumped generator and the analyzer's
 //!   quotient explorer.

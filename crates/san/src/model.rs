@@ -9,7 +9,6 @@
 //! state-space generator execute.
 
 use crate::marking::{Marking, PlaceId};
-use itua_sim::dist::Distribution;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -44,7 +43,10 @@ impl fmt::Display for ActivityId {
     }
 }
 
-/// How an activity's firing time is determined.
+/// How an activity's firing time is determined. Every timed activity is
+/// exponential, so a SAN is Markovian by construction: the state-space
+/// generator can always export it as a CTMC, and a pending completion
+/// time may be redrawn at any moment without changing the law.
 #[derive(Clone)]
 pub enum Timing {
     /// Fires immediately upon enabling (zero time). When several
@@ -57,10 +59,6 @@ pub enum Timing {
     /// equivalent by memorylessness, and required for correctness when the
     /// rate is marking-dependent).
     Exponential(ValueFn),
-    /// A general marking-independent firing-time distribution, sampled at
-    /// enabling and kept while the activity stays enabled (race semantics
-    /// with *enabling memory*: disabling discards the sampled time).
-    General(Arc<dyn Distribution>),
 }
 
 impl fmt::Debug for Timing {
@@ -68,7 +66,6 @@ impl fmt::Debug for Timing {
         match self {
             Timing::Instantaneous => write!(f, "Instantaneous"),
             Timing::Exponential(_) => write!(f, "Exponential(<rate fn>)"),
-            Timing::General(d) => write!(f, "General({d:?})"),
         }
     }
 }
@@ -182,12 +179,12 @@ impl Activity {
         self.cases[case].effects.len()
     }
 
-    /// The exponential rate in `marking`, or `None` for non-exponential
-    /// timing.
+    /// The exponential rate in `marking`, or `None` for an instantaneous
+    /// activity.
     pub fn rate(&self, marking: &Marking) -> Option<f64> {
         match &self.timing {
             Timing::Exponential(r) => Some(r(marking)),
-            _ => None,
+            Timing::Instantaneous => None,
         }
     }
 
@@ -238,9 +235,6 @@ pub enum SanError {
     },
     /// The state space exceeded the configured limit.
     StateSpaceTooLarge(usize),
-    /// State-space generation requires exponential/instantaneous timing
-    /// only; a general distribution was found on the named activity.
-    NonMarkovian(String),
 }
 
 impl fmt::Display for SanError {
@@ -255,12 +249,6 @@ impl fmt::Display for SanError {
                 write!(f, "instantaneous activities failed to stabilize")
             }
             SanError::StateSpaceTooLarge(n) => write!(f, "state space exceeds {n} states"),
-            SanError::NonMarkovian(n) => {
-                write!(
-                    f,
-                    "activity '{n}' has a general distribution; CTMC export impossible"
-                )
-            }
         }
     }
 }
@@ -459,11 +447,6 @@ impl SanBuilder {
         id
     }
 
-    /// Returns the id of an existing place by name.
-    pub fn existing_place(&self, name: &str) -> Option<PlaceId> {
-        self.place_index.get(name).copied()
-    }
-
     /// Starts a timed activity with a constant exponential rate.
     pub fn timed_activity(&mut self, name: impl Into<String>, rate: f64) -> ActivityBuilder<'_> {
         assert!(
@@ -485,15 +468,6 @@ impl SanBuilder {
         let mut ab = self.activity(name, Timing::Exponential(rate));
         ab.extra_reads.extend_from_slice(reads);
         ab
-    }
-
-    /// Starts a timed activity with a general firing-time distribution.
-    pub fn general_activity(
-        &mut self,
-        name: impl Into<String>,
-        dist: Arc<dyn Distribution>,
-    ) -> ActivityBuilder<'_> {
-        self.activity(name, Timing::General(dist))
     }
 
     /// Starts an instantaneous activity.

@@ -1,11 +1,13 @@
-//! Reward variables: the measures defined on a SAN model.
+//! Reward variables: measures defined on a raw SAN model.
 //!
-//! The paper defines measures such as *unavailability for an interval*
-//! (time-averaged indicator), *unreliability for an interval* (probability
-//! the indicator was ever 1), *number of replicas running at an instant*
-//! (instant-of-time), and *fraction of corrupt hosts in an excluded domain*
-//! (event-triggered). Each kind is an [`crate::simulator::Observer`] that
-//! turns one simulation run into one or more named observations.
+//! Three kinds cover the paper's state-based measures: *unavailability
+//! for an interval* ([`TimeAveraged`] over an indicator), *unreliability
+//! for an interval* ([`EverTrue`]: was the indicator ever 1) and *number
+//! of replicas running at an instant* ([`InstantOfTime`]). Each is an
+//! [`crate::simulator::Observer`] that turns one simulation run into one
+//! or more named observations. The composed ITUA model's measures,
+//! including the event-triggered *fraction of corrupt hosts in an
+//! excluded domain*, are observed in `itua_core::san_exec`.
 
 use crate::marking::Marking;
 use crate::model::ActivityId;
@@ -227,183 +229,6 @@ impl RewardVariable for InstantOfTime {
     }
 }
 
-/// Event-triggered variable: evaluates `f(marking)` each time one of the
-/// named activities fires and reports the *mean* over those firings (no
-/// observation if none fired — the estimator handles conditional measures).
-pub struct OnActivity {
-    name: String,
-    activities: Vec<ActivityId>,
-    f: RewardFn,
-    sum: f64,
-    count: u64,
-}
-
-impl OnActivity {
-    /// Creates an event-triggered variable watching `activities`.
-    pub fn new(
-        name: impl Into<String>,
-        activities: Vec<ActivityId>,
-        f: impl Fn(&Marking) -> f64 + Send + Sync + 'static,
-    ) -> Self {
-        OnActivity {
-            name: name.into(),
-            activities,
-            f: Arc::new(f),
-            sum: 0.0,
-            count: 0,
-        }
-    }
-}
-
-impl Observer for OnActivity {
-    fn on_event(&mut self, _time: f64, activity: ActivityId, marking: &Marking) {
-        if self.activities.contains(&activity) {
-            self.sum += (self.f)(marking);
-            self.count += 1;
-        }
-    }
-}
-
-impl RewardVariable for OnActivity {
-    fn observations(&self) -> Vec<Observation> {
-        if self.count == 0 {
-            vec![]
-        } else {
-            vec![Observation {
-                name: self.name.clone(),
-                value: self.sum / self.count as f64,
-            }]
-        }
-    }
-
-    fn reset(&mut self) {
-        self.sum = 0.0;
-        self.count = 0;
-    }
-}
-
-/// Accumulated reward: `∫₀ᵀ f(marking) dt` (not divided by the horizon).
-///
-/// The raw integral behind [`TimeAveraged`]; useful for measures like
-/// "expected total replica-hours lost".
-pub struct Accumulated {
-    name: String,
-    f: RewardFn,
-    acc: Option<TimeWeighted>,
-    result: Option<f64>,
-}
-
-impl Accumulated {
-    /// Creates an accumulated-reward variable named `name`.
-    pub fn new(
-        name: impl Into<String>,
-        f: impl Fn(&Marking) -> f64 + Send + Sync + 'static,
-    ) -> Self {
-        Accumulated {
-            name: name.into(),
-            f: Arc::new(f),
-            acc: None,
-            result: None,
-        }
-    }
-}
-
-impl Observer for Accumulated {
-    fn on_init(&mut self, time: f64, marking: &Marking) {
-        self.acc = Some(TimeWeighted::new(time, (self.f)(marking)));
-    }
-
-    fn on_event(&mut self, time: f64, _activity: ActivityId, marking: &Marking) {
-        if let Some(acc) = &mut self.acc {
-            acc.set(time, (self.f)(marking));
-        }
-    }
-
-    fn on_end(&mut self, time: f64, _marking: &Marking) {
-        if let Some(acc) = &self.acc {
-            self.result = Some(acc.integral_until(time));
-        }
-    }
-}
-
-impl RewardVariable for Accumulated {
-    fn observations(&self) -> Vec<Observation> {
-        self.result
-            .map(|value| Observation {
-                name: self.name.clone(),
-                value,
-            })
-            .into_iter()
-            .collect()
-    }
-
-    fn reset(&mut self) {
-        self.acc = None;
-        self.result = None;
-    }
-}
-
-/// Time-to-first-event variable: the first time `f(marking) > 0`
-/// (conditional — produces no observation in runs where it never
-/// happens). Averaged over replications this estimates a mean time to
-/// failure restricted to the horizon.
-pub struct TimeToFirst {
-    name: String,
-    f: RewardFn,
-    time: Option<f64>,
-    done: bool,
-}
-
-impl TimeToFirst {
-    /// Creates a time-to-first variable named `name`.
-    pub fn new(
-        name: impl Into<String>,
-        f: impl Fn(&Marking) -> f64 + Send + Sync + 'static,
-    ) -> Self {
-        TimeToFirst {
-            name: name.into(),
-            f: Arc::new(f),
-            time: None,
-            done: false,
-        }
-    }
-}
-
-impl Observer for TimeToFirst {
-    fn on_init(&mut self, time: f64, marking: &Marking) {
-        if self.time.is_none() && (self.f)(marking) > 0.0 {
-            self.time = Some(time);
-        }
-    }
-
-    fn on_event(&mut self, time: f64, _activity: ActivityId, marking: &Marking) {
-        if self.time.is_none() && (self.f)(marking) > 0.0 {
-            self.time = Some(time);
-        }
-    }
-
-    fn on_end(&mut self, _time: f64, _marking: &Marking) {
-        self.done = true;
-    }
-}
-
-impl RewardVariable for TimeToFirst {
-    fn observations(&self) -> Vec<Observation> {
-        match (self.done, self.time) {
-            (true, Some(t)) => vec![Observation {
-                name: self.name.clone(),
-                value: t,
-            }],
-            _ => vec![],
-        }
-    }
-
-    fn reset(&mut self) {
-        self.time = None;
-        self.done = false;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,86 +317,6 @@ mod tests {
         let p15 = p_at[1] as f64 / n as f64;
         assert!((p05 - (1.0 - (-0.5f64).exp())).abs() < 0.02, "{p05}");
         assert!((p15 - (1.0 - (-1.5f64).exp())).abs() < 0.02, "{p15}");
-    }
-
-    #[test]
-    fn on_activity_means_over_firings() {
-        let mut b = SanBuilder::new("count");
-        let total = b.place("total", 0);
-        b.timed_activity("tick", 4.0)
-            .output_arc(total, 1)
-            .build()
-            .unwrap();
-        let san = b.finish().unwrap();
-        let tick = san.activity_id("tick").unwrap();
-        let total = san.place_id("total").unwrap();
-        let sim = SanSimulator::new(san);
-        let mut rv = OnActivity::new("mean_total", vec![tick], move |m| m.get(total) as f64);
-        sim.run(9, 10.0, &mut [&mut rv]).unwrap();
-        let obs = rv.observations();
-        assert_eq!(obs.len(), 1);
-        // After k-th firing total = k, so the mean over n firings is (n+1)/2.
-        assert!(obs[0].value > 5.0, "{obs:?}");
-    }
-
-    #[test]
-    fn on_activity_no_firings_yields_no_observation() {
-        let san = flip_model();
-        let mv = san.activity_id("move").unwrap();
-        let sim = SanSimulator::new(san);
-        let mut rv = OnActivity::new("x", vec![mv], |_| 1.0);
-        // Horizon 0: nothing fires.
-        sim.run(1, 0.0, &mut [&mut rv]).unwrap();
-        assert!(rv.observations().is_empty());
-    }
-
-    #[test]
-    fn accumulated_is_horizon_times_average() {
-        let san = flip_model();
-        let q = san.place_id("q").unwrap();
-        let sim = SanSimulator::new(san);
-        let mut acc = Accumulated::new("int_q", move |m| m.get(q) as f64);
-        let mut avg = TimeAveraged::new("avg_q", move |m| m.get(q) as f64);
-        sim.run(5, 4.0, &mut [&mut acc, &mut avg]).unwrap();
-        let a = acc.observations()[0].value;
-        let v = avg.observations()[0].value;
-        assert!((a - 4.0 * v).abs() < 1e-12, "{a} vs {v}");
-    }
-
-    #[test]
-    fn time_to_first_matches_exponential() {
-        // First time q = 1 is the Exp(1) firing time; its mean conditional
-        // on happening within T = E[X | X < T].
-        let san = flip_model();
-        let q = san.place_id("q").unwrap();
-        let sim = SanSimulator::new(san);
-        let horizon = 3.0f64;
-        let mut sum = 0.0;
-        let mut count = 0u32;
-        for seed in 0..4000 {
-            let mut rv = TimeToFirst::new("t", move |m| m.get(q) as f64);
-            sim.run(seed, horizon, &mut [&mut rv]).unwrap();
-            if let Some(o) = rv.observations().first() {
-                sum += o.value;
-                count += 1;
-            }
-        }
-        // E[X | X < T] = (1 − (1 + T)e^{−T}) / (1 − e^{−T}) for Exp(1).
-        let expected = (1.0 - (1.0 + horizon) * (-horizon).exp()) / (1.0 - (-horizon).exp());
-        let mean = sum / count as f64;
-        assert!((mean - expected).abs() < 0.03, "{mean} vs {expected}");
-        // Fraction observed ≈ 1 − e^{−T}.
-        let frac = count as f64 / 4000.0;
-        assert!((frac - (1.0 - (-horizon).exp())).abs() < 0.02);
-    }
-
-    #[test]
-    fn time_to_first_absent_when_never_triggered() {
-        let san = flip_model();
-        let sim = SanSimulator::new(san);
-        let mut rv = TimeToFirst::new("never", |_| 0.0);
-        sim.run(1, 5.0, &mut [&mut rv]).unwrap();
-        assert!(rv.observations().is_empty());
     }
 
     #[test]

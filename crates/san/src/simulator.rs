@@ -3,11 +3,10 @@
 //! Implements the standard SAN execution semantics:
 //!
 //! * **Timed activities** race: each enabled activity holds a sampled
-//!   completion time; the earliest fires. Exponential activities are
-//!   resampled whenever a place they read changes (valid by memorylessness
-//!   and required for marking-dependent rates); generally distributed
-//!   activities keep their sample while continuously enabled and lose it
-//!   when disabled (enabling memory policy).
+//!   exponential completion time; the earliest fires. An activity is
+//!   resampled whenever a place it reads changes (valid by memorylessness
+//!   and required for marking-dependent rates), and its sample is dropped
+//!   when it is disabled.
 //! * **Instantaneous activities** fire in zero time whenever enabled. When
 //!   several are enabled at once, one is chosen uniformly at random — the
 //!   "identical copies equally likely to fire first" rule the ITUA model
@@ -84,16 +83,6 @@ pub struct SanSimulator {
 /// instantaneous enabling index and the timed reschedule index) while
 /// keeping the log's memory bounded.
 const DIRTY_LOG_CLEAR_LEN: usize = 512;
-
-/// Inserts a completion event for `id` at absolute time `time`.
-fn schedule_at(
-    id: ActivityId,
-    time: f64,
-    queue: &mut EventQueue<ActivityId>,
-    keys: &mut [Option<EventKey>],
-) {
-    keys[id.index()] = Some(queue.schedule(time, id));
-}
 
 /// Persistent sorted set of the enabled instantaneous activities, kept in
 /// sync with the marking's dirty log.
@@ -275,10 +264,9 @@ impl TimedIndex {
 /// Exponential delays within one scheduling pass are sampled as a block:
 /// `schedule` records `(activity, rate)` pairs, and `flush` draws all
 /// pending uniforms with one [`Rng::fill_f64_open`] call and converts
-/// them with a branch-free `-ln(u)/rate` pass over the slice. A flush
-/// happens before any general-distribution sample, so the global RNG
-/// draw order — and with it the event-queue insertion order and every
-/// estimate — is bit-identical to unbatched scheduling.
+/// them with a branch-free `-ln(u)/rate` pass over the slice. The draws
+/// and the event-queue insertions keep the order of the `schedule` calls,
+/// so every estimate is bit-identical to unbatched scheduling.
 #[derive(Clone)]
 struct ExpoBatch {
     now: f64,
@@ -301,37 +289,20 @@ impl ExpoBatch {
         self.now = now;
     }
 
-    /// Schedules a timed activity: exponential draws are deferred into
-    /// the batch; general distributions flush the batch first (preserving
-    /// the global draw order) and sample immediately.
-    fn schedule(
-        &mut self,
-        act: &Activity,
-        id: ActivityId,
-        marking: &Marking,
-        rng: &mut Rng,
-        queue: &mut EventQueue<ActivityId>,
-        keys: &mut [Option<EventKey>],
-    ) {
-        match act.timing() {
-            Timing::Exponential(rate) => {
-                let r = rate(marking);
-                assert!(
-                    r.is_finite() && r >= 0.0,
-                    "activity '{}' produced invalid rate {r}",
-                    act.name()
-                );
-                if r == 0.0 {
-                    return; // rate 0 = effectively disabled; draws nothing
-                }
-                self.pending.push((id, r));
-            }
-            Timing::General(dist) => {
-                self.flush(rng, queue, keys);
-                let delay = dist.sample(rng);
-                schedule_at(id, self.now + delay, queue, keys);
-            }
-            Timing::Instantaneous => unreachable!("instantaneous activities are not scheduled"),
+    /// Defers the delay draw of a timed activity into the batch.
+    fn schedule(&mut self, act: &Activity, id: ActivityId, marking: &Marking) {
+        let Timing::Exponential(rate) = act.timing() else {
+            unreachable!("instantaneous activities are not scheduled")
+        };
+        let r = rate(marking);
+        assert!(
+            r.is_finite() && r >= 0.0,
+            "activity '{}' produced invalid rate {r}",
+            act.name()
+        );
+        if r > 0.0 {
+            // Rate 0 is effectively disabled and draws nothing.
+            self.pending.push((id, r));
         }
     }
 
@@ -352,7 +323,7 @@ impl ExpoBatch {
             *u = -u.ln() / rate;
         }
         for (&(id, _), &delay) in self.pending.iter().zip(&self.uniforms) {
-            schedule_at(id, self.now + delay, queue, keys);
+            keys[id.index()] = Some(queue.schedule(self.now + delay, id));
         }
         self.pending.clear();
     }
@@ -604,11 +575,8 @@ impl SanSimulator {
         // Schedule every enabled timed activity.
         expo.begin(0.0);
         for (id, act) in san.activities() {
-            if matches!(act.timing(), Timing::Instantaneous) {
-                continue;
-            }
-            if act.enabled(marking) {
-                expo.schedule(act, id, marking, &mut rng, queue, keys);
+            if !act.is_instantaneous() && act.enabled(marking) {
+                expo.schedule(act, id, marking);
             }
         }
         expo.flush(&mut rng, queue, keys);
@@ -709,32 +677,19 @@ impl SanSimulator {
         self.stabilize(marking, rng, now, observers, &mut cursor.stats, inst)?;
 
         // Incrementally update the timed activities affected by the
-        // firing and its cascade, batching the exponential resamples.
+        // firing and its cascade: drop each one's pending sample and, if
+        // it is still enabled, batch a fresh draw (memorylessness makes
+        // the redraw exact, and marking-dependent rates require it).
         // `timed` consumes only the dirty-log suffix past its cursor, so
         // the log itself is cleared lazily (below) once it grows past the
         // threshold — both cursors share one log lifecycle.
         timed.collect(san, marking, act_id, self.full_rescan_resched);
         expo.begin(now);
         for &id in &timed.affected {
+            Self::cancel(id, queue, keys);
             let act = san.activity(id);
-            let enabled = act.enabled(marking);
-            let scheduled = keys[id.index()].is_some();
-            match (enabled, scheduled) {
-                (true, false) => {
-                    expo.schedule(act, id, marking, rng, queue, keys);
-                }
-                (true, true) => {
-                    // Resample exponentials (marking-dependent rates);
-                    // keep general samples (enabling memory).
-                    if matches!(act.timing(), Timing::Exponential(_)) {
-                        Self::cancel(id, queue, keys);
-                        expo.schedule(act, id, marking, rng, queue, keys);
-                    }
-                }
-                (false, true) => {
-                    Self::cancel(id, queue, keys);
-                }
-                (false, false) => {}
+            if act.enabled(marking) {
+                expo.schedule(act, id, marking);
             }
         }
         expo.flush(rng, queue, keys);
@@ -758,20 +713,17 @@ impl SanSimulator {
         }
     }
 
-    /// Redraws the completion time of every scheduled exponential
-    /// activity from the cursor's stream, anchored at the current
-    /// simulation time.
+    /// Redraws the completion time of every scheduled activity from the
+    /// cursor's stream, anchored at the current simulation time.
     ///
-    /// Exponential distributions are memoryless, so conditioned on the
-    /// current marking the redrawn schedule has exactly the law of the
-    /// old one — this changes *which* future gets sampled, never its
+    /// Every timed activity is exponential and so memoryless: conditioned
+    /// on the current marking the redrawn schedule has exactly the law of
+    /// the old one — this changes *which* future gets sampled, never its
     /// distribution. An importance-splitting branch calls this after
     /// [`RunCursor::reseed`]: without it, sibling branches would inherit
     /// the parent's already-drawn completion times from the cloned queue
     /// and replay near-identical futures, defeating the variance
-    /// reduction splitting exists for. Generally distributed activities
-    /// (none in the ITUA model) keep their samples: their enabling memory
-    /// is not memoryless, so a redraw would change the law.
+    /// reduction splitting exists for.
     ///
     /// # Panics
     ///
@@ -791,9 +743,9 @@ impl SanSimulator {
         } = scratch;
         expo.begin(cursor.now);
         for (id, act) in san.activities() {
-            if keys[id.index()].is_some() && matches!(act.timing(), Timing::Exponential(_)) {
+            if keys[id.index()].is_some() {
                 Self::cancel(id, queue, keys);
-                expo.schedule(act, id, marking, &mut cursor.rng, queue, keys);
+                expo.schedule(act, id, marking);
             }
         }
         expo.flush(&mut cursor.rng, queue, keys);

@@ -98,8 +98,6 @@ impl StateSpace {
     ///
     /// # Errors
     ///
-    /// * [`SanError::NonMarkovian`] if any timed activity has a general
-    ///   (non-exponential) distribution.
     /// * [`SanError::StateSpaceTooLarge`] if more than `max_states`
     ///   tangible markings are reachable, or a single vanishing-marking
     ///   resolution branches past its expansion budget
@@ -176,12 +174,6 @@ impl StateSpace {
         max_states: usize,
         team: usize,
     ) -> Result<Self, SanError> {
-        for (_, act) in san.activities() {
-            if let Timing::General(_) = act.timing() {
-                return Err(SanError::NonMarkovian(act.name().to_owned()));
-            }
-        }
-
         let hasher = RandomState::new();
         let width = san.num_places();
         let mut workers: Vec<Expander<'_>> = (0..team.max(1))
@@ -525,10 +517,8 @@ impl<'a> Expander<'a> {
         let san = self.san;
         self.state.assign(values);
         for (_, act) in san.activities() {
-            let rate_fn = match act.timing() {
-                Timing::Exponential(r) => r,
-                Timing::Instantaneous => continue,
-                Timing::General(_) => unreachable!("rejected before generation"),
+            let Timing::Exponential(rate_fn) = act.timing() else {
+                continue;
             };
             if !act.enabled(&self.state) {
                 continue;
@@ -982,24 +972,6 @@ mod tests {
         assert!(matches!(
             StateSpace::generate(&san, 50),
             Err(SanError::StateSpaceTooLarge(50))
-        ));
-    }
-
-    #[test]
-    fn general_distribution_rejected() {
-        let mut b = SanBuilder::new("m");
-        let p = b.place("p", 1);
-        b.general_activity(
-            "det",
-            StdArc::new(itua_sim::dist::Deterministic::new(1.0).unwrap()),
-        )
-        .input_arc(p, 1)
-        .build()
-        .unwrap();
-        let san = b.finish().unwrap();
-        assert!(matches!(
-            StateSpace::generate(&san, 100),
-            Err(SanError::NonMarkovian(_))
         ));
     }
 

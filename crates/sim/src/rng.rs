@@ -207,16 +207,6 @@ impl Rng {
         self.next_f64() < p
     }
 
-    /// Returns a uniform `f64` in `[low, high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low > high` or either bound is not finite.
-    pub fn f64_range(&mut self, low: f64, high: f64) -> f64 {
-        assert!(low.is_finite() && high.is_finite() && low <= high);
-        low + (high - low) * self.next_f64()
-    }
-
     /// Chooses an index in `[0, weights.len())` with probability
     /// proportional to `weights[i]`.
     ///

@@ -1,6 +1,5 @@
 //! Property-based tests for the simulation kernel.
 
-use itua_sim::dist::{Discrete, Distribution, Erlang, Exponential, Lognormal, Uniform, Weibull};
 use itua_sim::queue::EventQueue;
 use itua_sim::rng::Rng;
 use proptest::prelude::*;
@@ -73,42 +72,6 @@ proptest! {
         let mut rng = Rng::seed_from_u64(seed);
         for _ in 0..32 {
             prop_assert!(rng.u64_below(bound) < bound);
-        }
-    }
-
-    /// Every distribution produces finite, nonnegative samples for random
-    /// (valid) parameters.
-    #[test]
-    fn distributions_nonnegative(
-        seed in any::<u64>(),
-        rate in 1e-3f64..1e3,
-        shape in 0.2f64..5.0,
-        k in 1u32..20,
-    ) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let dists: Vec<Box<dyn Distribution>> = vec![
-            Box::new(Exponential::new(rate).unwrap()),
-            Box::new(Uniform::new(0.0, rate).unwrap()),
-            Box::new(Erlang::new(k, rate).unwrap()),
-            Box::new(Weibull::new(shape, rate).unwrap()),
-            Box::new(Lognormal::new(0.0, shape).unwrap()),
-        ];
-        for d in &dists {
-            for _ in 0..16 {
-                let x = d.sample(&mut rng);
-                prop_assert!(x.is_finite() && x >= 0.0, "{:?} produced {}", d, x);
-            }
-        }
-    }
-
-    /// Discrete sampling always returns a valid index.
-    #[test]
-    fn discrete_index_valid(weights in prop::collection::vec(0.0f64..10.0, 1..20), seed in any::<u64>()) {
-        prop_assume!(weights.iter().sum::<f64>() > 0.0);
-        let d = Discrete::new(&weights).unwrap();
-        let mut rng = Rng::seed_from_u64(seed);
-        for _ in 0..64 {
-            prop_assert!(d.sample_index(&mut rng) < weights.len());
         }
     }
 

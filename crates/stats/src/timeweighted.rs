@@ -24,8 +24,6 @@ pub struct TimeWeighted {
     last_time: f64,
     current: f64,
     integral: f64,
-    /// Max level observed (useful for load measures).
-    max_level: f64,
 }
 
 impl TimeWeighted {
@@ -41,7 +39,6 @@ impl TimeWeighted {
             last_time: time,
             current: value,
             integral: 0.0,
-            max_level: value,
         }
     }
 
@@ -63,17 +60,11 @@ impl TimeWeighted {
         self.integral += self.current * (time - self.last_time);
         self.last_time = time;
         self.current = value;
-        self.max_level = self.max_level.max(value);
     }
 
     /// The current signal value.
     pub fn current(&self) -> f64 {
         self.current
-    }
-
-    /// The largest value the signal has taken.
-    pub fn max_level(&self) -> f64 {
-        self.max_level
     }
 
     /// Integral of the signal from the start time to `time`.
@@ -132,14 +123,6 @@ mod tests {
         tw.set(1.0, 5.0);
         tw.set(1.0, 1.0);
         assert_eq!(tw.integral_until(2.0), 1.0);
-    }
-
-    #[test]
-    fn max_level_tracked() {
-        let mut tw = TimeWeighted::new(0.0, 1.0);
-        tw.set(1.0, 7.0);
-        tw.set(2.0, 3.0);
-        assert_eq!(tw.max_level(), 7.0);
     }
 
     #[test]

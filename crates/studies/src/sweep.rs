@@ -366,11 +366,6 @@ fn series_from(stored: &[StoredPoint], measures: &[&str]) -> Vec<Series> {
     series
 }
 
-/// Selects the series of one measure out of a mixed collection.
-pub fn series_for<'a>(all: &'a [Series], measure: &str) -> Vec<&'a Series> {
-    all.iter().filter(|s| s.measure == measure).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -807,23 +802,5 @@ mod tests {
             series
         );
         std::fs::remove_file(&bogus).unwrap();
-    }
-
-    #[test]
-    fn series_for_filters_by_measure() {
-        let all = vec![
-            Series {
-                name: "a".into(),
-                measure: "m1".into(),
-                points: vec![],
-            },
-            Series {
-                name: "a".into(),
-                measure: "m2".into(),
-                points: vec![],
-            },
-        ];
-        assert_eq!(series_for(&all, "m1").len(), 1);
-        assert_eq!(series_for(&all, "nope").len(), 0);
     }
 }
