@@ -23,7 +23,10 @@
 //! invariants, firing laws (pointwise predicates over observed firings),
 //! known-issue notes, and an allowlist that downgrades audited findings
 //! to soft. [`analyze`] returns an [`AnalysisReport`] whose hard findings
-//! are meant to gate simulation (`--check` / `run_measures`).
+//! fail `itua check`. The spec's helpers ([`AnalysisSpec::violations`],
+//! [`AnalysisSpec::record_law_hits`], [`AnalysisSpec::settle`]) apply it
+//! the same way for the probe, the initial-marking gate and the
+//! exhaustive reachability check ([`reach`]).
 
 pub mod linalg;
 pub mod probe;
@@ -133,10 +136,81 @@ pub struct AnalysisSpec {
     pub notes: Vec<KnownIssue>,
 }
 
+impl AnalysisSpec {
+    /// The expected invariants that `marking` violates, in spec order,
+    /// each with its weighted sum at `marking`.
+    pub fn violations<'a>(
+        &'a self,
+        marking: &'a [i32],
+    ) -> impl Iterator<Item = (&'a ExpectedInvariant, i64)> + 'a {
+        self.expected.iter().filter_map(move |inv| {
+            let got: i64 = inv
+                .terms
+                .iter()
+                .map(|&(p, c)| c * i64::from(marking[p.index()]))
+                .sum();
+            (got != inv.target).then_some((inv, got))
+        })
+    }
+
+    /// Records a hard finding for each firing law this firing breaks,
+    /// once per `(law, activity)`, with the first hit's pre-marking.
+    pub fn record_law_hits(
+        &self,
+        hits: &mut Vec<LawHit>,
+        san: &San,
+        act: ActivityId,
+        case: usize,
+        pre: &Marking,
+        delta: &[i64],
+    ) {
+        for law in &self.laws {
+            if let Some(msg) = (law.check)(san, act, case, pre, delta) {
+                let subject = san.activity(act).name();
+                if !hits
+                    .iter()
+                    .any(|h| h.finding.id == law.id && h.finding.subject == subject)
+                {
+                    hits.push(LawHit {
+                        finding: Finding {
+                            id: law.id.clone(),
+                            severity: Severity::Hard,
+                            subject: subject.to_owned(),
+                            detail: format!("{}: {msg}", law.description),
+                        },
+                        marking: pre.values().to_vec(),
+                    });
+                }
+            }
+        }
+    }
+
+    /// Downgrades allowlisted findings to soft (naming the reason),
+    /// appends the notes, and orders hard findings first (stably).
+    pub fn settle(&self, findings: &mut Vec<Finding>) {
+        for f in findings.iter_mut() {
+            if let Some(entry) = self.allow.iter().find(|e| e.id == f.id) {
+                f.severity = Severity::Soft;
+                f.detail.push_str(&format!(" [allowed: {}]", entry.reason));
+            }
+        }
+        findings.extend(self.notes.iter().map(|note| Finding {
+            id: note.id.clone(),
+            severity: Severity::Soft,
+            subject: note.subject.clone(),
+            detail: note.detail.clone(),
+        }));
+        findings.sort_by_key(|f| match f.severity {
+            Severity::Hard => 0,
+            Severity::Soft => 1,
+        });
+    }
+}
+
 /// Finding severity: hard findings gate simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
-    /// A structural error; `--check` exits nonzero.
+    /// A structural error; `itua check` exits nonzero.
     Hard,
     /// Worth a look, does not gate.
     Soft,
@@ -153,6 +227,40 @@ pub struct Finding {
     pub subject: String,
     /// Description.
     pub detail: String,
+}
+
+impl std::fmt::Display for Finding {
+    /// The report line `[HARD] id: subject — detail` (`[soft]` when soft).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let sev = match self.severity {
+            Severity::Hard => "HARD",
+            Severity::Soft => "soft",
+        };
+        write!(f, "[{sev}] {}: {} — {}", self.id, self.subject, self.detail)
+    }
+}
+
+/// A firing that broke a [`FiringLaw`]: the hard finding, and the
+/// pre-marking of the first such firing of its activity.
+#[derive(Debug, Clone)]
+pub struct LawHit {
+    /// The finding (subject: the activity that fired).
+    pub finding: Finding,
+    /// The witness pre-marking.
+    pub marking: Vec<i32>,
+}
+
+/// Writes the `findings: H hard, S soft` summary and one indented line
+/// per finding.
+pub fn render_findings(findings: &[Finding], out: &mut String) {
+    let hard = findings
+        .iter()
+        .filter(|f| f.severity == Severity::Hard)
+        .count();
+    let _ = writeln!(out, "findings: {hard} hard, {} soft", findings.len() - hard);
+    for f in findings {
+        let _ = writeln!(out, "  {f}");
+    }
 }
 
 /// An integer invariant: weighted sum over places (P) or firing counts
@@ -220,13 +328,6 @@ impl AnalysisReport {
     /// Whether any hard finding is present.
     pub fn has_hard_findings(&self) -> bool {
         self.findings.iter().any(|f| f.severity == Severity::Hard)
-    }
-
-    /// The hard findings.
-    pub fn hard_findings(&self) -> impl Iterator<Item = &Finding> {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Hard)
     }
 
     /// Number of P-invariants with support ≥ 2 (actual conservation laws,
@@ -307,16 +408,7 @@ impl AnalysisReport {
                 let _ = writeln!(out, "bounds: not computed (model above Farkas cap)");
             }
         }
-        let hard = self.hard_findings().count();
-        let soft = self.findings.len() - hard;
-        let _ = writeln!(out, "findings: {hard} hard, {soft} soft");
-        for f in &self.findings {
-            let sev = match f.severity {
-                Severity::Hard => "HARD",
-                Severity::Soft => "soft",
-            };
-            let _ = writeln!(out, "  [{sev}] {}: {} — {}", f.id, f.subject, f.detail);
-        }
+        render_findings(&self.findings, &mut out);
         out
     }
 }
@@ -324,14 +416,14 @@ impl AnalysisReport {
 /// Analyzes `san` under `spec` with limits `cfg`.
 pub fn analyze(san: &San, spec: &AnalysisSpec, cfg: &AnalysisConfig) -> AnalysisReport {
     let num_places = san.num_places();
-    let mut law_hits: Vec<Finding> = Vec::new();
+    let mut law_hits: Vec<LawHit> = Vec::new();
     let mut delta_violations: Vec<Finding> = Vec::new();
 
     let data = explore(san, &cfg.probe, |san, act, case, pre, delta| {
         for inv in &spec.expected {
             let dot: i64 = inv.terms.iter().map(|&(p, c)| c * delta[p.index()]).sum();
             if dot != 0 {
-                let subject = san.activity(act).name().to_owned();
+                let subject = san.activity(act).name();
                 if !delta_violations
                     .iter()
                     .any(|f| f.id == inv.id && f.subject == subject)
@@ -339,7 +431,7 @@ pub fn analyze(san: &San, spec: &AnalysisSpec, cfg: &AnalysisConfig) -> Analysis
                     delta_violations.push(Finding {
                         id: inv.id.clone(),
                         severity: Severity::Hard,
-                        subject,
+                        subject: subject.to_owned(),
                         detail: format!(
                             "firing (case {case}) changes '{}' by {dot:+}: {}",
                             inv.description, "expected invariant violated"
@@ -348,48 +440,25 @@ pub fn analyze(san: &San, spec: &AnalysisSpec, cfg: &AnalysisConfig) -> Analysis
                 }
             }
         }
-        for law in &spec.laws {
-            if let Some(msg) = (law.check)(san, act, case, pre, delta) {
-                let subject = san.activity(act).name().to_owned();
-                if !law_hits
-                    .iter()
-                    .any(|f| f.id == law.id && f.subject == subject)
-                {
-                    law_hits.push(Finding {
-                        id: law.id.clone(),
-                        severity: Severity::Hard,
-                        subject,
-                        detail: format!("{}: {msg}", law.description),
-                    });
-                }
-            }
-        }
+        spec.record_law_hits(&mut law_hits, san, act, case, pre, delta);
     });
-
-    let mut findings: Vec<Finding> = Vec::new();
 
     // Expected invariants at the initial marking.
     let initial = san.initial_marking();
-    for inv in &spec.expected {
-        let got: i64 = inv
-            .terms
-            .iter()
-            .map(|&(p, c)| c * i64::from(initial.get(p)))
-            .sum();
-        if got != inv.target {
-            findings.push(Finding {
-                id: inv.id.clone(),
-                severity: Severity::Hard,
-                subject: "initial marking".to_owned(),
-                detail: format!(
-                    "'{}' is {got} at the initial marking, expected {}",
-                    inv.description, inv.target
-                ),
-            });
-        }
-    }
+    let mut findings: Vec<Finding> = spec
+        .violations(initial.values())
+        .map(|(inv, got)| Finding {
+            id: inv.id.clone(),
+            severity: Severity::Hard,
+            subject: "initial marking".to_owned(),
+            detail: format!(
+                "'{}' is {got} at the initial marking, expected {}",
+                inv.description, inv.target
+            ),
+        })
+        .collect();
     findings.extend(delta_violations);
-    findings.extend(law_hits);
+    findings.extend(law_hits.into_iter().map(|h| h.finding));
 
     structural_findings(san, &data, &mut findings);
 
@@ -551,25 +620,7 @@ pub fn analyze(san: &San, spec: &AnalysisSpec, cfg: &AnalysisConfig) -> Analysis
         None
     };
 
-    // Allowlist: downgrade audited ids; then append documented notes.
-    for f in &mut findings {
-        if let Some(entry) = spec.allow.iter().find(|e| e.id == f.id) {
-            f.severity = Severity::Soft;
-            f.detail.push_str(&format!(" [allowed: {}]", entry.reason));
-        }
-    }
-    for note in &spec.notes {
-        findings.push(Finding {
-            id: note.id.clone(),
-            severity: Severity::Soft,
-            subject: note.subject.clone(),
-            detail: note.detail.clone(),
-        });
-    }
-    findings.sort_by_key(|f| match f.severity {
-        Severity::Hard => 0,
-        Severity::Soft => 1,
-    });
+    spec.settle(&mut findings);
 
     AnalysisReport {
         model_name: san.name().to_owned(),

@@ -33,11 +33,6 @@ pub struct ProbeConfig {
     pub walk_len: usize,
     /// Distinct deltas recorded per `(activity, case)` before giving up.
     pub max_deltas_per_case: usize,
-    /// Additional root markings (beyond the initial marking) to explore
-    /// from — for driving the probe into deep scenarios that BFS from the
-    /// initial marking cannot reach within the cap. Each must be a valid
-    /// nonnegative marking of the model.
-    pub extra_roots: Vec<Vec<i32>>,
 }
 
 impl Default for ProbeConfig {
@@ -47,7 +42,6 @@ impl Default for ProbeConfig {
             num_walks: 32,
             walk_len: 128,
             max_deltas_per_case: 64,
-            extra_roots: Vec::new(),
         }
     }
 }
@@ -309,14 +303,8 @@ pub fn explore(
     // Membership-only interning set; iteration order never observed, so
     // the hash container cannot leak nondeterminism (frontier order is the
     // deterministic queue below).
-    let mut seen: HashSet<Vec<i32>> = HashSet::new();
-    let mut frontier: Vec<Vec<i32>> = Vec::new();
-    for root in std::iter::once(&initial).chain(cfg.extra_roots.iter()) {
-        assert_eq!(root.len(), num_places, "root marking has wrong arity");
-        if seen.insert(root.clone()) {
-            frontier.push(root.clone());
-        }
-    }
+    let mut seen: HashSet<Vec<i32>> = HashSet::from([initial.clone()]);
+    let mut frontier: Vec<Vec<i32>> = vec![initial.clone()];
 
     let mut head = 0;
     while head < frontier.len() {
@@ -338,12 +326,7 @@ pub fn explore(
     // same way, but markings are not interned.
     for walk in 0..cfg.num_walks {
         let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(walk as u64 + 1) | 1;
-        let root = cfg
-            .extra_roots
-            .get(walk % (cfg.extra_roots.len() + 1))
-            .cloned()
-            .unwrap_or_else(|| initial.clone());
-        let mut values = root;
+        let mut values = initial.clone();
         for _ in 0..cfg.walk_len {
             let m = Marking::new(&values);
             let fireable = state.fireable(&m);

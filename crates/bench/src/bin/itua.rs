@@ -25,8 +25,8 @@ commands:
   run <scenario|file.scn>      run a scenario (flags: --backend des|san|analytic,
                                --reps N, --seed S, --csv, --threads N, --batch N,
                                --max-states N, --lump, --no-lump, --results DIR,
-                               --no-resume, --check, --no-check,
-                               --split-levels SPEC, --quiet)
+                               --no-resume, --no-check, --split-levels SPEC,
+                               --quiet)
   check <scenario|file.scn>    model check only, no simulation (--backend selects
                                which points are analyzed; --backend analytic picks
                                a study's micro variant); exit 2 on hard findings.

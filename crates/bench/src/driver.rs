@@ -1,11 +1,13 @@
 //! The drive path behind the `itua` CLI: resolve a scenario, fold its
-//! pinned settings into the CLI flags, optionally pre-flight the
-//! structural analyzer, run, print; or model-check it without running.
+//! pinned settings into the CLI flags, run, print; or model-check it
+//! without running.
 
-use crate::{check_models, FigureCli};
-use itua_analyzer::reach::{self, ReachConfig};
-use itua_analyzer::{AnalysisConfig, Finding, Severity};
+use crate::FigureCli;
+use itua_analyzer::{reach, AnalysisConfig, Finding, Severity};
 use itua_core::{analysis, san_model};
+use itua_runner::json::Json;
+use itua_san::marking::PlaceId;
+use itua_san::model::San;
 use itua_scenario::assert::MarkingAssert;
 use itua_scenario::file::FileScenario;
 use itua_scenario::{registry, Scenario};
@@ -47,9 +49,11 @@ pub fn resolve(arg: &str) -> Result<Box<dyn Scenario>, String> {
 
 /// Analytic-feasibility summary for one scenario, shown by `itua list`:
 /// lumped vs full tangible state counts on the scenario's smallest
-/// analytic sweep point, probed under the unlumped default budget
-/// ([`ItuaAnalytic::DEFAULT_MAX_STATES`]), or `too large` when even the
-/// symmetry quotient exceeds it.
+/// analytic sweep point. The lumped chain is generated once under the
+/// unlumped default budget
+/// ([`ItuaAnalytic::DEFAULT_MAX_STATES`](itua_core::analytic::ItuaAnalytic::DEFAULT_MAX_STATES));
+/// its orbit sizes sum to the full count exactly. `too large` when even
+/// the symmetry quotient exceeds the budget.
 pub fn analytic_feasibility(scenario: &dyn Scenario) -> String {
     use itua_core::analytic::ItuaAnalytic;
     use itua_runner::backend::BackendKind;
@@ -71,31 +75,25 @@ pub fn analytic_feasibility(scenario: &dyn Scenario) -> String {
         return "model build failed".to_owned();
     };
     let sym = analysis::symmetry_spec(&model);
-    let lumped = StateSpace::generate_lumped(&model.san, &sym, budget)
-        .ok()
-        .map(|ss| ss.num_states());
-    let full = StateSpace::generate(&model.san, budget)
-        .ok()
-        .map(|ss| ss.num_states());
-    match (lumped, full) {
-        (Some(l), Some(f)) => format!("analytic: lumped {l} / full {f} states"),
-        (Some(l), None) => format!("analytic: lumped {l} states (full >{budget})"),
-        (None, _) => format!("analytic: too large (>{budget} even lumped)"),
+    match StateSpace::generate_lumped(&model.san, &sym, budget) {
+        Ok(ss) => format!(
+            "analytic: lumped {} / full {} states",
+            ss.num_states(),
+            ss.full_state_total()
+                .expect("a lumped chain carries orbit sizes")
+        ),
+        Err(_) => format!("analytic: too large (>{budget} even lumped)"),
     }
 }
 
 /// Runs `scenario` under the parsed CLI flags and prints its figures.
 /// Returns the process exit code: 0 on success, 2 on a structured
 /// runtime error (for example an analytic state budget or horizon the
-/// backend rejects) or when `--check` surfaced hard analyzer findings.
+/// backend rejects).
 pub fn run_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
     let mut cfg = cli.cfg;
     let mut split = cli.split.clone();
     scenario.configure(&mut cfg, &mut split);
-    if cli.check && check_models(&scenario.points(cli.backend)) {
-        eprintln!("model check failed: hard findings above");
-        return 2;
-    }
     let progress = cli.progress();
     let mut opts = cli.opts(progress.as_ref());
     opts.split = split;
@@ -117,7 +115,7 @@ pub fn run_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
 }
 
 /// Default exhaustive-exploration budget when `--max-states` is absent
-/// (quotient states; matches [`ReachConfig::default`]).
+/// (quotient states; matches `ReachConfig::default`).
 const DEFAULT_CHECK_MAX_STATES: usize = 1 << 20;
 
 /// Runs the model check over every distinct model of the scenario's
@@ -128,39 +126,84 @@ const DEFAULT_CHECK_MAX_STATES: usize = 1 << 20;
 ///
 /// Two modes:
 ///
-/// * structural (default): [`check_models`]'s closure-probing analyzer;
-/// * `--exhaustive`: explore the full reachability graph under the
-///   model's domain/host/replica symmetry and *prove* every
-///   conservation family, exact place bounds, livelock freedom, and the
-///   scenario's `assert` claims over every reachable marking — then run
-///   the [`analysis::oracle`]: the quotient against the unreduced
-///   explorer, and both `statespace.rs` generators against the explored
-///   graphs with their vanishing states eliminated (same tangible
-///   markings, rates and initial mass within 1e-12 relative).
+/// * structural (default): the closure-probing analyzer
+///   ([`analysis::full_report`]);
+/// * `--exhaustive`: [`analysis::exhaustive_check`] explores the
+///   reachability graph once under the model's domain/host/replica
+///   symmetry, *proving* every conservation family, exact place bounds
+///   and livelock freedom over every reachable marking, and once
+///   unreduced, checking the quotient's orbit sums and both
+///   `statespace.rs` generators against the explored graphs with their
+///   vanishing states eliminated (same tangible markings, rates and
+///   initial mass within 1e-12 relative). The scenario's `assert` claims
+///   are proved over the unreduced graph's markings.
 ///
-/// `--json` switches either mode's report to one machine-readable JSON
-/// object on stdout.
+/// Each model's outcome is rendered as text, or with `--json` as one
+/// entry of a machine-readable JSON object on stdout.
 pub fn check_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
-    let points = scenario.points(cli.backend);
-    if cli.exhaustive {
-        exhaustive_check_points(scenario, &points, cli)
-    } else if cli.json {
-        structural_check_json(scenario, &points)
-    } else if check_models(&points) {
-        eprintln!("model check failed: hard findings above");
-        2
+    let max_states = cli
+        .backend_opts
+        .analytic_max_states
+        .unwrap_or(DEFAULT_CHECK_MAX_STATES);
+    let asserts = scenario.asserts();
+    let mode = if cli.exhaustive {
+        "exhaustive"
     } else {
+        "structural"
+    };
+    let mut models = Vec::new();
+    let mut any_hard = false;
+    for point in distinct_models(&scenario.points(cli.backend)) {
+        let checked = if cli.exhaustive {
+            check_exhaustive(point, &asserts, max_states)
+        } else {
+            check_structural(point)
+        };
+        any_hard |= checked.hard;
+        if cli.json {
+            let mut fields = vec![
+                field("series", Json::Str(point.series.clone())),
+                field("x", Json::Num(point.x)),
+            ];
+            fields.extend(checked.json);
+            models.push(Json::Obj(fields));
+        } else {
+            let what = if cli.exhaustive {
+                "exhaustive check"
+            } else {
+                "model check"
+            };
+            println!("--- {what}: {} (x = {}) ---", point.series, point.x);
+            print!("{}", checked.text);
+        }
+    }
+    if cli.json {
+        let mut doc = vec![
+            field("scenario", Json::Str(scenario.name().to_owned())),
+            field("mode", Json::Str(mode.to_owned())),
+        ];
+        if cli.exhaustive {
+            doc.push(field("max_states", Json::Num(max_states as f64)));
+        }
+        doc.push(field("models", Json::Arr(models)));
+        doc.push(field("hard", Json::Bool(any_hard)));
+        println!("{}", Json::Obj(doc));
+    } else if !any_hard {
         println!(
-            "scenario '{}' passed the structural model check",
+            "scenario '{}' passed the {mode} model check",
             scenario.name()
         );
-        0
+    } else if cli.exhaustive {
+        eprintln!("exhaustive model check failed");
+    } else {
+        eprintln!("model check failed: hard findings above");
     }
+    i32::from(any_hard) * 2
 }
 
 /// The distinct parameter sets among `points`, keeping first-seen order
 /// and one representative point for labeling.
-pub(crate) fn distinct_models(points: &[SweepPoint]) -> Vec<&SweepPoint> {
+fn distinct_models(points: &[SweepPoint]) -> Vec<&SweepPoint> {
     let mut seen: Vec<String> = Vec::new();
     let mut out = Vec::new();
     for point in points {
@@ -173,95 +216,57 @@ pub(crate) fn distinct_models(points: &[SweepPoint]) -> Vec<&SweepPoint> {
     out
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// One model's check, rendered both ways.
+struct Checked {
+    /// The text report.
+    text: String,
+    /// The model's JSON fields after `series` and `x`.
+    json: Vec<(String, Json)>,
+    /// Whether the model failed the check.
+    hard: bool,
+}
+
+fn field(key: &str, value: Json) -> (String, Json) {
+    (key.to_owned(), value)
+}
+
+/// One finding as a JSON object.
+fn finding_json(f: &Finding) -> Json {
+    let severity = match f.severity {
+        Severity::Hard => "hard",
+        Severity::Soft => "soft",
+    };
+    Json::Obj(vec![
+        field("id", Json::Str(f.id.clone())),
+        field("severity", Json::Str(severity.to_owned())),
+        field("subject", Json::Str(f.subject.clone())),
+        field("detail", Json::Str(f.detail.clone())),
+    ])
+}
+
+/// The structural analyzer's report on one model.
+fn check_structural(point: &SweepPoint) -> Checked {
+    match san_model::build(&point.params) {
+        Ok(model) => {
+            let report = analysis::full_report(&model, &AnalysisConfig::default());
+            Checked {
+                text: report.render(&model.san),
+                json: vec![field(
+                    "findings",
+                    Json::Arr(report.findings.iter().map(finding_json).collect()),
+                )],
+                hard: report.has_hard_findings(),
             }
-            c => out.push(c),
         }
+        Err(e) => Checked {
+            text: format!("model construction failed: {e}\n"),
+            json: vec![
+                field("findings", Json::Arr(Vec::new())),
+                field("error", Json::Str(e.to_string())),
+            ],
+            hard: true,
+        },
     }
-    out
-}
-
-fn findings_json(findings: &[Finding]) -> String {
-    let items: Vec<String> = findings
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"id\":\"{}\",\"severity\":\"{}\",\"subject\":\"{}\",\"detail\":\"{}\"}}",
-                json_escape(&f.id),
-                match f.severity {
-                    Severity::Hard => "hard",
-                    Severity::Soft => "soft",
-                },
-                json_escape(&f.subject),
-                json_escape(&f.detail)
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-/// `--json` without `--exhaustive`: the structural analyzer's findings
-/// per distinct model, as one JSON object.
-fn structural_check_json(scenario: &dyn Scenario, points: &[SweepPoint]) -> i32 {
-    let cfg = AnalysisConfig::default();
-    let mut models = Vec::new();
-    let mut any_hard = false;
-    for point in distinct_models(points) {
-        let (findings, error) = match san_model::build(&point.params) {
-            Ok(model) => (analysis::full_report(&model, &cfg).findings, String::new()),
-            Err(e) => {
-                any_hard = true;
-                (Vec::new(), e.to_string())
-            }
-        };
-        any_hard |= findings.iter().any(|f| f.severity == Severity::Hard);
-        let mut obj = format!(
-            "{{\"series\":\"{}\",\"x\":{},\"findings\":{}",
-            json_escape(&point.series),
-            point.x,
-            findings_json(&findings)
-        );
-        if !error.is_empty() {
-            let _ = write!(obj, ",\"error\":\"{}\"", json_escape(&error));
-        }
-        obj.push('}');
-        models.push(obj);
-    }
-    println!(
-        "{{\"scenario\":\"{}\",\"mode\":\"structural\",\"models\":[{}],\"hard\":{}}}",
-        json_escape(scenario.name()),
-        models.join(","),
-        any_hard
-    );
-    i32::from(any_hard) * 2
-}
-
-/// A successful exhaustive run: the proof report, the explorer and
-/// generator oracle, and one `(assert, violation)` pair per scenario
-/// claim (`None` = proved).
-type ExhaustiveProof = (
-    analysis::ExhaustiveReport,
-    analysis::OracleAgreement,
-    Vec<(MarkingAssert, Option<String>)>,
-);
-
-/// One model's exhaustive-check outcome, for rendering.
-struct ExhaustiveOutcome {
-    series: String,
-    x: f64,
-    /// `Err`: a budget/build/validation failure (always exit 2).
-    result: Result<ExhaustiveProof, String>,
 }
 
 /// Evaluates the scenario's `assert` claims over every state of the
@@ -270,18 +275,15 @@ struct ExhaustiveOutcome {
 /// not be sound witnesses). Returns one `(assert, violation)` pair per
 /// claim; `None` means proved.
 fn prove_asserts(
-    san: &std::sync::Arc<itua_san::model::San>,
+    san: &San,
     asserts: &[MarkingAssert],
-    max_states: usize,
+    states: &[Vec<i32>],
 ) -> Result<Vec<(MarkingAssert, Option<String>)>, String> {
-    if asserts.is_empty() {
-        return Ok(Vec::new());
-    }
     let matched: Vec<Vec<usize>> = asserts
         .iter()
         .map(|a| {
             (0..san.num_places())
-                .filter(|&p| a.matches(san.place_name(itua_san::marking::PlaceId::from_index(p))))
+                .filter(|&p| a.matches(san.place_name(PlaceId::from_index(p))))
                 .collect()
         })
         .collect();
@@ -292,15 +294,8 @@ fn prove_asserts(
             ));
         }
     }
-    let graph = reach::explore(
-        san,
-        &ReachConfig::with_max_states(max_states),
-        None,
-        |_, _, _, _, _| {},
-    )
-    .map_err(|e| format!("assert proof: {e}"))?;
     let mut violations: Vec<Option<String>> = vec![None; asserts.len()];
-    for state in &graph.states {
+    for state in states {
         for (i, (a, places)) in asserts.iter().zip(&matched).enumerate() {
             if violations[i].is_some() {
                 continue;
@@ -316,154 +311,100 @@ fn prove_asserts(
     Ok(asserts.iter().cloned().zip(violations).collect())
 }
 
-/// `--exhaustive`: prove properties over the full reachable space of
-/// every distinct model, checking explorers and generators against the
-/// oracle.
-fn exhaustive_check_points(scenario: &dyn Scenario, points: &[SweepPoint], cli: &FigureCli) -> i32 {
-    let max_states = cli
-        .backend_opts
-        .analytic_max_states
-        .unwrap_or(DEFAULT_CHECK_MAX_STATES);
-    let asserts = scenario.asserts();
-    let mut outcomes = Vec::new();
-    for point in distinct_models(points) {
-        let result = san_model::build(&point.params)
-            .map_err(|e| format!("model construction failed: {e}"))
-            .and_then(|model| {
-                let report =
-                    analysis::exhaustive_check(&model, max_states).map_err(|e| e.to_string())?;
-                let oracle = analysis::oracle(&model, max_states)?;
-                let proved = prove_asserts(&model.san, &asserts, max_states)?;
-                Ok((report, oracle, proved))
-            });
-        outcomes.push(ExhaustiveOutcome {
-            series: point.series.clone(),
-            x: point.x,
-            result,
+/// `--exhaustive` on one model: the proof report, the explorer and
+/// generator agreement, and the scenario's claims.
+fn check_exhaustive(point: &SweepPoint, asserts: &[MarkingAssert], max_states: usize) -> Checked {
+    let result = san_model::build(&point.params)
+        .map_err(|e| format!("model construction failed: {e}"))
+        .and_then(|model| {
+            let report = analysis::exhaustive_check(&model, max_states)?;
+            let proved = prove_asserts(&model.san, asserts, &report.unreduced)?;
+            Ok((report, proved))
         });
-    }
-    let any_hard = outcomes.iter().any(|o| match &o.result {
-        Ok((report, _, proved)) => {
-            report.has_hard_findings() || proved.iter().any(|(_, v)| v.is_some())
-        }
-        Err(_) => true,
-    });
-    if cli.json {
-        print_exhaustive_json(scenario, &outcomes, max_states, any_hard);
-    } else {
-        print_exhaustive_text(scenario, &outcomes, any_hard);
-    }
-    i32::from(any_hard) * 2
-}
-
-fn print_exhaustive_text(scenario: &dyn Scenario, outcomes: &[ExhaustiveOutcome], hard: bool) {
-    for o in outcomes {
-        println!("--- exhaustive check: {} (x = {}) ---", o.series, o.x);
-        match &o.result {
-            Ok((report, oracle, proved)) => {
-                print!("{}", report.render());
-                println!(
-                    "oracle: quotient {} states vs unreduced {} — orbit sums agree",
-                    oracle.quotient_states, oracle.full_states
-                );
-                println!(
-                    "cross-validation: both statespace.rs generators match the explored \
-                     graphs with vanishing states eliminated ({} states, {} transitions, \
-                     worst relative rate deviation {:.1e} ≤ {:.0e})",
-                    oracle.tangible_states,
-                    oracle.transitions,
-                    oracle.max_rel_dev,
-                    reach::RATE_REL_TOL
-                );
-                for (a, violation) in proved {
-                    match violation {
-                        None => println!("assert {a}: proved over every reachable marking"),
-                        Some(v) => println!("assert {a}: FAILED — {v}"),
-                    }
-                }
+    let (report, proved) = match result {
+        Ok(checked) => checked,
+        Err(e) => {
+            return Checked {
+                text: format!("FAILED: {e}\n"),
+                json: vec![field("error", Json::Str(e))],
+                hard: true,
             }
-            Err(e) => println!("FAILED: {e}"),
         }
-    }
-    if hard {
-        eprintln!("exhaustive model check failed");
-    } else {
-        println!(
-            "scenario '{}' passed the exhaustive model check",
-            scenario.name()
-        );
-    }
-}
-
-fn print_exhaustive_json(
-    scenario: &dyn Scenario,
-    outcomes: &[ExhaustiveOutcome],
-    max_states: usize,
-    hard: bool,
-) {
-    let models: Vec<String> = outcomes
-        .iter()
-        .map(|o| {
-            let mut obj = format!("{{\"series\":\"{}\",\"x\":{}", json_escape(&o.series), o.x);
-            match &o.result {
-                Ok((report, oracle, proved)) => {
-                    let asserts: Vec<String> = proved
-                        .iter()
-                        .map(|(a, v)| match v {
-                            None => format!(
-                                "{{\"assert\":\"{}\",\"proved\":true}}",
-                                json_escape(&a.to_string())
-                            ),
-                            Some(v) => format!(
-                                "{{\"assert\":\"{}\",\"proved\":false,\"detail\":\"{}\"}}",
-                                json_escape(&a.to_string()),
-                                json_escape(v)
-                            ),
-                        })
-                        .collect();
-                    let _ = write!(
-                        obj,
-                        ",\"quotient_states\":{},\"quotient_tangible\":{},\
-                         \"full_states\":{},\"full_tangible\":{},\
-                         \"transitions\":{},\"deadlocks\":{},\
-                         \"families_proved\":{},\
-                         \"max_tokens\":{{\"place\":\"{}\",\"count\":{}}},\
-                         \"oracle\":{{\"quotient_states\":{},\"full_states\":{}}},\
-                         \"cross_validation\":{{\"tangible_states\":{},\"transitions\":{}}},\
-                         \"asserts\":[{}],\"findings\":{}",
-                        report.states,
-                        report.tangible,
-                        report.full_states,
-                        report.full_tangible,
-                        report.transitions,
-                        report.deadlocks,
-                        report.families_proved,
-                        json_escape(&report.max_tokens_place),
-                        report.max_tokens,
-                        oracle.quotient_states,
-                        oracle.full_states,
-                        oracle.tangible_states,
-                        oracle.transitions,
-                        asserts.join(","),
-                        findings_json(&report.findings)
-                    );
-                }
-                Err(e) => {
-                    let _ = write!(obj, ",\"error\":\"{}\"", json_escape(e));
-                }
-            }
-            obj.push('}');
-            obj
-        })
-        .collect();
-    println!(
-        "{{\"scenario\":\"{}\",\"mode\":\"exhaustive\",\"max_states\":{},\"models\":[{}],\
-         \"hard\":{}}}",
-        json_escape(scenario.name()),
-        max_states,
-        models.join(","),
-        hard
+    };
+    let mut text = report.render();
+    let _ = writeln!(
+        text,
+        "oracle: quotient {} states vs unreduced {} — orbit sums agree",
+        report.states, report.full_states
     );
+    let _ = writeln!(
+        text,
+        "cross-validation: both statespace.rs generators match the explored \
+         graphs with vanishing states eliminated ({} states, {} transitions, \
+         worst relative rate deviation {:.1e} ≤ {:.0e})",
+        report.full_tangible,
+        report.generated_transitions,
+        report.max_rel_dev,
+        reach::RATE_REL_TOL
+    );
+    let mut asserts_json = Vec::new();
+    for (a, violation) in &proved {
+        let mut claim = vec![
+            field("assert", Json::Str(a.to_string())),
+            field("proved", Json::Bool(violation.is_none())),
+        ];
+        match violation {
+            None => {
+                let _ = writeln!(text, "assert {a}: proved over every reachable marking");
+            }
+            Some(v) => {
+                let _ = writeln!(text, "assert {a}: FAILED — {v}");
+                claim.push(field("detail", Json::Str(v.clone())));
+            }
+        }
+        asserts_json.push(Json::Obj(claim));
+    }
+    let count = |n: u128| Json::Num(n as f64);
+    let json = vec![
+        field("quotient_states", count(report.states as u128)),
+        field("quotient_tangible", count(report.tangible as u128)),
+        field("full_states", count(report.full_states)),
+        field("full_tangible", count(report.full_tangible)),
+        field("transitions", count(report.transitions as u128)),
+        field("deadlocks", count(report.deadlocks as u128)),
+        field("families_proved", count(report.families_proved as u128)),
+        field(
+            "max_tokens",
+            Json::Obj(vec![
+                field("place", Json::Str(report.max_tokens_place.clone())),
+                field("count", Json::Num(f64::from(report.max_tokens))),
+            ]),
+        ),
+        field(
+            "oracle",
+            Json::Obj(vec![
+                field("quotient_states", count(report.states as u128)),
+                field("full_states", count(report.full_states)),
+            ]),
+        ),
+        field(
+            "cross_validation",
+            Json::Obj(vec![
+                field("tangible_states", count(report.full_tangible)),
+                field("transitions", count(report.generated_transitions as u128)),
+            ]),
+        ),
+        field("asserts", Json::Arr(asserts_json)),
+        field(
+            "findings",
+            Json::Arr(report.findings.iter().map(finding_json).collect()),
+        ),
+    ];
+    Checked {
+        text,
+        hard: report.has_hard_findings() || proved.iter().any(|(_, v)| v.is_some()),
+        json,
+    }
 }
 
 #[cfg(test)]
@@ -647,11 +588,21 @@ mod tests {
     }
 
     #[test]
-    fn structural_json_check_emits_exit_zero_on_clean_micro() {
+    fn structural_check_exits_zero_on_clean_micro() {
         let dir = std::env::temp_dir().join("itua-driver-exhaustive");
         let scenario = micro_scn(&dir, "structural.scn", "");
         let mut cli = FigureCli::parse(Vec::<String>::new());
+        assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
         cli.json = true;
         assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
+    }
+
+    #[test]
+    fn distinct_models_analyzes_each_parameter_set_once() {
+        let dir = std::env::temp_dir().join("itua-driver-distinct");
+        let scenario = micro_scn(&dir, "distinct.scn", "");
+        let mut points = scenario.points(BackendKind::Des);
+        points.push(points[0].clone());
+        assert_eq!(distinct_models(&points).len(), 1);
     }
 }

@@ -4,13 +4,11 @@
 pub mod driver;
 pub mod tracked;
 
-use itua_analyzer::AnalysisConfig;
-use itua_core::{analysis, san_model};
 use itua_rare::SplitSpec;
 use itua_runner::backend::{BackendKind, BackendOptions, ModelCheck};
 use itua_runner::engine::RunnerConfig;
 use itua_runner::progress::{ConsoleProgress, NullProgress, Progress};
-use itua_studies::sweep::{RunOpts, SweepConfig, SweepPoint};
+use itua_studies::sweep::{RunOpts, SweepConfig};
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -51,16 +49,13 @@ use std::str::FromStr;
 /// * `--no-resume` — disable the result store: re-simulate every point
 ///   and write no results file, wherever it appears among the flags
 ///   (a `--results DIR` does not turn the store back on),
-/// * `--check` — run the full structural analyzer over every distinct
-///   model of the study before simulating and exit with status 2 if any
-///   hard finding surfaces (see [`check_models`]),
-/// * `--no-check` — skip even the quick pre-simulation model check that
-///   `run_measures` performs by default,
-/// * `--exhaustive` — `itua check` only: explore the full reachability
-///   graph (quotiented by the model's domain/host/replica symmetry) and
-///   *prove* the conservation families, exact place bounds, and `.scn`
-///   assertions over every reachable marking, then check the quotient
-///   against the unreduced explorer and both analytic state-space
+/// * `--no-check` — skip the quick model check that `run_measures`
+///   performs before every point (the full analysis is `itua check`),
+/// * `--exhaustive` — `itua check` only: explore the reachability graph
+///   once quotiented by the model's domain/host/replica symmetry,
+///   *proving* the conservation families and exact place bounds over
+///   every reachable marking, and once unreduced, proving the `.scn`
+///   assertions and checking the quotient and both analytic state-space
 ///   generators against the explored graphs with vanishing states
 ///   eliminated, rates within 1e-12 relative (see
 ///   [`driver::check_scenario`]),
@@ -94,8 +89,6 @@ pub struct FigureCli {
     pub batch_size: u32,
     /// Result-store directory; `None` disables checkpoint/resume.
     pub results_dir: Option<PathBuf>,
-    /// Whether `--check` requested the full pre-simulation analysis.
-    pub check: bool,
     /// Whether `--no-check` disabled the default quick model check.
     pub no_check: bool,
     /// Whether `itua check --exhaustive` requested the exhaustive
@@ -127,7 +120,6 @@ impl FigureCli {
             threads: 0,
             batch_size: RunnerConfig::default().batch_size,
             results_dir: Some(PathBuf::from("results")),
-            check: false,
             no_check: false,
             exhaustive: false,
             json: false,
@@ -162,7 +154,6 @@ impl FigureCli {
                     cli.results_dir = Some(value(&mut it, &arg, "a directory path")?);
                 }
                 "--no-resume" => no_resume = true,
-                "--check" => cli.check = true,
                 "--no-check" => cli.no_check = true,
                 "--exhaustive" => cli.exhaustive = true,
                 "--json" => cli.json = true,
@@ -177,8 +168,8 @@ impl FigureCli {
                     return Err(format!(
                         "unknown argument '{other}' (try --backend des|san|analytic, \
                          --reps N, --seed S, --csv, --max-states N, --lump, --no-lump, \
-                         --threads N, --batch N, --results DIR, --no-resume, --check, \
-                         --no-check, --exhaustive, --json, --split-levels SPEC, --quiet)"
+                         --threads N, --batch N, --results DIR, --no-resume, --no-check, \
+                         --exhaustive, --json, --split-levels SPEC, --quiet)"
                     ))
                 }
             }
@@ -248,32 +239,6 @@ fn value<T: FromStr>(
         .ok_or_else(|| format!("{flag} needs {what}"))
 }
 
-/// Runs the full structural analyzer ([`analysis::full_report`]) over
-/// every *distinct* parameter set among `points`, printing one structured
-/// report per model. Returns whether any hard finding surfaced (the
-/// caller should exit nonzero).
-pub fn check_models(points: &[SweepPoint]) -> bool {
-    let cfg = AnalysisConfig::default();
-    let mut any_hard = false;
-    for point in driver::distinct_models(points) {
-        println!("--- model check: {} (x = {}) ---", point.series, point.x);
-        match san_model::build(&point.params) {
-            Ok(model) => {
-                let report = analysis::full_report(&model, &cfg);
-                print!("{}", report.render(&model.san));
-                if report.has_hard_findings() {
-                    any_hard = true;
-                }
-            }
-            Err(e) => {
-                println!("model construction failed: {e}");
-                any_hard = true;
-            }
-        }
-    }
-    any_hard
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,7 +253,6 @@ mod tests {
         assert!(!cli.csv);
         assert_eq!(cli.threads, 0);
         assert_eq!(cli.results_dir, Some(PathBuf::from("results")));
-        assert!(!cli.check);
         assert!(!cli.no_check);
         assert!(!cli.quiet);
     }
@@ -310,7 +274,6 @@ mod tests {
                 "4",
                 "--results",
                 "out",
-                "--check",
                 "--quiet",
             ]
             .into_iter()
@@ -323,7 +286,6 @@ mod tests {
         assert_eq!(cli.threads, 4);
         assert_eq!(cli.batch_size, 4);
         assert_eq!(cli.results_dir, Some(PathBuf::from("out")));
-        assert!(cli.check);
         assert!(cli.quiet);
     }
 
@@ -441,32 +403,6 @@ mod tests {
         let progress = cli.progress();
         let opts = cli.opts(progress.as_ref());
         assert_eq!(opts.check, ModelCheck::Off);
-    }
-
-    #[test]
-    fn check_models_accepts_a_clean_micro_model() {
-        use itua_core::params::Params;
-        let params = Params::default().with_domains(1, 2).with_applications(1, 2);
-        let points = vec![
-            SweepPoint {
-                x: 2.0,
-                series: "micro".to_owned(),
-                params: params.clone(),
-                horizon: 1.0,
-                sample_times: vec![1.0],
-            },
-            // A duplicate parameter set must be analyzed only once; the
-            // easiest observable proxy is that the call stays fast and
-            // still reports no hard findings.
-            SweepPoint {
-                x: 2.0,
-                series: "micro".to_owned(),
-                params,
-                horizon: 1.0,
-                sample_times: vec![1.0],
-            },
-        ];
-        assert!(!check_models(&points));
     }
 
     #[test]

@@ -3,17 +3,20 @@
 //! The generic analyzer (`itua-analyzer`) observes incidence structure by
 //! probing; this module supplies the *model-specific* knowledge: the
 //! conservation laws the ITUA encoding must satisfy by construction, the
-//! one documented measure gap, and two entry points used to gate
-//! simulation:
+//! one documented measure gap, and three entry points that apply them:
 //!
 //! * [`quick_check`] — O(places + activities), no probing. Verifies every
 //!   expected invariant at the initial marking and rate sanity at the
 //!   initial marking. This is the default gate in
 //!   `run_measures` (cheap enough to run before every sweep point).
-//! * [`full_report`] — the full probe-based analysis behind `--check`:
+//! * [`full_report`] — the full probe-based analysis behind `itua check`:
 //!   invariants, structural bounds, dead activities, rate sanity at
 //!   reachable markings, plus the expected invariants checked against
 //!   every observed firing.
+//! * [`exhaustive_check`] — `itua check --exhaustive`: one exploration
+//!   of the symmetry quotient proves the spec over every reachable
+//!   marking and firing, and one exploration of the unreduced graph
+//!   checks the quotient and both state-space generators.
 //!
 //! # Expected invariants (hand-derived)
 //!
@@ -53,12 +56,10 @@
 //! it surfaces as a soft finding with a concrete counterexample firing).
 
 use crate::san_model::ItuaSan;
-use itua_analyzer::reach::{
-    self, ReachConfig, ReachError, SymmetryGroup, SymmetrySpec, SymmetryUnit,
-};
+use itua_analyzer::reach::{self, ReachConfig, SymmetryGroup, SymmetrySpec, SymmetryUnit};
 use itua_analyzer::{
-    analyze, AllowEntry, AnalysisConfig, AnalysisReport, AnalysisSpec, ExpectedInvariant, Finding,
-    FiringLaw, KnownIssue, Severity,
+    analyze, render_findings, AllowEntry, AnalysisConfig, AnalysisReport, AnalysisSpec,
+    ExpectedInvariant, Finding, FiringLaw, KnownIssue, LawHit, Severity,
 };
 use itua_san::marking::PlaceId;
 use itua_san::model::San;
@@ -304,20 +305,15 @@ pub fn quick_check(model: &ItuaSan) -> Result<(), String> {
     let san = &model.san;
     let spec = analysis_spec(model);
     let initial = san.initial_marking();
-    let mut problems = Vec::new();
-    for inv in &spec.expected {
-        let got: i64 = inv
-            .terms
-            .iter()
-            .map(|&(p, c)| c * i64::from(initial.get(p)))
-            .sum();
-        if got != inv.target {
-            problems.push(format!(
+    let mut problems: Vec<String> = spec
+        .violations(initial.values())
+        .map(|(inv, got)| {
+            format!(
                 "invariant '{}' is {got} at the initial marking, expected {}",
                 inv.description, inv.target
-            ));
-        }
-    }
+            )
+        })
+        .collect();
     for (_, act) in san.activities() {
         if let Some(rate) = act.rate(&initial) {
             if !rate.is_finite() || rate < 0.0 {
@@ -396,8 +392,9 @@ pub fn symmetry_spec(model: &ItuaSan) -> SymmetrySpec {
     SymmetrySpec::new(san.num_places(), groups).expect("ITUA symmetry groups are congruent")
 }
 
-/// The result of an exhaustive check: whole-state-space proofs instead of
-/// probe samples.
+/// The result of [`exhaustive_check`]: whole-state-space proofs instead
+/// of probe samples, and the agreement of both explorations with both
+/// state-space generators.
 #[derive(Debug)]
 pub struct ExhaustiveReport {
     /// Model name.
@@ -406,9 +403,11 @@ pub struct ExhaustiveReport {
     pub states: usize,
     /// Tangible quotient states.
     pub tangible: usize,
-    /// Full (unreduced) state count, recovered as the sum of orbit sizes.
+    /// Full (unreduced) state count: the sum of orbit sizes, equal to the
+    /// unreduced exploration's state count.
     pub full_states: u128,
-    /// Full tangible state count by orbit sum.
+    /// Full tangible state count by orbit sum (equal to the unreduced
+    /// exploration's and the plain generator's).
     pub full_tangible: u128,
     /// Firings explored on the quotient graph.
     pub transitions: usize,
@@ -421,8 +420,21 @@ pub struct ExhaustiveReport {
     pub max_tokens: i32,
     /// The place attaining `max_tokens`.
     pub max_tokens_place: String,
+    /// Transitions the plain generator emitted.
+    pub generated_transitions: usize,
+    /// Worst relative deviation of either generator's rates or initial
+    /// mass from its eliminated graph (at most [`reach::RATE_REL_TOL`]).
+    pub max_rel_dev: f64,
     /// Findings, hard first (allowlist applied, notes appended).
     pub findings: Vec<Finding>,
+    /// Firing-law hits before the allowlist, each with the quotient
+    /// pre-marking of its first firing (a canonical representative,
+    /// genuinely reachable because the initial marking is symmetric).
+    pub law_hits: Vec<LawHit>,
+    /// Every marking of the unreduced graph, in BFS order: the states on
+    /// which claims that need not be closed under the symmetry group
+    /// (a `.scn` file's asserts) are proved.
+    pub unreduced: Vec<Vec<i32>>,
 }
 
 impl ExhaustiveReport {
@@ -454,100 +466,81 @@ impl ExhaustiveReport {
             "exact bounds: max {} token(s), in '{}'",
             self.max_tokens, self.max_tokens_place
         );
-        let hard = self
-            .findings
-            .iter()
-            .filter(|f| f.severity == Severity::Hard)
-            .count();
-        let _ = writeln!(
-            out,
-            "findings: {hard} hard, {} soft",
-            self.findings.len() - hard
-        );
-        for f in &self.findings {
-            let sev = match f.severity {
-                Severity::Hard => "HARD",
-                Severity::Soft => "soft",
-            };
-            let _ = writeln!(out, "  [{sev}] {}: {} — {}", f.id, f.subject, f.detail);
-        }
+        render_findings(&self.findings, &mut out);
         out
     }
 }
 
-/// Exhaustively explores the symmetry quotient of the reachable graph and
-/// proves the ITUA spec over it: every conservation family at every
-/// reachable marking, every firing law at every firing, zero-time
-/// livelock freedom, plus dead-activity and absorbing-state detection.
+/// Workers [`exhaustive_check`] generates its chains on.
+const ORACLE_WORKERS: usize = 2;
+
+/// Exhaustively checks `model` under the ITUA spec, exploring each
+/// reachability graph once.
+///
+/// The symmetry quotient ([`symmetry_spec`]) is explored once: every
+/// conservation family is checked at every reachable marking and every
+/// firing law at every firing (keeping each law's first witness
+/// marking), with zero-time livelock, absorbing states and dead
+/// activities reported. The unreduced graph is explored once: its orbit
+/// sums (total and tangible) and exact place bounds must match the
+/// quotient's, and both state-space generators must match the explored
+/// graphs with vanishing states eliminated ([`reach::compare_generated`]):
+/// the plain chain the unreduced graph, the lumped chain the quotient.
+/// Both chains are generated by [`StateSpace::explore`] on two workers,
+/// so the check covers the generator's worker team (which gives the same
+/// chain at any size, and runs inline on a one-core machine). Intended
+/// for micro configurations, where the full space fits the budget.
 ///
 /// # Errors
 ///
-/// Propagates the explorer's structured [`ReachError`] (state/work budget,
-/// bad rates or weights).
-pub fn exhaustive_check(
-    model: &ItuaSan,
-    max_states: usize,
-) -> Result<ExhaustiveReport, ReachError> {
+/// A description of the first failure: an explorer's structured
+/// [`reach::ReachError`] (state or work budget, bad rates or weights), a
+/// disagreement between the explorations, or a generator failure or
+/// mismatch.
+pub fn exhaustive_check(model: &ItuaSan, max_states: usize) -> Result<ExhaustiveReport, String> {
     let san = &model.san;
     let spec = analysis_spec(model);
     let sym = symmetry_spec(model);
     let cfg = ReachConfig::with_max_states(max_states);
 
-    let mut law_hits: Vec<Finding> = Vec::new();
-    let graph = reach::explore(san, &cfg, Some(&sym), |san, act, case, pre, delta| {
-        for law in &spec.laws {
-            if let Some(msg) = (law.check)(san, act, case, pre, delta) {
-                let subject = san.activity(act).name().to_owned();
-                if !law_hits
-                    .iter()
-                    .any(|f| f.id == law.id && f.subject == subject)
-                {
-                    law_hits.push(Finding {
-                        id: law.id.clone(),
-                        severity: Severity::Hard,
-                        subject,
-                        detail: format!("{}: {msg}", law.description),
-                    });
-                }
+    let mut law_hits: Vec<LawHit> = Vec::new();
+    let quot = reach::explore(san, &cfg, Some(&sym), |san, act, case, pre, delta| {
+        spec.record_law_hits(&mut law_hits, san, act, case, pre, delta);
+    })
+    .map_err(|e| e.to_string())?;
+
+    // The first reachable state violating each family, in spec order.
+    let mut findings: Vec<Finding> = Vec::new();
+    for (i, state) in quot.states.iter().enumerate() {
+        for (inv, got) in spec.violations(state) {
+            if !findings.iter().any(|f| f.id == inv.id) {
+                findings.push(Finding {
+                    id: inv.id.clone(),
+                    severity: Severity::Hard,
+                    subject: format!("reachable state #{i}"),
+                    detail: format!(
+                        "'{}' is {got} at a reachable marking, expected {}",
+                        inv.description, inv.target
+                    ),
+                });
             }
         }
-    })?;
-
-    let mut findings: Vec<Finding> = Vec::new();
-    for inv in &spec.expected {
-        if let Some((i, got)) = graph.states.iter().enumerate().find_map(|(i, state)| {
-            let got: i64 = inv
-                .terms
-                .iter()
-                .map(|&(p, c)| c * i64::from(state[p.index()]))
-                .sum();
-            (got != inv.target).then_some((i, got))
-        }) {
-            findings.push(Finding {
-                id: inv.id.clone(),
-                severity: Severity::Hard,
-                subject: format!("reachable state #{i}"),
-                detail: format!(
-                    "'{}' is {got} at a reachable marking, expected {}",
-                    inv.description, inv.target
-                ),
-            });
-        }
     }
-    findings.extend(law_hits);
+    findings.sort_by_key(|f| spec.expected.iter().position(|inv| inv.id == f.id));
+    findings.extend(law_hits.iter().map(|h| h.finding.clone()));
 
-    if !graph.vanishing_cycle.is_empty() {
+    if !quot.vanishing_cycle.is_empty() {
         findings.push(Finding {
             id: "vanishing-livelock".to_owned(),
             severity: Severity::Hard,
-            subject: format!("{} vanishing state(s)", graph.vanishing_cycle.len()),
+            subject: format!("{} vanishing state(s)", quot.vanishing_cycle.len()),
             detail: "instantaneous activities form a reachable zero-time cycle".to_owned(),
         });
     }
 
     let dead: Vec<&str> = san
         .activities()
-        .filter(|(id, _)| !graph.fired[id.index()])
+        .filter(|(id, _)| !quot.fired[id.index()])
         .map(|(_, a)| a.name())
         .collect();
     if !dead.is_empty() {
@@ -563,100 +556,18 @@ pub fn exhaustive_check(
             ),
         });
     }
-    if !graph.deadlocks.is_empty() {
+    if !quot.deadlocks.is_empty() {
         findings.push(Finding {
             id: "absorbing-states".to_owned(),
             severity: Severity::Soft,
-            subject: format!("{} tangible state(s)", graph.deadlocks.len()),
+            subject: format!("{} tangible state(s)", quot.deadlocks.len()),
             detail: "no timed activity enabled (expected: fully excluded/shut-down markings)"
                 .to_owned(),
         });
     }
+    spec.settle(&mut findings);
 
-    for f in &mut findings {
-        if let Some(entry) = spec.allow.iter().find(|e| e.id == f.id) {
-            f.severity = Severity::Soft;
-            f.detail.push_str(&format!(" [allowed: {}]", entry.reason));
-        }
-    }
-    for note in &spec.notes {
-        findings.push(Finding {
-            id: note.id.clone(),
-            severity: Severity::Soft,
-            subject: note.subject.clone(),
-            detail: note.detail.clone(),
-        });
-    }
-    findings.sort_by_key(|f| match f.severity {
-        Severity::Hard => 0,
-        Severity::Soft => 1,
-    });
-
-    let (max_place, max_tokens) = graph
-        .place_max
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &v)| v)
-        .map_or((0, 0), |(i, &v)| (i, v));
-    Ok(ExhaustiveReport {
-        model_name: san.name().to_owned(),
-        states: graph.num_states(),
-        tangible: graph.num_tangible(),
-        full_states: graph.orbit_total(),
-        full_tangible: graph.tangible_orbit_total(),
-        transitions: graph.num_transitions(),
-        deadlocks: graph.deadlocks.len(),
-        families_proved: spec.expected.len(),
-        max_tokens,
-        max_tokens_place: san.place_name(PlaceId::from_index(max_place)).to_owned(),
-        findings,
-    })
-}
-
-/// Agreement between the explorers, the generators and the oracle
-/// equations, from [`oracle`].
-#[derive(Debug, Clone, Copy)]
-pub struct OracleAgreement {
-    /// Quotient state count.
-    pub quotient_states: usize,
-    /// Full state count (explored without symmetry).
-    pub full_states: usize,
-    /// Tangible state count of the unlumped generator (equal to the
-    /// unreduced graph's).
-    pub tangible_states: usize,
-    /// Transitions the unlumped generator emitted.
-    pub transitions: usize,
-    /// Worst relative deviation of either generator's rates or initial
-    /// mass from its eliminated graph (at most
-    /// [`reach::RATE_REL_TOL`]).
-    pub max_rel_dev: f64,
-}
-
-/// Workers the [`oracle`] generates its chains on.
-const ORACLE_WORKERS: usize = 2;
-
-/// Checks exploration and generation against each other in one pass.
-/// Explores the model once unreduced and once under [`symmetry_spec`];
-/// orbit sizes must sum to the full state count (total and tangible) and
-/// the exact place bounds must agree. Then both state-space generators
-/// are compared with the explored graphs, vanishing states eliminated
-/// ([`reach::compare_generated`]): the plain chain with the unreduced
-/// graph, the lumped chain with the quotient. Both chains are generated
-/// by [`StateSpace::explore`] on two workers, so the check covers the
-/// generator's worker team (which gives the same chain at any size, and
-/// runs inline on a one-core machine). Intended for micro
-/// configurations, where the full space fits the budget.
-///
-/// # Errors
-///
-/// Returns a description of the first disagreement, or of an explorer or
-/// generator failure.
-pub fn oracle(model: &ItuaSan, max_states: usize) -> Result<OracleAgreement, String> {
-    let cfg = ReachConfig::with_max_states(max_states);
-    let sym = symmetry_spec(model);
-    let quot = reach::explore(&model.san, &cfg, Some(&sym), |_, _, _, _, _| {})
-        .map_err(|e| format!("quotient exploration failed: {e}"))?;
-    let full = reach::explore(&model.san, &cfg, None, |_, _, _, _, _| {})
+    let full = reach::explore(san, &cfg, None, |_, _, _, _, _| {})
         .map_err(|e| format!("full exploration failed: {e}"))?;
     if quot.orbit_total() != full.num_states() as u128 {
         return Err(format!(
@@ -675,76 +586,38 @@ pub fn oracle(model: &ItuaSan, max_states: usize) -> Result<OracleAgreement, Str
     if quot.place_max != full.place_max {
         return Err("exact place bounds disagree between quotient and full explorer".to_owned());
     }
-    let plain = StateSpace::explore(&model.san, None, max_states, ORACLE_WORKERS)
+    let plain = StateSpace::explore(san, None, max_states, ORACLE_WORKERS)
         .map_err(|e| format!("statespace generator failed: {e}"))?;
-    let lumped = StateSpace::explore(&model.san, Some(&sym), max_states, ORACLE_WORKERS)
+    let lumped = StateSpace::explore(san, Some(&sym), max_states, ORACLE_WORKERS)
         .map_err(|e| format!("lumped statespace generator failed: {e}"))?;
     let plain_dev = reach::compare_generated(&full, &plain)
         .map_err(|e| format!("statespace generator vs unreduced graph: {e}"))?;
     let lumped_dev = reach::compare_generated(&quot, &lumped)
         .map_err(|e| format!("lumped statespace generator vs quotient graph: {e}"))?;
-    Ok(OracleAgreement {
-        quotient_states: quot.num_states(),
-        full_states: full.num_states(),
-        tangible_states: plain.num_states(),
-        transitions: plain.transitions().len(),
-        max_rel_dev: plain_dev.max(lumped_dev),
-    })
-}
 
-/// A reachable firing that witnesses the `frac-corrupt-replica-blind`
-/// measure gap.
-#[derive(Debug, Clone)]
-pub struct GapWitness {
-    /// The `shut_host` copy that fired.
-    pub activity: String,
-    /// The reachable pre-marking (canonical representative; genuinely
-    /// reachable because the initial marking is symmetric).
-    pub marking: Vec<i32>,
-    /// The law's counterexample message.
-    pub detail: String,
-}
-
-/// Searches the full reachable quotient graph for a concrete firing that
-/// exhibits the DESIGN.md §8 `dom_excl_corrupt` replica-blindness gap:
-/// a clean host, shut down by a domain exclusion, carrying an application
-/// with undetected-corrupt replicas, without incrementing
-/// `dom_excl_corrupt`. Returns the first witness in BFS order, or `None`
-/// if no such firing is reachable under the budget.
-///
-/// # Errors
-///
-/// Propagates the explorer's structured [`ReachError`].
-pub fn find_replica_blind_witness(
-    model: &ItuaSan,
-    max_states: usize,
-) -> Result<Option<GapWitness>, ReachError> {
-    let spec = analysis_spec(model);
-    let law = spec
-        .laws
+    let (max_place, max_tokens) = quot
+        .place_max
         .iter()
-        .find(|l| l.id == "frac-corrupt-replica-blind")
-        .expect("ITUA spec carries the replica-blindness law");
-    let sym = symmetry_spec(model);
-    let cfg = ReachConfig::with_max_states(max_states);
-    let mut witness: Option<GapWitness> = None;
-    reach::explore(
-        &model.san,
-        &cfg,
-        Some(&sym),
-        |san, act, case, pre, delta| {
-            if witness.is_none() {
-                if let Some(msg) = (law.check)(san, act, case, pre, delta) {
-                    witness = Some(GapWitness {
-                        activity: san.activity(act).name().to_owned(),
-                        marking: pre.values().to_vec(),
-                        detail: msg,
-                    });
-                }
-            }
-        },
-    )?;
-    Ok(witness)
+        .enumerate()
+        .max_by_key(|&(_, &v)| v)
+        .map_or((0, 0), |(i, &v)| (i, v));
+    Ok(ExhaustiveReport {
+        model_name: san.name().to_owned(),
+        states: quot.num_states(),
+        tangible: quot.num_tangible(),
+        full_states: quot.orbit_total(),
+        full_tangible: quot.tangible_orbit_total(),
+        transitions: quot.num_transitions(),
+        deadlocks: quot.deadlocks.len(),
+        families_proved: spec.expected.len(),
+        max_tokens,
+        max_tokens_place: san.place_name(PlaceId::from_index(max_place)).to_owned(),
+        generated_transitions: plain.transitions().len(),
+        max_rel_dev: plain_dev.max(lumped_dev),
+        findings,
+        law_hits,
+        unreduced: full.states,
+    })
 }
 
 #[cfg(test)]
@@ -844,30 +717,23 @@ mod tests {
             report.states
         );
         // The documented gap surfaces as an allowlisted soft finding on
-        // the full reachable graph, not just on crafted markings.
+        // the full reachable graph, not just on crafted markings, with a
+        // reachable witness marking.
         assert!(report
             .findings
             .iter()
             .any(|f| f.id == "frac-corrupt-replica-blind" && f.severity == Severity::Soft));
-    }
-
-    #[test]
-    fn oracle_agrees_on_micro() {
-        let model = micro();
-        let agreement = oracle(&model, 200_000).unwrap();
-        assert!(agreement.quotient_states < agreement.full_states);
-        assert!(agreement.tangible_states > 0);
-        assert!(agreement.transitions > 0);
-        assert!(agreement.max_rel_dev <= reach::RATE_REL_TOL);
-    }
-
-    #[test]
-    fn replica_blind_witness_is_reachable() {
-        let model = micro();
-        let w = find_replica_blind_witness(&model, 200_000)
-            .unwrap()
+        let w = report
+            .law_hits
+            .iter()
+            .find(|h| h.finding.id == "frac-corrupt-replica-blind")
             .expect("the gap has a reachable witness on the micro config");
-        assert!(w.activity.ends_with("/shut_host"));
+        assert!(w.finding.subject.ends_with("/shut_host"));
         assert_eq!(w.marking.len(), model.san.num_places());
+        // The unreduced exploration and both generators agree.
+        assert_eq!(report.unreduced.len() as u128, report.full_states);
+        assert!(report.full_tangible > 0);
+        assert!(report.generated_transitions > 0);
+        assert!(report.max_rel_dev <= reach::RATE_REL_TOL);
     }
 }

@@ -198,8 +198,6 @@ pub struct ItuaAnalytic {
     /// Per application: the chain with that application's Byzantine states
     /// made absorbing, plus the absorbing flags.
     byz: Vec<(Ctmc, Vec<bool>)>,
-    /// Whether the chain is the symmetry quotient.
-    lumped: bool,
     /// When lumped: total tangible states the quotient represents
     /// (sum of orbit sizes, saturating).
     full_states: Option<u128>,
@@ -264,23 +262,14 @@ impl ItuaAnalytic {
             })?;
 
         let places = &model.places;
-        let num_domains = params.num_domains as f64;
-        let num_apps = params.num_apps as f64;
         let improper_frac = ss.reward_vector(|m| places.improper_fraction(m));
+        // The simulators' sample measures, read per state (the time stamp
+        // is unused).
         let frac_domains_excluded =
-            ss.reward_vector(|m| m.get(places.excluded_domains) as f64 / num_domains);
-        let mean_replicas_running = ss.reward_vector(|m| {
-            places.running.iter().map(|&p| m.get(p)).sum::<i32>() as f64 / num_apps
-        });
-        let load_per_host = ss.reward_vector(|m| {
-            let running: i32 = places.running.iter().map(|&p| m.get(p)).sum();
-            let alive: i32 = places.domain_active_hosts.iter().map(|&p| m.get(p)).sum();
-            if alive == 0 {
-                0.0
-            } else {
-                running as f64 / alive as f64
-            }
-        });
+            ss.reward_vector(|m| places.snapshot(0.0, m).frac_domains_excluded);
+        let mean_replicas_running =
+            ss.reward_vector(|m| places.snapshot(0.0, m).mean_replicas_running);
+        let load_per_host = ss.reward_vector(|m| places.snapshot(0.0, m).load_per_host);
         let byz = (0..params.num_apps)
             .map(|a| {
                 ss.absorbing_ctmc(|m| places.byzantine(m, a))
@@ -301,7 +290,6 @@ impl ItuaAnalytic {
             mean_replicas_running,
             load_per_host,
             byz,
-            lumped: opts.lump,
             full_states: ss.full_state_total(),
         })
     }
@@ -309,11 +297,6 @@ impl ItuaAnalytic {
     /// Number of generated states (orbits, when lumped).
     pub fn num_states(&self) -> usize {
         self.num_states
-    }
-
-    /// Whether the chain is the symmetry quotient.
-    pub fn is_lumped(&self) -> bool {
-        self.lumped
     }
 
     /// Total tangible states the lumped chain represents (sum of orbit
@@ -460,8 +443,6 @@ mod tests {
         let p = symmetric_micro_params();
         let full = ItuaAnalytic::new(&p, 1_000_000).unwrap();
         let lumped = ItuaAnalytic::with_options(&p, &AnalyticOptions::default()).unwrap();
-        assert!(lumped.is_lumped());
-        assert!(!full.is_lumped());
         assert!(lumped.num_states() < full.num_states());
         assert_eq!(full.full_state_total(), None);
         assert_eq!(lumped.full_state_total(), Some(full.num_states() as u128));

@@ -274,11 +274,6 @@ impl Params {
         self.num_domains * self.hosts_per_domain
     }
 
-    /// Total number of replica slots.
-    pub fn total_replica_slots(&self) -> usize {
-        self.num_apps * self.reps_per_app
-    }
-
     /// Base attack rate on one host (before spread scaling).
     pub fn host_attack_rate(&self) -> f64 {
         self.effective_rate_factor * self.base_attack_rate * self.attack_weight_host
@@ -496,7 +491,6 @@ mod tests {
     fn builders_update_layout() {
         let p = Params::default().with_domains(6, 2).with_applications(8, 7);
         assert_eq!(p.total_hosts(), 12);
-        assert_eq!(p.total_replica_slots(), 56);
         p.validate().unwrap();
     }
 

@@ -18,6 +18,7 @@
 //! that agree exactly in distribution (unavailability, unreliability,
 //! excluded-domain fractions).
 
+use crate::des::clamp_sample_times;
 use crate::measures::{RunOutput, Snapshot};
 use crate::params::Params;
 use crate::san_model::{self, BuildError, ItuaSan, ItuaSanPlaces};
@@ -274,18 +275,9 @@ impl MeasureObserver {
     }
 
     /// Prepares the sample-time schedule, shared by every replication of
-    /// a batch: the same clamp/filter/sort/dedup the DES applies.
+    /// a batch: the DES's [`clamp_sample_times`].
     fn prepare_samples(&mut self, horizon: f64, sample_times: &[f64]) {
-        self.samples.clear();
-        self.samples.extend(
-            sample_times
-                .iter()
-                .map(|&t| t.min(horizon))
-                .filter(|&t| t > 0.0),
-        );
-        self.samples
-            .sort_by(|a, b| a.partial_cmp(b).expect("no NaN sample times"));
-        self.samples.dedup();
+        clamp_sample_times(sample_times, horizon, &mut self.samples);
     }
 
     /// Resets the per-replication accumulators, reusing every buffer, and
@@ -375,24 +367,7 @@ impl Observer for MeasureObserver {
     }
 
     fn on_sample(&mut self, time: f64, marking: &Marking) {
-        let running_total: i32 = self.places.running.iter().map(|&p| marking.get(p)).sum();
-        let alive_hosts: i32 = self
-            .places
-            .domain_active_hosts
-            .iter()
-            .map(|&p| marking.get(p))
-            .sum();
-        self.snapshots.push(Snapshot {
-            time,
-            frac_domains_excluded: marking.get(self.places.excluded_domains) as f64
-                / self.num_domains as f64,
-            mean_replicas_running: running_total as f64 / self.places.running.len() as f64,
-            load_per_host: if alive_hosts == 0 {
-                0.0
-            } else {
-                running_total as f64 / alive_hosts as f64
-            },
-        });
+        self.snapshots.push(self.places.snapshot(time, marking));
     }
 
     fn on_end(&mut self, time: f64, marking: &Marking) {

@@ -31,6 +31,7 @@
 //! exclusion cascade — matching the direct DES implementation, which
 //! performs exclusions before recoveries within one logical instant.
 
+use crate::measures::Snapshot;
 use crate::params::{ManagementScheme, Params, ParamsError, PlacementConstraint};
 use itua_san::compose::{ComposedModel, Node, SanTemplate, SharedPlace, SubnetBuilder};
 use itua_san::marking::{Marking, PlaceId};
@@ -95,6 +96,31 @@ impl ItuaSanPlaces {
             .filter(|&a| self.improper(marking, a))
             .count();
         hits as f64 / self.running.len() as f64
+    }
+
+    /// The instant-of-time measures at `marking`, stamped `time`: the
+    /// fraction of domains excluded, the mean running replicas per
+    /// application, and the replicas per active host (0 when no host is
+    /// active). The SAN simulator samples them; the analytic backend's
+    /// reward vectors read them per state.
+    pub fn snapshot(&self, time: f64, marking: &Marking) -> Snapshot {
+        let running: i32 = self.running.iter().map(|&p| marking.get(p)).sum();
+        let alive: i32 = self
+            .domain_active_hosts
+            .iter()
+            .map(|&p| marking.get(p))
+            .sum();
+        Snapshot {
+            time,
+            frac_domains_excluded: marking.get(self.excluded_domains) as f64
+                / self.domain_excluded.len() as f64,
+            mean_replicas_running: running as f64 / self.running.len() as f64,
+            load_per_host: if alive == 0 {
+                0.0
+            } else {
+                running as f64 / alive as f64
+            },
+        }
     }
 }
 

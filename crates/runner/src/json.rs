@@ -85,14 +85,6 @@ impl Json {
         }
     }
 
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected, arrays and objects nested at most 128
     /// deep).
@@ -403,7 +395,6 @@ mod tests {
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
         assert_eq!(v.get("n").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("n").unwrap().as_f64(), Some(3.0));
-        assert_eq!(v.get("b").unwrap().as_bool(), Some(false));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);

@@ -301,27 +301,9 @@ impl San {
         self.place_index.get(name).copied()
     }
 
-    /// All place ids whose full name satisfies `pred` (e.g. all
-    /// `replicas_running` places across submodels).
-    pub fn places_matching<'a>(
-        &'a self,
-        mut pred: impl FnMut(&str) -> bool + 'a,
-    ) -> impl Iterator<Item = PlaceId> + 'a {
-        self.place_names
-            .iter()
-            .enumerate()
-            .filter(move |(_, n)| pred(n))
-            .map(|(i, _)| PlaceId(i as u32))
-    }
-
     /// Name of a place.
     pub fn place_name(&self, place: PlaceId) -> &str {
         &self.place_names[place.index()]
-    }
-
-    /// Initial token count of a place.
-    pub fn initial_tokens(&self, place: PlaceId) -> i32 {
-        self.initial[place.index()]
     }
 
     /// Iterates over all place ids in index order.
@@ -781,18 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn places_matching_filters_by_name() {
-        let mut b = SanBuilder::new("m");
-        let _a = b.place("app0/running", 1);
-        let _b2 = b.place("app1/running", 1);
-        let _c = b.place("other", 0);
-        b.timed_activity("t", 1.0).input_arc(_c, 1).build().unwrap();
-        let san = b.finish().unwrap();
-        let found: Vec<_> = san.places_matching(|n| n.ends_with("/running")).collect();
-        assert_eq!(found.len(), 2);
-    }
-
-    #[test]
     fn introspection_exposes_declared_structure() {
         let mut b = SanBuilder::new("m");
         let p = b.place("p", 2);
@@ -814,7 +784,6 @@ mod tests {
         assert_eq!(act.rate(&san.initial_marking()), Some(1.5));
         assert!(act.reads().contains(&p));
         assert!(act.reads().contains(&g));
-        assert_eq!(san.initial_tokens(p), 2);
         assert_eq!(san.place_ids().count(), 3);
     }
 

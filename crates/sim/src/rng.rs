@@ -7,11 +7,11 @@
 //!
 //! The generator is **xoshiro256\*\*** (Blackman & Vigna), seeded from a
 //! single `u64` through **splitmix64** as its authors recommend. Independent
-//! sub-streams for replications and submodels are derived with
-//! [`Rng::stream`], which re-seeds through splitmix64 so that streams with
-//! nearby indices are statistically unrelated.
+//! replication streams are seeded with [`stream_seed`], random access into
+//! a splitmix64-style sequence, so that streams with nearby indices (or
+//! nearby base seeds) are statistically unrelated.
 
-/// The splitmix64 generator, used for seeding and stream derivation.
+/// The splitmix64 generator, used for seeding.
 ///
 /// Passes through every `u64` state; its output function is a strong
 /// 64-bit mixer (variant of MurmurHash3's finalizer).
@@ -102,26 +102,6 @@ impl Rng {
     /// never all-zero (which would be a fixed point of xoshiro).
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = SplitMix64::new(seed);
-        let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
-        Rng { s }
-    }
-
-    /// Derives an independent sub-stream for index `index`.
-    ///
-    /// Streams derived from the same generator with different indices are
-    /// statistically independent for all practical purposes: the stream seed
-    /// is produced by hashing the parent state together with the index
-    /// through splitmix64.
-    pub fn stream(&self, index: u64) -> Rng {
-        let mut sm = SplitMix64::new(
-            self.s[0]
-                .wrapping_mul(0x9e3779b97f4a7c15)
-                .wrapping_add(index)
-                .rotate_left(17)
-                ^ self.s[2],
-        );
-        // Burn one output so that index 0 does not mirror the parent seed.
-        let _ = sm.next_u64();
         let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
         Rng { s }
     }
@@ -295,18 +275,6 @@ mod tests {
         let mut b = Rng::seed_from_u64(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn streams_are_distinct_and_reproducible() {
-        let root = Rng::seed_from_u64(7);
-        let mut s0 = root.stream(0);
-        let mut s1 = root.stream(1);
-        let mut s0b = root.stream(0);
-        assert_eq!(s0.next_u64(), s0b.next_u64());
-        let mut a = root.stream(0);
-        let collisions = (0..64).filter(|_| a.next_u64() == s1.next_u64()).count();
-        assert_eq!(collisions, 0);
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl TimeWeighted {
         self.current = value;
     }
 
-    /// The current signal value.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
     /// Integral of the signal from the start time to `time`.
     ///
     /// # Panics

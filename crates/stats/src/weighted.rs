@@ -80,11 +80,6 @@ impl WeightedStats {
         self.count
     }
 
-    /// Total weight `Σw`.
-    pub fn total_weight(&self) -> f64 {
-        self.w1
-    }
-
     /// Effective sample size `(Σw)² / Σw²` (0 when empty). Equals
     /// [`WeightedStats::count`] when every weight is identical.
     pub fn n_eff(&self) -> f64 {
@@ -144,7 +139,6 @@ mod tests {
     fn empty_stats() {
         let s = WeightedStats::new();
         assert_eq!(s.count(), 0);
-        assert_eq!(s.total_weight(), 0.0);
         assert_eq!(s.n_eff(), 0.0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.sample_variance(), None);
@@ -162,7 +156,6 @@ mod tests {
         let wsum: f64 = data.iter().map(|(_, w)| w).sum();
         let mean = data.iter().map(|(x, w)| x * w).sum::<f64>() / wsum;
         assert!((s.mean() - mean).abs() < 1e-12);
-        assert_eq!(s.total_weight(), wsum);
         let m2 = data
             .iter()
             .map(|(x, w)| w * (x - mean).powi(2))

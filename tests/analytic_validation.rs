@@ -2,11 +2,14 @@
 //! ways — closed form, numerical CTMC (the Möbius analytic path), and SAN
 //! simulation — and all three must agree.
 //!
-//! The CTMC legs run through the same production helpers the analytic
-//! backend uses ([`StateSpace::expected_reward`],
-//! [`Ctmc::transient_multi`], [`Ctmc::absorption_by`]), so any drift in
-//! those paths fails here against closed forms, not just against another
-//! implementation.
+//! The CTMC legs share their core with the analytic backend:
+//! [`Ctmc::transient_multi`] is one walk through `uniformize::solve`,
+//! which `ItuaAnalytic` drives with its reward vectors
+//! ([`StateSpace::reward_vector`]) and absorbing chains, and
+//! [`StateSpace::expected_reward`] and [`Ctmc::absorption_by`] read the
+//! same generated chains. Drift in the generator or the uniformization
+//! kernel fails here against closed forms, not just against another
+//! implementation; the last test runs the backend itself.
 
 use itua_repro::itua::measures::names;
 use itua_repro::itua::params::Params;

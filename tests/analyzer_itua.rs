@@ -14,7 +14,7 @@ fn micro_params() -> Params {
     Params::default().with_domains(1, 2).with_applications(1, 2)
 }
 
-/// A probe sized for debug-build test time; CI's `--check` run covers
+/// A probe sized for debug-build test time; CI's `itua check` run covers
 /// the full default depth in release.
 fn small_probe() -> AnalysisConfig {
     let mut cfg = AnalysisConfig::default();
@@ -85,13 +85,17 @@ fn frac_corrupt_gap_has_a_reachable_witness() {
     // excluding domain while the application still carries an undetected
     // corrupt replica — so `dom_excl_corrupt` undercounts.
     let model = san_model::build(&micro_params()).unwrap();
-    let witness = analysis::find_replica_blind_witness(&model, 200_000)
-        .expect("micro state space fits the budget")
+    let report =
+        analysis::exhaustive_check(&model, 200_000).expect("micro state space fits the budget");
+    let witness = report
+        .law_hits
+        .iter()
+        .find(|h| h.finding.id == "frac-corrupt-replica-blind")
         .expect("the blind spot must be reachable from the initial marking");
     assert!(
-        witness.activity.ends_with("/shut_host"),
+        witness.finding.subject.ends_with("/shut_host"),
         "gap fires on host shutdown, got '{}'",
-        witness.activity
+        witness.finding.subject
     );
     let san = &model.san;
     assert_eq!(witness.marking.len(), san.num_places());
@@ -108,7 +112,6 @@ fn frac_corrupt_gap_has_a_reachable_witness() {
 
     // And the analyzer classifies the discovered counterexample exactly
     // as the allowlist documents: a soft finding, never a gate.
-    let report = analysis::exhaustive_check(&model, 200_000).unwrap();
     let gap: Vec<_> = report
         .findings
         .iter()

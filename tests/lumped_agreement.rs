@@ -11,7 +11,7 @@
 //!   agree to 1e-9 relative on every measure, the orbit sizes must
 //!   account for exactly the unlumped state count, and both generators
 //!   must match the explored graphs with their vanishing states
-//!   eliminated to 1e-12 relative (`analysis::oracle`);
+//!   eliminated to 1e-12 relative (`analysis::exhaustive_check`);
 //! * a configuration the *unlumped* backend rejects at its default
 //!   state budget, where the lumped backend still solves exactly — both
 //!   simulators' confidence intervals must cover the lumped values,
@@ -121,9 +121,9 @@ proptest! {
         }
 
         let model = san_model::build(&params).expect("micro model builds");
-        let agreement = analysis::oracle(&model, 1_000_000)
+        let agreement = analysis::exhaustive_check(&model, 1_000_000)
             .unwrap_or_else(|e| panic!("generator oracle: {e}"));
-        prop_assert_eq!(agreement.tangible_states, full.num_states());
+        prop_assert_eq!(agreement.full_tangible, full.num_states() as u128);
         prop_assert!(
             agreement.max_rel_dev <= RATE_REL_TOL,
             "worst relative deviation {:e}", agreement.max_rel_dev
