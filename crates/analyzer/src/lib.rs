@@ -283,15 +283,6 @@ impl Invariant {
     }
 }
 
-/// Labels of the transitions used as T-invariant columns.
-#[derive(Debug, Clone)]
-pub struct TransitionLabel {
-    /// Activity index.
-    pub activity: usize,
-    /// Case index.
-    pub case: usize,
-}
-
 /// The result of [`analyze`].
 #[derive(Debug)]
 pub struct AnalysisReport {
@@ -309,11 +300,10 @@ pub struct AnalysisReport {
     pub invariants_computed: bool,
     /// P-invariant basis (terms over place indices).
     pub p_invariants: Vec<Invariant>,
-    /// T-invariant basis (terms over transition indices; see
-    /// `transitions`).
+    /// T-invariant basis. Its columns are the `(activity, case)` pairs
+    /// whose probed firings showed one consistent delta, in activity then
+    /// case order.
     pub t_invariants: Vec<Invariant>,
-    /// The transitions serving as T-invariant columns.
-    pub transitions: Vec<TransitionLabel>,
     /// Per-place structural bound, if the Farkas computation ran: `None`
     /// entries have no covering semipositive invariant. `None` overall
     /// means bounds were not computed.
@@ -493,7 +483,6 @@ pub fn analyze(san: &San, spec: &AnalysisSpec, cfg: &AnalysisConfig) -> Analysis
     let invariants_computed = num_places <= cfg.invariant_place_cap && !delta_rows.is_empty();
     let mut p_invariants = Vec::new();
     let mut t_invariants = Vec::new();
-    let mut transitions = Vec::new();
     if invariants_computed {
         match linalg::null_space(&delta_rows, num_places) {
             Ok(basis) => {
@@ -530,10 +519,6 @@ pub fn analyze(san: &San, spec: &AnalysisSpec, cfg: &AnalysisConfig) -> Analysis
                     .iter()
                     .filter(|d| d.activity == a.index() && d.case == case);
                 if let (Some(first), None) = (it.next(), it.next()) {
-                    transitions.push(TransitionLabel {
-                        activity: a.index(),
-                        case,
-                    });
                     t_cols.push(&first.delta);
                 }
             }
@@ -631,7 +616,6 @@ pub fn analyze(san: &San, spec: &AnalysisSpec, cfg: &AnalysisConfig) -> Analysis
         invariants_computed,
         p_invariants,
         t_invariants,
-        transitions,
         place_bounds,
         findings,
         rendered_cap: cfg.max_rendered,

@@ -55,8 +55,6 @@ pub struct CaseDelta {
     pub case: usize,
     /// Per-place marking change.
     pub delta: Vec<i64>,
-    /// How many firings produced this delta.
-    pub count: usize,
 }
 
 /// A rate or case-weight problem observed at a reachable marking.
@@ -160,30 +158,26 @@ impl ProbeState<'_> {
         }
         // Distinct-delta bookkeeping (linear scan; the per-case cap keeps
         // the list short).
-        let existing = self
+        let seen = self
             .data
             .deltas
-            .iter_mut()
-            .find(|d| d.activity == activity && d.case == case && d.delta == delta);
-        match existing {
-            Some(d) => d.count += 1,
-            None => {
-                let case_count = self
-                    .data
-                    .deltas
-                    .iter()
-                    .filter(|d| d.activity == activity && d.case == case)
-                    .count();
-                if case_count < self.cfg.max_deltas_per_case {
-                    self.data.deltas.push(CaseDelta {
-                        activity,
-                        case,
-                        delta: delta.clone(),
-                        count: 1,
-                    });
-                } else {
-                    self.data.delta_overflow[activity] = true;
-                }
+            .iter()
+            .any(|d| d.activity == activity && d.case == case && d.delta == delta);
+        if !seen {
+            let case_count = self
+                .data
+                .deltas
+                .iter()
+                .filter(|d| d.activity == activity && d.case == case)
+                .count();
+            if case_count < self.cfg.max_deltas_per_case {
+                self.data.deltas.push(CaseDelta {
+                    activity,
+                    case,
+                    delta: delta.clone(),
+                });
+            } else {
+                self.data.delta_overflow[activity] = true;
             }
         }
         // Repeatable gain: a componentwise nonnegative, nonzero delta

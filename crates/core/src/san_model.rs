@@ -785,7 +785,7 @@ impl SanTemplate for HostTemplate {
                         && (!one_per_domain || m.get(dha) == 0)
                 })
                 .input_gate(
-                    &[corrupt],
+                    &[],
                     |_| true,
                     move |m| {
                         m.set(ha, 1);
@@ -817,7 +817,7 @@ impl SanTemplate for HostTemplate {
                         m.get(active) == 1 && m.get(ha) == 1 && m.get(corrupt) == flag
                     })
                     .input_gate(
-                        &[dom_mgrs, dom_mgrs_corr, mgrs_active_sys, mgrs_corrupt_sys],
+                        &[],
                         |_| true,
                         move |m| {
                             // The convicted replica has left this host.

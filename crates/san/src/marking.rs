@@ -165,7 +165,7 @@ impl Marking {
     }
 
     /// The dirty-log entries appended since index `from` (places may
-    /// repeat; consumers dedupe).
+    /// repeat).
     pub(crate) fn dirty_since(&self, from: usize) -> &[u32] {
         &self.dirty[from..]
     }
@@ -177,7 +177,8 @@ impl Marking {
 
     /// Overwrites every token count with `values` and clears the dirty
     /// log, reusing both buffers: the state-space generator resets its
-    /// scratch markings with this before each firing instead of cloning.
+    /// scratch markings with this before each firing, and the simulator
+    /// its scratch marking before each run, instead of cloning.
     ///
     /// # Panics
     ///

@@ -551,7 +551,13 @@ impl<'a> ActivityBuilder<'a> {
     }
 
     /// Input gate: enabling predicate plus marking function applied at
-    /// firing. `reads` must list every place the predicate examines.
+    /// firing.
+    ///
+    /// `reads` lists the places the predicate examines, and only those;
+    /// places that only `function` reads do not belong there. The
+    /// simulator re-tests the activity's enabling when a read place
+    /// changes, and on a timed activity those places also decide which
+    /// pending samples are redrawn.
     pub fn input_gate(
         mut self,
         reads: &[PlaceId],

@@ -98,7 +98,6 @@ const DIRTY_LOG_CLEAR_LEN: usize = 512;
 #[derive(Clone)]
 struct InstIndex {
     enabled: Vec<ActivityId>,
-    candidates: Vec<ActivityId>,
     synced: usize,
 }
 
@@ -106,7 +105,6 @@ impl InstIndex {
     fn new() -> Self {
         InstIndex {
             enabled: Vec::new(),
-            candidates: Vec::new(),
             synced: 0,
         }
     }
@@ -117,32 +115,28 @@ impl InstIndex {
         self.synced = 0;
     }
 
-    /// Re-checks only the instantaneous activities that read a place
-    /// dirtied since the last sync, splicing them in or out of the sorted
-    /// set.
+    /// Re-tests each instantaneous dependent of each place dirtied since
+    /// the last sync, straight from the log, splicing it in or out of the
+    /// sorted set. A dependent of several dirtied places (or of a place
+    /// dirtied twice) is re-tested once per entry, with no dedup: the
+    /// marking does not change during a sync, so every test of one
+    /// activity gives the same answer and the set ends the same.
     fn sync(&mut self, san: &San, marking: &Marking) {
-        if self.synced == marking.dirty_len() {
-            return;
-        }
-        self.candidates.clear();
         for &p in marking.dirty_since(self.synced) {
-            self.candidates.extend_from_slice(san.inst_dependents_of(p));
-        }
-        self.synced = marking.dirty_len();
-        self.candidates.sort_unstable();
-        self.candidates.dedup();
-        for &id in &self.candidates {
-            let enabled_now = san.activity(id).enabled(marking);
-            match self.enabled.binary_search(&id) {
-                Ok(pos) if !enabled_now => {
-                    self.enabled.remove(pos);
+            for &id in san.inst_dependents_of(p) {
+                let enabled_now = san.activity(id).enabled(marking);
+                match self.enabled.binary_search(&id) {
+                    Ok(pos) if !enabled_now => {
+                        self.enabled.remove(pos);
+                    }
+                    Err(pos) if enabled_now => {
+                        self.enabled.insert(pos, id);
+                    }
+                    _ => {}
                 }
-                Err(pos) if enabled_now => {
-                    self.enabled.insert(pos, id);
-                }
-                _ => {}
             }
         }
+        self.synced = marking.dirty_len();
     }
 
     /// Tells the index the dirty log is being cleared. The set itself
@@ -174,16 +168,21 @@ struct TimedIndex {
     /// Cursor into the marking's dirty log (entries before it are
     /// already reflected in past reschedules).
     synced: usize,
+    /// Activity bitset, one `u64` per 64 ids: `collect` marks the set
+    /// here and reads it back in ascending id order. All-zero between
+    /// collects.
+    marked: Vec<u64>,
     /// Per-place dirt flags, scratch for the full-rescan oracle scan.
     /// All-false between uses.
     dirt: Vec<bool>,
 }
 
 impl TimedIndex {
-    fn new() -> Self {
+    fn new(num_activities: usize) -> Self {
         TimedIndex {
             affected: Vec::new(),
             synced: 0,
+            marked: vec![0; num_activities.div_ceil(64)],
             dirt: Vec::new(),
         }
     }
@@ -197,6 +196,10 @@ impl TimedIndex {
     /// Rebuilds `affected` for the step that fired `fired`: the fired
     /// activity plus the timed dependents of every place dirtied since
     /// the last collect, ascending and deduped. Advances the cursor.
+    ///
+    /// Each member sets its bit in `marked`; the words between the lowest
+    /// and highest one touched are then read back, and cleared, in
+    /// ascending id order, so the set needs no sort or dedup.
     ///
     /// With `full_rescan` the set is instead derived by scanning *every*
     /// timed activity's read set against the dirtied places — the same
@@ -212,13 +215,27 @@ impl TimedIndex {
             self.affected = scanned;
             return;
         }
-        self.affected.clear();
-        self.affected.push(fired);
+        let marked = &mut self.marked;
+        let (mut lo, mut hi) = (fired.index() / 64, fired.index() / 64);
+        marked[lo] |= 1 << (fired.index() % 64);
         for &p in marking.dirty_since(from) {
-            self.affected.extend_from_slice(san.timed_dependents_of(p));
+            for &id in san.timed_dependents_of(p) {
+                let word = id.index() / 64;
+                marked[word] |= 1 << (id.index() % 64);
+                lo = lo.min(word);
+                hi = hi.max(word);
+            }
         }
-        self.affected.sort_unstable();
-        self.affected.dedup();
+        self.affected.clear();
+        for (word, bits) in marked[lo..=hi].iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                self.affected
+                    .push(ActivityId::from_index((lo + word) * 64 + bit));
+                bits &= bits - 1;
+            }
+        }
         #[cfg(debug_assertions)]
         {
             let mut check = Vec::new();
@@ -332,18 +349,18 @@ impl ExpoBatch {
 /// Reusable per-thread simulation state for [`SanSimulator::run_with_scratch`].
 ///
 /// Owns the marking, event queue, per-activity schedule table, merged
-/// sample-time buffer, the incremental enabling index, and the batched
-/// exponential-sampling buffers, plus a cached copy of the initial
-/// marking, so a worker thread can run many replications without
-/// reallocating any of them. Every run fully resets the state; reuse
-/// never changes results.
+/// sample-time buffer, the incremental enabling index, the batched
+/// exponential-sampling buffers and the case-weight buffer, plus a cached
+/// copy of the initial token counts, so a worker thread can run many
+/// replications without reallocating any of them. Every run fully resets
+/// the state; reuse never changes results.
 ///
 /// `Clone` deep-copies the entire mid-run state (marking, queue, schedule
 /// table, batching buffers); together with a cloned [`RunCursor`] the copy
 /// continues the run independently — the basis of importance splitting.
 #[derive(Clone)]
 pub struct SimScratch {
-    initial: Marking,
+    initial: Vec<i32>,
     marking: Marking,
     queue: EventQueue<ActivityId>,
     keys: Vec<Option<EventKey>>,
@@ -351,6 +368,7 @@ pub struct SimScratch {
     inst: InstIndex,
     timed: TimedIndex,
     expo: ExpoBatch,
+    weights: Vec<f64>,
 }
 
 impl SimScratch {
@@ -431,16 +449,16 @@ impl SanSimulator {
 
     /// Creates a reusable scratch for [`SanSimulator::run_with_scratch`].
     pub fn scratch(&self) -> SimScratch {
-        let initial = self.san.initial_marking();
         SimScratch {
-            marking: initial.clone(),
-            initial,
+            initial: self.san.initial.clone(),
+            marking: self.san.initial_marking(),
             queue: EventQueue::new(),
             keys: vec![None; self.san.num_activities()],
             sample_times: Vec::new(),
             inst: InstIndex::new(),
-            timed: TimedIndex::new(),
+            timed: TimedIndex::new(self.san.num_activities()),
             expo: ExpoBatch::new(),
+            weights: Vec::new(),
         }
     }
 
@@ -522,10 +540,9 @@ impl SanSimulator {
         assert!(horizon >= 0.0 && !horizon.is_nan(), "bad horizon");
         let san = &*self.san;
         assert!(
-            scratch.keys.len() == san.num_activities() && scratch.initial == san.initial_marking(),
+            scratch.keys.len() == san.num_activities() && scratch.initial == san.initial,
             "scratch does not match this model"
         );
-        let mut rng = Rng::seed_from_u64(seed);
 
         // Reset the scratch to the pristine time-zero state, keeping the
         // backing allocations.
@@ -538,18 +555,24 @@ impl SanSimulator {
             inst,
             timed,
             expo,
+            weights,
         } = scratch;
         let marking = &mut *marking;
-        marking.clone_from(initial);
+        marking.assign(initial);
         queue.clear();
         for k in keys.iter_mut() {
             *k = None;
         }
 
-        let mut stats = RunStats {
-            timed_firings: 0,
-            instantaneous_firings: 0,
-            end_time: 0.0,
+        let mut cursor = RunCursor {
+            rng: Rng::seed_from_u64(seed),
+            next_sample: 0,
+            stats: RunStats {
+                timed_firings: 0,
+                instantaneous_firings: 0,
+                end_time: 0.0,
+            },
+            now: 0.0,
         };
 
         // Collect and merge requested sample times.
@@ -563,9 +586,8 @@ impl SanSimulator {
 
         // Initial stabilization. Firings before time zero are not
         // observable events, hence the empty observer slice.
-        marking.clear_dirty();
         inst.rebuild(san, marking);
-        self.stabilize(marking, &mut rng, 0.0, &mut [], &mut stats, inst)?;
+        self.stabilize(marking, &mut cursor, &mut [], inst, weights)?;
         marking.clear_dirty();
         inst.note_cleared();
         timed.note_cleared();
@@ -579,14 +601,8 @@ impl SanSimulator {
                 expo.schedule(act, id, marking);
             }
         }
-        expo.flush(&mut rng, queue, keys);
-
-        Ok(RunCursor {
-            rng,
-            next_sample: 0,
-            stats,
-            now: 0.0,
-        })
+        expo.flush(&mut cursor.rng, queue, keys);
+        Ok(cursor)
     }
 
     /// Advances the run by one event-queue entry: delivers due sample
@@ -616,9 +632,9 @@ impl SanSimulator {
             inst,
             timed,
             expo,
+            weights,
         } = scratch;
         let marking = &mut *marking;
-        let rng = &mut cursor.rng;
 
         let next_time = queue.peek_time();
         // Deliver sample points that precede the next event (or all
@@ -669,12 +685,12 @@ impl SanSimulator {
         debug_assert!(act.enabled(marking), "scheduled activity must be enabled");
 
         // Fire.
-        let case = Self::choose_case(act.case_weights(marking), rng);
+        let case = choose_case(act, marking, weights, &mut cursor.rng);
         act.fire(case, marking);
         cursor.stats.timed_firings += 1;
 
         // Zero-time stabilization of instantaneous activities.
-        self.stabilize(marking, rng, now, observers, &mut cursor.stats, inst)?;
+        self.stabilize(marking, cursor, observers, inst, weights)?;
 
         // Incrementally update the timed activities affected by the
         // firing and its cascade: drop each one's pending sample and, if
@@ -692,7 +708,7 @@ impl SanSimulator {
                 expo.schedule(act, id, marking);
             }
         }
-        expo.flush(rng, queue, keys);
+        expo.flush(&mut cursor.rng, queue, keys);
         if marking.dirty_len() >= DIRTY_LOG_CLEAR_LEN {
             // Every cursor is fully synced here, so dropping the log is
             // invisible to both indices.
@@ -751,27 +767,19 @@ impl SanSimulator {
         expo.flush(&mut cursor.rng, queue, keys);
     }
 
-    fn choose_case(weights: Vec<f64>, rng: &mut Rng) -> usize {
-        if weights.len() == 1 {
-            0
-        } else {
-            rng.weighted_choice(&weights)
-        }
-    }
-
-    /// Fires enabled instantaneous activities (uniform random choice)
-    /// until none is enabled, keeping `idx` in sync with the dirty log.
+    /// Fires enabled instantaneous activities (uniform random choice) at
+    /// `cursor.now` until none is enabled, keeping `idx` in sync with the
+    /// dirty log.
     ///
     /// For the initial stabilization the caller passes an empty observer
     /// slice: firings before time zero are not observable events.
     fn stabilize(
         &self,
         marking: &mut Marking,
-        rng: &mut Rng,
-        now: f64,
+        cursor: &mut RunCursor,
         observers: &mut [&mut dyn Observer],
-        stats: &mut RunStats,
         idx: &mut InstIndex,
+        weights: &mut Vec<f64>,
     ) -> Result<(), SanError> {
         let san = &*self.san;
         let mut firings = 0usize;
@@ -800,16 +808,28 @@ impl SanSimulator {
                     marking: marking.values().to_vec(),
                 });
             }
-            let id = idx.enabled[rng.usize_below(idx.enabled.len())];
+            let id = idx.enabled[cursor.rng.usize_below(idx.enabled.len())];
             let act = san.activity(id);
-            let case = Self::choose_case(act.case_weights(marking), rng);
+            let case = choose_case(act, marking, weights, &mut cursor.rng);
             act.fire(case, marking);
-            stats.instantaneous_firings += 1;
+            cursor.stats.instantaneous_firings += 1;
             for o in observers.iter_mut() {
-                o.on_event(now, id, marking);
+                o.on_event(cursor.now, id, marking);
             }
         }
     }
+}
+
+/// Chooses the case to fire with probability proportional to its weight
+/// in `marking`. A one-case activity returns case 0 without evaluating
+/// its weight or drawing; a multi-case one evaluates its weights into
+/// the reused `weights` buffer.
+fn choose_case(act: &Activity, marking: &Marking, weights: &mut Vec<f64>, rng: &mut Rng) -> usize {
+    if act.num_cases() == 1 {
+        return 0;
+    }
+    act.case_weights_into(marking, weights);
+    rng.weighted_choice(weights)
 }
 
 #[cfg(test)]

@@ -11,13 +11,21 @@
 //! default simulator and the full-rescan oracle
 //! ([`SanSimulator::set_full_rescan_stabilize`]) produce bit-identical
 //! event trajectories and final markings.
+//!
+//! The index re-tests an instantaneous activity only when a place its
+//! gates declare as read changes, so a read list that missed a place
+//! its predicate examines would show here as a divergence. The Figure 5
+//! domain-exclusion test checks that on the cascades through the
+//! conviction, placement and exclusion gates.
 
 use std::sync::Arc;
 
+use itua_repro::itua::params::ManagementScheme;
 use itua_repro::itua::san_model;
 use itua_repro::san::marking::Marking;
-use itua_repro::san::model::{ActivityId, SanBuilder};
+use itua_repro::san::model::{ActivityId, San, SanBuilder};
 use itua_repro::san::simulator::{Observer, SanSimulator};
+use itua_repro::studies::sweep::SweepPoint;
 use itua_repro::studies::{figure3, figure4, figure5};
 
 /// Exact event trace: (time bits, activity index) pairs plus the final
@@ -37,20 +45,18 @@ impl Observer for Trace {
     }
 }
 
-/// Runs `reps` replications of one study point through both simulators
-/// and asserts identical traces.
-fn assert_oracle_agreement(study: &str, points: &[itua_repro::studies::sweep::SweepPoint]) {
-    // One representative parameter set per study keeps the test fast;
-    // the first point exercises the densest instantaneous structure
-    // (most hosts per domain or most applications).
-    let point = &points[0];
+/// Runs `reps` replications of one study point through both simulators,
+/// asserts identical traces, and returns the model with every compared
+/// trace.
+fn compare_point(study: &str, point: &SweepPoint, reps: u64) -> (Arc<San>, Vec<Trace>) {
     let model = san_model::build(&point.params).expect("study model builds");
     let incremental = SanSimulator::new(model.san.clone());
     let mut full_rescan = SanSimulator::new(model.san.clone());
     full_rescan.set_full_rescan_stabilize(true);
     let mut inc_scratch = incremental.scratch();
     let mut full_scratch = full_rescan.scratch();
-    for rep in 0..4u64 {
+    let mut traces = Vec::new();
+    for rep in 0..reps {
         let seed = 0xDEC0DE ^ rep;
         let mut inc = Trace::default();
         incremental
@@ -68,7 +74,17 @@ fn assert_oracle_agreement(study: &str, points: &[itua_repro::studies::sweep::Sw
             !inc.events.is_empty(),
             "{study}: trace is empty — the comparison is vacuous"
         );
+        traces.push(inc);
     }
+    (model.san, traces)
+}
+
+/// Compares four replications of one representative parameter set per
+/// study, which keeps the test fast; the first point exercises the
+/// densest instantaneous structure (most hosts per domain or most
+/// applications).
+fn assert_oracle_agreement(study: &str, points: &[SweepPoint]) {
+    compare_point(study, &points[0], 4);
 }
 
 #[test]
@@ -84,6 +100,42 @@ fn figure4_model_matches_full_rescan_oracle() {
 #[test]
 fn figure5_model_matches_full_rescan_oracle() {
     assert_oracle_agreement("figure5", &figure5::points());
+}
+
+/// Figure 5 under domain exclusion at spread 4, over its 10-hour
+/// horizon: replica convictions (`respond_rep_detect_*`), replacement
+/// placements (`start_replica_*` after time zero, which the initial
+/// stabilization does not report) and domain shutdowns (`shut_host`,
+/// `finish_exclusion`) all run as instantaneous cascades. Enough seeds
+/// are compared that some trace fires each of them.
+#[test]
+fn figure5_domain_exclusion_cascades_match_full_rescan_oracle() {
+    let points = figure5::points();
+    let point = points
+        .iter()
+        .find(|p| {
+            p.params.scheme == ManagementScheme::DomainExclusion && p.x == 4.0 && p.horizon == 10.0
+        })
+        .expect("figure 5 has a 10-hour domain-exclusion point at spread 4");
+    let (san, traces) = compare_point("figure5 domain exclusion", point, 8);
+    let fired = |stem: &str| {
+        traces.iter().flat_map(|t| &t.events).any(|&(_, a)| {
+            let name = san.activity(ActivityId::from_index(a as usize)).name();
+            name.rsplit('/').next().is_some_and(|n| n.starts_with(stem))
+        })
+    };
+    for stem in [
+        "respond_rep_detect_clean_",
+        "respond_rep_detect_corrupt_",
+        "start_replica_",
+        "shut_host",
+        "finish_exclusion",
+    ] {
+        assert!(
+            fired(stem),
+            "no compared trace fired {stem}*: the comparison does not cover its cascade"
+        );
+    }
 }
 
 /// Crafted two-cursor interaction: a single timed firing dirties a place

@@ -14,9 +14,9 @@
 //!   seed 7), through both `run_measures_split` and `run_measures`;
 //! * 32 trees split at `1x4,2x4` (horizon 3, a sample at 3, seed 11).
 //!
-//! A third DES run pins the paths only Figure 5 reaches: host exclusion,
-//! one-per-host placement and spread re-arms (48 replications, horizon
-//! 10, samples at 5 and 10, seed 13).
+//! A third run on each backend pins the paths only Figure 5 reaches: host
+//! exclusion, one-per-host placement and spread re-arms (48 replications,
+//! horizon 10, samples at 5 and 10, seed 13).
 //!
 //! Each run is repeated at 1, 2 and 8 threads with batches of 1 and 32,
 //! and must reproduce the `to_bits` of every estimate's mean and
@@ -149,6 +149,11 @@ fn des_split_trees_are_pinned() {
 #[test]
 fn des_host_exclusion_replications_are_pinned() {
     check(BackendKind::Des, &DES_HOST_EXCLUSION);
+}
+
+#[test]
+fn san_host_exclusion_replications_are_pinned() {
+    check(BackendKind::San, &SAN_HOST_EXCLUSION);
 }
 
 #[test]
@@ -387,6 +392,54 @@ const SAN_SPLIT: Pinned = Pinned {
         steps: 951,
         branches: 275,
         leaves: 275,
+        killed: 0,
+    },
+};
+
+const SAN_HOST_EXCLUSION: Pinned = Pinned {
+    params: host_exclusion_params,
+    horizon: 10.0,
+    replications: 48,
+    seed: 13,
+    samples: &[5.0, 10.0],
+    spec: "none",
+    estimates: &[
+        (
+            "frac_domains_excluded@10",
+            0x0000000000000000,
+            0x0000000000000000,
+        ),
+        (
+            "frac_domains_excluded@5",
+            0x0000000000000000,
+            0x0000000000000000,
+        ),
+        ("load_per_host@10", 0x3fef96ea66e47dce, 0x3fb68daf29ca5585),
+        ("load_per_host@5", 0x3fe8e5deda0ca88d, 0x3f9e24ee3bd70489),
+        (
+            "replicas_running@10",
+            0x400e7fffffffffff,
+            0x3fc0fb86a589ef23,
+        ),
+        ("replicas_running@5", 0x4010000000000000, 0x0000000000000000),
+        (
+            "time_to_first_byzantine",
+            0x4019b4a70d12cddf,
+            0x40070d2d5cf6dfd5,
+        ),
+        (
+            "time_to_first_improper",
+            0x4019b4a70d12cddf,
+            0x40070d2d5cf6dfd5,
+        ),
+        ("unavailability", 0x3f908aa15efcd45f, 0x3f92fdd689518f57),
+        ("unreliability", 0x3fb5555555555557, 0x3fb1b4cd36297c83),
+    ],
+    totals: SplitTotals {
+        trees: 48,
+        steps: 1199,
+        branches: 48,
+        leaves: 48,
         killed: 0,
     },
 };
