@@ -2,22 +2,23 @@
 //!
 //! Möbius-family tools sanity-check a model before solving it; this crate
 //! does the same for our composed SANs. Because activity effects are
-//! opaque closures, the incidence matrix is *observed* by bounded
-//! deterministic exploration ([`probe`]) rather than read off the model,
-//! then analyzed with exact rational arithmetic ([`ratio`], [`linalg`]):
+//! opaque closures, the model's behavior is *observed* by bounded
+//! deterministic exploration ([`probe`]) rather than read off the model.
+//! The observations feed:
 //!
-//! * **P-invariants** — integer place weightings conserved by every
-//!   observed transition effect. Conservation laws (hosts per domain,
-//!   replicas per application) show up here; a *violated* expected
-//!   invariant pinpoints an encoding bug.
-//! * **T-invariants** — firing-count vectors with zero net effect.
-//! * **Structural bounds** — from semipositive invariants (Farkas), with
-//!   potentially unbounded places flagged.
+//! * **Expected invariants** — checked at the initial marking and against
+//!   every probed firing; a violated one pinpoints an encoding bug.
 //! * **Deadness / sinks** — structurally dead activities, never-marked
 //!   places, activities never enabled within the probe.
+//! * **Unbounded growth** — a repeatable nonnegative gain witnessed by the
+//!   probe.
 //! * **Vanishing hazards** — cycles among instantaneous activities.
 //! * **Rate sanity** — NaN/negative/zero rates and case weights at
 //!   reachable markings.
+//!
+//! The probe samples the reachable set, so it proves nothing over all of
+//! it: conservation and exact place bounds over every reachable marking
+//! come from the exhaustive reachability check ([`reach`]).
 //!
 //! Model-specific knowledge enters through an [`AnalysisSpec`]: expected
 //! invariants, firing laws (pointwise predicates over observed firings),
@@ -26,11 +27,9 @@
 //! fail `itua check`. The spec's helpers ([`AnalysisSpec::violations`],
 //! [`AnalysisSpec::record_law_hits`], [`AnalysisSpec::settle`]) apply it
 //! the same way for the probe, the initial-marking gate and the
-//! exhaustive reachability check ([`reach`]).
+//! exhaustive check.
 
-pub mod linalg;
 pub mod probe;
-pub mod ratio;
 pub mod reach;
 
 use itua_san::marking::{Marking, PlaceId};
@@ -38,33 +37,6 @@ use itua_san::model::{ActivityId, San};
 use probe::{explore, ProbeConfig, ProbeData, RateIssue};
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// Limits and thresholds for one analysis.
-#[derive(Debug, Clone)]
-pub struct AnalysisConfig {
-    /// Exploration limits.
-    pub probe: ProbeConfig,
-    /// Skip invariant computation (null space) above this many places.
-    pub invariant_place_cap: usize,
-    /// Skip the Farkas bound computation above this many places.
-    pub farkas_place_cap: usize,
-    /// Farkas intermediate-row budget; exceeding it aborts bounds.
-    pub farkas_row_budget: usize,
-    /// Maximum invariants spelled out in the rendered report.
-    pub max_rendered: usize,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        AnalysisConfig {
-            probe: ProbeConfig::default(),
-            invariant_place_cap: 512,
-            farkas_place_cap: 128,
-            farkas_row_budget: 4096,
-            max_rendered: 8,
-        }
-    }
-}
 
 /// An invariant the model is *supposed* to satisfy: `Σ coeff·m(place)`
 /// must equal `target` at the initial marking and be conserved by every
@@ -263,26 +235,6 @@ pub fn render_findings(findings: &[Finding], out: &mut String) {
     }
 }
 
-/// An integer invariant: weighted sum over places (P) or firing counts
-/// (T).
-#[derive(Debug, Clone)]
-pub struct Invariant {
-    /// `(index, coefficient)` pairs with nonzero coefficients. Indices are
-    /// place indices for P-invariants, transition indices for
-    /// T-invariants.
-    pub terms: Vec<(usize, i64)>,
-    /// For P-invariants: the conserved weighted token sum at the initial
-    /// marking. Zero for T-invariants.
-    pub value: i128,
-}
-
-impl Invariant {
-    /// Number of nonzero coefficients.
-    pub fn support(&self) -> usize {
-        self.terms.len()
-    }
-}
-
 /// The result of [`analyze`].
 #[derive(Debug)]
 pub struct AnalysisReport {
@@ -294,24 +246,10 @@ pub struct AnalysisReport {
     pub num_activities: usize,
     /// Markings interned by the probe BFS.
     pub markings_probed: usize,
-    /// Whether the BFS hit its cap.
+    /// Whether the BFS left a reachable marking unexplored at its cap.
     pub probe_truncated: bool,
-    /// Whether invariants were computed (place count under the cap).
-    pub invariants_computed: bool,
-    /// P-invariant basis (terms over place indices).
-    pub p_invariants: Vec<Invariant>,
-    /// T-invariant basis. Its columns are the `(activity, case)` pairs
-    /// whose probed firings showed one consistent delta, in activity then
-    /// case order.
-    pub t_invariants: Vec<Invariant>,
-    /// Per-place structural bound, if the Farkas computation ran: `None`
-    /// entries have no covering semipositive invariant. `None` overall
-    /// means bounds were not computed.
-    pub place_bounds: Option<Vec<Option<i64>>>,
     /// All findings, hard first.
     pub findings: Vec<Finding>,
-    /// Maximum invariants spelled out by [`Self::render`].
-    pub rendered_cap: usize,
 }
 
 impl AnalysisReport {
@@ -320,18 +258,8 @@ impl AnalysisReport {
         self.findings.iter().any(|f| f.severity == Severity::Hard)
     }
 
-    /// Number of P-invariants with support ≥ 2 (actual conservation laws,
-    /// not just constant places).
-    pub fn nontrivial_p_invariants(&self) -> usize {
-        self.p_invariants
-            .iter()
-            .filter(|i| i.support() >= 2)
-            .count()
-    }
-
-    /// Renders the structured report (place/activity names resolved
-    /// against `san`, which must be the analyzed model).
-    pub fn render(&self, san: &San) -> String {
+    /// Renders the structured report.
+    pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -348,68 +276,17 @@ impl AnalysisReport {
                 " (reachable set exhausted)"
             }
         );
-        if self.invariants_computed {
-            let _ = writeln!(
-                out,
-                "P-invariants: {} ({} nontrivial)",
-                self.p_invariants.len(),
-                self.nontrivial_p_invariants()
-            );
-            for inv in self
-                .p_invariants
-                .iter()
-                .filter(|i| i.support() >= 2)
-                .take(self.rendered_cap)
-            {
-                let mut line = String::from("  ");
-                for (k, &(p, c)) in inv.terms.iter().enumerate() {
-                    let name = san.place_name(PlaceId::from_index(p));
-                    if k > 0 {
-                        line.push_str(if c >= 0 { " + " } else { " - " });
-                    } else if c < 0 {
-                        line.push('-');
-                    }
-                    if c.abs() != 1 {
-                        let _ = write!(line, "{}·", c.abs());
-                    }
-                    line.push_str(name);
-                }
-                let _ = writeln!(out, "{line} = {}", inv.value);
-            }
-            let _ = writeln!(out, "T-invariants: {}", self.t_invariants.len());
-        } else {
-            let _ = writeln!(
-                out,
-                "invariants: skipped ({} places exceeds cap)",
-                self.num_places
-            );
-        }
-        match &self.place_bounds {
-            Some(bounds) => {
-                let covered = bounds.iter().filter(|b| b.is_some()).count();
-                let max = bounds.iter().flatten().max().copied().unwrap_or(0);
-                let _ = writeln!(
-                    out,
-                    "bounds: {covered}/{} places structurally bounded (max bound {max})",
-                    bounds.len()
-                );
-            }
-            None => {
-                let _ = writeln!(out, "bounds: not computed (model above Farkas cap)");
-            }
-        }
         render_findings(&self.findings, &mut out);
         out
     }
 }
 
-/// Analyzes `san` under `spec` with limits `cfg`.
-pub fn analyze(san: &San, spec: &AnalysisSpec, cfg: &AnalysisConfig) -> AnalysisReport {
-    let num_places = san.num_places();
+/// Analyzes `san` under `spec`, probing within `cfg`'s limits.
+pub fn analyze(san: &San, spec: &AnalysisSpec, cfg: &ProbeConfig) -> AnalysisReport {
     let mut law_hits: Vec<LawHit> = Vec::new();
     let mut delta_violations: Vec<Finding> = Vec::new();
 
-    let data = explore(san, &cfg.probe, |san, act, case, pre, delta| {
+    let data = explore(san, cfg, |san, act, case, pre, delta| {
         for inv in &spec.expected {
             let dot: i64 = inv.terms.iter().map(|&(p, c)| c * delta[p.index()]).sum();
             if dot != 0 {
@@ -451,174 +328,15 @@ pub fn analyze(san: &San, spec: &AnalysisSpec, cfg: &AnalysisConfig) -> Analysis
     findings.extend(law_hits.into_iter().map(|h| h.finding));
 
     structural_findings(san, &data, &mut findings);
-
-    // Incidence columns: every distinct observed delta, plus the declared
-    // arc effect of never-fired activities whose effects are *fully*
-    // declared (no opaque gate or case closures to miss).
-    let mut delta_rows: Vec<Vec<i64>> = Vec::new();
-    for d in &data.deltas {
-        if !delta_rows.contains(&d.delta) {
-            delta_rows.push(d.delta.clone());
-        }
-    }
-    for (id, act) in san.activities() {
-        if data.fired_count[id.index()] > 0 || act.num_gate_effects() > 0 {
-            continue;
-        }
-        if (0..act.num_cases()).any(|c| act.num_case_effects(c) > 0) {
-            continue;
-        }
-        let mut delta = vec![0i64; num_places];
-        for &(p, k) in act.declared_input_arcs() {
-            delta[p.index()] -= i64::from(k);
-        }
-        for &(p, k) in act.declared_output_arcs() {
-            delta[p.index()] += i64::from(k);
-        }
-        if delta.iter().any(|&d| d != 0) && !delta_rows.contains(&delta) {
-            delta_rows.push(delta);
-        }
-    }
-
-    let invariants_computed = num_places <= cfg.invariant_place_cap && !delta_rows.is_empty();
-    let mut p_invariants = Vec::new();
-    let mut t_invariants = Vec::new();
-    if invariants_computed {
-        match linalg::null_space(&delta_rows, num_places) {
-            Ok(basis) => {
-                for v in basis {
-                    let terms: Vec<(usize, i64)> = v
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| c != 0)
-                        .map(|(i, &c)| (i, c))
-                        .collect();
-                    let value: i128 = terms
-                        .iter()
-                        .map(|&(p, c)| {
-                            i128::from(c) * i128::from(initial.get(PlaceId::from_index(p)))
-                        })
-                        .sum();
-                    p_invariants.push(Invariant { terms, value });
-                }
-            }
-            Err(_) => findings.push(Finding {
-                id: "invariant-overflow".to_owned(),
-                severity: Severity::Soft,
-                subject: "P-invariants".to_owned(),
-                detail: "exact arithmetic overflowed; invariant computation aborted".to_owned(),
-            }),
-        }
-
-        // T-invariants over transitions with a single consistent delta.
-        let mut t_cols: Vec<&[i64]> = Vec::new();
-        for (a, act) in san.activities() {
-            for case in 0..act.num_cases() {
-                let mut it = data
-                    .deltas
-                    .iter()
-                    .filter(|d| d.activity == a.index() && d.case == case);
-                if let (Some(first), None) = (it.next(), it.next()) {
-                    t_cols.push(&first.delta);
-                }
-            }
-        }
-        if !t_cols.is_empty() {
-            let rows: Vec<Vec<i64>> = (0..num_places)
-                .map(|p| t_cols.iter().map(|col| col[p]).collect())
-                .collect();
-            match linalg::null_space(&rows, t_cols.len()) {
-                Ok(basis) => {
-                    for v in basis {
-                        let terms: Vec<(usize, i64)> = v
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &c)| c != 0)
-                            .map(|(i, &c)| (i, c))
-                            .collect();
-                        t_invariants.push(Invariant { terms, value: 0 });
-                    }
-                }
-                Err(_) => findings.push(Finding {
-                    id: "invariant-overflow".to_owned(),
-                    severity: Severity::Soft,
-                    subject: "T-invariants".to_owned(),
-                    detail: "exact arithmetic overflowed; invariant computation aborted".to_owned(),
-                }),
-            }
-        }
-    }
-
-    // Structural bounds from semipositive invariants.
-    let place_bounds = if num_places <= cfg.farkas_place_cap && invariants_computed {
-        let cols: Vec<Vec<i64>> = delta_rows.clone();
-        match linalg::semipositive_invariants(&cols, num_places, cfg.farkas_row_budget) {
-            Ok(invs) => {
-                let mut bounds: Vec<Option<i64>> = vec![None; num_places];
-                for y in &invs {
-                    let total: i128 = y
-                        .iter()
-                        .enumerate()
-                        .map(|(p, &c)| {
-                            i128::from(c) * i128::from(initial.get(PlaceId::from_index(p)))
-                        })
-                        .sum();
-                    for (p, &c) in y.iter().enumerate() {
-                        if c > 0 {
-                            let b = (total / i128::from(c)) as i64;
-                            bounds[p] = Some(bounds[p].map_or(b, |prev: i64| prev.min(b)));
-                        }
-                    }
-                }
-                let uncovered: Vec<usize> =
-                    (0..num_places).filter(|&p| bounds[p].is_none()).collect();
-                if !uncovered.is_empty() {
-                    let names: Vec<&str> = uncovered
-                        .iter()
-                        .take(5)
-                        .map(|&p| san.place_name(PlaceId::from_index(p)))
-                        .collect();
-                    findings.push(Finding {
-                        id: "no-structural-bound".to_owned(),
-                        severity: Severity::Soft,
-                        subject: format!("{} places", uncovered.len()),
-                        detail: format!(
-                            "no semipositive invariant covers: {}{}",
-                            names.join(", "),
-                            if uncovered.len() > 5 { ", …" } else { "" }
-                        ),
-                    });
-                }
-                Some(bounds)
-            }
-            Err(linalg::FarkasAbort) => {
-                findings.push(Finding {
-                    id: "bounds-aborted".to_owned(),
-                    severity: Severity::Soft,
-                    subject: "place bounds".to_owned(),
-                    detail: "Farkas row budget exceeded; structural bounds not computed".to_owned(),
-                });
-                None
-            }
-        }
-    } else {
-        None
-    };
-
     spec.settle(&mut findings);
 
     AnalysisReport {
         model_name: san.name().to_owned(),
-        num_places,
+        num_places: san.num_places(),
         num_activities: san.num_activities(),
         markings_probed: data.markings_seen,
         probe_truncated: data.truncated,
-        invariants_computed,
-        p_invariants,
-        t_invariants,
-        place_bounds,
         findings,
-        rendered_cap: cfg.max_rendered,
     }
 }
 
@@ -627,16 +345,12 @@ pub fn analyze(san: &San, spec: &AnalysisSpec, cfg: &AnalysisConfig) -> Analysis
 fn structural_findings(san: &San, data: &ProbeData, findings: &mut Vec<Finding>) {
     let num_places = san.num_places();
 
-    // A place has a potential producer if some observed delta is positive
-    // on it, some declared output arc targets it, or some never-fired
-    // activity has opaque effects (which could do anything).
+    // A place has a potential producer if some probed firing raised it,
+    // some declared output arc targets it, or some never-fired activity
+    // has opaque effects (which could do anything).
     let mut has_producer = vec![false; num_places];
-    for d in &data.deltas {
-        for (p, &v) in d.delta.iter().enumerate() {
-            if v > 0 {
-                has_producer[p] = true;
-            }
-        }
+    for &p in data.raised.iter().flatten() {
+        has_producer[p.index()] = true;
     }
     let mut opaque_unfired = false;
     for (id, act) in san.activities() {
@@ -758,31 +472,25 @@ fn structural_findings(san: &San, data: &ProbeData, findings: &mut Vec<Finding>)
     }
 
     // Cycles among instantaneous activities (vanishing-loop hazard):
-    // an edge a→b when a's observed firing adds tokens to a place b reads.
+    // an edge a→b when a probed firing of a adds tokens to a place b reads.
     let inst: Vec<usize> = san
         .activities()
         .filter(|(_, a)| a.is_instantaneous())
         .map(|(id, _)| id.index())
         .collect();
     if !inst.is_empty() {
-        let index_of = |a: usize| inst.iter().position(|&x| x == a);
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); inst.len()];
-        for d in &data.deltas {
-            let Some(from) = index_of(d.activity) else {
-                continue;
-            };
-            for (to, &to_raw) in inst.iter().enumerate() {
-                let reads = san.activity(ActivityId::from_index(to_raw)).reads();
-                let feeds = d
-                    .delta
-                    .iter()
-                    .enumerate()
-                    .any(|(p, &v)| v > 0 && reads.contains(&PlaceId::from_index(p)));
-                if feeds && !adj[from].contains(&to) {
-                    adj[from].push(to);
-                }
-            }
-        }
+        let adj: Vec<Vec<usize>> = inst
+            .iter()
+            .map(|&from| {
+                let raised = &data.raised[from];
+                (0..inst.len())
+                    .filter(|&to| {
+                        let reads = san.activity(ActivityId::from_index(inst[to])).reads();
+                        raised.iter().any(|p| reads.contains(p))
+                    })
+                    .collect()
+            })
+            .collect();
         // Kahn: nodes left with in-degree > 0 sit on a cycle.
         let mut indeg = vec![0usize; inst.len()];
         for targets in &adj {
@@ -818,19 +526,6 @@ fn structural_findings(san: &San, data: &ProbeData, findings: &mut Vec<Finding>)
             });
         }
     }
-
-    // Probe coverage notes.
-    for (id, act) in san.activities() {
-        if data.delta_overflow[id.index()] {
-            findings.push(Finding {
-                id: "delta-overflow".to_owned(),
-                severity: Severity::Soft,
-                subject: act.name().to_owned(),
-                detail: "more distinct firing effects than the probe cap; invariants use a sample"
-                    .to_owned(),
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -838,8 +533,7 @@ mod tests {
     use super::*;
     use itua_san::model::SanBuilder;
 
-    /// p(3) --t1--> q --t2--> p: conserves p+q, and firing t1+t2 once is
-    /// a T-invariant.
+    /// p(3) --produce--> q --consume--> p: four reachable markings.
     fn producer_consumer() -> Arc<San> {
         let mut b = SanBuilder::new("pc");
         let p = b.place("p", 3);
@@ -858,28 +552,23 @@ mod tests {
     }
 
     #[test]
-    fn producer_consumer_invariants_match_hand_derivation() {
+    fn probe_reports_truncation_only_when_a_marking_is_left_out() {
         let san = producer_consumer();
-        let report = analyze(&san, &AnalysisSpec::default(), &AnalysisConfig::default());
-        // Exactly one P-invariant: p + q = 3.
-        assert_eq!(report.p_invariants.len(), 1);
-        let inv = &report.p_invariants[0];
-        assert_eq!(inv.terms, vec![(0, 1), (1, 1)]);
-        assert_eq!(inv.value, 3);
-        assert_eq!(report.nontrivial_p_invariants(), 1);
-        // Exactly one T-invariant: fire each transition once.
-        assert_eq!(report.t_invariants.len(), 1);
-        assert_eq!(report.t_invariants[0].terms, vec![(0, 1), (1, 1)]);
-        // Bounded: both places bounded by 3.
-        let bounds = report.place_bounds.as_ref().unwrap();
-        assert_eq!(bounds, &vec![Some(3), Some(3)]);
-        assert!(!report.has_hard_findings(), "{:?}", report.findings);
+        for (cap, truncated) in [(3, true), (4, false), (5, false)] {
+            let cfg = ProbeConfig {
+                max_markings: cap,
+                ..ProbeConfig::default()
+            };
+            let report = analyze(&san, &AnalysisSpec::default(), &cfg);
+            assert_eq!(report.probe_truncated, truncated, "cap {cap}");
+            assert_eq!(report.markings_probed, cap.min(4), "cap {cap}");
+        }
     }
 
     #[test]
     fn live_net_has_no_dead_activity_findings() {
         let san = producer_consumer();
-        let report = analyze(&san, &AnalysisSpec::default(), &AnalysisConfig::default());
+        let report = analyze(&san, &AnalysisSpec::default(), &ProbeConfig::default());
         assert!(
             report
                 .findings
@@ -906,7 +595,7 @@ mod tests {
             .build()
             .unwrap();
         let san = b.finish().unwrap();
-        let report = analyze(&san, &AnalysisSpec::default(), &AnalysisConfig::default());
+        let report = analyze(&san, &AnalysisSpec::default(), &ProbeConfig::default());
         let dead: Vec<_> = report
             .findings
             .iter()
@@ -916,6 +605,37 @@ mod tests {
         assert_eq!(dead[0].subject, "starved");
         assert_eq!(dead[0].severity, Severity::Hard);
         assert!(report.has_hard_findings());
+    }
+
+    #[test]
+    fn places_raised_by_opaque_effects_count_as_produced() {
+        // `feed` raises `q` only through a case closure, which declares no
+        // arc: the probe must see it fire, or `hungry` would be reported
+        // dead. `hungry` needs two tokens and `feed` can supply one.
+        let mut b = SanBuilder::new("opaque");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        b.place("r", 0);
+        b.timed_activity("feed", 1.0)
+            .input_arc(p, 1)
+            .case(1.0, move |m| m.add(q, 1))
+            .build()
+            .unwrap();
+        b.timed_activity("hungry", 1.0)
+            .input_arc(q, 2)
+            .build()
+            .unwrap();
+        let san = b.finish().unwrap();
+        let report = analyze(&san, &AnalysisSpec::default(), &ProbeConfig::default());
+        let found: Vec<(&str, &str)> = report
+            .findings
+            .iter()
+            .map(|f| (f.id.as_str(), f.subject.as_str()))
+            .collect();
+        assert_eq!(
+            found,
+            [("never-enabled", "hungry"), ("never-marked-place", "r")]
+        );
     }
 
     #[test]
@@ -929,7 +649,7 @@ mod tests {
             .build()
             .unwrap();
         let san = b.finish().unwrap();
-        let report = analyze(&san, &AnalysisSpec::default(), &AnalysisConfig::default());
+        let report = analyze(&san, &AnalysisSpec::default(), &ProbeConfig::default());
         assert!(
             report.findings.iter().any(|f| f.id == "unbounded-place"
                 && f.severity == Severity::Hard
@@ -950,7 +670,7 @@ mod tests {
             .build()
             .unwrap();
         let san = b.finish().unwrap();
-        let report = analyze(&san, &AnalysisSpec::default(), &AnalysisConfig::default());
+        let report = analyze(&san, &AnalysisSpec::default(), &ProbeConfig::default());
         assert!(
             report.findings.iter().all(|f| f.id != "unbounded-place"),
             "{:?}",
@@ -979,7 +699,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let report = analyze(&san, &spec, &AnalysisConfig::default());
+        let report = analyze(&san, &spec, &ProbeConfig::default());
         let hits: Vec<_> = report
             .findings
             .iter()
@@ -1013,7 +733,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let report = analyze(&san, &spec, &AnalysisConfig::default());
+        let report = analyze(&san, &spec, &ProbeConfig::default());
         let dead = report
             .findings
             .iter()
@@ -1037,7 +757,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let report = analyze(&san, &spec, &AnalysisConfig::default());
+        let report = analyze(&san, &spec, &ProbeConfig::default());
         assert!(report
             .findings
             .iter()
@@ -1060,7 +780,7 @@ mod tests {
             .build()
             .unwrap();
         let san = b.finish().unwrap();
-        let report = analyze(&san, &AnalysisSpec::default(), &AnalysisConfig::default());
+        let report = analyze(&san, &AnalysisSpec::default(), &ProbeConfig::default());
         assert!(report
             .findings
             .iter()
@@ -1078,7 +798,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        let report = analyze(&san, &spec, &AnalysisConfig::default());
+        let report = analyze(&san, &spec, &ProbeConfig::default());
         assert!(report
             .findings
             .iter()
@@ -1087,12 +807,14 @@ mod tests {
     }
 
     #[test]
-    fn render_mentions_invariants_and_findings() {
+    fn render_mentions_probe_and_findings() {
         let san = producer_consumer();
-        let report = analyze(&san, &AnalysisSpec::default(), &AnalysisConfig::default());
-        let text = report.render(&san);
-        assert!(text.contains("P-invariants: 1 (1 nontrivial)"));
-        assert!(text.contains("p + q = 3"));
-        assert!(text.contains("bounds:"));
+        let report = analyze(&san, &AnalysisSpec::default(), &ProbeConfig::default());
+        assert_eq!(
+            report.render(),
+            "model 'pc': 2 places, 2 activities\n\
+             probe: 4 markings (reachable set exhausted)\n\
+             findings: 0 hard, 0 soft\n"
+        );
     }
 }

@@ -1,11 +1,11 @@
 //! Bounded deterministic exploration of a SAN's behavior.
 //!
-//! Activity effects are opaque closures, so the incidence structure
-//! cannot be read off the model — it has to be *observed*. The probe
+//! Activity effects are opaque closures, so what a firing does cannot be
+//! read off the model — it has to be *observed*. The probe
 //! explores reachable markings (breadth-first up to a cap, then a few
 //! deterministic pseudo-random walks for depth), firing every enabled
-//! `(activity, case)` pair and recording the distinct marking deltas each
-//! produces. Exploration follows simulator semantics: instantaneous
+//! `(activity, case)` pair and recording which places each activity's
+//! firings raise. Exploration follows simulator semantics: instantaneous
 //! activities pre-empt timed ones (vanishing-marking priority) and only
 //! cases with positive weight fire, so every probed marking is reachable
 //! and every firing is legal (no negative-token panics).
@@ -15,7 +15,7 @@
               from a queue and seeded walks"
 )]
 
-use itua_san::marking::Marking;
+use itua_san::marking::{Marking, PlaceId};
 use itua_san::model::{ActivityId, San};
 use std::collections::HashSet;
 
@@ -31,8 +31,6 @@ pub struct ProbeConfig {
     pub num_walks: usize,
     /// Steps per walk.
     pub walk_len: usize,
-    /// Distinct deltas recorded per `(activity, case)` before giving up.
-    pub max_deltas_per_case: usize,
 }
 
 impl Default for ProbeConfig {
@@ -41,20 +39,8 @@ impl Default for ProbeConfig {
             max_markings: 2048,
             num_walks: 32,
             walk_len: 128,
-            max_deltas_per_case: 64,
         }
     }
-}
-
-/// One distinct observed effect of an `(activity, case)` firing.
-#[derive(Debug, Clone)]
-pub struct CaseDelta {
-    /// Activity index.
-    pub activity: usize,
-    /// Case index within the activity.
-    pub case: usize,
-    /// Per-place marking change.
-    pub delta: Vec<i64>,
 }
 
 /// A rate or case-weight problem observed at a reachable marking.
@@ -81,10 +67,12 @@ pub struct ProbeData {
     /// Distinct markings interned by the BFS (walks explore past these
     /// without interning).
     pub markings_seen: usize,
-    /// Whether the BFS hit `max_markings` before exhausting the frontier.
+    /// Whether the BFS left a reachable marking unexplored because it
+    /// already held `max_markings`.
     pub truncated: bool,
-    /// Distinct deltas per `(activity, case)`, in first-observation order.
-    pub deltas: Vec<CaseDelta>,
+    /// Per activity: the places some probed firing of it raised, in
+    /// first-observation order.
+    pub raised: Vec<Vec<PlaceId>>,
     /// Per activity: markings (BFS) at which it was enabled.
     pub enabled_count: Vec<usize>,
     /// Per activity: total probe firings (BFS expansions + walk steps).
@@ -97,13 +85,10 @@ pub struct ProbeData {
     /// nonnegative, nonzero delta after which the same case is enabled
     /// again (structural unboundedness witness).
     pub repeat_gain: Vec<Option<Vec<i64>>>,
-    /// Per activity: more distinct deltas than `max_deltas_per_case`.
-    pub delta_overflow: Vec<bool>,
 }
 
 struct ProbeState<'a> {
     san: &'a San,
-    cfg: &'a ProbeConfig,
     data: ProbeData,
 }
 
@@ -131,8 +116,8 @@ impl ProbeState<'_> {
         }
     }
 
-    /// Fires `(activity, case)` at `pre`, records the delta and sanity
-    /// data, and returns the successor values.
+    /// Fires `(activity, case)` at `pre`, records the raised places and
+    /// sanity data, and returns the successor values.
     fn fire_recorded(
         &mut self,
         activity: usize,
@@ -156,28 +141,11 @@ impl ProbeState<'_> {
                 self.data.ever_positive[p] = true;
             }
         }
-        // Distinct-delta bookkeeping (linear scan; the per-case cap keeps
-        // the list short).
-        let seen = self
-            .data
-            .deltas
-            .iter()
-            .any(|d| d.activity == activity && d.case == case && d.delta == delta);
-        if !seen {
-            let case_count = self
-                .data
-                .deltas
-                .iter()
-                .filter(|d| d.activity == activity && d.case == case)
-                .count();
-            if case_count < self.cfg.max_deltas_per_case {
-                self.data.deltas.push(CaseDelta {
-                    activity,
-                    case,
-                    delta: delta.clone(),
-                });
-            } else {
-                self.data.delta_overflow[activity] = true;
+        let raised = &mut self.data.raised[activity];
+        for (p, &d) in delta.iter().enumerate() {
+            let p = PlaceId::from_index(p);
+            if d > 0 && !raised.contains(&p) {
+                raised.push(p);
             }
         }
         // Repeatable gain: a componentwise nonnegative, nonzero delta
@@ -273,17 +241,15 @@ pub fn explore(
     let num_activities = san.num_activities();
     let mut state = ProbeState {
         san,
-        cfg,
         data: ProbeData {
             markings_seen: 0,
             truncated: false,
-            deltas: Vec::new(),
+            raised: vec![Vec::new(); num_activities],
             enabled_count: vec![0; num_activities],
             fired_count: vec![0; num_activities],
             ever_positive: vec![false; num_places],
             rate_issues: vec![Vec::new(); num_activities],
             repeat_gain: vec![None; num_activities],
-            delta_overflow: vec![false; num_activities],
         },
     };
 
@@ -306,18 +272,22 @@ pub fn explore(
         head += 1;
         let m = Marking::new(&values);
         for succ in state.expand(&m, true, &mut on_fire) {
-            if seen.len() >= cfg.max_markings {
-                state.data.truncated = true;
-            } else if seen.insert(succ.clone()) {
+            if seen.contains(&succ) {
+                continue;
+            }
+            if seen.len() < cfg.max_markings {
+                seen.insert(succ.clone());
                 frontier.push(succ);
+            } else {
+                state.data.truncated = true;
             }
         }
     }
     state.data.markings_seen = seen.len();
 
     // Deterministic deep walks: a fixed LCG stream per walk index picks
-    // one successor each step; deltas and sanity checks are recorded the
-    // same way, but markings are not interned.
+    // one successor each step; raised places and sanity checks are
+    // recorded the same way, but markings are not interned.
     for walk in 0..cfg.num_walks {
         let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(walk as u64 + 1) | 1;
         let mut values = initial.clone();

@@ -10,10 +10,15 @@
 //!   hard findings (or an invalid scenario file).
 //!
 //! Every user error — an unknown command or scenario, an invalid `.scn`
-//! file, a malformed flag — prints a message and exits 2.
+//! file, a malformed flag — prints a message and exits 2. A stdout closed
+//! by its reader (`itua list | head -1`) ends the process quietly with
+//! status 141 (128 + SIGPIPE, what a shell reports for a tool stopped by
+//! a closed pipe); any other failed write to stdout prints a message and
+//! exits 2.
 
 use itua_bench::{driver, FigureCli};
 use itua_scenario::registry;
+use std::io::{self, ErrorKind, Write};
 
 const USAGE: &str = "\
 usage: itua <command> [arguments]
@@ -45,6 +50,21 @@ A scenario argument is a built-in name (see `itua list`) or a path to a
 user-authored `.scn` file (`key = value` lines; see EXPERIMENTS.md).";
 
 fn main() {
+    let mut stdout = io::stdout();
+    let code = match command(&mut stdout).and_then(|code| stdout.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => 141,
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            2
+        }
+    };
+    std::process::exit(code);
+}
+
+/// Runs the command named by the arguments, writing its output to `out`.
+/// Returns the process exit code; a user error exits 2 at once.
+fn command(out: &mut dyn Write) -> io::Result<i32> {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
         eprintln!("{USAGE}");
@@ -53,15 +73,17 @@ fn main() {
     match cmd.as_str() {
         "list" => {
             for scenario in registry::registry() {
-                println!(
+                writeln!(
+                    out,
                     "{:<12} {}\n{:<12}   [{}]",
                     scenario.name(),
                     scenario.description(),
                     "",
                     driver::analytic_feasibility(scenario.as_ref()),
-                );
+                )?;
             }
-            println!("{:<12} a user-authored scenario file", "<file.scn>");
+            writeln!(out, "{:<12} a user-authored scenario file", "<file.scn>")?;
+            Ok(0)
         }
         "run" | "check" => {
             let Some(target) = args.next() else {
@@ -76,14 +98,16 @@ fn main() {
                 eprintln!("error: {e}\n{USAGE}");
                 std::process::exit(2);
             });
-            let code = if cmd == "check" {
-                driver::check_scenario(scenario.as_ref(), &cli)
+            if cmd == "check" {
+                driver::check_scenario(scenario.as_ref(), &cli, out)
             } else {
-                driver::run_scenario(scenario.as_ref(), &cli)
-            };
-            std::process::exit(code);
+                driver::run_scenario(scenario.as_ref(), &cli, out)
+            }
         }
-        "help" | "--help" | "-h" => println!("{USAGE}"),
+        "help" | "--help" | "-h" => {
+            writeln!(out, "{USAGE}")?;
+            Ok(0)
+        }
         other => {
             eprintln!("itua: unknown command '{other}'\n{USAGE}");
             std::process::exit(2);

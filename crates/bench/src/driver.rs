@@ -3,7 +3,8 @@
 //! without running.
 
 use crate::FigureCli;
-use itua_analyzer::{reach, AnalysisConfig, Finding, Severity};
+use itua_analyzer::probe::ProbeConfig;
+use itua_analyzer::{reach, Finding, Severity};
 use itua_core::{analysis, san_model};
 use itua_runner::json::Json;
 use itua_san::marking::PlaceId;
@@ -14,6 +15,7 @@ use itua_scenario::{registry, Scenario};
 use itua_studies::sweep::SweepPoint;
 use itua_studies::table;
 use std::fmt::Write as _;
+use std::io;
 use std::path::Path;
 
 /// Resolves a scenario argument: a built-in name from the registry, or
@@ -86,11 +88,19 @@ pub fn analytic_feasibility(scenario: &dyn Scenario) -> String {
     }
 }
 
-/// Runs `scenario` under the parsed CLI flags and prints its figures.
-/// Returns the process exit code: 0 on success, 2 on a structured
+/// Runs `scenario` under the parsed CLI flags and writes its figures to
+/// `out`. Returns the process exit code: 0 on success, 2 on a structured
 /// runtime error (for example an analytic state budget or horizon the
 /// backend rejects).
-pub fn run_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
+///
+/// # Errors
+///
+/// A failed write to `out`.
+pub fn run_scenario(
+    scenario: &dyn Scenario,
+    cli: &FigureCli,
+    out: &mut dyn io::Write,
+) -> io::Result<i32> {
     let mut cfg = cli.cfg;
     let mut split = cli.split.clone();
     scenario.configure(&mut cfg, &mut split);
@@ -100,16 +110,16 @@ pub fn run_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
     match scenario.run(&cfg, &opts) {
         Ok(figures) => {
             for fig in figures {
-                println!("{}", table::render(&fig));
+                writeln!(out, "{}", table::render(&fig))?;
                 if cli.csv {
-                    println!("{}", table::to_csv(&fig));
+                    writeln!(out, "{}", table::to_csv(&fig))?;
                 }
             }
-            0
+            Ok(0)
         }
         Err(e) => {
             eprintln!("error: {e}");
-            2
+            Ok(2)
         }
     }
 }
@@ -138,9 +148,18 @@ const DEFAULT_CHECK_MAX_STATES: usize = 1 << 20;
 ///   initial mass within 1e-12 relative). The scenario's `assert` claims
 ///   are proved over the unreduced graph's markings.
 ///
-/// Each model's outcome is rendered as text, or with `--json` as one
-/// entry of a machine-readable JSON object on stdout.
-pub fn check_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
+/// Each model's outcome is written to `out` as text as soon as it is
+/// checked, or with `--json` as one entry of a machine-readable JSON
+/// object written at the end.
+///
+/// # Errors
+///
+/// A failed write to `out`.
+pub fn check_scenario(
+    scenario: &dyn Scenario,
+    cli: &FigureCli,
+    out: &mut dyn io::Write,
+) -> io::Result<i32> {
     let max_states = cli
         .backend_opts
         .analytic_max_states
@@ -173,8 +192,8 @@ pub fn check_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
             } else {
                 "model check"
             };
-            println!("--- {what}: {} (x = {}) ---", point.series, point.x);
-            print!("{}", checked.text);
+            writeln!(out, "--- {what}: {} (x = {}) ---", point.series, point.x)?;
+            write!(out, "{}", checked.text)?;
         }
     }
     if cli.json {
@@ -187,18 +206,19 @@ pub fn check_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
         }
         doc.push(field("models", Json::Arr(models)));
         doc.push(field("hard", Json::Bool(any_hard)));
-        println!("{}", Json::Obj(doc));
+        writeln!(out, "{}", Json::Obj(doc))?;
     } else if !any_hard {
-        println!(
+        writeln!(
+            out,
             "scenario '{}' passed the {mode} model check",
             scenario.name()
-        );
+        )?;
     } else if cli.exhaustive {
         eprintln!("exhaustive model check failed");
     } else {
         eprintln!("model check failed: hard findings above");
     }
-    i32::from(any_hard) * 2
+    Ok(i32::from(any_hard) * 2)
 }
 
 /// The distinct parameter sets among `points`, keeping first-seen order
@@ -248,9 +268,9 @@ fn finding_json(f: &Finding) -> Json {
 fn check_structural(point: &SweepPoint) -> Checked {
     match san_model::build(&point.params) {
         Ok(model) => {
-            let report = analysis::full_report(&model, &AnalysisConfig::default());
+            let report = analysis::full_report(&model, &ProbeConfig::default());
             Checked {
-                text: report.render(&model.san),
+                text: report.render(),
                 json: vec![field(
                     "findings",
                     Json::Arr(report.findings.iter().map(finding_json).collect()),
@@ -435,7 +455,10 @@ mod tests {
             .map(String::from),
         );
         let scenario = resolve("figure4").unwrap();
-        assert_eq!(run_scenario(scenario.as_ref(), &cli), 2);
+        assert_eq!(
+            run_scenario(scenario.as_ref(), &cli, &mut io::sink()).unwrap(),
+            2
+        );
     }
 
     /// A scenario whose points carry a horizon and sample time no `.scn`
@@ -493,7 +516,7 @@ mod tests {
                     .map(String::from),
                 );
                 assert_eq!(
-                    run_scenario(&scenario, &cli),
+                    run_scenario(&scenario, &cli, &mut io::sink()).unwrap(),
                     2,
                     "{backend}: horizon {horizon}, sample {sample}"
                 );
@@ -561,9 +584,15 @@ mod tests {
         let mut cli = FigureCli::parse(Vec::<String>::new());
         cli.exhaustive = true;
         cli.backend_opts.analytic_max_states = Some(200_000);
-        assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
+        assert_eq!(
+            check_scenario(scenario.as_ref(), &cli, &mut io::sink()).unwrap(),
+            0
+        );
         cli.json = true;
-        assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
+        assert_eq!(
+            check_scenario(scenario.as_ref(), &cli, &mut io::sink()).unwrap(),
+            0
+        );
     }
 
     #[test]
@@ -575,16 +604,25 @@ mod tests {
 
         // A glob matching no place is a hard refusal, not a vacuous pass.
         let bad_glob = micro_scn(&dir, "badglob.scn", "assert = sum(nope/*) <= 1\n");
-        assert_eq!(check_scenario(bad_glob.as_ref(), &cli), 2);
+        assert_eq!(
+            check_scenario(bad_glob.as_ref(), &cli, &mut io::sink()).unwrap(),
+            2
+        );
 
         // A claim the reachable space violates fails the check.
         let false_claim = micro_scn(&dir, "false.scn", "assert = max(*/host_corrupt) < 1\n");
-        assert_eq!(check_scenario(false_claim.as_ref(), &cli), 2);
+        assert_eq!(
+            check_scenario(false_claim.as_ref(), &cli, &mut io::sink()).unwrap(),
+            2
+        );
 
         // An exhausted state budget is a structured failure (exit 2).
         let plain = micro_scn(&dir, "plain.scn", "");
         cli.backend_opts.analytic_max_states = Some(3);
-        assert_eq!(check_scenario(plain.as_ref(), &cli), 2);
+        assert_eq!(
+            check_scenario(plain.as_ref(), &cli, &mut io::sink()).unwrap(),
+            2
+        );
     }
 
     #[test]
@@ -592,9 +630,15 @@ mod tests {
         let dir = std::env::temp_dir().join("itua-driver-exhaustive");
         let scenario = micro_scn(&dir, "structural.scn", "");
         let mut cli = FigureCli::parse(Vec::<String>::new());
-        assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
+        assert_eq!(
+            check_scenario(scenario.as_ref(), &cli, &mut io::sink()).unwrap(),
+            0
+        );
         cli.json = true;
-        assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
+        assert_eq!(
+            check_scenario(scenario.as_ref(), &cli, &mut io::sink()).unwrap(),
+            0
+        );
     }
 
     #[test]

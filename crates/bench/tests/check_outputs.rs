@@ -1,9 +1,11 @@
-//! The machine-readable output of `itua check --exhaustive --json`: the
-//! documented keys in their documented order, a clean verdict, a proved
-//! `.scn` assert, and the state and transition counts of each explored
-//! graph, pinned.
+//! The machine-readable output of `itua check --json`: the documented
+//! keys in their documented order and a clean verdict in both modes; the
+//! findings of each structurally checked model, and a proved `.scn`
+//! assert and the state and transition counts of each exhaustively
+//! explored graph, pinned.
 
 use itua_runner::json::Json;
+use std::collections::BTreeMap;
 use std::process::Command;
 
 /// Runs the built `itua` binary and parses its stdout as one JSON
@@ -140,4 +142,42 @@ fn micro_scn_exhaustive_json_proves_its_assert() {
         Some("sum(itua/apps[0]/*/has_started) <= 2")
     );
     assert_eq!(asserts[0].get("proved"), Some(&Json::Bool(true)));
+}
+
+#[test]
+fn micro_analytic_structural_json_pins_each_models_findings() {
+    let doc = check_json(&[
+        "check",
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/scenarios/micro-analytic.scn"
+        ),
+        "--json",
+    ]);
+    assert_eq!(keys(&doc), ["scenario", "mode", "models", "hard"]);
+    assert_eq!(doc.get("mode").unwrap().as_str(), Some("structural"));
+    assert_eq!(doc.get("hard"), Some(&Json::Bool(false)));
+    let models = doc.get("models").unwrap().as_arr().unwrap();
+    assert_eq!(models.len(), 5);
+    for model in models {
+        assert_eq!(keys(model), ["series", "x", "findings"]);
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for f in model.get("findings").unwrap().as_arr().unwrap() {
+            assert_eq!(keys(f), ["id", "severity", "subject", "detail"]);
+            assert_eq!(f.get("severity").unwrap().as_str(), Some("soft"));
+            *counts
+                .entry(f.get("id").unwrap().as_str().unwrap())
+                .or_default() += 1;
+        }
+        assert_eq!(
+            counts.into_iter().collect::<Vec<_>>(),
+            [
+                ("frac-corrupt-replica-blind", 2),
+                ("frac-corrupt-undercount", 1),
+                ("instantaneous-cycle", 1),
+                ("never-enabled", 2),
+                ("never-marked-place", 4),
+            ]
+        );
+    }
 }

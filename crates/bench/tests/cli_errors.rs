@@ -1,10 +1,11 @@
 //! User errors at the `itua` command line end in a message and exit
 //! code 2, never a panic: malformed flags, replication counts too small
 //! for a confidence interval, horizons too long to uniformize, and
-//! layouts past the size bounds.
+//! layouts past the size bounds. A stdout closed by its reader ends the
+//! process with status 141, never a panic either.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::time::Duration;
 
 fn itua(args: &[&str]) -> Output {
@@ -155,4 +156,26 @@ fn layouts_past_the_size_bounds_exit_2_promptly() {
             assert!(stderr.contains(bound), "{args:?}: {stderr}");
         }
     }
+}
+
+#[test]
+fn a_stdout_without_a_reader_exits_141_without_a_panic() {
+    // The pipe has no reader from the start, so the first write fails.
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_itua"))
+        .args([
+            "check",
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../examples/scenarios/micro-analytic.scn"
+            ),
+        ])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("the itua binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

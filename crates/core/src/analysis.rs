@@ -1,6 +1,6 @@
 //! Static analysis of the composed ITUA SAN.
 //!
-//! The generic analyzer (`itua-analyzer`) observes incidence structure by
+//! The generic analyzer (`itua-analyzer`) observes firing effects by
 //! probing; this module supplies the *model-specific* knowledge: the
 //! conservation laws the ITUA encoding must satisfy by construction, the
 //! one documented measure gap, and three entry points that apply them:
@@ -9,10 +9,10 @@
 //!   expected invariant at the initial marking and rate sanity at the
 //!   initial marking. This is the default gate in
 //!   `run_measures` (cheap enough to run before every sweep point).
-//! * [`full_report`] — the full probe-based analysis behind `itua check`:
-//!   invariants, structural bounds, dead activities, rate sanity at
-//!   reachable markings, plus the expected invariants checked against
-//!   every observed firing.
+//! * [`full_report`] — the probe-based structural analysis behind
+//!   `itua check`: the expected invariants and firing laws checked
+//!   against every probed firing, dead activities, unbounded growth,
+//!   instantaneous cycles and rate sanity at reachable markings.
 //! * [`exhaustive_check`] — `itua check --exhaustive`: one exploration
 //!   of the symmetry quotient proves the spec over every reachable
 //!   marking and firing, and one exploration of the unreduced graph
@@ -56,10 +56,11 @@
 //! it surfaces as a soft finding with a concrete counterexample firing).
 
 use crate::san_model::ItuaSan;
+use itua_analyzer::probe::ProbeConfig;
 use itua_analyzer::reach::{self, ReachConfig, SymmetryGroup, SymmetrySpec, SymmetryUnit};
 use itua_analyzer::{
-    analyze, render_findings, AllowEntry, AnalysisConfig, AnalysisReport, AnalysisSpec,
-    ExpectedInvariant, Finding, FiringLaw, KnownIssue, LawHit, Severity,
+    analyze, render_findings, AllowEntry, AnalysisReport, AnalysisSpec, ExpectedInvariant, Finding,
+    FiringLaw, KnownIssue, LawHit, Severity,
 };
 use itua_san::marking::PlaceId;
 use itua_san::model::San;
@@ -289,8 +290,8 @@ pub fn analysis_spec(model: &ItuaSan) -> AnalysisSpec {
     }
 }
 
-/// Runs the full probe-based analysis of `model` under the ITUA spec.
-pub fn full_report(model: &ItuaSan, cfg: &AnalysisConfig) -> AnalysisReport {
+/// Runs the probe-based analysis of `model` under the ITUA spec.
+pub fn full_report(model: &ItuaSan, cfg: &ProbeConfig) -> AnalysisReport {
     analyze(&model.san, &analysis_spec(model), cfg)
 }
 
@@ -416,7 +417,7 @@ pub struct ExhaustiveReport {
     /// Conservation families proved over every reachable marking.
     pub families_proved: usize,
     /// Largest token count observed in any place at any reachable
-    /// marking (an exact bound, not a structural one).
+    /// marking (an exact bound over the reachable set).
     pub max_tokens: i32,
     /// The place attaining `max_tokens`.
     pub max_tokens_place: String,

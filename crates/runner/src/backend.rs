@@ -402,7 +402,7 @@ impl Backend for ItuaBackend {
         }
     }
 
-    /// The one-leaf tree of [`ItuaBackend::tree`] under an empty spec.
+    /// The one-leaf tree of `ItuaBackend::tree` under an empty spec.
     fn run(
         &self,
         seed: u64,

@@ -100,8 +100,8 @@ impl StateSpace {
     ///
     /// * [`SanError::StateSpaceTooLarge`] if more than `max_states`
     ///   tangible markings are reachable, or a single vanishing-marking
-    ///   resolution branches past its expansion budget
-    ///   (see [`vanishing_budget`]) — both are forms of state-space
+    ///   resolution branches past its expansion budget (ten work items
+    ///   per allowed state, with a floor) — both are forms of state-space
     ///   explosion, and both fail fast instead of exhausting memory.
     /// * [`SanError::Unstabilized`] if instantaneous activities livelock.
     /// * [`SanError::BadValue`] if a rate or case weight is NaN, infinite

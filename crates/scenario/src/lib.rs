@@ -16,7 +16,7 @@
 //!   [`itua_studies::study::Study`] descriptor implements [`Scenario`]
 //!   directly. Built-ins contribute no identity parts, so their store
 //!   fingerprints are the ones the studies have always had.
-//! * [`file`] — a dependency-free `key = value` parser for user-authored
+//! * [`mod@file`] — a dependency-free `key = value` parser for user-authored
 //!   `.scn` scenario files (topology counts, rates, management scheme,
 //!   sweep axis, replications/horizon, split levels) that compose into
 //!   [`SweepPoint`]s without recompiling. A file scenario's normalized
