@@ -17,29 +17,29 @@
 //! Three figures of merit land in the tracked `BENCH_analytic.json`:
 //!
 //! * `reduction_factor` — full tangible states per lumped orbit on the
-//!   headline point; structural, deterministic, and gated at ≥ 20 by
-//!   `cargo xtask bench-json --check`.
+//!   headline point; structural, deterministic, and gated at ≥ 20.
 //! * `build_ms` / `solve_ms` — wall-clock for lumped state-space +
 //!   CTMC construction and for the uniformization solve at one thread;
 //!   `build_ms_2t` / `solve_ms_2t` the same at two threads (generation
-//!   and the solve on two-worker teams). Each is compared against the
-//!   committed baseline with the same regression factor as the hot-path
-//!   benchmark. The two thread counts must give bit-identical orbit
-//!   counts and measures.
+//!   and the solve on two-worker teams). Each is gated at 1.15x its
+//!   committed baseline, the hot-path benchmark's regression factor. The
+//!   two thread counts must give bit-identical orbit counts and measures.
 //! * `micro_max_rel_err` — the worst relative disagreement between the
 //!   lumped and unlumped solutions across every measure on a micro
 //!   configuration both can solve; gated at ≤ 1e-9 (the lumping is an
 //!   exact quotient, so only uniformization truncation noise remains).
 //!
 //! `--json PATH` writes the tracked artifact (the `baseline` block is
-//! preserved once created, `current` is overwritten); `--quick` swaps
-//! the headline for a three-domain point (8 054 orbits / 184 491
-//! states) for CI smoke coverage.
+//! preserved once created, `current` is overwritten) and applies the
+//! gates above: the run prints `PATH: ok`, or a `PATH: REGRESSION: …`
+//! line per violation and exits 2. `--quick` swaps the headline for a
+//! three-domain point (8 054 orbits / 184 491 states) for CI smoke
+//! coverage.
 //!
 //! Usage: `cargo bench -p itua-bench --bench analytic -- [--quick]
-//! [--json PATH]` (or `cargo xtask bench-json --only analytic`).
+//! [--json PATH]`; CI runs it with `--json BENCH_analytic.json`.
 
-use itua_bench::tracked::write_tracked_json;
+use itua_bench::tracked::{record, Gate};
 use itua_core::analytic::{AnalyticOptions, ItuaAnalytic};
 use itua_core::params::Params;
 
@@ -47,6 +47,10 @@ use itua_core::params::Params;
 const HORIZON: f64 = 5.0;
 /// State budget for the lumped builds (the headline point needs ~371k).
 const MAX_STATES: usize = 1_000_000;
+/// Ceiling on `micro_max_rel_err`: the lumping is an exact quotient, so
+/// anything above uniformization truncation noise means the
+/// canonicalizer or the lumped generator broke.
+const MAX_MICRO_REL_ERR: f64 = 1e-9;
 
 /// A configuration with corruption spread disabled, so the chain stays
 /// finite-rate and the symmetry group is the full wreath product.
@@ -206,8 +210,8 @@ fn main() {
     println!("  micro_max_rel_err      {micro_err:.3e}");
 
     assert!(
-        micro_err <= 1e-9,
-        "lumped vs unlumped micro disagreement {micro_err:.3e} exceeds 1e-9"
+        micro_err <= MAX_MICRO_REL_ERR,
+        "lumped vs unlumped micro disagreement {micro_err:.3e} exceeds {MAX_MICRO_REL_ERR:.0e}"
     );
 
     let results: Vec<(String, f64)> = vec![
@@ -224,13 +228,21 @@ fn main() {
     ];
 
     if let Some(path) = json_path {
-        let path = write_tracked_json(
+        record(
             &path,
             "itua-analytic-lumped-v1",
             "states, reduction factor, milliseconds, relative error",
             &results,
-        )
-        .expect("writing tracked bench JSON");
-        println!("wrote {}", path.display());
+            &[
+                // ~163x on the tracked point; 20x leaves room to swap the
+                // point without letting the quotient silently degenerate.
+                Gate::AtLeast("reduction_factor", 20.0),
+                Gate::AtMost("micro_max_rel_err", MAX_MICRO_REL_ERR),
+                Gate::WithinBaseline {
+                    unit: "ms",
+                    names: &["build_ms", "solve_ms", "build_ms_2t", "solve_ms_2t"],
+                },
+            ],
+        );
     }
 }

@@ -22,17 +22,18 @@
 //! confidence-interval half-width on `unreliability` (work × variance is
 //! asymptotically constant for a fixed method, so the ratio is the
 //! work-normalized variance-reduction factor). Everything is seeded, so
-//! the reported numbers are deterministic, not timings; the `--check`
-//! gate in `cargo xtask bench-json` requires `event_reduction >= 10`.
+//! the reported numbers are deterministic, not timings.
 //!
 //! `--json PATH` writes the tracked `BENCH_rare.json` (the `baseline`
-//! block is preserved once created, `current` is overwritten); `--quick`
-//! shrinks the tree counts for CI smoke coverage.
+//! block is preserved once created, `current` is overwritten) and gates
+//! `event_reduction >= 10`: the run prints `PATH: ok`, or a
+//! `PATH: REGRESSION: …` line and exits 2. `--quick` shrinks the tree
+//! counts for CI smoke coverage.
 //!
 //! Usage: `cargo bench -p itua-bench --bench rare_split -- [--quick]
-//! [--json PATH]` (or `cargo xtask bench-json`).
+//! [--json PATH]`; CI runs it with `--json BENCH_rare.json`.
 
-use itua_bench::tracked::write_tracked_json;
+use itua_bench::tracked::{record, Gate};
 use itua_core::measures::names;
 use itua_core::params::Params;
 use itua_rare::SplitSpec;
@@ -215,13 +216,12 @@ fn main() {
     ];
 
     if let Some(path) = json_path {
-        let path = write_tracked_json(
+        record(
             &path,
             "itua-rare-split-v1",
             "deterministic seeded run; events and CI half-widths",
             &results,
-        )
-        .expect("writing tracked bench JSON");
-        println!("wrote {}", path.display());
+            &[Gate::AtLeast("event_reduction", 10.0)],
+        );
     }
 }

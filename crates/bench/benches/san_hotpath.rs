@@ -18,13 +18,15 @@
 //! the tracked `BENCH_san.json`: the `current` block is overwritten with
 //! this run's medians while the `baseline` block (the pre-optimization
 //! medians recorded when the file was first created) is preserved, so the
-//! perf trajectory stays visible in the repo. `--quick` runs each
-//! scenario once per round for CI smoke coverage.
+//! perf trajectory stays visible in the repo. Recording gates every
+//! median at 1.15x its baseline: the run prints `PATH: ok`, or a
+//! `PATH: REGRESSION: …` line per slower scenario and exits 2. `--quick`
+//! runs each scenario once per round for CI smoke coverage.
 //!
 //! Usage: `cargo bench -p itua-bench --bench san_hotpath -- [--quick]
-//! [--json PATH] [--only NAME]` (or `cargo xtask bench-json`).
+//! [--json PATH] [--only NAME]`; CI runs it with `--json BENCH_san.json`.
 
-use itua_bench::tracked::write_tracked_json;
+use itua_bench::tracked::{record, Gate};
 use itua_core::params::Params;
 use itua_runner::backend::{Backend, BackendKind, ItuaBackend};
 use itua_san::model::{San, SanBuilder};
@@ -210,13 +212,15 @@ fn main() {
     assert!(!results.is_empty(), "no scenario matched --only filter");
 
     if let Some(path) = json_path {
-        let path = write_tracked_json(
+        record(
             &path,
             "itua-san-hotpath-v1",
             "median ns per replication",
             &results,
-        )
-        .expect("writing tracked bench JSON");
-        println!("wrote {}", path.display());
+            &[Gate::WithinBaseline {
+                unit: "ns",
+                names: &[],
+            }],
+        );
     }
 }

@@ -55,7 +55,7 @@ fn main() {
         Ok(code) => code,
         Err(e) if e.kind() == ErrorKind::BrokenPipe => 141,
         Err(e) => {
-            eprintln!("error: cannot write to stdout: {e}");
+            let _ = writeln!(io::stderr(), "error: cannot write to stdout: {e}");
             2
         }
     };
@@ -67,7 +67,7 @@ fn main() {
 fn command(out: &mut dyn Write) -> io::Result<i32> {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
-        eprintln!("{USAGE}");
+        let _ = writeln!(io::stderr(), "{USAGE}");
         std::process::exit(2);
     };
     match cmd.as_str() {
@@ -87,15 +87,18 @@ fn command(out: &mut dyn Write) -> io::Result<i32> {
         }
         "run" | "check" => {
             let Some(target) = args.next() else {
-                eprintln!("itua {cmd}: missing scenario (built-in name or .scn path)");
+                let _ = writeln!(
+                    io::stderr(),
+                    "itua {cmd}: missing scenario (built-in name or .scn path)"
+                );
                 std::process::exit(2);
             };
             let scenario = driver::resolve(&target).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
+                let _ = writeln!(io::stderr(), "error: {e}");
                 std::process::exit(2);
             });
             let cli = FigureCli::try_parse(args).unwrap_or_else(|e| {
-                eprintln!("error: {e}\n{USAGE}");
+                let _ = writeln!(io::stderr(), "error: {e}\n{USAGE}");
                 std::process::exit(2);
             });
             if cmd == "check" {
@@ -109,7 +112,7 @@ fn command(out: &mut dyn Write) -> io::Result<i32> {
             Ok(0)
         }
         other => {
-            eprintln!("itua: unknown command '{other}'\n{USAGE}");
+            let _ = writeln!(io::stderr(), "itua: unknown command '{other}'\n{USAGE}");
             std::process::exit(2);
         }
     }

@@ -15,7 +15,7 @@ use itua_scenario::{registry, Scenario};
 use itua_studies::sweep::SweepPoint;
 use itua_studies::table;
 use std::fmt::Write as _;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 /// Resolves a scenario argument: a built-in name from the registry, or
@@ -118,7 +118,7 @@ pub fn run_scenario(
             Ok(0)
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            let _ = writeln!(io::stderr(), "error: {e}");
             Ok(2)
         }
     }
@@ -214,9 +214,9 @@ pub fn check_scenario(
             scenario.name()
         )?;
     } else if cli.exhaustive {
-        eprintln!("exhaustive model check failed");
+        let _ = writeln!(io::stderr(), "exhaustive model check failed");
     } else {
-        eprintln!("model check failed: hard findings above");
+        let _ = writeln!(io::stderr(), "model check failed: hard findings above");
     }
     Ok(i32::from(any_hard) * 2)
 }

@@ -2,7 +2,8 @@
 //! code 2, never a panic: malformed flags, replication counts too small
 //! for a confidence interval, horizons too long to uniformize, and
 //! layouts past the size bounds. A stdout closed by its reader ends the
-//! process with status 141, never a panic either.
+//! process with status 141, never a panic either, and a stderr closed by
+//! its reader loses the messages but keeps the exit code.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -178,4 +179,47 @@ fn a_stdout_without_a_reader_exits_141_without_a_panic() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(141), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Runs itua with `args`, its stderr a pipe whose reader is already
+/// gone, so every message written there fails.
+fn itua_without_a_stderr_reader(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_itua"))
+        .args(args)
+        .stderr(writer)
+        .output()
+        .expect("the itua binary runs")
+}
+
+#[test]
+fn a_stderr_without_a_reader_keeps_the_exit_code_and_the_output() {
+    // Progress lines go to stderr on every point; losing them must not
+    // change the run.
+    let args = [
+        "run",
+        "figure3",
+        "--reps",
+        "8",
+        "--threads",
+        "2",
+        "--no-resume",
+    ];
+    let out = itua_without_a_stderr_reader(&args);
+    assert_eq!(out.status.code(), Some(0));
+    let quiet = Command::new(env!("CARGO_BIN_EXE_itua"))
+        .args(args)
+        .stderr(Stdio::null())
+        .output()
+        .expect("the itua binary runs");
+    assert_eq!(quiet.status.code(), Some(0));
+    assert!(!quiet.stdout.is_empty());
+    assert_eq!(out.stdout, quiet.stdout);
+
+    // A user error still exits 2 when its message cannot be written.
+    let out = itua_without_a_stderr_reader(&["run", "no-such-scenario"]);
+    assert_eq!(out.status.code(), Some(2));
+    let out = itua_without_a_stderr_reader(&["run", "figure3", "--reps", "x"]);
+    assert_eq!(out.status.code(), Some(2));
 }

@@ -491,11 +491,11 @@ impl State {
                 }
             }
         }
-        // Arm the per-host processes.
+        // Arm the per-host processes (every epoch is 0 after a reset).
         for h in 0..self.hosts.len() {
-            self.schedule_host_attack(h);
-            self.schedule_host_false_alarm(h);
-            self.schedule_mgr_attack(h);
+            self.arm(Event::HostAttack { host: h, epoch: 0 });
+            self.arm(Event::HostFalseAlarm { host: h });
+            self.arm(Event::MgrAttack { host: h, epoch: 0 });
         }
         // Initial improper state (apps now have replicas).
         for app in 0..self.apps.len() {
@@ -504,75 +504,111 @@ impl State {
     }
 
     // ------------------------------------------------------------------
-    // Rates and scheduling
+    // Liveness, rates and scheduling
     // ------------------------------------------------------------------
 
-    fn exp_delay(&mut self, rate: f64) -> Option<f64> {
-        if rate <= 0.0 {
-            None
-        } else {
-            Some(-self.rng.next_f64_open().ln() / rate)
+    /// Whether `ev` can still fire: its entity is still in the state the
+    /// event acts on, and an attack's epoch is current (a rate change
+    /// since the draw makes it stale). [`State::handle`] drops events that
+    /// are not live, and [`State::arm`] schedules none.
+    fn live(&self, ev: Event) -> bool {
+        match ev {
+            Event::HostAttack { host, epoch } => {
+                let h = &self.hosts[host];
+                h.alive && !h.corrupt && h.attack_epoch == epoch
+            }
+            // False alarms are only raised while there has been no actual
+            // intrusion; once the host is corrupt, this channel is disabled.
+            Event::HostFalseAlarm { host } => {
+                let h = &self.hosts[host];
+                h.alive && !h.corrupt
+            }
+            Event::HostDetect { host }
+            | Event::SpreadDomain { host }
+            | Event::SpreadSystem { host } => {
+                let h = &self.hosts[host];
+                h.alive && h.corrupt
+            }
+            Event::MgrAttack { host, epoch } => {
+                let h = &self.hosts[host];
+                h.alive && h.mgr_alive && !h.mgr_corrupt && h.mgr_attack_epoch == epoch
+            }
+            Event::MgrDetect { host } => {
+                let h = &self.hosts[host];
+                h.alive && h.mgr_alive && h.mgr_corrupt
+            }
+            Event::RepAttack { replica, epoch } => {
+                let r = &self.replicas[replica];
+                r.alive && !r.corrupt && r.attack_epoch == epoch
+            }
+            Event::RepDetect { replica }
+            | Event::RepFalseDetect { replica }
+            | Event::RepMisbehave { replica } => {
+                let r = &self.replicas[replica];
+                r.alive && r.corrupt && !r.convicted
+            }
         }
     }
 
-    fn schedule_host_attack(&mut self, h: usize) {
-        let host = &self.hosts[h];
-        if !host.alive || host.corrupt {
-            return;
-        }
-        let rate = self.p.host_attack_rate()
-            * self.p.spread_multiplier(
-                self.domains[host.domain].spread_level,
-                self.system_spread_level,
-            );
-        let epoch = self.hosts[h].attack_epoch;
-        if let Some(d) = self.exp_delay(rate) {
-            self.queue
-                .schedule(self.now + d, Event::HostAttack { host: h, epoch });
-        }
-    }
-
-    fn schedule_host_false_alarm(&mut self, h: usize) {
-        if !self.hosts[h].alive || self.hosts[h].corrupt {
-            return;
-        }
-        if let Some(d) = self.exp_delay(self.p.host_false_alarm_rate()) {
-            self.queue
-                .schedule(self.now + d, Event::HostFalseAlarm { host: h });
-        }
-    }
-
-    fn schedule_mgr_attack(&mut self, h: usize) {
-        let host = &self.hosts[h];
-        if !host.alive || !host.mgr_alive || host.mgr_corrupt {
-            return;
-        }
-        let rate = if host.corrupt {
-            self.p.corrupt_host_manager_rate()
-        } else {
-            self.p.manager_attack_rate()
-        };
-        let epoch = host.mgr_attack_epoch;
-        if let Some(d) = self.exp_delay(rate) {
-            self.queue
-                .schedule(self.now + d, Event::MgrAttack { host: h, epoch });
+    /// The exponential rate of `ev` in the current state.
+    fn rate(&self, ev: Event) -> f64 {
+        let p = &self.p;
+        match ev {
+            Event::HostAttack { host, .. } => {
+                p.host_attack_rate()
+                    * p.spread_multiplier(
+                        self.domains[self.hosts[host].domain].spread_level,
+                        self.system_spread_level,
+                    )
+            }
+            Event::HostFalseAlarm { .. } => p.host_false_alarm_rate(),
+            Event::HostDetect { .. } | Event::MgrDetect { .. } | Event::RepDetect { .. } => {
+                p.ids_rate
+            }
+            Event::MgrAttack { host, .. } => {
+                if self.hosts[host].corrupt {
+                    p.corrupt_host_manager_rate()
+                } else {
+                    p.manager_attack_rate()
+                }
+            }
+            Event::RepAttack { replica, .. } => {
+                if self.hosts[self.replicas[replica].host].corrupt {
+                    p.corrupt_host_replica_rate()
+                } else {
+                    p.replica_attack_rate()
+                }
+            }
+            Event::RepFalseDetect { .. } => p.replica_false_alarm_rate(),
+            Event::RepMisbehave { .. } => p.misbehave_rate,
+            Event::SpreadDomain { .. } => p.spread_rate_domain,
+            Event::SpreadSystem { .. } => p.spread_rate_system,
         }
     }
 
-    fn schedule_replica_attack(&mut self, r: usize) {
-        let rep = &self.replicas[r];
-        if !rep.alive || rep.corrupt {
+    /// Schedules `ev` after an exponential delay at its current rate. An
+    /// event that is not live, or whose rate is zero, draws nothing.
+    fn arm(&mut self, ev: Event) {
+        if !self.live(ev) {
             return;
         }
-        let rate = if self.hosts[rep.host].corrupt {
-            self.p.corrupt_host_replica_rate()
-        } else {
-            self.p.replica_attack_rate()
-        };
-        let epoch = rep.attack_epoch;
-        if let Some(d) = self.exp_delay(rate) {
-            self.queue
-                .schedule(self.now + d, Event::RepAttack { replica: r, epoch });
+        let rate = self.rate(ev);
+        if rate > 0.0 {
+            let delay = -self.rng.next_f64_open().ln() / rate;
+            self.queue.schedule(self.now + delay, ev);
+        }
+    }
+
+    /// Invalidates the pending attack of every clean live host in `hosts`
+    /// and redraws it at the rate now in force.
+    fn rearm_host_attacks(&mut self, hosts: std::ops::Range<usize>) {
+        for h in hosts {
+            let host = &mut self.hosts[h];
+            if host.alive && !host.corrupt {
+                host.attack_epoch += 1;
+                let epoch = host.attack_epoch;
+                self.arm(Event::HostAttack { host: h, epoch });
+            }
         }
     }
 
@@ -587,86 +623,17 @@ impl State {
     /// it, sibling branches would inherit the parent's already-drawn
     /// event times from the cloned queue and replay near-identical
     /// futures, defeating the variance reduction splitting exists for.
-    /// Entries whose guard no longer holds (stale epochs, dead or already
-    /// corrupt entities) would be no-ops at pop time and are dropped
-    /// instead of redrawn. Events are redrawn in queue (time) order, so
-    /// the result is a pure function of state and seed.
+    /// Entries that are no longer live would be dropped at pop time, so
+    /// [`State::arm`] drops them instead of redrawing. Events are redrawn
+    /// in queue (time) order, so the result is a pure function of state
+    /// and seed.
     fn resample_pending(&mut self) {
         let mut pending = Vec::new();
         while let Some((_, ev)) = self.queue.pop() {
             pending.push(ev);
         }
         for ev in pending {
-            let rate = match ev {
-                Event::HostAttack { host, epoch } => {
-                    let h = &self.hosts[host];
-                    (h.alive && !h.corrupt && h.attack_epoch == epoch).then(|| {
-                        self.p.host_attack_rate()
-                            * self.p.spread_multiplier(
-                                self.domains[h.domain].spread_level,
-                                self.system_spread_level,
-                            )
-                    })
-                }
-                Event::HostDetect { host } => {
-                    let h = &self.hosts[host];
-                    (h.alive && h.corrupt).then_some(self.p.ids_rate)
-                }
-                Event::HostFalseAlarm { host } => {
-                    let h = &self.hosts[host];
-                    (h.alive && !h.corrupt).then(|| self.p.host_false_alarm_rate())
-                }
-                Event::MgrAttack { host, epoch } => {
-                    let h = &self.hosts[host];
-                    (h.alive && h.mgr_alive && !h.mgr_corrupt && h.mgr_attack_epoch == epoch).then(
-                        || {
-                            if h.corrupt {
-                                self.p.corrupt_host_manager_rate()
-                            } else {
-                                self.p.manager_attack_rate()
-                            }
-                        },
-                    )
-                }
-                Event::MgrDetect { host } => {
-                    let h = &self.hosts[host];
-                    (h.alive && h.mgr_alive && h.mgr_corrupt).then_some(self.p.ids_rate)
-                }
-                Event::RepAttack { replica, epoch } => {
-                    let r = &self.replicas[replica];
-                    (r.alive && !r.corrupt && r.attack_epoch == epoch).then(|| {
-                        if self.hosts[r.host].corrupt {
-                            self.p.corrupt_host_replica_rate()
-                        } else {
-                            self.p.replica_attack_rate()
-                        }
-                    })
-                }
-                Event::RepDetect { replica } => {
-                    let r = &self.replicas[replica];
-                    (r.alive && r.corrupt && !r.convicted).then_some(self.p.ids_rate)
-                }
-                Event::RepFalseDetect { replica } => {
-                    let r = &self.replicas[replica];
-                    (r.alive && r.corrupt && !r.convicted)
-                        .then(|| self.p.replica_false_alarm_rate())
-                }
-                Event::RepMisbehave { replica } => {
-                    let r = &self.replicas[replica];
-                    (r.alive && r.corrupt && !r.convicted).then_some(self.p.misbehave_rate)
-                }
-                Event::SpreadDomain { host } => {
-                    let h = &self.hosts[host];
-                    (h.alive && h.corrupt).then_some(self.p.spread_rate_domain)
-                }
-                Event::SpreadSystem { host } => {
-                    let h = &self.hosts[host];
-                    (h.alive && h.corrupt).then_some(self.p.spread_rate_system)
-                }
-            };
-            if let Some(d) = rate.and_then(|rate| self.exp_delay(rate)) {
-                self.queue.schedule(self.now + d, ev);
-            }
+            self.arm(ev);
         }
     }
 
@@ -674,28 +641,29 @@ impl State {
     // Event handling
     // ------------------------------------------------------------------
 
+    /// Drops `ev` if it is no longer live, and fires it otherwise. Each
+    /// handler may assume its event is live.
     fn handle(&mut self, ev: Event) {
+        if !self.live(ev) {
+            return;
+        }
         match ev {
-            Event::HostAttack { host, epoch } => self.on_host_attack(host, epoch),
+            Event::HostAttack { host, .. } => self.on_host_attack(host),
             Event::HostDetect { host } => self.on_host_detect(host),
             Event::HostFalseAlarm { host } => self.on_host_false_alarm(host),
-            Event::MgrAttack { host, epoch } => self.on_mgr_attack(host, epoch),
+            Event::MgrAttack { host, .. } => self.on_mgr_attack(host),
             Event::MgrDetect { host } => self.on_mgr_detect(host),
-            Event::RepAttack { replica, epoch } => self.on_rep_attack(replica, epoch),
+            Event::RepAttack { replica, .. } => self.on_rep_attack(replica),
             Event::RepDetect { replica } | Event::RepFalseDetect { replica } => {
-                self.on_rep_convicted_by_ids(replica);
+                self.convict_replica(replica);
             }
             Event::RepMisbehave { replica } => self.on_rep_misbehave(replica),
             Event::SpreadDomain { host } => self.on_spread_domain(host),
-            Event::SpreadSystem { host } => self.on_spread_system(host),
+            Event::SpreadSystem { .. } => self.on_spread_system(),
         }
     }
 
-    fn on_host_attack(&mut self, h: usize, epoch: u32) {
-        let host = &self.hosts[h];
-        if !host.alive || host.corrupt || host.attack_epoch != epoch {
-            return;
-        }
+    fn on_host_attack(&mut self, h: usize) {
         self.hosts[h].corrupt = true;
 
         // Category and (pre-sampled) IDS detection.
@@ -715,41 +683,33 @@ impl State {
             AttackCategory::Innovative => mix.detect_innovative,
         };
         if self.rng.bernoulli(p_detect) {
-            if let Some(d) = self.exp_delay(self.p.ids_rate) {
-                self.queue
-                    .schedule(self.now + d, Event::HostDetect { host: h });
-            }
+            self.arm(Event::HostDetect { host: h });
         }
 
         // One-shot spread processes.
-        if let Some(d) = self.exp_delay(self.p.spread_rate_domain) {
-            self.queue
-                .schedule(self.now + d, Event::SpreadDomain { host: h });
-        }
-        if let Some(d) = self.exp_delay(self.p.spread_rate_system) {
-            self.queue
-                .schedule(self.now + d, Event::SpreadSystem { host: h });
-        }
+        self.arm(Event::SpreadDomain { host: h });
+        self.arm(Event::SpreadSystem { host: h });
 
         // Replicas and manager on this host become more vulnerable:
         // invalidate and re-arm their attack processes at the higher rate.
         for i in 0..self.hosts[h].replicas.len() {
             let r = self.hosts[h].replicas[i];
-            if self.replicas[r].alive && !self.replicas[r].corrupt {
-                self.replicas[r].attack_epoch += 1;
-                self.schedule_replica_attack(r);
+            let rep = &mut self.replicas[r];
+            if rep.alive && !rep.corrupt {
+                rep.attack_epoch += 1;
+                let epoch = rep.attack_epoch;
+                self.arm(Event::RepAttack { replica: r, epoch });
             }
         }
-        if self.hosts[h].mgr_alive && !self.hosts[h].mgr_corrupt {
-            self.hosts[h].mgr_attack_epoch += 1;
-            self.schedule_mgr_attack(h);
+        let host = &mut self.hosts[h];
+        if host.mgr_alive && !host.mgr_corrupt {
+            host.mgr_attack_epoch += 1;
+            let epoch = host.mgr_attack_epoch;
+            self.arm(Event::MgrAttack { host: h, epoch });
         }
     }
 
     fn on_host_detect(&mut self, h: usize) {
-        if !self.hosts[h].alive || !self.hosts[h].corrupt {
-            return;
-        }
         // Response requires the local manager and the domain's manager
         // group to be uncompromised (paper §3.4).
         if self.host_level_response_possible(h) {
@@ -758,44 +718,24 @@ impl State {
     }
 
     fn on_host_false_alarm(&mut self, h: usize) {
-        if !self.hosts[h].alive {
-            return;
-        }
-        if self.hosts[h].corrupt {
-            // False alarms are only raised while there has been no actual
-            // intrusion; once corrupt, this channel is disabled.
-            return;
-        }
         if self.host_level_response_possible(h) {
             self.respond_with_exclusion(h);
         }
-        // If the host survived (no response possible, or host-exclusion of
-        // a different host), further false alarms can still occur.
-        if self.hosts[h].alive && !self.hosts[h].corrupt {
-            self.schedule_host_false_alarm(h);
-        }
+        // If the host survived (no response possible), further false
+        // alarms can still occur.
+        self.arm(Event::HostFalseAlarm { host: h });
     }
 
-    fn on_mgr_attack(&mut self, h: usize, epoch: u32) {
-        let host = &self.hosts[h];
-        if !host.alive || !host.mgr_alive || host.mgr_corrupt || host.mgr_attack_epoch != epoch {
-            return;
-        }
+    fn on_mgr_attack(&mut self, h: usize) {
         self.hosts[h].mgr_corrupt = true;
         self.domains[self.hosts[h].domain].corrupt_mgrs += 1;
         self.corrupt_mgrs_total += 1;
         if self.rng.bernoulli(self.p.detect_manager) {
-            if let Some(d) = self.exp_delay(self.p.ids_rate) {
-                self.queue
-                    .schedule(self.now + d, Event::MgrDetect { host: h });
-            }
+            self.arm(Event::MgrDetect { host: h });
         }
     }
 
     fn on_mgr_detect(&mut self, h: usize) {
-        if !self.hosts[h].alive || !self.hosts[h].mgr_alive || !self.hosts[h].mgr_corrupt {
-            return;
-        }
         // The detected manager cannot be required to report itself; the
         // response goes through the rest of the domain group (or the
         // system-wide group).
@@ -805,12 +745,8 @@ impl State {
         }
     }
 
-    fn on_rep_attack(&mut self, r: usize, epoch: u32) {
-        let rep = &self.replicas[r];
-        if !rep.alive || rep.corrupt || rep.attack_epoch != epoch {
-            return;
-        }
-        let app = rep.app;
+    fn on_rep_attack(&mut self, r: usize) {
+        let app = self.replicas[r].app;
         self.replicas[r].corrupt = true;
         self.apps[app].corrupt_undetected += 1;
         self.update_improper(app);
@@ -818,35 +754,14 @@ impl State {
         // IDS detection (pre-sampled success), the paper-literal replica
         // false-alarm channel, and group-communication misbehavior.
         if self.rng.bernoulli(self.p.detect_replica) {
-            if let Some(d) = self.exp_delay(self.p.ids_rate) {
-                self.queue
-                    .schedule(self.now + d, Event::RepDetect { replica: r });
-            }
+            self.arm(Event::RepDetect { replica: r });
         }
-        if let Some(d) = self.exp_delay(self.p.replica_false_alarm_rate()) {
-            self.queue
-                .schedule(self.now + d, Event::RepFalseDetect { replica: r });
-        }
-        if let Some(d) = self.exp_delay(self.p.misbehave_rate) {
-            self.queue
-                .schedule(self.now + d, Event::RepMisbehave { replica: r });
-        }
-    }
-
-    fn on_rep_convicted_by_ids(&mut self, r: usize) {
-        let rep = &self.replicas[r];
-        if !rep.alive || !rep.corrupt || rep.convicted {
-            return;
-        }
-        self.convict_replica(r);
+        self.arm(Event::RepFalseDetect { replica: r });
+        self.arm(Event::RepMisbehave { replica: r });
     }
 
     fn on_rep_misbehave(&mut self, r: usize) {
-        let rep = &self.replicas[r];
-        if !rep.alive || !rep.corrupt || rep.convicted {
-            return;
-        }
-        let app = rep.app;
+        let app = self.replicas[r].app;
         // Conviction by the replication group requires the group to still
         // reach Byzantine agreement.
         if Params::quorum_ok(self.apps[app].running, self.apps[app].corrupt_undetected) {
@@ -854,42 +769,23 @@ impl State {
         } else {
             // The activity is disabled right now but may re-enable; by
             // memorylessness, re-arming is equivalent.
-            if let Some(d) = self.exp_delay(self.p.misbehave_rate) {
-                self.queue
-                    .schedule(self.now + d, Event::RepMisbehave { replica: r });
-            }
+            self.arm(Event::RepMisbehave { replica: r });
         }
     }
 
     fn on_spread_domain(&mut self, h: usize) {
-        if !self.hosts[h].alive || !self.hosts[h].corrupt {
-            return;
-        }
         let d = self.hosts[h].domain;
         // The spread variable is both the propagate rate and the increment
         // (paper §3.4).
         self.domains[d].spread_level += self.p.spread_rate_domain;
         // Every clean host in the domain becomes more exposed.
         let lo = d * self.p.hosts_per_domain;
-        for hh in lo..lo + self.p.hosts_per_domain {
-            if self.hosts[hh].alive && !self.hosts[hh].corrupt {
-                self.hosts[hh].attack_epoch += 1;
-                self.schedule_host_attack(hh);
-            }
-        }
+        self.rearm_host_attacks(lo..lo + self.p.hosts_per_domain);
     }
 
-    fn on_spread_system(&mut self, h: usize) {
-        if !self.hosts[h].alive || !self.hosts[h].corrupt {
-            return;
-        }
+    fn on_spread_system(&mut self) {
         self.system_spread_level += self.p.spread_rate_system;
-        for hh in 0..self.hosts.len() {
-            if self.hosts[hh].alive && !self.hosts[hh].corrupt {
-                self.hosts[hh].attack_epoch += 1;
-                self.schedule_host_attack(hh);
-            }
-        }
+        self.rearm_host_attacks(0..self.hosts.len());
     }
 
     // ------------------------------------------------------------------
@@ -923,12 +819,8 @@ impl State {
             // a different host cannot occur here). The group has still
             // excluded the replica from all future communication, and the
             // correct replicas asked for a replacement.
-            self.replicas[r].alive = false;
-            self.count_live(r, false);
-            self.apps[app].running -= 1;
-            self.apps[app].need_recovery += 1;
+            self.kill_replica(r);
             self.hosts[h].replicas.retain(|&rr| rr != r);
-            self.update_improper(app);
             self.try_recoveries();
         }
     }
@@ -1046,7 +938,10 @@ impl State {
         self.count_live(r, true);
         self.apps[app].running += 1;
         self.update_improper(app);
-        self.schedule_replica_attack(r);
+        self.arm(Event::RepAttack {
+            replica: r,
+            epoch: 0,
+        });
         true
     }
 

@@ -358,10 +358,6 @@ impl Observer for MeasureObserver {
         self.update(time, marking);
     }
 
-    fn sample_times(&self) -> Vec<f64> {
-        self.samples.clone()
-    }
-
     fn append_sample_times(&self, out: &mut Vec<f64>) {
         out.extend_from_slice(&self.samples);
     }

@@ -11,6 +11,7 @@
 )]
 
 use crate::store::StoredEstimate;
+use std::io::{self, Write};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -107,7 +108,8 @@ impl Progress for ConsoleProgress {
         let overall_done = s.reps_in_finished_points + done as u64;
         let rate = overall_done as f64 / elapsed.max(1e-9);
         let eta = (total - done) as f64 / rate.max(1e-9);
-        eprintln!(
+        let _ = writeln!(
+            io::stderr(),
             "    {done}/{total} replications of {} ({rate:.0} reps/s, point ETA {})",
             s.current_label,
             fmt_secs(eta),
@@ -122,7 +124,7 @@ impl Progress for ConsoleProgress {
     fn on_point_start(&self, index: usize, total: usize, label: &str) {
         let mut s = self.state.lock().expect("progress state poisoned");
         s.current_label = label.to_owned();
-        eprintln!("[{}/{total}] {label}", index + 1);
+        let _ = writeln!(io::stderr(), "[{}/{total}] {label}", index + 1);
     }
 
     fn on_point_done(
@@ -137,13 +139,22 @@ impl Progress for ConsoleProgress {
         s.points_done += 1;
         if resumed {
             s.points_resumed += 1;
-            eprintln!("[{}/{total}] {label}: resumed from result store", index + 1);
+            let _ = writeln!(
+                io::stderr(),
+                "[{}/{total}] {label}: resumed from result store",
+                index + 1
+            );
         } else {
             let shown: Vec<String> = estimates
                 .iter()
                 .map(|e| format!("{}={:.4}±{:.4}", e.name, e.mean, e.half_width))
                 .collect();
-            eprintln!("[{}/{total}] {label}: {}", index + 1, shown.join("  "));
+            let _ = writeln!(
+                io::stderr(),
+                "[{}/{total}] {label}: {}",
+                index + 1,
+                shown.join("  ")
+            );
         }
         // Sweep-level ETA from the measured per-point pace (simulated
         // points only; resumed points are free).
@@ -151,7 +162,7 @@ impl Progress for ConsoleProgress {
         if simulated > 0 && s.points_done < total {
             let per_point = s.started.elapsed().as_secs_f64() / simulated as f64;
             let remaining = (total - s.points_done) as f64 * per_point;
-            eprintln!("    sweep ETA {}", fmt_secs(remaining));
+            let _ = writeln!(io::stderr(), "    sweep ETA {}", fmt_secs(remaining));
         }
     }
 }

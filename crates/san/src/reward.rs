@@ -192,8 +192,8 @@ impl InstantOfTime {
 }
 
 impl Observer for InstantOfTime {
-    fn sample_times(&self) -> Vec<f64> {
-        self.times.clone()
+    fn append_sample_times(&self, out: &mut Vec<f64>) {
+        out.extend_from_slice(&self.times);
     }
 
     fn on_sample(&mut self, time: f64, marking: &Marking) {

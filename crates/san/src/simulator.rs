@@ -34,19 +34,10 @@ pub trait Observer {
     /// marking has stabilized again.
     fn on_event(&mut self, _time: f64, _activity: ActivityId, _marking: &Marking) {}
 
-    /// Extra time points at which [`Observer::on_sample`] should be called
-    /// (for instant-of-time variables). Must be sorted ascending.
-    fn sample_times(&self) -> Vec<f64> {
-        Vec::new()
-    }
-
-    /// Appends the observer's requested sample times to `out`. The default
-    /// delegates to [`Observer::sample_times`]; observers that keep their
-    /// times in a buffer can override this to avoid the per-run `Vec`
-    /// allocation (the simulator only ever calls this form).
-    fn append_sample_times(&self, out: &mut Vec<f64>) {
-        out.extend(self.sample_times());
-    }
+    /// Appends the extra time points at which [`Observer::on_sample`]
+    /// should be called (for instant-of-time variables) to `out`. The
+    /// default requests none.
+    fn append_sample_times(&self, _out: &mut Vec<f64>) {}
 
     /// Called at each requested sample time with the marking then in force.
     fn on_sample(&mut self, _time: f64, _marking: &Marking) {}
@@ -1097,8 +1088,8 @@ mod tests {
             times: Vec<f64>,
         }
         impl Observer for Sampler {
-            fn sample_times(&self) -> Vec<f64> {
-                vec![1.0, 2.0, 5.0, 50.0]
+            fn append_sample_times(&self, out: &mut Vec<f64>) {
+                out.extend_from_slice(&[1.0, 2.0, 5.0, 50.0]);
             }
             fn on_sample(&mut self, time: f64, _m: &Marking) {
                 self.times.push(time);

@@ -20,7 +20,7 @@ use itua_runner::split::run_measures_split;
 use itua_runner::store::{fingerprint_iter, ResultStore, StoredEstimate, StoredPoint};
 use itua_runner::sweep::{PointSpec, SweepRunner};
 use itua_sim::rng::stream_seed;
-use std::io;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 /// How much simulation to spend per sweep point.
@@ -229,7 +229,8 @@ pub fn run_sweep(
         ) {
             Ok(store) => Some(store),
             Err(e) => {
-                eprintln!(
+                let _ = writeln!(
+                    io::stderr(),
                     "warning: result store {} in {} is unavailable ({e}); \
                      running without checkpoint/resume",
                     store_id,

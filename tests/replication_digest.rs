@@ -16,7 +16,10 @@
 //!
 //! A third run on each backend pins the paths only Figure 5 reaches: host
 //! exclusion, one-per-host placement and spread re-arms (48 replications,
-//! horizon 10, samples at 5 and 10, seed 13).
+//! horizon 10, samples at 5 and 10, seed 13). On the DES, a fourth run
+//! splits that configuration at `1x4,2x4` (32 trees, horizon 10, a sample
+//! at 10, seed 17), so every split redraws pending host-exclusion and
+//! spread re-armed events through the reseeded stream.
 //!
 //! Each run is repeated at 1, 2 and 8 threads with batches of 1 and 32,
 //! and must reproduce the `to_bits` of every estimate's mean and
@@ -149,6 +152,14 @@ fn des_split_trees_are_pinned() {
 #[test]
 fn des_host_exclusion_replications_are_pinned() {
     check(BackendKind::Des, &DES_HOST_EXCLUSION);
+}
+
+#[test]
+fn des_host_exclusion_split_trees_are_pinned() {
+    // The trees must split, or no reseed redraws a pending event.
+    let totals = &DES_HOST_EXCLUSION_SPLIT.totals;
+    assert!(totals.branches > totals.trees, "{totals:?}");
+    check(BackendKind::Des, &DES_HOST_EXCLUSION_SPLIT);
 }
 
 #[test]
@@ -441,5 +452,46 @@ const SAN_HOST_EXCLUSION: Pinned = Pinned {
         branches: 48,
         leaves: 48,
         killed: 0,
+    },
+};
+
+const DES_HOST_EXCLUSION_SPLIT: Pinned = Pinned {
+    params: host_exclusion_params,
+    horizon: 10.0,
+    replications: 32,
+    seed: 17,
+    samples: &[10.0],
+    spec: "1x4,2x4",
+    estimates: &[
+        (
+            "frac_domains_excluded@10",
+            0x0000000000000000,
+            0x0000000000000000,
+        ),
+        ("load_per_host@10", 0x3ff1b8e752d24469, 0x3fcaed6a3fd4cfc4),
+        (
+            "replicas_running@10",
+            0x40106c0000000000,
+            0x3feab337f3d83809,
+        ),
+        (
+            "time_to_first_byzantine",
+            0x401c65b0da41c117,
+            0x3fe5a3ae4ae76a6c,
+        ),
+        (
+            "time_to_first_improper",
+            0x401c65b0da41c117,
+            0x3fe5a3ae4ae76a6c,
+        ),
+        ("unavailability", 0x3f7e5552f88f728c, 0x3f6cc5766bcd74bb),
+        ("unreliability", 0x3fb9000000000003, 0x3f9f64394e10f78f),
+    ],
+    totals: SplitTotals {
+        trees: 32,
+        steps: 11174,
+        branches: 542,
+        leaves: 508,
+        killed: 34,
     },
 };
