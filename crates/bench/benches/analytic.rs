@@ -39,7 +39,7 @@
 //! Usage: `cargo bench -p itua-bench --bench analytic -- [--quick]
 //! [--json PATH]`; CI runs it with `--json BENCH_analytic.json`.
 
-use itua_bench::tracked::{record, Gate};
+use itua_bench::tracked::{record, BenchArgs, Gate};
 use itua_core::analytic::{AnalyticOptions, ItuaAnalytic};
 use itua_core::params::Params;
 
@@ -156,18 +156,8 @@ fn micro_max_rel_err() -> f64 {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" | "--test" => quick = true,
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--bench" => {} // passed by `cargo bench`
-            other => panic!("unknown argument '{other}' (try --quick, --json PATH)"),
-        }
-    }
-    let params = if quick {
+    let args = BenchArgs::from_env("analytic", &[]);
+    let params = if args.quick {
         quick_params()
     } else {
         headline_params()
@@ -227,7 +217,7 @@ fn main() {
         ("micro_max_rel_err".into(), micro_err),
     ];
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.json {
         record(
             &path,
             "itua-analytic-lumped-v1",

@@ -33,7 +33,7 @@
 //! Usage: `cargo bench -p itua-bench --bench rare_split -- [--quick]
 //! [--json PATH]`; CI runs it with `--json BENCH_rare.json`.
 
-use itua_bench::tracked::{record, Gate};
+use itua_bench::tracked::{record, BenchArgs, Gate};
 use itua_core::measures::names;
 use itua_core::params::Params;
 use itua_rare::SplitSpec;
@@ -151,18 +151,8 @@ fn exact_unreliability() -> f64 {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" | "--test" => quick = true,
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--bench" => {} // passed by `cargo bench`
-            other => panic!("unknown argument '{other}' (try --quick, --json PATH)"),
-        }
-    }
-    let trees = if quick { 2048 } else { TREES };
+    let args = BenchArgs::from_env("rare_split", &[]);
+    let trees = if args.quick { 2048 } else { TREES };
 
     let backend =
         ItuaBackend::for_params(BackendKind::Des, &tail_params()).expect("DES tail backend");
@@ -192,7 +182,7 @@ fn main() {
     // At full size both arms must cover the exact value; the quick smoke
     // run is far too small for the plain arm to even see a failure
     // (expected hits ≈ trees × 2e-4), so it only exercises the pipeline.
-    if !quick {
+    if !args.quick {
         for (name, arm) in [("plain", &plain), ("split", &split)] {
             assert!(
                 (arm.mean - exact).abs() <= arm.half_width,
@@ -215,7 +205,7 @@ fn main() {
         ("event_reduction".into(), event_reduction),
     ];
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.json {
         record(
             &path,
             "itua-rare-split-v1",

@@ -26,7 +26,7 @@
 //! Usage: `cargo bench -p itua-bench --bench san_hotpath -- [--quick]
 //! [--json PATH] [--only NAME]`; CI runs it with `--json BENCH_san.json`.
 
-use itua_bench::tracked::{record, Gate};
+use itua_bench::tracked::{record, BenchArgs, Gate};
 use itua_core::params::Params;
 use itua_runner::backend::{Backend, BackendKind, ItuaBackend};
 use itua_san::model::{San, SanBuilder};
@@ -111,7 +111,7 @@ fn raw_san_scenario(name: &'static str, reps: u64, model: Arc<San>, horizon: f64
         name,
         reps,
         run: Box::new(move |rep| {
-            sim.run_with_scratch(stream_seed(BENCH_SEED, rep), horizon, &mut [], &mut scratch)
+            sim.run_with_scratch(stream_seed(BENCH_SEED, rep), horizon, &mut (), &mut scratch)
                 .unwrap();
         }),
     }
@@ -181,27 +181,17 @@ fn measure(sc: &mut Scenario, rounds: usize, quick: bool) -> f64 {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut json_path: Option<String> = None;
-    let mut only: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" | "--test" => quick = true,
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--only" => only = Some(args.next().expect("--only needs a scenario name")),
-            "--bench" => {} // passed by `cargo bench`
-            other => panic!("unknown argument '{other}' (try --quick, --json PATH, --only NAME)"),
-        }
-    }
-    let rounds = if quick { 1 } else { 9 };
+    let scenarios = scenarios();
+    let names: Vec<&str> = scenarios.iter().map(|sc| sc.name).collect();
+    let args = BenchArgs::from_env("san_hotpath", &names);
+    let rounds = if args.quick { 1 } else { 9 };
 
     let mut results: Vec<(String, f64)> = Vec::new();
-    for mut sc in scenarios() {
-        if only.as_deref().is_some_and(|o| o != sc.name) {
+    for mut sc in scenarios {
+        if args.only.as_deref().is_some_and(|o| o != sc.name) {
             continue;
         }
-        let ns = measure(&mut sc, rounds, quick);
+        let ns = measure(&mut sc, rounds, args.quick);
         println!("{:<22} {:>14.0} ns/replication", sc.name, ns);
         #[expect(
             clippy::disallowed_methods,
@@ -209,9 +199,8 @@ fn main() {
         )]
         results.push((sc.name.to_owned(), ns.round()));
     }
-    assert!(!results.is_empty(), "no scenario matched --only filter");
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.json {
         record(
             &path,
             "itua-san-hotpath-v1",

@@ -12,6 +12,12 @@ use itua_studies::sweep::{RunOpts, SweepConfig};
 use std::path::PathBuf;
 use std::str::FromStr;
 
+/// The most worker threads `--threads` may ask for: far above any core
+/// count the runs need, and far below the thousands of threads an
+/// operating system refuses (the replication engine panics when a spawn
+/// fails).
+pub const MAX_THREADS: usize = 1024;
+
 /// The flags of `itua run` and `itua check`.
 ///
 /// Supported arguments:
@@ -29,8 +35,8 @@ use std::str::FromStr;
 /// * `--csv` — also print the figure as CSV,
 /// * `--threads N` — worker threads: the simulators' replication workers,
 ///   and for the analytic backend the teams that generate the state
-///   space and walk the uniformization (default: one per core; results
-///   are identical for every choice),
+///   space and walk the uniformization (default: one per core; at most
+///   [`MAX_THREADS`]; results are identical for every choice),
 /// * `--batch N` — replications per batched backend call (default 32;
 ///   purely an amortisation knob, results are identical for every
 ///   choice),
@@ -109,8 +115,8 @@ impl FigureCli {
     /// # Errors
     ///
     /// A one-line message naming the offending flag: an unknown flag, a
-    /// missing or malformed value, a zero `--max-states`, or an invalid
-    /// `--split-levels` spec.
+    /// missing or malformed value, a zero `--max-states`, a `--threads`
+    /// above [`MAX_THREADS`], or an invalid `--split-levels` spec.
     pub fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut cli = FigureCli {
             backend: BackendKind::Des,
@@ -148,7 +154,12 @@ impl FigureCli {
                 "--lump" => cli.backend_opts.analytic_lump = true,
                 "--no-lump" => cli.backend_opts.analytic_lump = false,
                 "--csv" => cli.csv = true,
-                "--threads" => cli.threads = value(&mut it, &arg, "a non-negative integer")?,
+                "--threads" => {
+                    cli.threads = value(&mut it, &arg, "a non-negative integer")?;
+                    if cli.threads > MAX_THREADS {
+                        return Err(format!("--threads needs at most {MAX_THREADS} threads"));
+                    }
+                }
                 "--batch" => cli.batch_size = value(&mut it, &arg, "a non-negative integer")?,
                 "--results" => {
                     cli.results_dir = Some(value(&mut it, &arg, "a directory path")?);
@@ -417,6 +428,10 @@ mod tests {
             (&["--reps", "abc"][..], "--reps needs a positive integer"),
             (&["--seed", "-1"], "--seed needs an integer"),
             (&["--threads"], "--threads needs a non-negative integer"),
+            (
+                &["--threads", "1025"],
+                "--threads needs at most 1024 threads",
+            ),
             (&["--batch", "x"], "--batch needs a non-negative integer"),
             (&["--results"], "--results needs a directory path"),
             (

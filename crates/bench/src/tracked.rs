@@ -6,10 +6,79 @@
 //! Recording is also the regression check: each bench passes the [`Gate`]s
 //! its figures must meet, and [`record`] prints `PATH: ok` or one
 //! `PATH: REGRESSION: …` line per violation, exiting 2 on any.
+//!
+//! Every bench reads its flags through [`BenchArgs::from_env`]: a bad
+//! flag prints the usage and exits 2, like the `itua` CLI.
 
 use itua_runner::json::Json;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+
+/// The flags of a tracked bench.
+#[derive(Debug, Default, PartialEq)]
+pub struct BenchArgs {
+    /// `--quick` (or `--test`): a small run for CI smoke coverage.
+    pub quick: bool,
+    /// `--json PATH`: the tracked file to record the figures in.
+    pub json: Option<String>,
+    /// `--only NAME`: the one scenario to run, for a bench that has
+    /// scenarios.
+    pub only: Option<String>,
+}
+
+impl BenchArgs {
+    /// Parses the bench's arguments (excluding `argv[0]`); see
+    /// [`BenchArgs::from_env`].
+    ///
+    /// # Errors
+    ///
+    /// A one-line message for an unknown flag, a flag without its value,
+    /// or an `--only` that names no scenario.
+    fn try_parse(
+        args: impl IntoIterator<Item = String>,
+        scenarios: &[&str],
+    ) -> Result<Self, String> {
+        let mut parsed = BenchArgs::default();
+        let mut it = args.into_iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--quick" | "--test" => parsed.quick = true,
+                "--json" => parsed.json = Some(it.next().ok_or("--json needs a path")?),
+                "--only" if !scenarios.is_empty() => {
+                    let name = it.next().ok_or("--only needs a scenario name")?;
+                    if !scenarios.contains(&name.as_str()) {
+                        return Err(format!("--only: no scenario '{name}'"));
+                    }
+                    parsed.only = Some(name);
+                }
+                "--bench" => {}
+                other => return Err(format!("unknown argument '{other}'")),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Parses `std::env::args` for the bench `name`. `scenarios` names
+    /// what `--only` may pick; a bench without scenarios passes none and
+    /// takes no `--only`. Cargo's `--bench` is accepted and ignored. An
+    /// unknown flag, a flag without its value, or an `--only` that names
+    /// no scenario prints the error and the usage on stderr and exits 2.
+    pub fn from_env(name: &str, scenarios: &[&str]) -> Self {
+        Self::try_parse(std::env::args().skip(1), scenarios).unwrap_or_else(|e| {
+            let only = if scenarios.is_empty() {
+                String::new()
+            } else {
+                format!(" [--only {}]", scenarios.join("|"))
+            };
+            let _ = writeln!(
+                io::stderr(),
+                "error: {e}\nusage: cargo bench -p itua-bench --bench {name} -- \
+                 [--quick] [--json PATH]{only}"
+            );
+            std::process::exit(2);
+        })
+    }
+}
 
 /// Allowed growth of a baseline-gated figure over its baseline (15%).
 const REGRESSION_FACTOR: f64 = 1.15;
@@ -160,6 +229,46 @@ fn resolve(path: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `BenchArgs::try_parse` on string literals.
+    fn parse(args: &[&str], scenarios: &[&str]) -> Result<BenchArgs, String> {
+        BenchArgs::try_parse(args.iter().map(|&a| a.to_owned()), scenarios)
+    }
+
+    #[test]
+    fn bench_args_parse_every_flag() {
+        assert_eq!(parse(&[], &[]), Ok(BenchArgs::default()));
+        assert_eq!(
+            parse(&["--bench", "--quick", "--json", "B.json"], &[]),
+            Ok(BenchArgs {
+                quick: true,
+                json: Some("B.json".into()),
+                only: None,
+            })
+        );
+        assert_eq!(
+            parse(&["--test", "--only", "b", "--bench"], &["a", "b"]),
+            Ok(BenchArgs {
+                quick: true,
+                json: None,
+                only: Some("b".into()),
+            })
+        );
+    }
+
+    #[test]
+    fn bench_args_reject_bad_input() {
+        for (args, scenarios, msg) in [
+            (&["--bogus"][..], &[][..], "unknown argument '--bogus'"),
+            (&["--quick", "-q"], &["a"], "unknown argument '-q'"),
+            (&["--json"], &[], "--json needs a path"),
+            (&["--only"], &["a"], "--only needs a scenario name"),
+            (&["--only", "a"], &[], "unknown argument '--only'"),
+            (&["--only", "c"], &["a", "b"], "--only: no scenario 'c'"),
+        ] {
+            assert_eq!(parse(args, scenarios), Err(msg.to_owned()), "{args:?}");
+        }
+    }
 
     /// `(name, value)` figures from literals.
     fn figures(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {

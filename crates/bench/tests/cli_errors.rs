@@ -52,6 +52,8 @@ fn malformed_flags_exit_2_with_usage() {
         &["--split-levels", "2x4,1x8"],
         &["--max-states", "0"],
         &["--threads"],
+        // Past `MAX_THREADS`: refused before any worker starts.
+        &["--threads", "1025"],
     ] {
         for cmd in ["run", "check"] {
             let mut args = vec![cmd, "figure3", "--no-resume", "--quiet"];

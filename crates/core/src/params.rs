@@ -343,8 +343,8 @@ impl Params {
     /// Returns [`ParamsError`] for empty layouts, more than
     /// [`MAX_HOSTS`] hosts or [`MAX_REPLICAS_PER_APP`] replicas per
     /// application, probabilities outside `[0, 1]`, negative rates, or
-    /// more than 15 applications (the paper's bit-vector identifier
-    /// limit, which the SAN encoding shares).
+    /// more than 15 applications (the paper's limit, kept for fidelity:
+    /// the SAN encoding's per-application counter places have none).
     pub fn validate(&self) -> Result<(), ParamsError> {
         let err = |what: &str| Err(ParamsError { what: what.into() });
         if self.num_domains == 0 || self.hosts_per_domain == 0 {
@@ -364,7 +364,7 @@ impl Params {
             ));
         }
         if self.num_apps > 15 {
-            return err("at most 15 applications (bit-vector identifier limit)");
+            return err("at most 15 applications (the paper's limit)");
         }
         let probs = [
             self.attack_mix.p_script,

@@ -168,11 +168,10 @@ impl ItuaSanRunner {
     ///
     /// Panics if `scratch` was created for a structurally different model.
     pub fn begin(&self, seed: u64, scratch: &mut SanScratch) -> Result<(), SanError> {
-        scratch.observer.reset_run();
         let cursor = self.sim.begin_run(
             seed,
             scratch.horizon,
-            &mut [&mut scratch.observer],
+            &mut scratch.observer,
             &mut scratch.sim,
         )?;
         scratch.cursor = Some(cursor);
@@ -200,12 +199,8 @@ impl SplitBranch for SanScratch {
     /// [`SanSimulator::step_run`].
     fn step(&mut self) -> Result<bool, SanError> {
         let cursor = self.cursor.as_mut().expect(NOT_BEGUN);
-        self.simulator.step_run(
-            self.horizon,
-            &mut [&mut self.observer],
-            &mut self.sim,
-            cursor,
-        )
+        self.simulator
+            .step_run(self.horizon, &mut self.observer, &mut self.sim, cursor)
     }
 
     fn level(&self) -> u32 {
@@ -280,25 +275,6 @@ impl MeasureObserver {
         clamp_sample_times(sample_times, horizon, &mut self.samples);
     }
 
-    /// Resets the per-replication accumulators, reusing every buffer, and
-    /// leaves the sample schedule in place. `take_output` may have
-    /// drained some vectors; `resize` after `clear` restores their length
-    /// either way.
-    fn reset_run(&mut self) {
-        self.improper.clear();
-        self.improper
-            .resize(self.num_apps, TimeWeighted::new(0.0, 1.0));
-        self.byzantine.clear();
-        self.byzantine.resize(self.num_apps, false);
-        self.first_byzantine_time = None;
-        self.first_improper_time = None;
-        self.excluded_seen = 0;
-        self.domain_recorded.clear();
-        self.domain_recorded.resize(self.num_domains, false);
-        self.exclusion_fractions.clear();
-        self.snapshots.clear();
-    }
-
     fn update(&mut self, time: f64, marking: &Marking) {
         for a in 0..self.improper.len() {
             let improper = self.places.improper(marking, a);
@@ -330,8 +306,7 @@ impl MeasureObserver {
     }
 
     /// Extracts the run's measures. Accumulator vectors are moved out (the
-    /// output owns them anyway); the next [`MeasureObserver::reset_run`]
-    /// rebuilds them.
+    /// output owns them anyway); the next run's `on_init` rebuilds them.
     fn take_output(&mut self, horizon: f64) -> RunOutput {
         RunOutput {
             horizon,
@@ -350,7 +325,24 @@ impl MeasureObserver {
 }
 
 impl Observer for MeasureObserver {
+    /// Starts a replication: resets the per-replication accumulators,
+    /// reusing every buffer and leaving the sample schedule in place
+    /// (`take_output` may have drained some vectors; `resize` after
+    /// `clear` restores their length either way), then observes the
+    /// stabilized initial marking.
     fn on_init(&mut self, time: f64, marking: &Marking) {
+        self.improper.clear();
+        self.improper
+            .resize(self.num_apps, TimeWeighted::new(0.0, 1.0));
+        self.byzantine.clear();
+        self.byzantine.resize(self.num_apps, false);
+        self.first_byzantine_time = None;
+        self.first_improper_time = None;
+        self.excluded_seen = 0;
+        self.domain_recorded.clear();
+        self.domain_recorded.resize(self.num_domains, false);
+        self.exclusion_fractions.clear();
+        self.snapshots.clear();
         self.update(time, marking);
     }
 

@@ -1013,7 +1013,7 @@ mod tests {
             running: model.places.running.clone(),
             values: vec![],
         };
-        sim.run(1, 0.0, &mut [&mut check]).unwrap();
+        sim.run(1, 0.0, &mut check).unwrap();
         // 3 domains ≥ 3 replicas per app → all start.
         assert_eq!(check.values, vec![3, 3]);
     }
@@ -1031,7 +1031,7 @@ mod tests {
             }
         }
         let mut check = Check(model.places.running[0], -1);
-        sim.run(1, 0.0, &mut [&mut check]).unwrap();
+        sim.run(1, 0.0, &mut check).unwrap();
         assert_eq!(check.1, 2);
     }
 
@@ -1040,7 +1040,7 @@ mod tests {
         let model = build(&small_params()).unwrap();
         let sim = SanSimulator::new(model.san.clone());
         for seed in 0..20 {
-            sim.run(seed, 10.0, &mut []).unwrap();
+            sim.run(seed, 10.0, &mut ()).unwrap();
         }
     }
 
@@ -1068,7 +1068,7 @@ mod tests {
             total_hosts: 3,
         };
         for seed in 0..30 {
-            sim.run(seed, 15.0, &mut [&mut inv]).unwrap();
+            sim.run(seed, 15.0, &mut inv).unwrap();
         }
     }
 
@@ -1085,7 +1085,7 @@ mod tests {
         }
         for seed in 0..20 {
             let mut obs = NoDomainExcluded(model.places.excluded_domains);
-            sim.run(seed, 10.0, &mut [&mut obs]).unwrap();
+            sim.run(seed, 10.0, &mut obs).unwrap();
         }
     }
 

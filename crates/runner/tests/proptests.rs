@@ -1,15 +1,16 @@
-//! Property tests: for arbitrary small SAN models and experiment
-//! configurations, the engine must produce the same estimates — bit for
-//! bit — for every thread count and batch size, with scratch state reused
-//! across replications on each worker.
+//! Property tests: for arbitrary small SAN models and replication
+//! settings, the engine must produce the same observations — bit for
+//! bit — for every thread count and batch size, with the simulator's
+//! scratch state and the reward variables reused across replications on
+//! each worker.
 
-use itua_runner::engine::RunnerConfig;
-use itua_runner::experiment::run_experiment_parallel;
-use itua_runner::experiment::ExperimentConfig;
+use itua_runner::engine::{replicate_batched, RunnerConfig};
 use itua_runner::progress::NullProgress;
+use itua_san::marking::Marking;
 use itua_san::model::SanBuilder;
-use itua_san::reward::{EverTrue, RewardVariable, TimeAveraged};
+use itua_san::reward::{EverTrue, TimeAveraged};
 use itua_san::simulator::SanSimulator;
+use itua_sim::rng::stream_seed;
 use proptest::prelude::*;
 
 /// Builds a tandem chain of `stages + 1` places where tokens flow forward
@@ -35,6 +36,38 @@ fn tandem_chain(stages: usize, rates: &[f64], tokens: i32) -> SanSimulator {
     SanSimulator::new(b.finish().unwrap())
 }
 
+/// The time-averaged occupancy of the chain's last place and whether it
+/// was ever occupied, for replications `0..replications` seeded
+/// `stream_seed(base_seed, i)` and run on `runner`.
+fn observe(
+    sim: &SanSimulator,
+    horizon: f64,
+    replications: u32,
+    base_seed: u64,
+    runner: &RunnerConfig,
+) -> Vec<(f64, f64)> {
+    let last = sim.san().place_ids().last().unwrap();
+    replicate_batched(
+        replications,
+        runner,
+        &NullProgress,
+        || {
+            let f = move |m: &Marking| m.get(last) as f64;
+            (sim.scratch(), TimeAveraged::new(f), EverTrue::new(f))
+        },
+        |reps, (scratch, occupancy, reached), out| {
+            for i in reps {
+                let seed = stream_seed(base_seed, u64::from(i));
+                sim.run_with_scratch(seed, horizon, occupancy, scratch)
+                    .unwrap();
+                sim.run_with_scratch(seed, horizon, reached, scratch)
+                    .unwrap();
+                out.push((occupancy.value().unwrap(), reached.value().unwrap()));
+            }
+        },
+    )
+}
+
 proptest! {
     #[test]
     fn parallel_experiment_is_thread_count_invariant(
@@ -48,29 +81,12 @@ proptest! {
         batch_size in 1u32..9,
     ) {
         let sim = tandem_chain(stages, &[rate_a, rate_b], tokens);
-        let last = sim.san().place_id(&format!("p{stages}")).unwrap();
-        let cfg = ExperimentConfig {
-            horizon,
-            replications,
-            base_seed,
-            confidence: 0.95,
-        };
-        let make = || {
-            vec![
-                Box::new(TimeAveraged::new("occupancy", move |m| m.get(last) as f64))
-                    as Box<dyn RewardVariable>,
-                Box::new(EverTrue::new("reached", move |m| m.get(last) as f64)),
-            ]
-        };
-
-        let reference =
-            run_experiment_parallel(&sim, cfg, &RunnerConfig::serial(), &NullProgress, make)
-                .unwrap();
+        let reference = observe(&sim, horizon, replications, base_seed, &RunnerConfig::serial());
+        prop_assert_eq!(reference.len(), replications as usize);
 
         for threads in [1usize, 2, 4, 8] {
             let rc = RunnerConfig { threads, batch_size };
-            let parallel =
-                run_experiment_parallel(&sim, cfg, &rc, &NullProgress, make).unwrap();
+            let parallel = observe(&sim, horizon, replications, base_seed, &rc);
             prop_assert_eq!(
                 &parallel,
                 &reference,

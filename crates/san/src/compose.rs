@@ -358,7 +358,7 @@ mod tests {
         // All tokens drain from the shared pool into exactly one of the
         // local counters each.
         let sim = SanSimulator::new(san.clone());
-        let stats = sim.run(1, 1000.0, &mut []).unwrap();
+        let stats = sim.run(1, 1000.0, &mut ()).unwrap();
         assert_eq!(stats.timed_firings, 5);
     }
 
@@ -498,6 +498,6 @@ mod tests {
         assert_ne!(r0, r1);
         // The model runs.
         let sim = SanSimulator::new(san);
-        sim.run(1, 5.0, &mut []).unwrap();
+        sim.run(1, 5.0, &mut ()).unwrap();
     }
 }

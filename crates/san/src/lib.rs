@@ -48,8 +48,9 @@
 //!
 //! // Simulation estimate of unavailability over [0, 50].
 //! let sim = SanSimulator::new(san.clone());
-//! let mut reward = TimeAveraged::new("unavail", move |m| m.get(down) as f64);
-//! sim.run(1, 50.0, &mut [&mut reward])?;
+//! let mut unavailability = TimeAveraged::new(move |m| m.get(down) as f64);
+//! sim.run(1, 50.0, &mut unavailability)?;
+//! let simulated = unavailability.value().expect("the run has ended");
 //!
 //! // Exact CTMC solution.
 //! let ss = StateSpace::generate(&san, 10_000)?;
@@ -59,6 +60,7 @@
 //!     .map(|s| pi[s] * ss.marking(s).get(down) as f64)
 //!     .sum();
 //! assert!((exact - 0.1).abs() < 1e-6);
+//! assert!((simulated - exact).abs() < 0.1);
 //! # Ok(())
 //! # }
 //! ```

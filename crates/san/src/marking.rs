@@ -124,31 +124,6 @@ impl Marking {
         self.set(place, v);
     }
 
-    /// Whether bit `bit` of the place value is set (the ITUA model uses
-    /// places as bit vectors of application identifiers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= 31`.
-    #[inline]
-    pub fn bit(&self, place: PlaceId, bit: u32) -> bool {
-        assert!(bit < 31);
-        self.get(place) & (1 << bit) != 0
-    }
-
-    /// Sets or clears bit `bit` of the place value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= 31`.
-    #[inline]
-    pub fn set_bit(&mut self, place: PlaceId, bit: u32, on: bool) {
-        assert!(bit < 31);
-        let v = self.get(place);
-        let nv = if on { v | (1 << bit) } else { v & !(1 << bit) };
-        self.set(place, nv);
-    }
-
     /// Raw values, for hashing and state-space storage.
     pub fn values(&self) -> &[i32] {
         &self.values
@@ -241,19 +216,6 @@ mod tests {
         m.clear_dirty();
         assert_eq!(m.dirty_len(), 0);
         assert!(m.dirty_since(0).is_empty());
-    }
-
-    #[test]
-    fn bit_operations() {
-        let mut m = Marking::new(&[0]);
-        m.set_bit(pid(0), 3, true);
-        assert!(m.bit(pid(0), 3));
-        assert_eq!(m.get(pid(0)), 8);
-        m.set_bit(pid(0), 0, true);
-        assert_eq!(m.get(pid(0)), 9);
-        m.set_bit(pid(0), 3, false);
-        assert_eq!(m.get(pid(0)), 1);
-        assert!(!m.bit(pid(0), 3));
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Three kinds cover the paper's state-based measures: *unavailability
 //! for an interval* ([`TimeAveraged`] over an indicator), *unreliability
 //! for an interval* ([`EverTrue`]: was the indicator ever 1) and *number
-//! of replicas running at an instant* ([`InstantOfTime`]). Each is an
-//! [`crate::simulator::Observer`] that turns one simulation run into one
-//! or more named observations. The composed ITUA model's measures,
-//! including the event-triggered *fraction of corrupt hosts in an
-//! excluded domain*, are observed in `itua_core::san_exec`.
+//! of replicas running at an instant* ([`InstantOfTime`]). Each is the
+//! [`crate::simulator::Observer`] of a run and holds that run's result
+//! until the next run, which it starts afresh in `on_init`, so one value
+//! observes run after run. The composed ITUA model's measures, including
+//! the event-triggered *fraction of corrupt hosts in an excluded domain*,
+//! are observed in `itua_core::san_exec`.
 
 use crate::marking::Marking;
 use crate::model::ActivityId;
@@ -18,51 +19,34 @@ use std::sync::Arc;
 /// Shared-ownership reward function over a marking.
 pub type RewardFn = Arc<dyn Fn(&Marking) -> f64 + Send + Sync>;
 
-/// A named observation produced by a reward variable at the end of a run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Observation {
-    /// Measure name (may include a suffix such as `@5`).
-    pub name: String,
-    /// Observed value for this replication.
-    pub value: f64,
-}
-
-/// A reward variable that can be harvested after a run.
-pub trait RewardVariable: Observer {
-    /// The observations this variable produced during the last run.
-    fn observations(&self) -> Vec<Observation>;
-
-    /// Resets internal state so the variable can observe another run.
-    fn reset(&mut self);
-}
-
 /// Interval-of-time variable: the time average of `f(marking)` over
 /// `[0, horizon]` (e.g. unavailability when `f` is an indicator).
 pub struct TimeAveraged {
-    name: String,
     f: RewardFn,
     acc: Option<TimeWeighted>,
     result: Option<f64>,
 }
 
 impl TimeAveraged {
-    /// Creates a time-averaged variable named `name`.
-    pub fn new(
-        name: impl Into<String>,
-        f: impl Fn(&Marking) -> f64 + Send + Sync + 'static,
-    ) -> Self {
+    /// Creates a time-averaged variable of `f`.
+    pub fn new(f: impl Fn(&Marking) -> f64 + Send + Sync + 'static) -> Self {
         TimeAveraged {
-            name: name.into(),
             f: Arc::new(f),
             acc: None,
             result: None,
         }
+    }
+
+    /// The time average over the last run; `None` until a run has ended.
+    pub fn value(&self) -> Option<f64> {
+        self.result
     }
 }
 
 impl Observer for TimeAveraged {
     fn on_init(&mut self, time: f64, marking: &Marking) {
         self.acc = Some(TimeWeighted::new(time, (self.f)(marking)));
+        self.result = None;
     }
 
     fn on_event(&mut self, time: f64, _activity: ActivityId, marking: &Marking) {
@@ -78,53 +62,36 @@ impl Observer for TimeAveraged {
     }
 }
 
-impl RewardVariable for TimeAveraged {
-    fn observations(&self) -> Vec<Observation> {
-        self.result
-            .map(|value| Observation {
-                name: self.name.clone(),
-                value,
-            })
-            .into_iter()
-            .collect()
-    }
-
-    fn reset(&mut self) {
-        self.acc = None;
-        self.result = None;
-    }
-}
-
 /// Sticky indicator over an interval: 1 if `f(marking) > 0` at any point in
 /// `[0, horizon]`, else 0. Averaged over replications this estimates
 /// *unreliability*.
 pub struct EverTrue {
-    name: String,
     f: RewardFn,
     hit: bool,
     done: bool,
 }
 
 impl EverTrue {
-    /// Creates a sticky-indicator variable named `name`.
-    pub fn new(
-        name: impl Into<String>,
-        f: impl Fn(&Marking) -> f64 + Send + Sync + 'static,
-    ) -> Self {
+    /// Creates a sticky indicator of `f`.
+    pub fn new(f: impl Fn(&Marking) -> f64 + Send + Sync + 'static) -> Self {
         EverTrue {
-            name: name.into(),
             f: Arc::new(f),
             hit: false,
             done: false,
         }
     }
+
+    /// 1 if the indicator was ever true during the last run, else 0;
+    /// `None` until a run has ended.
+    pub fn value(&self) -> Option<f64> {
+        self.done.then_some(if self.hit { 1.0 } else { 0.0 })
+    }
 }
 
 impl Observer for EverTrue {
     fn on_init(&mut self, _time: f64, marking: &Marking) {
-        if (self.f)(marking) > 0.0 {
-            self.hit = true;
-        }
+        self.hit = (self.f)(marking) > 0.0;
+        self.done = false;
     }
 
     fn on_event(&mut self, _time: f64, _activity: ActivityId, marking: &Marking) {
@@ -138,28 +105,9 @@ impl Observer for EverTrue {
     }
 }
 
-impl RewardVariable for EverTrue {
-    fn observations(&self) -> Vec<Observation> {
-        if self.done {
-            vec![Observation {
-                name: self.name.clone(),
-                value: if self.hit { 1.0 } else { 0.0 },
-            }]
-        } else {
-            vec![]
-        }
-    }
-
-    fn reset(&mut self) {
-        self.hit = false;
-        self.done = false;
-    }
-}
-
 /// Instant-of-time variable: the value of `f(marking)` at each time in
-/// `times`; produces observations named `name@t`.
+/// `times`.
 pub struct InstantOfTime {
-    name: String,
     f: RewardFn,
     times: Vec<f64>,
     samples: Vec<(f64, f64)>,
@@ -172,60 +120,48 @@ impl InstantOfTime {
     /// # Panics
     ///
     /// Panics if `times` is empty or not sorted.
-    pub fn new(
-        name: impl Into<String>,
-        times: Vec<f64>,
-        f: impl Fn(&Marking) -> f64 + Send + Sync + 'static,
-    ) -> Self {
+    pub fn new(times: Vec<f64>, f: impl Fn(&Marking) -> f64 + Send + Sync + 'static) -> Self {
         assert!(!times.is_empty(), "need at least one sample time");
         assert!(
             times.windows(2).all(|w| w[0] <= w[1]),
             "sample times must be sorted"
         );
         InstantOfTime {
-            name: name.into(),
             f: Arc::new(f),
             times,
             samples: Vec::new(),
         }
     }
+
+    /// The `(time, value)` samples of the last run, one per distinct
+    /// sample time in ascending order; empty until a run has begun.
+    pub fn samples(&self) -> &[(f64, f64)] {
+        &self.samples
+    }
 }
 
 impl Observer for InstantOfTime {
+    fn on_init(&mut self, _time: f64, _marking: &Marking) {
+        self.samples.clear();
+    }
+
     fn append_sample_times(&self, out: &mut Vec<f64>) {
         out.extend_from_slice(&self.times);
     }
 
     fn on_sample(&mut self, time: f64, marking: &Marking) {
-        if self.times.contains(&time) {
-            self.samples.push((time, (self.f)(marking)));
-        }
+        // The simulator delivers only the times this variable requested.
+        self.samples.push((time, (self.f)(marking)));
     }
 
     fn on_end(&mut self, time: f64, marking: &Marking) {
-        // A run may end (queue drained) before later sample points; the
-        // marking can no longer change, so the final value stands in.
+        // Sample times past the horizon are never delivered; the marking
+        // at the horizon stands in for them.
         for &t in &self.times {
             if t >= time && !self.samples.iter().any(|&(st, _)| st == t) {
                 self.samples.push((t, (self.f)(marking)));
             }
         }
-    }
-}
-
-impl RewardVariable for InstantOfTime {
-    fn observations(&self) -> Vec<Observation> {
-        self.samples
-            .iter()
-            .map(|&(t, v)| Observation {
-                name: format!("{}@{t}", self.name),
-                value: v,
-            })
-            .collect()
-    }
-
-    fn reset(&mut self) {
-        self.samples.clear();
     }
 }
 
@@ -257,11 +193,9 @@ mod tests {
         let horizon = 2.0;
         let mut est = itua_stats::weighted::WeightedStats::new();
         for seed in 0..4000 {
-            let mut rv = TimeAveraged::new("frac_q", move |m| m.get(q) as f64);
-            sim.run(seed, horizon, &mut [&mut rv]).unwrap();
-            let obs = rv.observations();
-            assert_eq!(obs.len(), 1);
-            est.push(obs[0].value, 1.0);
+            let mut rv = TimeAveraged::new(move |m| m.get(q) as f64);
+            sim.run(seed, horizon, &mut rv).unwrap();
+            est.push(rv.value().unwrap(), 1.0);
         }
         let expected = 1.0 - (1.0 - (-horizon).exp()) / horizon;
         assert!(
@@ -281,9 +215,9 @@ mod tests {
         let mut hits = 0u32;
         let n = 4000;
         for seed in 0..n {
-            let mut rv = EverTrue::new("moved", move |m| m.get(q) as f64);
-            sim.run(seed, horizon, &mut [&mut rv]).unwrap();
-            if rv.observations()[0].value > 0.5 {
+            let mut rv = EverTrue::new(move |m| m.get(q) as f64);
+            sim.run(seed, horizon, &mut rv).unwrap();
+            if rv.value().unwrap() > 0.5 {
                 hits += 1;
             }
         }
@@ -302,14 +236,13 @@ mod tests {
         let mut p_at = [0u32; 2]; // estimates at t = 0.5 and 1.5
         let n = 4000;
         for seed in 0..n {
-            let mut rv = InstantOfTime::new("q", vec![0.5, 1.5], move |m| m.get(q) as f64);
-            sim.run(seed, 2.0, &mut [&mut rv]).unwrap();
-            let obs = rv.observations();
-            assert_eq!(obs.len(), 2);
-            for o in &obs {
-                let idx = if o.name == "q@0.5" { 0 } else { 1 };
-                if o.value > 0.5 {
-                    p_at[idx] += 1;
+            let mut rv = InstantOfTime::new(vec![0.5, 1.5], move |m| m.get(q) as f64);
+            sim.run(seed, 2.0, &mut rv).unwrap();
+            let samples = rv.samples();
+            assert_eq!(samples.iter().map(|s| s.0).collect::<Vec<_>>(), [0.5, 1.5]);
+            for (hits, &(_, value)) in p_at.iter_mut().zip(samples) {
+                if value > 0.5 {
+                    *hits += 1;
                 }
             }
         }
@@ -320,14 +253,35 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
+    fn a_reused_variable_starts_each_run_afresh() {
         let san = flip_model();
         let q = san.place_id("q").unwrap();
         let sim = SanSimulator::new(san);
-        let mut rv = EverTrue::new("moved", move |m| m.get(q) as f64);
-        sim.run(2, 100.0, &mut [&mut rv]).unwrap();
-        assert_eq!(rv.observations()[0].value, 1.0);
-        rv.reset();
-        assert!(rv.observations().is_empty());
+        let f = move |m: &Marking| m.get(q) as f64;
+        let (mut avg, mut ever) = (TimeAveraged::new(f), EverTrue::new(f));
+        let mut inst = InstantOfTime::new(vec![0.25, 0.5, 9.0], f);
+        let (mut hit_before, mut reset_after_hit) = (false, false);
+        for seed in 0..40 {
+            // Horizon 0.5: the token has moved by then in about 40% of runs.
+            sim.run(seed, 0.5, &mut avg).unwrap();
+            sim.run(seed, 0.5, &mut ever).unwrap();
+            sim.run(seed, 0.5, &mut inst).unwrap();
+            let mut fresh_avg = TimeAveraged::new(f);
+            let mut fresh_ever = EverTrue::new(f);
+            let mut fresh_inst = InstantOfTime::new(vec![0.25, 0.5, 9.0], f);
+            sim.run(seed, 0.5, &mut fresh_avg).unwrap();
+            sim.run(seed, 0.5, &mut fresh_ever).unwrap();
+            sim.run(seed, 0.5, &mut fresh_inst).unwrap();
+            assert_eq!(avg.value(), fresh_avg.value(), "seed {seed}");
+            assert_eq!(ever.value(), fresh_ever.value(), "seed {seed}");
+            assert_eq!(inst.samples(), fresh_inst.samples(), "seed {seed}");
+            assert_eq!(inst.samples().len(), 3, "seed {seed}");
+            let hit = ever.value() == Some(1.0);
+            reset_after_hit |= hit_before && !hit;
+            hit_before |= hit;
+        }
+        // Some run that found the token moved was followed by one that
+        // did not, so the indicator was really cleared.
+        assert!(reset_after_hit);
     }
 }

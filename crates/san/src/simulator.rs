@@ -26,6 +26,9 @@ use std::sync::Arc;
 const MAX_STABILIZATION_FIRINGS: usize = 100_000;
 
 /// Receives simulation callbacks; reward variables implement this.
+///
+/// A run drives exactly one observer; `()` is the observer that observes
+/// nothing.
 pub trait Observer {
     /// Called once after the initial marking has stabilized.
     fn on_init(&mut self, _time: f64, _marking: &Marking) {}
@@ -45,6 +48,8 @@ pub trait Observer {
     /// Called when the run ends (horizon reached or queue drained).
     fn on_end(&mut self, _time: f64, _marking: &Marking) {}
 }
+
+impl Observer for () {}
 
 /// Statistics from one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -471,10 +476,10 @@ impl SanSimulator {
         &self,
         seed: u64,
         horizon: f64,
-        observers: &mut [&mut dyn Observer],
+        observer: &mut impl Observer,
     ) -> Result<RunStats, SanError> {
         let mut scratch = self.scratch();
-        self.run_with_scratch(seed, horizon, observers, &mut scratch)
+        self.run_with_scratch(seed, horizon, observer, &mut scratch)
     }
 
     /// Runs one replication, reusing `scratch`'s allocations.
@@ -496,11 +501,11 @@ impl SanSimulator {
         &self,
         seed: u64,
         horizon: f64,
-        observers: &mut [&mut dyn Observer],
+        observer: &mut impl Observer,
         scratch: &mut SimScratch,
     ) -> Result<RunStats, SanError> {
-        let mut cursor = self.begin_run(seed, horizon, observers, scratch)?;
-        while self.step_run(horizon, observers, scratch, &mut cursor)? {}
+        let mut cursor = self.begin_run(seed, horizon, observer, scratch)?;
+        while self.step_run(horizon, observer, scratch, &mut cursor)? {}
         Ok(cursor.stats)
     }
 
@@ -525,7 +530,7 @@ impl SanSimulator {
         &self,
         seed: u64,
         horizon: f64,
-        observers: &mut [&mut dyn Observer],
+        observer: &mut impl Observer,
         scratch: &mut SimScratch,
     ) -> Result<RunCursor, SanError> {
         assert!(horizon >= 0.0 && !horizon.is_nan(), "bad horizon");
@@ -566,25 +571,21 @@ impl SanSimulator {
             now: 0.0,
         };
 
-        // Collect and merge requested sample times.
+        // Collect the requested sample times within the horizon, in order.
         sample_times.clear();
-        for o in observers.iter() {
-            o.append_sample_times(sample_times);
-        }
+        observer.append_sample_times(sample_times);
         sample_times.retain(|&t| t <= horizon);
         sample_times.sort_by(|a, b| a.partial_cmp(b).expect("sample times are not NaN"));
         sample_times.dedup();
 
         // Initial stabilization. Firings before time zero are not
-        // observable events, hence the empty observer slice.
+        // observable events, hence the null observer.
         inst.rebuild(san, marking);
-        self.stabilize(marking, &mut cursor, &mut [], inst, weights)?;
+        self.stabilize(marking, &mut cursor, &mut (), inst, weights)?;
         marking.clear_dirty();
         inst.note_cleared();
         timed.note_cleared();
-        for o in observers.iter_mut() {
-            o.on_init(0.0, marking);
-        }
+        observer.on_init(0.0, marking);
         // Schedule every enabled timed activity.
         expo.begin(0.0);
         for (id, act) in san.activities() {
@@ -609,7 +610,7 @@ impl SanSimulator {
     pub fn step_run(
         &self,
         horizon: f64,
-        observers: &mut [&mut dyn Observer],
+        observer: &mut impl Observer,
         scratch: &mut SimScratch,
         cursor: &mut RunCursor,
     ) -> Result<bool, SanError> {
@@ -630,38 +631,20 @@ impl SanSimulator {
         let next_time = queue.peek_time();
         // Deliver sample points that precede the next event (or all
         // remaining ones if the queue is drained / past horizon).
-        let cutoff = match next_time {
-            Some(t) if t <= horizon => t,
-            _ => horizon,
-        };
+        let cutoff = next_time.map_or(horizon, |t| t.min(horizon));
         while cursor.next_sample < sample_times.len() && sample_times[cursor.next_sample] <= cutoff
         {
-            let st = sample_times[cursor.next_sample];
-            for o in observers.iter_mut() {
-                o.on_sample(st, marking);
-            }
+            observer.on_sample(sample_times[cursor.next_sample], marking);
             cursor.next_sample += 1;
         }
 
-        match next_time {
-            // No more events (the marking is frozen, but the observation
-            // interval still runs to the horizon), or the next event lies
-            // beyond it: the run is over.
-            None => {
-                cursor.stats.end_time = horizon;
-                for o in observers.iter_mut() {
-                    o.on_end(horizon, marking);
-                }
-                return Ok(false);
-            }
-            Some(t) if t > horizon => {
-                cursor.stats.end_time = horizon;
-                for o in observers.iter_mut() {
-                    o.on_end(horizon, marking);
-                }
-                return Ok(false);
-            }
-            Some(_) => {}
+        // No more events (the marking is frozen, but the observation
+        // interval still runs to the horizon), or the next event lies
+        // beyond it: the run is over.
+        if next_time.is_none_or(|t| t > horizon) {
+            cursor.stats.end_time = horizon;
+            observer.on_end(horizon, marking);
+            return Ok(false);
         }
 
         let (now, act_id) = queue.pop().expect("peeked event exists");
@@ -681,7 +664,7 @@ impl SanSimulator {
         cursor.stats.timed_firings += 1;
 
         // Zero-time stabilization of instantaneous activities.
-        self.stabilize(marking, cursor, observers, inst, weights)?;
+        self.stabilize(marking, cursor, observer, inst, weights)?;
 
         // Incrementally update the timed activities affected by the
         // firing and its cascade: drop each one's pending sample and, if
@@ -708,9 +691,7 @@ impl SanSimulator {
             timed.note_cleared();
         }
 
-        for o in observers.iter_mut() {
-            o.on_event(now, act_id, marking);
-        }
+        observer.on_event(now, act_id, marking);
         Ok(true)
     }
 
@@ -762,13 +743,13 @@ impl SanSimulator {
     /// `cursor.now` until none is enabled, keeping `idx` in sync with the
     /// dirty log.
     ///
-    /// For the initial stabilization the caller passes an empty observer
-    /// slice: firings before time zero are not observable events.
+    /// For the initial stabilization the caller passes the null observer
+    /// `()`: firings before time zero are not observable events.
     fn stabilize(
         &self,
         marking: &mut Marking,
         cursor: &mut RunCursor,
-        observers: &mut [&mut dyn Observer],
+        observer: &mut impl Observer,
         idx: &mut InstIndex,
         weights: &mut Vec<f64>,
     ) -> Result<(), SanError> {
@@ -804,9 +785,7 @@ impl SanSimulator {
             let case = choose_case(act, marking, weights, &mut cursor.rng);
             act.fire(case, marking);
             cursor.stats.instantaneous_firings += 1;
-            for o in observers.iter_mut() {
-                o.on_event(cursor.now, id, marking);
-            }
+            observer.on_event(cursor.now, id, marking);
         }
     }
 }
@@ -860,7 +839,7 @@ mod tests {
         let san = poisson_model(5.0);
         let sim = SanSimulator::new(san);
         let mut obs = FiringCounter::default();
-        let stats = sim.run(42, 100.0, &mut [&mut obs]).unwrap();
+        let stats = sim.run(42, 100.0, &mut obs).unwrap();
         // ~500 firings expected; 5-sigma ≈ 112.
         assert!(
             (stats.timed_firings as f64 - 500.0).abs() < 120.0,
@@ -874,10 +853,10 @@ mod tests {
     fn deterministic_given_seed() {
         let san = poisson_model(2.0);
         let sim = SanSimulator::new(san);
-        let a = sim.run(7, 50.0, &mut []).unwrap();
-        let b = sim.run(7, 50.0, &mut []).unwrap();
+        let a = sim.run(7, 50.0, &mut ()).unwrap();
+        let b = sim.run(7, 50.0, &mut ()).unwrap();
         assert_eq!(a, b);
-        let c = sim.run(8, 50.0, &mut []).unwrap();
+        let c = sim.run(8, 50.0, &mut ()).unwrap();
         assert_ne!(a.timed_firings, c.timed_firings);
     }
 
@@ -889,10 +868,10 @@ mod tests {
         for seed in 0..30 {
             let mut obs_reused = FiringCounter::default();
             let reused = sim
-                .run_with_scratch(seed, 20.0, &mut [&mut obs_reused], &mut scratch)
+                .run_with_scratch(seed, 20.0, &mut obs_reused, &mut scratch)
                 .unwrap();
             let mut obs_fresh = FiringCounter::default();
-            let fresh = sim.run(seed, 20.0, &mut [&mut obs_fresh]).unwrap();
+            let fresh = sim.run(seed, 20.0, &mut obs_fresh).unwrap();
             assert_eq!(reused, fresh, "seed {seed}");
             assert_eq!(obs_reused.counts, obs_fresh.counts, "seed {seed}");
         }
@@ -907,7 +886,7 @@ mod tests {
         b.timed_activity("t", 1.0).input_arc(p, 1).build().unwrap();
         let sim_b = SanSimulator::new(b.finish().unwrap());
         let mut scratch = sim_b.scratch();
-        let _ = sim_a.run_with_scratch(0, 1.0, &mut [], &mut scratch);
+        let _ = sim_a.run_with_scratch(0, 1.0, &mut (), &mut scratch);
     }
 
     #[test]
@@ -922,7 +901,7 @@ mod tests {
             .unwrap();
         let san = b.finish().unwrap();
         let sim = SanSimulator::new(san.clone());
-        let stats = sim.run(1, 1000.0, &mut []).unwrap();
+        let stats = sim.run(1, 1000.0, &mut ()).unwrap();
         assert_eq!(stats.timed_firings, 3);
         // The queue drained early, but the observation window is [0, 1000].
         assert_eq!(stats.end_time, 1000.0);
@@ -964,7 +943,7 @@ mod tests {
                 }
             }
             let mut f = Final(-1);
-            sim.run(seed, 0.5, &mut [&mut f]).unwrap();
+            sim.run(seed, 0.5, &mut f).unwrap();
             if f.0 == 1 {
                 wins_a += 1;
             }
@@ -987,7 +966,7 @@ mod tests {
             .unwrap();
         let san = b.finish().unwrap();
         let sim = SanSimulator::new(san);
-        let err = sim.run(1, 1.0, &mut []).unwrap_err();
+        let err = sim.run(1, 1.0, &mut ()).unwrap_err();
         assert!(matches!(err, SanError::Unstabilized { .. }));
     }
 
@@ -1014,7 +993,7 @@ mod tests {
             }
         }
         let mut r = Ratio { hit: 0, miss: 0 };
-        sim.run(3, 1000.0, &mut [&mut r]).unwrap();
+        sim.run(3, 1000.0, &mut r).unwrap();
         let frac = r.hit as f64 / (r.hit + r.miss) as f64;
         assert!((frac - 0.8).abs() < 0.02, "hit fraction {frac}");
     }
@@ -1046,7 +1025,7 @@ mod tests {
             }
         }
         let mut f = Final(0, 0);
-        let stats = sim.run(5, 10_000.0, &mut [&mut f]).unwrap();
+        let stats = sim.run(5, 10_000.0, &mut f).unwrap();
         assert_eq!(stats.timed_firings, 1);
         assert_eq!(f.0 + f.1, 1);
     }
@@ -1074,7 +1053,7 @@ mod tests {
             .unwrap();
         let san = b.finish().unwrap();
         let sim = SanSimulator::new(san.clone());
-        let stats = sim.run(11, 10.0, &mut []).unwrap();
+        let stats = sim.run(11, 10.0, &mut ()).unwrap();
         // boost turns on almost immediately → ≈ 200 ticks + 1 boost firing.
         assert!(
             stats.timed_firings > 120,
@@ -1098,7 +1077,7 @@ mod tests {
         let san = poisson_model(3.0);
         let sim = SanSimulator::new(san);
         let mut s = Sampler { times: vec![] };
-        sim.run(1, 10.0, &mut [&mut s]).unwrap();
+        sim.run(1, 10.0, &mut s).unwrap();
         // 50.0 lies beyond the horizon and must not be delivered.
         assert_eq!(s.times, vec![1.0, 2.0, 5.0]);
     }
@@ -1116,7 +1095,7 @@ mod tests {
             .unwrap();
         let san = b.finish().unwrap();
         let sim = SanSimulator::new(san);
-        let stats = sim.run(1, 100.0, &mut []).unwrap();
+        let stats = sim.run(1, 100.0, &mut ()).unwrap();
         assert_eq!(stats.timed_firings, 0);
     }
 }

@@ -1366,15 +1366,15 @@ mod tests {
             .map(|s| p[s] * ss.marking(s).get(down) as f64)
             .sum();
 
-        use crate::reward::{InstantOfTime, RewardVariable};
+        use crate::reward::InstantOfTime;
         use crate::simulator::SanSimulator;
         let sim = SanSimulator::new(san);
         let mut hits = 0u32;
         let n = 3000;
+        let mut rv = InstantOfTime::new(vec![t], move |m| m.get(down) as f64);
         for seed in 0..n {
-            let mut rv = InstantOfTime::new("down", vec![t], move |m| m.get(down) as f64);
-            sim.run(seed as u64, 1.0, &mut [&mut rv]).unwrap();
-            if rv.observations()[0].value > 0.5 {
+            sim.run(seed as u64, 1.0, &mut rv).unwrap();
+            if rv.samples()[0].1 > 0.5 {
                 hits += 1;
             }
         }

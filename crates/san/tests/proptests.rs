@@ -10,24 +10,6 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 proptest! {
-    /// Bit operations on markings behave like u32 bit operations.
-    #[test]
-    fn marking_bits_match_integer_bits(bits in prop::collection::vec((0u32..15, any::<bool>()), 0..40)) {
-        let mut m = Marking::new(&[0]);
-        let p = m.place_ids().next().unwrap();
-        let mut reference: i32 = 0;
-        for (bit, on) in bits {
-            m.set_bit(p, bit, on);
-            if on {
-                reference |= 1 << bit;
-            } else {
-                reference &= !(1 << bit);
-            }
-            prop_assert_eq!(m.get(p), reference);
-            prop_assert_eq!(m.bit(p, bit), on);
-        }
-    }
-
     /// A tandem chain of places conserves tokens under simulation.
     #[test]
     fn token_conservation(stages in 2usize..8, tokens in 1i32..20, seed in any::<u64>()) {
@@ -56,7 +38,7 @@ proptest! {
             }
         }
         let mut obs = Conserve { places: places.clone(), total: tokens };
-        sim.run(seed, 100.0, &mut [&mut obs]).unwrap();
+        sim.run(seed, 100.0, &mut obs).unwrap();
     }
 
     /// A scratch reused across replications of random tandem models gives
@@ -98,9 +80,9 @@ proptest! {
         let mut scratch = sim.scratch();
         for seed in seeds {
             let mut reused = Trace::default();
-            sim.run_with_scratch(seed, 20.0, &mut [&mut reused], &mut scratch).unwrap();
+            sim.run_with_scratch(seed, 20.0, &mut reused, &mut scratch).unwrap();
             let mut fresh = Trace::default();
-            sim.run(seed, 20.0, &mut [&mut fresh]).unwrap();
+            sim.run(seed, 20.0, &mut fresh).unwrap();
             prop_assert_eq!(&reused, &fresh, "seed {}", seed);
         }
     }
@@ -167,11 +149,11 @@ proptest! {
         for seed in seeds {
             let mut inc = Trace::default();
             incremental
-                .run_with_scratch(seed, 15.0, &mut [&mut inc], &mut inc_scratch)
+                .run_with_scratch(seed, 15.0, &mut inc, &mut inc_scratch)
                 .unwrap();
             let mut full = Trace::default();
             full_rescan
-                .run_with_scratch(seed, 15.0, &mut [&mut full], &mut full_scratch)
+                .run_with_scratch(seed, 15.0, &mut full, &mut full_scratch)
                 .unwrap();
             prop_assert_eq!(&inc, &full, "seed {}", seed);
         }

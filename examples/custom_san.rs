@@ -4,12 +4,13 @@
 //!
 //! Run with: `cargo run --release --example custom_san`
 
-use itua_repro::runner::experiment::ExperimentConfig;
-use itua_repro::runner::{run_experiment_parallel, NullProgress, RunnerConfig};
-use itua_repro::san::model::SanBuilder;
-use itua_repro::san::reward::{RewardVariable, TimeAveraged};
+use itua_repro::runner::{replicate_batched, NullProgress, RunnerConfig};
+use itua_repro::san::model::{SanBuilder, SanError};
+use itua_repro::san::reward::TimeAveraged;
 use itua_repro::san::simulator::SanSimulator;
 use itua_repro::san::statespace::StateSpace;
+use itua_repro::sim::rng::stream_seed;
+use itua_repro::stats::ci::ConfidenceInterval;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 3-replica cluster: replicas fail (are corrupted) at rate 0.2/h and
@@ -32,30 +33,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     let san = b.finish()?;
 
-    // Simulation estimate of unavailability over [0, 1000], run through
-    // the unified parallel pipeline (bit-identical for any thread count).
+    // Simulation estimate of unavailability over [0, 1000] from 200
+    // replications, spread over worker threads by the runner's engine
+    // (bit-identical for any thread count). Each worker reuses one
+    // simulator scratch and one reward variable; replication `i` runs on
+    // the stream `stream_seed(1, i)`.
     let sim = SanSimulator::new(san.clone());
-    let cfg = ExperimentConfig {
-        horizon: 1000.0,
-        replications: 200,
-        ..ExperimentConfig::default()
-    };
-    let estimates = run_experiment_parallel(
-        &sim,
-        cfg,
+    let per_rep = replicate_batched(
+        200,
         &RunnerConfig::default(),
         &NullProgress,
-        move || {
-            vec![Box::new(TimeAveraged::new("unavailability", move |m| {
-                if m.get(up) < 2 {
-                    1.0
-                } else {
-                    0.0
-                }
-            })) as Box<dyn RewardVariable>]
+        || {
+            let unavailability = TimeAveraged::new(move |m| if m.get(up) < 2 { 1.0 } else { 0.0 });
+            (sim.scratch(), unavailability)
         },
-    )?;
-    println!("simulation: {}", estimates[0].ci);
+        |reps, (scratch, unavailability), out| {
+            out.extend(reps.map(|i| {
+                sim.run_with_scratch(stream_seed(1, i.into()), 1000.0, unavailability, scratch)?;
+                Ok(unavailability.value().expect("a finished run has a value"))
+            }));
+        },
+    );
+    let observations = per_rep
+        .into_iter()
+        .collect::<Result<Vec<f64>, SanError>>()?;
+    let ci = ConfidenceInterval::from_observations(&observations, 0.95)?;
+    println!("simulation: {ci}");
 
     // Exact steady-state solution via the CTMC path.
     let ss = StateSpace::generate(&san, 1000)?;
@@ -67,10 +70,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .sum();
     println!("exact CTMC:  {exact:.6}");
 
-    let err = (estimates[0].ci.mean - exact).abs();
+    let err = (ci.mean - exact).abs();
     println!("difference:  {err:.6}");
     assert!(
-        err < 3.0 * estimates[0].ci.half_width.max(1e-4),
+        err < 3.0 * ci.half_width.max(1e-4),
         "simulation and analytic solution disagree"
     );
     Ok(())

@@ -15,15 +15,16 @@ use itua_repro::itua::measures::names;
 use itua_repro::itua::params::Params;
 use itua_repro::itua::san_model;
 use itua_repro::markov::ctmc::Ctmc;
-use itua_repro::runner::experiment::ExperimentConfig;
-use itua_repro::runner::run_experiment_parallel;
 use itua_repro::runner::{
-    run_measures, BackendKind, BackendOptions, ItuaBackend, NullProgress, RunnerConfig,
+    replicate_batched, run_measures, BackendKind, BackendOptions, ItuaBackend, NullProgress,
+    RunnerConfig,
 };
 use itua_repro::san::model::SanBuilder;
-use itua_repro::san::reward::{EverTrue, TimeAveraged};
+use itua_repro::san::reward::{EverTrue, InstantOfTime, TimeAveraged};
 use itua_repro::san::simulator::SanSimulator;
 use itua_repro::san::statespace::StateSpace;
+use itua_repro::sim::rng::stream_seed;
+use itua_repro::stats::ci::ConfidenceInterval;
 use std::sync::Arc;
 
 /// Two-state repairable system: closed-form transient availability.
@@ -67,11 +68,10 @@ fn repairable_system_three_ways() {
     let sim = SanSimulator::new(san.clone());
     let mut hits = 0u32;
     let n = 20_000;
+    let mut rv = InstantOfTime::new(vec![t], move |m| m.get(down) as f64);
     for seed in 0..n {
-        use itua_repro::san::reward::{InstantOfTime, RewardVariable};
-        let mut rv = InstantOfTime::new("down", vec![t], move |m| m.get(down) as f64);
-        sim.run(seed as u64, t, &mut [&mut rv]).unwrap();
-        if rv.observations()[0].value > 0.5 {
+        sim.run(seed as u64, t, &mut rv).unwrap();
+        if rv.samples()[0].1 > 0.5 {
             hits += 1;
         }
     }
@@ -134,33 +134,32 @@ fn mm1k_queue_three_ways() {
         "{mean_ctmc} vs {mean_closed}"
     );
 
-    // Long-run simulation with a time-averaged queue length, through the
-    // unified parallel pipeline.
+    // Long-run simulation with a time-averaged queue length: 60
+    // replications seeded `stream_seed(5, i)` through the runner's engine.
     let sim = SanSimulator::new(san);
-    let cfg = ExperimentConfig {
-        horizon: 2_000.0,
-        replications: 60,
-        base_seed: 5,
-        confidence: 0.99,
-    };
-    let est = run_experiment_parallel(
-        &sim,
-        cfg,
+    let lengths = replicate_batched(
+        60,
         &RunnerConfig::default(),
         &NullProgress,
-        move || {
-            use itua_repro::san::reward::RewardVariable;
-            vec![
-                Box::new(TimeAveraged::new("len", move |m| m.get(queue) as f64))
-                    as Box<dyn RewardVariable>,
-            ]
+        || {
+            (
+                sim.scratch(),
+                TimeAveraged::new(move |m| m.get(queue) as f64),
+            )
         },
-    )
-    .unwrap();
+        |reps, (scratch, len), out| {
+            for i in reps {
+                sim.run_with_scratch(stream_seed(5, i.into()), 2_000.0, len, scratch)
+                    .unwrap();
+                out.push(len.value().unwrap());
+            }
+        },
+    );
+    let est = ConfidenceInterval::from_observations(&lengths, 0.99).unwrap();
     assert!(
-        (est[0].ci.mean - mean_closed).abs() < 0.02,
+        (est.mean - mean_closed).abs() < 0.02,
         "simulated mean {} vs closed {mean_closed}",
-        est[0].ci.mean
+        est.mean
     );
 }
 
@@ -206,14 +205,10 @@ fn pure_death_unreliability() {
     let sim = SanSimulator::new(san);
     let mut hits = 0;
     let n = 20_000;
+    let mut rv = EverTrue::new(move |m| if m.get(alive) == 0 { 1.0 } else { 0.0 });
     for seed in 0..n {
-        use itua_repro::san::reward::RewardVariable;
-        let mut rv = EverTrue::new(
-            "extinct",
-            move |m| if m.get(alive) == 0 { 1.0 } else { 0.0 },
-        );
-        sim.run(seed as u64, t, &mut [&mut rv]).unwrap();
-        if rv.observations()[0].value > 0.5 {
+        sim.run(seed as u64, t, &mut rv).unwrap();
+        if rv.value().unwrap() > 0.5 {
             hits += 1;
         }
     }

@@ -60,11 +60,11 @@ fn compare_point(study: &str, point: &SweepPoint, reps: u64) -> (Arc<San>, Vec<T
         let seed = 0xDEC0DE ^ rep;
         let mut inc = Trace::default();
         incremental
-            .run_with_scratch(seed, point.horizon, &mut [&mut inc], &mut inc_scratch)
+            .run_with_scratch(seed, point.horizon, &mut inc, &mut inc_scratch)
             .expect("incremental run succeeds");
         let mut full = Trace::default();
         full_rescan
-            .run_with_scratch(seed, point.horizon, &mut [&mut full], &mut full_scratch)
+            .run_with_scratch(seed, point.horizon, &mut full, &mut full_scratch)
             .expect("full-rescan run succeeds");
         assert_eq!(
             inc, full,
@@ -209,7 +209,7 @@ fn shared_dirty_log_cascade_matches_oracles() {
         for ((stab, resched), sim) in &sims {
             let mut scratch = sim.scratch();
             let mut t = Trace::default();
-            sim.run_with_scratch(seed, 40.0, &mut [&mut t], &mut scratch)
+            sim.run_with_scratch(seed, 40.0, &mut t, &mut scratch)
                 .expect("run succeeds");
             traces.push(((*stab, *resched), t));
         }

@@ -67,16 +67,15 @@ fn micro_itua_san_flattens_to_solvable_ctmc() {
     );
 
     // …and against the SAN simulator's estimate on the same model.
-    use itua_repro::san::reward::{RewardVariable, TimeAveraged};
+    use itua_repro::san::reward::TimeAveraged;
     use itua_repro::san::simulator::SanSimulator;
     let sim = SanSimulator::new(model.san.clone());
     let mut sum = 0.0;
-    let places2 = model.places.clone();
+    let places = model.places.clone();
+    let mut rv = TimeAveraged::new(move |m| if places.improper(m, 0) { 1.0 } else { 0.0 });
     for seed in 0..n {
-        let p2 = places2.clone();
-        let mut rv = TimeAveraged::new("u", move |m| if p2.improper(m, 0) { 1.0 } else { 0.0 });
-        sim.run(seed, t, &mut [&mut rv]).unwrap();
-        sum += rv.observations()[0].value;
+        sim.run(seed, t, &mut rv).unwrap();
+        sum += rv.value().unwrap();
     }
     let san_unavail = sum / n as f64;
     assert!(

@@ -46,7 +46,7 @@ impl Observer for Trace {
 fn trace(sim: &SanSimulator, seed: u64, horizon: f64) -> Trace {
     let mut scratch = sim.scratch();
     let mut t = Trace::default();
-    sim.run_with_scratch(seed, horizon, &mut [&mut t], &mut scratch)
+    sim.run_with_scratch(seed, horizon, &mut t, &mut scratch)
         .expect("run succeeds");
     t
 }
