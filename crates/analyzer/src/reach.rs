@@ -50,6 +50,7 @@ use crate::probe::OnFire;
 use itua_san::marking::Marking;
 use itua_san::model::{ActivityId, San, Timing};
 use itua_san::statespace::StateSpace;
+use itua_san::sym::SymmetrySpec;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Budgets for one exhaustive exploration.
@@ -155,15 +156,6 @@ impl std::fmt::Display for ReachError {
 }
 
 impl std::error::Error for ReachError {}
-
-// ---------------------------------------------------------------------
-// Symmetry specification (shared home: itua_san::sym)
-// ---------------------------------------------------------------------
-
-// The canonicalizer lives in `itua_san::sym` so the statespace
-// generator's lumped mode and this explorer use one implementation;
-// re-exported here so existing `reach::SymmetrySpec` paths keep working.
-pub use itua_san::sym::{SymmetryError, SymmetryGroup, SymmetrySpec, SymmetryUnit};
 
 // ---------------------------------------------------------------------
 // Full explorer (tangible + vanishing states)
@@ -677,6 +669,7 @@ fn agree<K: Ord + std::fmt::Debug>(
 mod tests {
     use super::*;
     use itua_san::model::SanBuilder;
+    use itua_san::sym::{SymmetryGroup, SymmetryUnit};
     use std::sync::Arc;
 
     fn repairable(fail: f64, fix: f64) -> Arc<San> {

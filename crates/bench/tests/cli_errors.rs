@@ -1,7 +1,7 @@
 //! User errors at the `itua` command line end in a message and exit
 //! code 2, never a panic: malformed flags, replication counts too small
 //! for a confidence interval, horizons too long to uniformize, and
-//! layouts past the size bounds. A stdout closed by its reader ends the
+//! layouts or spread rates past their bounds. A stdout closed by its reader ends the
 //! process with status 141, never a panic either, and a stderr closed by
 //! its reader loses the messages but keeps the exit code.
 
@@ -158,6 +158,52 @@ fn layouts_past_the_size_bounds_exit_2_promptly() {
             );
             assert!(stderr.contains(bound), "{args:?}: {stderr}");
         }
+    }
+}
+
+#[test]
+fn a_spread_rate_past_its_bound_exits_2_everywhere() {
+    // Each corrupt host adds ten times the rate to an integer spread
+    // level of the SAN, which once overflowed and panicked.
+    let scn = micro_scn(
+        "huge-spread",
+        "sweep = spread-rate-domain\nvalues = 1e300\n",
+    );
+    let scn = scn.to_str().unwrap();
+    for backend in ["des", "san", "analytic"] {
+        let args = ["run", scn, "--backend", backend, "--no-resume", "--quiet"];
+        let stderr = assert_user_error(&args);
+        assert!(
+            stderr.contains("at most 10000 per hour"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let stderr = assert_user_error(&["check", scn]);
+    assert!(stderr.contains("at most 10000 per hour"), "{stderr}");
+}
+
+#[test]
+fn a_zero_misbehave_rate_runs_everywhere() {
+    // The SAN once built its group-conviction activity at rate 0 and
+    // panicked; every backend and the checker now run the file.
+    let scn = micro_scn("no-misbehave", "misbehave-rate = 0\n");
+    let scn = scn.to_str().unwrap();
+    let runs = ["des", "san", "analytic"].map(|backend| {
+        vec![
+            "run",
+            scn,
+            "--backend",
+            backend,
+            "--reps",
+            "8",
+            "--no-resume",
+            "--quiet",
+        ]
+    });
+    for args in runs.iter().map(Vec::as_slice).chain([&["check", scn][..]]) {
+        let out = itua(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
     }
 }
 

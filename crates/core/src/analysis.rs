@@ -57,7 +57,7 @@
 
 use crate::san_model::ItuaSan;
 use itua_analyzer::probe::ProbeConfig;
-use itua_analyzer::reach::{self, ReachConfig, SymmetryGroup, SymmetrySpec, SymmetryUnit};
+use itua_analyzer::reach::{self, ReachConfig};
 use itua_analyzer::{
     analyze, render_findings, AllowEntry, AnalysisReport, AnalysisSpec, ExpectedInvariant, Finding,
     FiringLaw, KnownIssue, LawHit, Severity,
@@ -65,6 +65,7 @@ use itua_analyzer::{
 use itua_san::marking::PlaceId;
 use itua_san::model::San;
 use itua_san::statespace::StateSpace;
+use itua_san::sym::{SymmetryGroup, SymmetrySpec, SymmetryUnit};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;

@@ -83,6 +83,13 @@ pub const MAX_HOSTS: usize = 1000;
 /// the SAN, on a 2-vCPU Xeon.
 pub const MAX_REPLICAS_PER_APP: usize = 28;
 
+/// Largest value either spread rate may take, per hour. The SAN encoding
+/// keeps spread levels in tenths on `i32` places, and each corrupt host
+/// adds ten times the rate to one of them, so at the bound even
+/// [`MAX_HOSTS`] hosts reach 10⁸, far inside `i32`. The shipped studies
+/// sweep up to 10 per hour.
+pub const MAX_SPREAD_RATE: f64 = 1e4;
+
 /// Full parameter set for the ITUA model.
 ///
 /// Defaults reproduce the paper's Section 4 baseline. Builder-style
@@ -342,9 +349,10 @@ impl Params {
     ///
     /// Returns [`ParamsError`] for empty layouts, more than
     /// [`MAX_HOSTS`] hosts or [`MAX_REPLICAS_PER_APP`] replicas per
-    /// application, probabilities outside `[0, 1]`, negative rates, or
-    /// more than 15 applications (the paper's limit, kept for fidelity:
-    /// the SAN encoding's per-application counter places have none).
+    /// application, probabilities outside `[0, 1]`, negative rates, spread
+    /// rates above [`MAX_SPREAD_RATE`], or more than 15 applications (the
+    /// paper's limit, kept for fidelity: the SAN encoding's
+    /// per-application counter places have none).
     pub fn validate(&self) -> Result<(), ParamsError> {
         let err = |what: &str| Err(ParamsError { what: what.into() });
         if self.num_domains == 0 || self.hosts_per_domain == 0 {
@@ -396,6 +404,11 @@ impl Params {
         ];
         if rates.iter().any(|r| !r.is_finite() || *r < 0.0) {
             return err("rates must be finite and nonnegative");
+        }
+        if self.spread_rate_domain.max(self.spread_rate_system) > MAX_SPREAD_RATE {
+            return err(&format!(
+                "spread rates must be at most {MAX_SPREAD_RATE} per hour"
+            ));
         }
         if self.base_attack_rate <= 0.0 || self.ids_rate <= 0.0 {
             return err("base attack rate and IDS rate must be positive");
@@ -554,6 +567,24 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.to_string().contains("at most 28 replicas"), "{err}");
+    }
+
+    #[test]
+    fn spread_rates_are_bounded() {
+        let with = |domain, system| Params {
+            spread_rate_domain: domain,
+            spread_rate_system: system,
+            ..Default::default()
+        };
+        with(MAX_SPREAD_RATE, MAX_SPREAD_RATE).validate().unwrap();
+        for (domain, system) in [(MAX_SPREAD_RATE * 1.001, 0.1), (1.0, 2e4), (1e300, 0.0)] {
+            let err = with(domain, system).validate().unwrap_err();
+            assert!(err.to_string().contains("at most 10000 per hour"), "{err}");
+        }
+        // At the bound the SAN's spread levels (tenths, one increment per
+        // corrupt host) stay inside `i32`.
+        let most = MAX_HOSTS as f64 * 10.0 * MAX_SPREAD_RATE;
+        assert!(most < f64::from(i32::MAX), "{most}");
     }
 
     #[test]

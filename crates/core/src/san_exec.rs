@@ -25,7 +25,7 @@ use crate::san_model::{self, BuildError, ItuaSan, ItuaSanPlaces};
 use itua_rare::SplitBranch;
 use itua_san::marking::Marking;
 use itua_san::model::{ActivityId, SanError};
-use itua_san::simulator::{Observer, RunCursor, SanSimulator, SimScratch};
+use itua_san::simulator::{Observer, SanSimulator, SimScratch};
 use itua_stats::timeweighted::TimeWeighted;
 
 /// Runs the composed ITUA SAN as a replication backend producing
@@ -37,9 +37,9 @@ pub struct ItuaSanRunner {
 }
 
 /// Reusable per-thread state, and the root branch of a RESTART tree: the
-/// simulator's [`SimScratch`] plus the measure observer, whose buffers are
-/// reset (not reallocated) for every replication, and the cursor of the
-/// run in flight.
+/// simulator's [`SimScratch`], which holds the run in flight, plus the
+/// measure observer, whose buffers are reset (not reallocated) for every
+/// replication.
 ///
 /// Between [`ItuaSanRunner::begin`] and [`itua_rare::SplitBranch::finish`]
 /// the scratch is one in-flight trajectory: `itua_rare::run_tree` steps it
@@ -47,11 +47,8 @@ pub struct ItuaSanRunner {
 /// it.
 #[derive(Clone)]
 pub struct SanScratch {
-    simulator: SanSimulator,
     sim: SimScratch,
     observer: MeasureObserver,
-    /// `None` until the first [`ItuaSanRunner::begin`].
-    cursor: Option<RunCursor>,
     horizon: f64,
 }
 
@@ -86,10 +83,8 @@ impl ItuaSanRunner {
     /// [`ItuaSanRunner::begin`].
     pub fn scratch(&self) -> SanScratch {
         SanScratch {
-            simulator: self.sim.clone(),
             sim: self.sim.scratch(),
             observer: MeasureObserver::new(&self.model),
-            cursor: None,
             horizon: 0.0,
         }
     }
@@ -136,24 +131,26 @@ impl ItuaSanRunner {
         self.run_into(seed, horizon, sample_times, &mut scratch)
     }
 
-    /// Sets the horizon and the sample schedule of the runs `scratch`
-    /// starts next, with the same clamp/filter/sort/dedup the DES applies.
-    /// Every replication of a batch shares them, so a batch prepares once.
+    /// Sets the model, the horizon and the sample schedule of the runs
+    /// `scratch` starts next, with the same clamp/filter/sort/dedup the
+    /// DES applies. Every replication of a batch shares them, so a batch
+    /// prepares once.
     ///
     /// # Panics
     ///
-    /// Panics if `horizon` is not positive and finite.
+    /// Panics if `horizon` is not positive and finite, or if `scratch`
+    /// was created for a structurally different model.
     pub fn prepare(&self, horizon: f64, sample_times: &[f64], scratch: &mut SanScratch) {
         assert!(horizon > 0.0 && horizon.is_finite(), "bad horizon");
         // A scratch may come from another runner of the same structure
         // (other rates); its runs step under this one's model.
-        scratch.simulator.clone_from(&self.sim);
+        scratch.sim.use_simulator(&self.sim);
         scratch.observer.prepare_samples(horizon, sample_times);
         scratch.horizon = horizon;
     }
 
     /// Resets `scratch` to the time-zero state of the replication seeded
-    /// `seed`, on the horizon and sample schedule of the last
+    /// `seed`, on the model, horizon and sample schedule of the last
     /// [`ItuaSanRunner::prepare`]: initial marking stabilized, observer
     /// `on_init` delivered, initial schedule drawn, no timed event fired
     /// yet. The scratch is then the root branch of the replication's
@@ -163,25 +160,12 @@ impl ItuaSanRunner {
     ///
     /// Returns [`SanError::Unstabilized`] if the initial instantaneous
     /// cascade livelocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was created for a structurally different model.
     pub fn begin(&self, seed: u64, scratch: &mut SanScratch) -> Result<(), SanError> {
-        let cursor = self.sim.begin_run(
-            seed,
-            scratch.horizon,
-            &mut scratch.observer,
-            &mut scratch.sim,
-        )?;
-        scratch.cursor = Some(cursor);
-        Ok(())
+        scratch
+            .sim
+            .begin(seed, scratch.horizon, &mut scratch.observer)
     }
 }
-
-/// The panic message of a scratch stepped before its first
-/// [`ItuaSanRunner::begin`].
-const NOT_BEGUN: &str = "no run has begun on this scratch";
 
 /// A SAN run as one RESTART branch. Its importance level is the number of
 /// security domains that are excluded or currently house a compromised
@@ -195,12 +179,9 @@ impl SplitBranch for SanScratch {
     type Output = RunOutput;
     type Error = SanError;
 
-    /// Advances the run by one event through the simulator's
-    /// [`SanSimulator::step_run`].
+    /// Advances the run by one event through [`SimScratch::step`].
     fn step(&mut self) -> Result<bool, SanError> {
-        let cursor = self.cursor.as_mut().expect(NOT_BEGUN);
-        self.simulator
-            .step_run(self.horizon, &mut self.observer, &mut self.sim, cursor)
+        self.sim.step(&mut self.observer)
     }
 
     fn level(&self) -> u32 {
@@ -214,17 +195,14 @@ impl SplitBranch for SanScratch {
             .count() as u32
     }
 
+    /// Decorrelates this branch from its siblings: a new stream, and the
+    /// pending completion times redrawn from it ([`SimScratch::reseed`]).
     fn reseed(&mut self, seed: u64) {
-        let cursor = self.cursor.as_mut().expect(NOT_BEGUN);
-        cursor.reseed(seed);
-        // Decorrelate this branch from its siblings: redraw the pending
-        // completion times (memoryless, so the trajectory law given the
-        // cloned marking is unchanged) from the new stream.
-        self.simulator.resample_pending(&mut self.sim, cursor);
+        self.sim.reseed(seed);
     }
 
     fn survives(&mut self, p: f64) -> bool {
-        self.cursor.as_mut().expect(NOT_BEGUN).survives(p)
+        self.sim.survives(p)
     }
 
     fn finish(&mut self) -> RunOutput {

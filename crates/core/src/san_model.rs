@@ -470,12 +470,16 @@ impl SanTemplate for ReplicaTemplate {
 
         // rep_misbehave: conviction by the replication group, possible only
         // while fewer than a third of the running replicas are corrupt.
-        b.timed_activity("rep_misbehave", p.misbehave_rate)
-            .predicate(&[corrupted, has_started, running, corr], move |m| {
-                m.get(corrupted) == 1 && m.get(has_started) == 1 && 3 * m.get(corr) < m.get(running)
-            })
-            .input_gate(&[], |_| true, convict)
-            .build()?;
+        if p.misbehave_rate > 0.0 {
+            b.timed_activity("rep_misbehave", p.misbehave_rate)
+                .predicate(&[corrupted, has_started, running, corr], move |m| {
+                    m.get(corrupted) == 1
+                        && m.get(has_started) == 1
+                        && 3 * m.get(corr) < m.get(running)
+                })
+                .input_gate(&[], |_| true, convict)
+                .build()?;
+        }
 
         // kill_replica: this host/domain is being shut down.
         for (name, pool, flag) in [
@@ -1086,6 +1090,30 @@ mod tests {
         for seed in 0..20 {
             let mut obs = NoDomainExcluded(model.places.excluded_domains);
             sim.run(seed, 10.0, &mut obs).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_rate_validation_lets_be_zero_builds_and_runs() {
+        // A constant-rate timed activity needs a positive rate, so an
+        // activity whose rate is zero must be left out of the SAN.
+        type Zero = fn(&mut Params);
+        let zeroed: [(&str, Zero); 6] = [
+            ("false_alarm_rate", |p| p.false_alarm_rate = 0.0),
+            ("misbehave_rate", |p| p.misbehave_rate = 0.0),
+            ("spread_rate_domain", |p| p.spread_rate_domain = 0.0),
+            ("spread_rate_system", |p| p.spread_rate_system = 0.0),
+            ("spread_effect_domain", |p| p.spread_effect_domain = 0.0),
+            ("spread_effect_system", |p| p.spread_effect_system = 0.0),
+        ];
+        for (name, zero) in zeroed {
+            let mut params = small_params();
+            zero(&mut params);
+            params.validate().unwrap();
+            let model = build(&params).unwrap_or_else(|e| panic!("{name} = 0: {e}"));
+            SanSimulator::new(model.san)
+                .run(1, 5.0, &mut ())
+                .unwrap_or_else(|e| panic!("{name} = 0: {e}"));
         }
     }
 

@@ -37,7 +37,7 @@ impl fmt::Display for PlaceId {
 /// The token counts of every place.
 ///
 /// Mutating methods record which places changed in an internal dirty log,
-/// drained by the simulator after each firing.
+/// which the simulator reads and clears on every step.
 ///
 /// # Example
 ///
@@ -131,10 +131,9 @@ impl Marking {
 
     /// Number of entries in the dirty log (monotone between clears).
     ///
-    /// Together with [`Marking::dirty_since`] this lets two independent
-    /// consumers (the simulator's instantaneous-enabling index and its
-    /// timed-reschedule loop) each read the log with their own cursor,
-    /// without draining it out from under the other.
+    /// With [`Marking::dirty_since`] this lets the simulator's enabling
+    /// index read the log through a cursor after each firing of a
+    /// stabilization; the simulator clears the log once per step.
     pub(crate) fn dirty_len(&self) -> usize {
         self.dirty.len()
     }

@@ -52,14 +52,12 @@ pub trait Observer {
 impl Observer for () {}
 
 /// Statistics from one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunStats {
     /// Timed activity firings.
     pub timed_firings: u64,
     /// Instantaneous activity firings.
     pub instantaneous_firings: u64,
-    /// Simulation time at which the run ended.
-    pub end_time: f64,
 }
 
 /// A discrete-event simulator for one [`San`].
@@ -73,13 +71,6 @@ pub struct SanSimulator {
     full_rescan_resched: bool,
 }
 
-/// Once the marking's dirty log holds this many entries, the simulator
-/// clears it and restarts both index cursors. Clearing less often than
-/// every step amortizes the log lifecycle across the two consumers (the
-/// instantaneous enabling index and the timed reschedule index) while
-/// keeping the log's memory bounded.
-const DIRTY_LOG_CLEAR_LEN: usize = 512;
-
 /// Persistent sorted set of the enabled instantaneous activities, kept in
 /// sync with the marking's dirty log.
 ///
@@ -87,10 +78,10 @@ const DIRTY_LOG_CLEAR_LEN: usize = 512;
 /// full scan over the model produces. That ordering is load-bearing:
 /// `stabilize` draws `enabled[rng.usize_below(len)]`, so any deviation
 /// would change which activity a given uniform selects and break the
-/// bit-identical determinism contract. `synced` is this index's private
-/// cursor into the marking's dirty log; the timed-reschedule loop reads
-/// the same log with its own cursor (always 0), which is why the log is
-/// cursored rather than drained.
+/// bit-identical determinism contract. `synced` is this index's cursor
+/// into the marking's dirty log, which a stabilization reads after each
+/// of its firings; the run clears the log at the end of every step and
+/// restarts the cursor with it.
 #[derive(Clone)]
 struct InstIndex {
     enabled: Vec<ActivityId>,
@@ -134,13 +125,6 @@ impl InstIndex {
         }
         self.synced = marking.dirty_len();
     }
-
-    /// Tells the index the dirty log is being cleared. The set itself
-    /// stays valid (clearing the log does not change the marking); only
-    /// the cursor must restart. Callers must be fully synced first.
-    fn note_cleared(&mut self) {
-        self.synced = 0;
-    }
 }
 
 /// Persistent reschedule index for the timed activities, the counterpart
@@ -151,19 +135,14 @@ impl InstIndex {
 /// activities whose enabling or rate may have changed: the fired activity
 /// plus every timed activity reading a place the firing (and its
 /// instantaneous cascade) dirtied. `collect` derives that set from the
-/// marking's dirty log through this index's private cursor — the
-/// instantaneous index reads the same log through its own cursor, so the
-/// log is cleared only when it grows past [`DIRTY_LOG_CLEAR_LEN`], not
-/// per step. The `affected` set is kept in ascending [`ActivityId`]
-/// order: the reschedule loop draws exponential variates in iteration
-/// order, so the ordering pins the RNG stream and with it bit-identical
-/// trajectories.
+/// whole dirty log, which holds exactly the step's entries: the run
+/// clears it at the end of every step. The `affected` set is kept in
+/// ascending [`ActivityId`] order: the reschedule loop draws exponential
+/// variates in iteration order, so the ordering pins the RNG stream and
+/// with it bit-identical trajectories.
 #[derive(Clone)]
 struct TimedIndex {
     affected: Vec<ActivityId>,
-    /// Cursor into the marking's dirty log (entries before it are
-    /// already reflected in past reschedules).
-    synced: usize,
     /// Activity bitset, one `u64` per 64 ids: `collect` marks the set
     /// here and reads it back in ascending id order. All-zero between
     /// collects.
@@ -177,21 +156,14 @@ impl TimedIndex {
     fn new(num_activities: usize) -> Self {
         TimedIndex {
             affected: Vec::new(),
-            synced: 0,
             marked: vec![0; num_activities.div_ceil(64)],
             dirt: Vec::new(),
         }
     }
 
-    /// Tells the index the dirty log is being cleared (see
-    /// [`InstIndex::note_cleared`]).
-    fn note_cleared(&mut self) {
-        self.synced = 0;
-    }
-
     /// Rebuilds `affected` for the step that fired `fired`: the fired
-    /// activity plus the timed dependents of every place dirtied since
-    /// the last collect, ascending and deduped. Advances the cursor.
+    /// activity plus the timed dependents of every place in the dirty
+    /// log, ascending and deduped.
     ///
     /// Each member sets its bit in `marked`; the words between the lowest
     /// and highest one touched are then read back, and cleared, in
@@ -203,18 +175,16 @@ impl TimedIndex {
     /// the inverse (place → dependents) index. Tests use that mode as
     /// the oracle; debug builds cross-check every step against it.
     fn collect(&mut self, san: &San, marking: &Marking, fired: ActivityId, full_rescan: bool) {
-        let from = self.synced;
-        self.synced = marking.dirty_len();
         if full_rescan {
             let mut scanned = std::mem::take(&mut self.affected);
-            self.scan_into(san, marking, from, fired, &mut scanned);
+            self.scan_into(san, marking, fired, &mut scanned);
             self.affected = scanned;
             return;
         }
         let marked = &mut self.marked;
         let (mut lo, mut hi) = (fired.index() / 64, fired.index() / 64);
         marked[lo] |= 1 << (fired.index() % 64);
-        for &p in marking.dirty_since(from) {
+        for &p in marking.dirty_since(0) {
             for &id in san.timed_dependents_of(p) {
                 let word = id.index() / 64;
                 marked[word] |= 1 << (id.index() % 64);
@@ -235,7 +205,7 @@ impl TimedIndex {
         #[cfg(debug_assertions)]
         {
             let mut check = Vec::new();
-            self.scan_into(san, marking, from, fired, &mut check);
+            self.scan_into(san, marking, fired, &mut check);
             debug_assert_eq!(
                 self.affected, check,
                 "incremental timed reschedule index diverged from full rescan"
@@ -249,12 +219,11 @@ impl TimedIndex {
         &mut self,
         san: &San,
         marking: &Marking,
-        from: usize,
         fired: ActivityId,
         out: &mut Vec<ActivityId>,
     ) {
         self.dirt.resize(marking.len(), false);
-        for &p in marking.dirty_since(from) {
+        for &p in marking.dirty_since(0) {
             self.dirt[p as usize] = true;
         }
         out.clear();
@@ -266,7 +235,7 @@ impl TimedIndex {
                 out.push(id);
             }
         }
-        for &p in marking.dirty_since(from) {
+        for &p in marking.dirty_since(0) {
             self.dirt[p as usize] = false;
         }
     }
@@ -342,21 +311,25 @@ impl ExpoBatch {
     }
 }
 
-/// Reusable per-thread simulation state for [`SanSimulator::run_with_scratch`].
+/// One SAN run in flight, on reusable per-thread state.
 ///
-/// Owns the marking, event queue, per-activity schedule table, merged
-/// sample-time buffer, the incremental enabling index, the batched
-/// exponential-sampling buffers and the case-weight buffer, plus a cached
-/// copy of the initial token counts, so a worker thread can run many
-/// replications without reallocating any of them. Every run fully resets
-/// the state; reuse never changes results.
+/// Holds the simulator the run steps under, the marking, event queue,
+/// per-activity schedule table, merged sample-time buffer, the enabling
+/// and reschedule indices, the batched exponential-sampling buffers and
+/// the case-weight buffer, plus the run's random stream, clock, horizon,
+/// sample position and firing counts. A worker thread runs many
+/// replications on one scratch without reallocating; every
+/// [`SimScratch::begin`] resets it fully, so reuse never changes results.
 ///
-/// `Clone` deep-copies the entire mid-run state (marking, queue, schedule
-/// table, batching buffers); together with a cloned [`RunCursor`] the copy
-/// continues the run independently — the basis of importance splitting.
+/// [`SanSimulator::run_with_scratch`] is [`SimScratch::use_simulator`],
+/// [`SimScratch::begin`], then [`SimScratch::step`] until it returns
+/// `false`, so stepwise execution is bit-identical to a whole run by
+/// construction. `Clone` deep-copies the entire mid-run state, and the
+/// copy continues the run independently — the basis of importance
+/// splitting.
 #[derive(Clone)]
 pub struct SimScratch {
-    initial: Vec<i32>,
+    sim: SanSimulator,
     marking: Marking,
     queue: EventQueue<ActivityId>,
     keys: Vec<Option<EventKey>>,
@@ -365,48 +338,252 @@ pub struct SimScratch {
     timed: TimedIndex,
     expo: ExpoBatch,
     weights: Vec<f64>,
+    rng: Rng,
+    /// Simulation time of the last fired event (0 before the first);
+    /// [`SimScratch::reseed`] redraws the pending delays from it.
+    now: f64,
+    horizon: f64,
+    next_sample: usize,
+    stats: RunStats,
 }
 
 impl SimScratch {
+    /// Adopts `sim`'s model and oracle switches for the runs that follow.
+    /// A scratch serves every model of its structure (the same activities
+    /// and initial marking, other rates).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sim`'s model is structurally different from the
+    /// scratch's.
+    pub fn use_simulator(&mut self, sim: &SanSimulator) {
+        assert!(
+            sim.san.num_activities() == self.keys.len() && sim.san.initial == self.sim.san.initial,
+            "scratch does not match this model"
+        );
+        self.sim.clone_from(sim);
+    }
+
     /// The current marking (importance level functions read this between
-    /// [`SanSimulator::step_run`] calls; the marking is stabilized then).
+    /// [`SimScratch::step`] calls; the marking is stabilized then).
     pub fn marking(&self) -> &Marking {
         &self.marking
     }
-}
 
-/// Execution cursor for a run driven stepwise through
-/// [`SanSimulator::begin_run`] / [`SanSimulator::step_run`].
-///
-/// Owns the run-local random stream, the sample-delivery position, and the
-/// firing statistics. Cloning a cursor together with its [`SimScratch`]
-/// snapshots a run mid-flight; the importance-splitting scheduler clones
-/// both at level crossings and reseeds the copy.
-#[derive(Debug, Clone)]
-pub struct RunCursor {
-    rng: Rng,
-    next_sample: usize,
-    stats: RunStats,
-    /// Simulation time of the last fired event (0 before the first).
-    /// [`SanSimulator::resample_pending`] needs the current time to
-    /// redraw remaining delays from "now".
-    now: f64,
-}
-
-impl RunCursor {
-    /// Firing statistics accumulated so far.
+    /// Firing statistics of the run so far; final once
+    /// [`SimScratch::step`] has returned `false`.
     pub fn stats(&self) -> RunStats {
         self.stats
     }
 
-    /// Replaces the run's random stream with one seeded from `seed`.
+    /// Resets the scratch to the time-zero state of the run seeded `seed`
+    /// on `[0, horizon]`: the initial marking stabilized,
+    /// `observer.on_init` delivered, every enabled timed activity
+    /// scheduled, no timed event fired yet.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SanError::Unstabilized`] if instantaneous activities
+    /// livelock during the initial stabilization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon` is negative or NaN.
+    pub fn begin(
+        &mut self,
+        seed: u64,
+        horizon: f64,
+        observer: &mut impl Observer,
+    ) -> Result<(), SanError> {
+        assert!(horizon >= 0.0 && !horizon.is_nan(), "bad horizon");
+        // Reset to the pristine time-zero state, keeping the backing
+        // allocations.
+        self.marking.assign(&self.sim.san.initial);
+        self.queue.clear();
+        self.keys.fill(None);
+        self.rng = Rng::seed_from_u64(seed);
+        self.now = 0.0;
+        self.horizon = horizon;
+        self.next_sample = 0;
+        self.stats = RunStats::default();
+
+        // Collect the requested sample times within the horizon, in order.
+        let times = &mut self.sample_times;
+        times.clear();
+        observer.append_sample_times(times);
+        times.retain(|&t| t <= horizon);
+        times.sort_by(|a, b| a.partial_cmp(b).expect("sample times are not NaN"));
+        times.dedup();
+
+        // Initial stabilization. Firings before time zero are not
+        // observable events, hence the null observer.
+        self.inst.rebuild(&self.sim.san, &self.marking);
+        self.stabilize(&mut ())?;
+        self.marking.clear_dirty();
+        self.inst.synced = 0;
+        observer.on_init(0.0, &self.marking);
+        // Schedule every enabled timed activity.
+        self.expo.begin(0.0);
+        for (id, act) in self.sim.san.activities() {
+            if !act.is_instantaneous() && act.enabled(&self.marking) {
+                self.expo.schedule(act, id, &self.marking);
+            }
+        }
+        self.expo
+            .flush(&mut self.rng, &mut self.queue, &mut self.keys);
+        Ok(())
+    }
+
+    /// Advances the run by one event-queue entry: delivers due sample
+    /// points, then pops and fires the next timed activity (with its
+    /// zero-time stabilization cascade and rescheduling). Returns
+    /// `Ok(false)` once the horizon is reached or the queue drains.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SanError::Unstabilized`] if instantaneous activities
+    /// livelock.
+    pub fn step(&mut self, observer: &mut impl Observer) -> Result<bool, SanError> {
+        let next_time = self.queue.peek_time();
+        // Deliver sample points that precede the next event (or all
+        // remaining ones if the queue is drained / past horizon).
+        let cutoff = next_time.map_or(self.horizon, |t| t.min(self.horizon));
+        while let Some(&t) = self
+            .sample_times
+            .get(self.next_sample)
+            .filter(|&&t| t <= cutoff)
+        {
+            observer.on_sample(t, &self.marking);
+            self.next_sample += 1;
+        }
+
+        // No more events (the marking is frozen, but the observation
+        // interval still runs to the horizon), or the next event lies
+        // beyond it: the run is over.
+        if next_time.is_none_or(|t| t > self.horizon) {
+            observer.on_end(self.horizon, &self.marking);
+            return Ok(false);
+        }
+
+        let (now, act_id) = self.queue.pop().expect("peeked event exists");
+        self.now = now;
+        debug_assert!(
+            self.keys[act_id.index()].is_some(),
+            "popped activity must have been scheduled"
+        );
+        self.keys[act_id.index()] = None;
+
+        let act = self.sim.san.activity(act_id);
+        debug_assert!(
+            act.enabled(&self.marking),
+            "scheduled activity must be enabled"
+        );
+
+        // Fire.
+        let case = choose_case(act, &self.marking, &mut self.weights, &mut self.rng);
+        act.fire(case, &mut self.marking);
+        self.stats.timed_firings += 1;
+
+        // Zero-time stabilization of instantaneous activities.
+        self.stabilize(observer)?;
+
+        // Incrementally update the timed activities affected by the
+        // firing and its cascade: drop each one's pending sample and, if
+        // it is still enabled, batch a fresh draw (memorylessness makes
+        // the redraw exact, and marking-dependent rates require it).
+        let san = &*self.sim.san;
+        self.timed
+            .collect(san, &self.marking, act_id, self.sim.full_rescan_resched);
+        self.expo.begin(now);
+        for &id in &self.timed.affected {
+            cancel(id, &mut self.queue, &mut self.keys);
+            let act = san.activity(id);
+            if act.enabled(&self.marking) {
+                self.expo.schedule(act, id, &self.marking);
+            }
+        }
+        self.expo
+            .flush(&mut self.rng, &mut self.queue, &mut self.keys);
+        // Both indices have read this step's dirty log: spend it.
+        self.marking.clear_dirty();
+        self.inst.synced = 0;
+
+        observer.on_event(now, act_id, &self.marking);
+        Ok(true)
+    }
+
+    /// Gives the run a new random stream seeded from `seed` and redraws
+    /// the completion time of every scheduled activity from it, anchored
+    /// at the current simulation time.
+    ///
+    /// Every timed activity is exponential and so memoryless: conditioned
+    /// on the current marking the redrawn schedule has exactly the law of
+    /// the old one — this changes *which* future gets sampled, never its
+    /// distribution. An importance-splitting branch reseeds after a fork:
+    /// without the redraw, sibling branches would inherit the parent's
+    /// already-drawn completion times from the cloned queue and replay
+    /// near-identical futures, defeating the variance reduction splitting
+    /// exists for.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = Rng::seed_from_u64(seed);
+        self.expo.begin(self.now);
+        for (id, act) in self.sim.san.activities() {
+            if self.keys[id.index()].is_some() {
+                cancel(id, &mut self.queue, &mut self.keys);
+                self.expo.schedule(act, id, &self.marking);
+            }
+        }
+        self.expo
+            .flush(&mut self.rng, &mut self.queue, &mut self.keys);
     }
 
     /// Draws one Bernoulli(`p`) from the run's stream (Russian roulette).
     pub fn survives(&mut self, p: f64) -> bool {
         self.rng.bernoulli(p)
+    }
+
+    /// Fires enabled instantaneous activities (uniform random choice) at
+    /// the current time until none is enabled, keeping the enabling
+    /// index in sync with the dirty log.
+    ///
+    /// For the initial stabilization the caller passes the null observer
+    /// `()`: firings before time zero are not observable events.
+    fn stabilize(&mut self, observer: &mut impl Observer) -> Result<(), SanError> {
+        let san = &*self.sim.san;
+        let (idx, marking) = (&mut self.inst, &mut self.marking);
+        let mut firings = 0usize;
+        loop {
+            if self.sim.full_rescan {
+                san.enabled_instantaneous_into(marking, &mut idx.enabled);
+                idx.synced = marking.dirty_len();
+            } else {
+                idx.sync(san, marking);
+                #[cfg(debug_assertions)]
+                {
+                    let mut check = Vec::new();
+                    san.enabled_instantaneous_into(marking, &mut check);
+                    debug_assert_eq!(
+                        idx.enabled, check,
+                        "incremental enabling index diverged from full rescan"
+                    );
+                }
+            }
+            if idx.enabled.is_empty() {
+                return Ok(());
+            }
+            firings += 1;
+            if firings > MAX_STABILIZATION_FIRINGS {
+                return Err(SanError::Unstabilized {
+                    marking: marking.values().to_vec(),
+                });
+            }
+            let id = idx.enabled[self.rng.usize_below(idx.enabled.len())];
+            let act = san.activity(id);
+            let case = choose_case(act, marking, &mut self.weights, &mut self.rng);
+            act.fire(case, marking);
+            self.stats.instantaneous_firings += 1;
+            observer.on_event(self.now, id, marking);
+        }
     }
 }
 
@@ -443,10 +620,11 @@ impl SanSimulator {
         self.full_rescan_resched = on;
     }
 
-    /// Creates a reusable scratch for [`SanSimulator::run_with_scratch`].
+    /// Creates a reusable scratch for [`SanSimulator::run_with_scratch`],
+    /// stepping under this simulator.
     pub fn scratch(&self) -> SimScratch {
         SimScratch {
-            initial: self.san.initial.clone(),
+            sim: self.clone(),
             marking: self.san.initial_marking(),
             queue: EventQueue::new(),
             keys: vec![None; self.san.num_activities()],
@@ -455,6 +633,11 @@ impl SanSimulator {
             timed: TimedIndex::new(self.san.num_activities()),
             expo: ExpoBatch::new(),
             weights: Vec::new(),
+            rng: Rng::seed_from_u64(0),
+            now: 0.0,
+            horizon: 0.0,
+            next_sample: 0,
+            stats: RunStats::default(),
         }
     }
 
@@ -484,9 +667,9 @@ impl SanSimulator {
 
     /// Runs one replication, reusing `scratch`'s allocations.
     ///
-    /// The scratch is reset first, so the run is byte-identical to
-    /// [`SanSimulator::run`] with the same arguments, regardless of what
-    /// the scratch was previously used for.
+    /// The scratch adopts this simulator and is reset first, so the run
+    /// is byte-identical to [`SanSimulator::run`] with the same
+    /// arguments, regardless of what the scratch was previously used for.
     ///
     /// # Errors
     ///
@@ -504,289 +687,16 @@ impl SanSimulator {
         observer: &mut impl Observer,
         scratch: &mut SimScratch,
     ) -> Result<RunStats, SanError> {
-        let mut cursor = self.begin_run(seed, horizon, observer, scratch)?;
-        while self.step_run(horizon, observer, scratch, &mut cursor)? {}
-        Ok(cursor.stats)
+        scratch.use_simulator(self);
+        scratch.begin(seed, horizon, observer)?;
+        while scratch.step(observer)? {}
+        Ok(scratch.stats)
     }
+}
 
-    /// Resets `scratch`, performs the time-zero stabilization and initial
-    /// scheduling, and returns the cursor from which the run proceeds one
-    /// event at a time via [`SanSimulator::step_run`].
-    ///
-    /// `run_with_scratch` is exactly `begin_run` followed by `step_run`
-    /// until it returns `false`, so stepwise execution is bit-identical to
-    /// the monolithic loop by construction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::Unstabilized`] if instantaneous activities
-    /// livelock during the initial stabilization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is negative or NaN, or if `scratch` was created
-    /// for a structurally different model.
-    pub fn begin_run(
-        &self,
-        seed: u64,
-        horizon: f64,
-        observer: &mut impl Observer,
-        scratch: &mut SimScratch,
-    ) -> Result<RunCursor, SanError> {
-        assert!(horizon >= 0.0 && !horizon.is_nan(), "bad horizon");
-        let san = &*self.san;
-        assert!(
-            scratch.keys.len() == san.num_activities() && scratch.initial == san.initial,
-            "scratch does not match this model"
-        );
-
-        // Reset the scratch to the pristine time-zero state, keeping the
-        // backing allocations.
-        let SimScratch {
-            initial,
-            marking,
-            queue,
-            keys,
-            sample_times,
-            inst,
-            timed,
-            expo,
-            weights,
-        } = scratch;
-        let marking = &mut *marking;
-        marking.assign(initial);
-        queue.clear();
-        for k in keys.iter_mut() {
-            *k = None;
-        }
-
-        let mut cursor = RunCursor {
-            rng: Rng::seed_from_u64(seed),
-            next_sample: 0,
-            stats: RunStats {
-                timed_firings: 0,
-                instantaneous_firings: 0,
-                end_time: 0.0,
-            },
-            now: 0.0,
-        };
-
-        // Collect the requested sample times within the horizon, in order.
-        sample_times.clear();
-        observer.append_sample_times(sample_times);
-        sample_times.retain(|&t| t <= horizon);
-        sample_times.sort_by(|a, b| a.partial_cmp(b).expect("sample times are not NaN"));
-        sample_times.dedup();
-
-        // Initial stabilization. Firings before time zero are not
-        // observable events, hence the null observer.
-        inst.rebuild(san, marking);
-        self.stabilize(marking, &mut cursor, &mut (), inst, weights)?;
-        marking.clear_dirty();
-        inst.note_cleared();
-        timed.note_cleared();
-        observer.on_init(0.0, marking);
-        // Schedule every enabled timed activity.
-        expo.begin(0.0);
-        for (id, act) in san.activities() {
-            if !act.is_instantaneous() && act.enabled(marking) {
-                expo.schedule(act, id, marking);
-            }
-        }
-        expo.flush(&mut cursor.rng, queue, keys);
-        Ok(cursor)
-    }
-
-    /// Advances the run by one event-queue entry: delivers due sample
-    /// points, then pops and fires the next timed activity (with its
-    /// zero-time stabilization cascade and rescheduling). Returns
-    /// `Ok(false)` once the horizon is reached or the queue drains —
-    /// `cursor.stats()` is final at that point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::Unstabilized`] if instantaneous activities
-    /// livelock.
-    pub fn step_run(
-        &self,
-        horizon: f64,
-        observer: &mut impl Observer,
-        scratch: &mut SimScratch,
-        cursor: &mut RunCursor,
-    ) -> Result<bool, SanError> {
-        let san = &*self.san;
-        let SimScratch {
-            initial: _,
-            marking,
-            queue,
-            keys,
-            sample_times,
-            inst,
-            timed,
-            expo,
-            weights,
-        } = scratch;
-        let marking = &mut *marking;
-
-        let next_time = queue.peek_time();
-        // Deliver sample points that precede the next event (or all
-        // remaining ones if the queue is drained / past horizon).
-        let cutoff = next_time.map_or(horizon, |t| t.min(horizon));
-        while cursor.next_sample < sample_times.len() && sample_times[cursor.next_sample] <= cutoff
-        {
-            observer.on_sample(sample_times[cursor.next_sample], marking);
-            cursor.next_sample += 1;
-        }
-
-        // No more events (the marking is frozen, but the observation
-        // interval still runs to the horizon), or the next event lies
-        // beyond it: the run is over.
-        if next_time.is_none_or(|t| t > horizon) {
-            cursor.stats.end_time = horizon;
-            observer.on_end(horizon, marking);
-            return Ok(false);
-        }
-
-        let (now, act_id) = queue.pop().expect("peeked event exists");
-        cursor.now = now;
-        debug_assert!(
-            keys[act_id.index()].is_some(),
-            "popped activity must have been scheduled"
-        );
-        keys[act_id.index()] = None;
-
-        let act = san.activity(act_id);
-        debug_assert!(act.enabled(marking), "scheduled activity must be enabled");
-
-        // Fire.
-        let case = choose_case(act, marking, weights, &mut cursor.rng);
-        act.fire(case, marking);
-        cursor.stats.timed_firings += 1;
-
-        // Zero-time stabilization of instantaneous activities.
-        self.stabilize(marking, cursor, observer, inst, weights)?;
-
-        // Incrementally update the timed activities affected by the
-        // firing and its cascade: drop each one's pending sample and, if
-        // it is still enabled, batch a fresh draw (memorylessness makes
-        // the redraw exact, and marking-dependent rates require it).
-        // `timed` consumes only the dirty-log suffix past its cursor, so
-        // the log itself is cleared lazily (below) once it grows past the
-        // threshold — both cursors share one log lifecycle.
-        timed.collect(san, marking, act_id, self.full_rescan_resched);
-        expo.begin(now);
-        for &id in &timed.affected {
-            Self::cancel(id, queue, keys);
-            let act = san.activity(id);
-            if act.enabled(marking) {
-                expo.schedule(act, id, marking);
-            }
-        }
-        expo.flush(&mut cursor.rng, queue, keys);
-        if marking.dirty_len() >= DIRTY_LOG_CLEAR_LEN {
-            // Every cursor is fully synced here, so dropping the log is
-            // invisible to both indices.
-            marking.clear_dirty();
-            inst.note_cleared();
-            timed.note_cleared();
-        }
-
-        observer.on_event(now, act_id, marking);
-        Ok(true)
-    }
-
-    fn cancel(id: ActivityId, queue: &mut EventQueue<ActivityId>, keys: &mut [Option<EventKey>]) {
-        if let Some(key) = keys[id.index()].take() {
-            queue.cancel(key);
-        }
-    }
-
-    /// Redraws the completion time of every scheduled activity from the
-    /// cursor's stream, anchored at the current simulation time.
-    ///
-    /// Every timed activity is exponential and so memoryless: conditioned
-    /// on the current marking the redrawn schedule has exactly the law of
-    /// the old one — this changes *which* future gets sampled, never its
-    /// distribution. An importance-splitting branch calls this after
-    /// [`RunCursor::reseed`]: without it, sibling branches would inherit
-    /// the parent's already-drawn completion times from the cloned queue
-    /// and replay near-identical futures, defeating the variance
-    /// reduction splitting exists for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` does not belong to this model.
-    pub fn resample_pending(&self, scratch: &mut SimScratch, cursor: &mut RunCursor) {
-        let san = &*self.san;
-        assert!(
-            scratch.keys.len() == san.num_activities(),
-            "scratch does not match this model"
-        );
-        let SimScratch {
-            marking,
-            queue,
-            keys,
-            expo,
-            ..
-        } = scratch;
-        expo.begin(cursor.now);
-        for (id, act) in san.activities() {
-            if keys[id.index()].is_some() {
-                Self::cancel(id, queue, keys);
-                expo.schedule(act, id, marking);
-            }
-        }
-        expo.flush(&mut cursor.rng, queue, keys);
-    }
-
-    /// Fires enabled instantaneous activities (uniform random choice) at
-    /// `cursor.now` until none is enabled, keeping `idx` in sync with the
-    /// dirty log.
-    ///
-    /// For the initial stabilization the caller passes the null observer
-    /// `()`: firings before time zero are not observable events.
-    fn stabilize(
-        &self,
-        marking: &mut Marking,
-        cursor: &mut RunCursor,
-        observer: &mut impl Observer,
-        idx: &mut InstIndex,
-        weights: &mut Vec<f64>,
-    ) -> Result<(), SanError> {
-        let san = &*self.san;
-        let mut firings = 0usize;
-        loop {
-            if self.full_rescan {
-                san.enabled_instantaneous_into(marking, &mut idx.enabled);
-                idx.synced = marking.dirty_len();
-            } else {
-                idx.sync(san, marking);
-                #[cfg(debug_assertions)]
-                {
-                    let mut check = Vec::new();
-                    san.enabled_instantaneous_into(marking, &mut check);
-                    debug_assert_eq!(
-                        idx.enabled, check,
-                        "incremental enabling index diverged from full rescan"
-                    );
-                }
-            }
-            if idx.enabled.is_empty() {
-                return Ok(());
-            }
-            firings += 1;
-            if firings > MAX_STABILIZATION_FIRINGS {
-                return Err(SanError::Unstabilized {
-                    marking: marking.values().to_vec(),
-                });
-            }
-            let id = idx.enabled[cursor.rng.usize_below(idx.enabled.len())];
-            let act = san.activity(id);
-            let case = choose_case(act, marking, weights, &mut cursor.rng);
-            act.fire(case, marking);
-            cursor.stats.instantaneous_firings += 1;
-            observer.on_event(cursor.now, id, marking);
-        }
+fn cancel(id: ActivityId, queue: &mut EventQueue<ActivityId>, keys: &mut [Option<EventKey>]) {
+    if let Some(key) = keys[id.index()].take() {
+        queue.cancel(key);
     }
 }
 
@@ -845,7 +755,6 @@ mod tests {
             (stats.timed_firings as f64 - 500.0).abs() < 120.0,
             "{stats:?}"
         );
-        assert_eq!(stats.end_time, 100.0);
         assert_eq!(obs.end_time, 100.0);
     }
 
@@ -901,10 +810,11 @@ mod tests {
             .unwrap();
         let san = b.finish().unwrap();
         let sim = SanSimulator::new(san.clone());
-        let stats = sim.run(1, 1000.0, &mut ()).unwrap();
+        let mut obs = FiringCounter::default();
+        let stats = sim.run(1, 1000.0, &mut obs).unwrap();
         assert_eq!(stats.timed_firings, 3);
         // The queue drained early, but the observation window is [0, 1000].
-        assert_eq!(stats.end_time, 1000.0);
+        assert_eq!(obs.end_time, 1000.0);
     }
 
     #[test]
