@@ -611,7 +611,7 @@ pub fn compare_generated(graph: &ReachGraph, generated: &StateSpace) -> Result<f
     }
 
     let mut rates = BTreeMap::new();
-    for &(s, t, r) in generated.transitions() {
+    for (s, t, r) in generated.transitions() {
         *rates.entry((to_graph[s], to_graph[t])).or_default() += r;
     }
     let initial: BTreeMap<usize, f64> = generated

@@ -1,7 +1,7 @@
 //! User errors at the `itua` command line end in a message and exit
 //! code 2, never a panic: malformed flags, replication counts too small
 //! for a confidence interval, horizons too long to uniformize, and
-//! layouts or spread rates past their bounds. A stdout closed by its reader ends the
+//! layouts or rates past their bounds. A stdout closed by its reader ends the
 //! process with status 141, never a panic either, and a stderr closed by
 //! its reader loses the messages but keeps the exit code.
 
@@ -161,25 +161,73 @@ fn layouts_past_the_size_bounds_exit_2_promptly() {
     }
 }
 
-#[test]
-fn a_spread_rate_past_its_bound_exits_2_everywhere() {
-    // Each corrupt host adds ten times the rate to an integer spread
-    // level of the SAN, which once overflowed and panicked.
-    let scn = micro_scn(
-        "huge-spread",
-        "sweep = spread-rate-domain\nvalues = 1e300\n",
-    );
+/// Asserts that `run` on every backend and `check` reject the micro
+/// scenario with `extra` lines at once, naming the rate bound; returns
+/// the last stderr.
+#[expect(
+    clippy::disallowed_types,
+    reason = "times the CLI process for a promptness bound; no estimate reads it"
+)]
+fn assert_rate_rejected_everywhere(tag: &str, extra: &str) -> String {
+    let scn = micro_scn(tag, extra);
     let scn = scn.to_str().unwrap();
-    for backend in ["des", "san", "analytic"] {
-        let args = ["run", scn, "--backend", backend, "--no-resume", "--quiet"];
-        let stderr = assert_user_error(&args);
+    let runs = ["des", "san", "analytic"]
+        .map(|backend| vec!["run", scn, "--backend", backend, "--no-resume", "--quiet"]);
+    let mut stderr = String::new();
+    for args in runs.iter().map(Vec::as_slice).chain([&["check", scn][..]]) {
+        let start = std::time::Instant::now();
+        stderr = assert_user_error(args);
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "{args:?}: {stderr}"
+        );
         assert!(
             stderr.contains("at most 10000 per hour"),
             "{args:?}: {stderr}"
         );
     }
-    let stderr = assert_user_error(&["check", scn]);
-    assert!(stderr.contains("at most 10000 per hour"), "{stderr}");
+    stderr
+}
+
+#[test]
+fn a_spread_rate_past_its_bound_exits_2_everywhere() {
+    // Each corrupt host adds ten times the rate to an integer spread
+    // level of the SAN, which once overflowed and panicked.
+    let stderr = assert_rate_rejected_everywhere(
+        "huge-spread",
+        "sweep = spread-rate-domain\nvalues = 1e300\n",
+    );
+    // The bad point is named in a few characters, not 301 digits.
+    assert!(stderr.contains("invalid point (x = 1e300)"), "{stderr}");
+    assert!(!stderr.contains("00000000000000000000"), "{stderr}");
+}
+
+#[test]
+fn an_effective_rate_factor_overflowing_the_rates_exits_2_everywhere() {
+    // Every derived rate overflowed to infinity, and the SAN's timed
+    // activities panicked on it (`run --backend san|analytic`, `check`).
+    assert_rate_rejected_everywhere("huge-factor", "effective-rate-factor = 1e308\n");
+}
+
+#[test]
+fn a_false_alarm_rate_overflowing_exits_2_everywhere() {
+    // The per-host false-alarm rate overflowed to infinity, with the
+    // same panics.
+    assert_rate_rejected_everywhere(
+        "huge-false-alarms",
+        "sweep = ids-rate\nvalues = 0.15\nfalse-alarm-rate = 1e308\n\
+         effective-rate-factor = 4\n",
+    );
+}
+
+#[test]
+fn a_misbehave_rate_past_its_bound_exits_2_everywhere() {
+    // The DES re-arms a disabled misbehaviour event at its own rate while
+    // a group lacks quorum: two replications ran for longer than 40 s.
+    assert_rate_rejected_everywhere(
+        "huge-misbehave",
+        "misbehave-rate = 1e9\neffective-rate-factor = 4\n",
+    );
 }
 
 #[test]

@@ -614,7 +614,7 @@ pub fn exhaustive_check(model: &ItuaSan, max_states: usize) -> Result<Exhaustive
         families_proved: spec.expected.len(),
         max_tokens,
         max_tokens_place: san.place_name(PlaceId::from_index(max_place)).to_owned(),
-        generated_transitions: plain.transitions().len(),
+        generated_transitions: plain.num_transitions(),
         max_rel_dev: plain_dev.max(lumped_dev),
         findings,
         law_hits,

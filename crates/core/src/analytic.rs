@@ -55,10 +55,20 @@
 //! state sets are orbit unions, so the per-application absorbed chains
 //! lump too). The unlumped path remains available and byte-identical to
 //! its pre-lumping results.
+//!
+//! # One generation per rate sweep
+//!
+//! Points that differ only in timed rates and case weights share one
+//! state-space structure ([`san_model::structure_key`]).
+//! [`ItuaAnalytic::reusing`] re-rates a kept point's state space for the
+//! next point instead of generating it again
+//! ([`StateSpace::rerated`]), and falls back to generating when re-rating
+//! refuses. The chains are then assembled from the space as for a fresh
+//! build, so every value is bit-identical to the per-point build.
 
 use crate::measures::{names, MeasureSet};
 use crate::params::Params;
-use crate::san_model::{self, BuildError, ItuaSan};
+use crate::san_model::{self, BuildError, ItuaSan, StructureKey};
 use itua_markov::ctmc::{Ctmc, CtmcError};
 use itua_markov::uniformize::{self, Walk};
 use itua_san::model::SanError;
@@ -179,6 +189,31 @@ fn lumped_probe(model: &ItuaSan, max_states: usize, threads: usize) -> Option<us
         .map(|ss| ss.num_states())
 }
 
+/// The state space of one analytic build, with the key it was built
+/// under: what a later build whose parameters [fit](Structure::fits) it
+/// re-rates instead of generating its own ([`ItuaAnalytic::reusing`]).
+#[derive(Debug)]
+pub struct Structure {
+    /// [`san_model::structure_key`], the lump flag and the state budget.
+    key: (StructureKey, bool, usize),
+    space: StateSpace,
+}
+
+impl Structure {
+    /// The key a build of `params` under `opts` generates under. The
+    /// thread count is left out: it never changes the chain.
+    fn key(params: &Params, opts: &AnalyticOptions) -> (StructureKey, bool, usize) {
+        (san_model::structure_key(params), opts.lump, opts.max_states)
+    }
+
+    /// Whether a build of `params` under `opts` may re-rate this
+    /// structure: the same [`san_model::structure_key`], lump flag and
+    /// state budget.
+    pub fn fits(&self, params: &Params, opts: &AnalyticOptions) -> bool {
+        self.key == Self::key(params, opts)
+    }
+}
+
 /// The ITUA model solved exactly: tangible state space, reward vectors,
 /// and per-application absorbing chains, built once per configuration and
 /// reusable across horizons and sample-time sets.
@@ -237,7 +272,7 @@ impl ItuaAnalytic {
     }
 
     /// Builds the state space and reward structure for `params`, lumped or
-    /// plain per `opts`.
+    /// plain per `opts`: [`ItuaAnalytic::reusing`] with nothing to reuse.
     ///
     /// # Errors
     ///
@@ -245,22 +280,81 @@ impl ItuaAnalytic {
     /// additionally reports whether the symmetry quotient would have fit
     /// the same budget.
     pub fn with_options(params: &Params, opts: &AnalyticOptions) -> Result<Self, AnalyticError> {
+        Self::reusing(params, opts, None).map(|(analytic, _)| analytic)
+    }
+
+    /// Builds the analytic model of `params` as
+    /// [`ItuaAnalytic::with_options`] does, re-rating `kept`'s state space
+    /// ([`StateSpace::rerated`]) instead of generating one when `kept`
+    /// [fits](Structure::fits) `params`. Generates afresh when there is
+    /// none, it does not fit, or re-rating refuses; `kept` is dropped
+    /// before generating. Either way the chains are assembled from the
+    /// space alike, so the model is bit for bit the one
+    /// [`ItuaAnalytic::with_options`] builds. Returns the model and its
+    /// structure, for a later point to reuse.
+    ///
+    /// # Errors
+    ///
+    /// As [`ItuaAnalytic::with_options`].
+    pub fn reusing(
+        params: &Params,
+        opts: &AnalyticOptions,
+        kept: Option<Structure>,
+    ) -> Result<(Self, Structure), AnalyticError> {
         let model = san_model::build(params).map_err(AnalyticError::Build)?;
-        let sym = opts.lump.then(|| crate::analysis::symmetry_spec(&model));
-        let ss = StateSpace::explore(&model.san, sym.as_ref(), opts.max_states, opts.threads)
-            .map_err(|e| match e {
+        let key = Structure::key(params, opts);
+        let rerated = kept
+            .filter(|s| s.key == key)
+            .and_then(|s| s.space.rerated(&model.san));
+        let space = match rerated {
+            Some(space) => space,
+            None => Self::generate(&model, opts)?,
+        };
+        let analytic = Self::from_state_space(&model, &space, opts)?;
+        Ok((analytic, Structure { key, space }))
+    }
+
+    /// Generates the tangible state space of `model`, lumped or plain per
+    /// `opts`, on `opts.threads` workers.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalyticError::TooLarge`] if more than `opts.max_states` states
+    /// are reachable (unlumped, with whether the symmetry quotient would
+    /// have fit), [`AnalyticError::San`] for other generation failures.
+    fn generate(model: &ItuaSan, opts: &AnalyticOptions) -> Result<StateSpace, AnalyticError> {
+        let sym = opts.lump.then(|| crate::analysis::symmetry_spec(model));
+        StateSpace::explore(&model.san, sym.as_ref(), opts.max_states, opts.threads).map_err(|e| {
+            match e {
                 SanError::StateSpaceTooLarge(max) => AnalyticError::TooLarge {
                     max_states: max,
-                    config: describe(params),
+                    config: describe(&model.params),
                     lumped_fit: if opts.lump {
                         None
                     } else {
-                        lumped_probe(&model, max, opts.threads)
+                        lumped_probe(model, max, opts.threads)
                     },
                 },
                 other => AnalyticError::San(other),
-            })?;
+            }
+        })
+    }
 
+    /// Assembles the reward vectors and chains of `model` on `ss`, its
+    /// state space, generated or re-rated. The base chain's CSR rows come
+    /// straight from the space, and each per-application
+    /// Byzantine-absorbed chain copies the base chain's rows
+    /// ([`Ctmc::absorbing`]): bit for bit the chains
+    /// [`StateSpace::to_ctmc`] and [`StateSpace::absorbing_ctmc`] build.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalyticError::Ctmc`] if the chain cannot be assembled.
+    fn from_state_space(
+        model: &ItuaSan,
+        ss: &StateSpace,
+        opts: &AnalyticOptions,
+    ) -> Result<Self, AnalyticError> {
         let places = &model.places;
         let improper_frac = ss.reward_vector(|m| places.improper_fraction(m));
         // The simulators' sample measures, read per state (the time stamp
@@ -270,17 +364,18 @@ impl ItuaAnalytic {
         let mean_replicas_running =
             ss.reward_vector(|m| places.snapshot(0.0, m).mean_replicas_running);
         let load_per_host = ss.reward_vector(|m| places.snapshot(0.0, m).load_per_host);
-        let byz = (0..params.num_apps)
-            .map(|a| {
-                ss.absorbing_ctmc(|m| places.byzantine(m, a))
-                    .map(|(c, flags)| (c.with_threads(opts.threads), flags))
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(AnalyticError::Ctmc)?;
         let ctmc = ss
             .to_ctmc()
             .map_err(AnalyticError::Ctmc)?
             .with_threads(opts.threads);
+        let byz = (0..model.params.num_apps)
+            .map(|a| {
+                let flags: Vec<bool> = (0..ss.num_states())
+                    .map(|s| places.byzantine(ss.marking(s), a))
+                    .collect();
+                (ctmc.absorbing(&flags), flags)
+            })
+            .collect();
         Ok(ItuaAnalytic {
             num_states: ss.num_states(),
             initial: ss.initial_distribution(),

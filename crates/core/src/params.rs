@@ -90,6 +90,17 @@ pub const MAX_REPLICAS_PER_APP: usize = 28;
 /// sweep up to 10 per hour.
 pub const MAX_SPREAD_RATE: f64 = 1e4;
 
+/// Largest value any per-entity rate may take, per hour: the derived
+/// attack and false-alarm rates (the `Params::*_rate` accessors),
+/// [`Params::ids_rate`] and [`Params::misbehave_rate`]. A rate of 10⁴
+/// per hour is a mean delay of 0.36 s, ten times the rate of the model's
+/// fastest activity (the SAN's recovery, 1000 per hour). Above it a derived
+/// rate can overflow to infinity, which the SAN cannot build, and the
+/// DES re-arms a disabled misbehaviour event at its own rate while a
+/// group lacks quorum: at 10⁹ per hour two replications of a 2 × 2 host
+/// layout were still running after 40 s.
+pub const MAX_RATE: f64 = 1e4;
+
 /// Full parameter set for the ITUA model.
 ///
 /// Defaults reproduce the paper's Section 4 baseline. Builder-style
@@ -350,7 +361,8 @@ impl Params {
     /// Returns [`ParamsError`] for empty layouts, more than
     /// [`MAX_HOSTS`] hosts or [`MAX_REPLICAS_PER_APP`] replicas per
     /// application, probabilities outside `[0, 1]`, negative rates, spread
-    /// rates above [`MAX_SPREAD_RATE`], or more than 15 applications (the
+    /// rates above [`MAX_SPREAD_RATE`], per-entity rates that are not
+    /// finite or exceed [`MAX_RATE`], or more than 15 applications (the
     /// paper's limit, kept for fidelity: the SAN encoding's
     /// per-application counter places have none).
     pub fn validate(&self) -> Result<(), ParamsError> {
@@ -428,7 +440,54 @@ impl Params {
         {
             return err("attack weights must be nonnegative with positive sum");
         }
+        // No derived rate can come near the bound while these products
+        // stay under it: every attack rate is at most `factor · base / 28`
+        // (the total weight is at least 28 times any one weight), the
+        // false-alarm rate `factor · false_alarm_rate / 58`. Only past
+        // them is the largest derived rate computed, with its divisions.
+        let small =
+            self.host_corruption_multiplier * self.effective_rate_factor * self.base_attack_rate
+                <= MAX_RATE
+                && self.effective_rate_factor * self.false_alarm_rate <= MAX_RATE;
+        let derived = if small {
+            0.0
+        } else {
+            self.largest_derived_rate()
+        };
+        let per_entity = [derived, self.ids_rate, self.misbehave_rate];
+        if per_entity
+            .iter()
+            .any(|r| !(r.is_finite() && *r <= MAX_RATE))
+        {
+            return err(&format!(
+                "per-entity attack, false-alarm, IDS and misbehaviour rates must be at most \
+                 {MAX_RATE} per hour"
+            ));
+        }
         Ok(())
+    }
+
+    /// The largest of the derived per-entity rates (the attack and
+    /// false-alarm accessors), bit for bit: each attack rate is
+    /// `factor · base · w / total` for its entity's weight, so the largest
+    /// weight gives the largest (rounding is monotone), and the
+    /// corrupt-host rates scale the larger of two of them by the
+    /// multiplier, which validation keeps at least 1. Both false-alarm
+    /// rates are the per-host one. NaN when a rate is.
+    fn largest_derived_rate(&self) -> f64 {
+        let weight = self
+            .attack_weight_host
+            .max(self.attack_weight_replica)
+            .max(self.attack_weight_manager);
+        let attack = self.host_corruption_multiplier
+            * (self.effective_rate_factor * self.base_attack_rate * weight
+                / self.attack_weight_total());
+        let false_alarm = self.host_false_alarm_rate();
+        if attack.is_nan() || false_alarm.is_nan() {
+            f64::NAN
+        } else {
+            attack.max(false_alarm)
+        }
     }
 
     /// Whether a group of `active` members with `corrupt` undetected
@@ -585,6 +644,80 @@ mod tests {
         // corrupt host) stay inside `i32`.
         let most = MAX_HOSTS as f64 * 10.0 * MAX_SPREAD_RATE;
         assert!(most < f64::from(i32::MAX), "{most}");
+    }
+
+    #[test]
+    fn the_bounded_rate_is_the_largest_derived_rate() {
+        // Validation checks one rate for the seven derived-rate accessors;
+        // it must be the largest of them, bit for bit, whichever wins.
+        for (host, replica, manager, multiplier, false_alarms) in [
+            (1.0, 0.15, 0.5, 2.0, 2.0),
+            (0.1, 0.9, 0.5, 1.0, 2.0),
+            (0.2, 0.3, 0.7, 5.0, 2.0),
+            (0.0, 0.0, 1.0, 3.0, 2.0),
+            (1.0, 0.15, 0.5, 2.0, 500.0),
+        ] {
+            let p = Params {
+                attack_weight_host: host,
+                attack_weight_replica: replica,
+                attack_weight_manager: manager,
+                host_corruption_multiplier: multiplier,
+                false_alarm_rate: false_alarms,
+                ..Params::default()
+            };
+            let largest = [
+                p.host_attack_rate(),
+                p.replica_attack_rate(),
+                p.manager_attack_rate(),
+                p.corrupt_host_replica_rate(),
+                p.corrupt_host_manager_rate(),
+                p.host_false_alarm_rate(),
+                p.replica_false_alarm_rate(),
+            ]
+            .into_iter()
+            .fold(0.0, f64::max);
+            assert_eq!(p.largest_derived_rate().to_bits(), largest.to_bits());
+        }
+    }
+
+    #[test]
+    fn per_entity_rates_are_bounded() {
+        let base = Params {
+            effective_rate_factor: 4.0,
+            ..Params::default()
+        };
+        base.validate().unwrap();
+        type Edit = fn(&mut Params);
+        let hostile: [Edit; 6] = [
+            // Each derived rate overflows to infinity.
+            |p| p.effective_rate_factor = 1e308,
+            |p| p.false_alarm_rate = 1e308,
+            |p| p.base_attack_rate = 1e308,
+            |p| p.host_corruption_multiplier = 1e308,
+            // Finite, past the bound.
+            |p| p.misbehave_rate = 1e9,
+            |p| p.ids_rate = MAX_RATE * 1.001,
+        ];
+        for edit in hostile {
+            let mut p = base.clone();
+            edit(&mut p);
+            let err = p.validate().unwrap_err();
+            assert!(err.to_string().contains("at most 10000 per hour"), "{err}");
+        }
+        let at_bound = Params {
+            ids_rate: MAX_RATE,
+            misbehave_rate: MAX_RATE,
+            ..Params::default()
+        };
+        at_bound.validate().unwrap();
+        // Past the products that bound every derived rate from above, the
+        // rates themselves decide: the largest is `base / 49.2` here.
+        let base = |base_attack_rate| Params {
+            base_attack_rate,
+            ..Params::default()
+        };
+        base(3e4).validate().unwrap();
+        base(3e6).validate().unwrap_err();
     }
 
     #[test]

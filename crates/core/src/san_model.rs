@@ -298,6 +298,66 @@ pub fn build(params: &Params) -> Result<ItuaSan, BuildError> {
     })
 }
 
+/// What the structure of the ITUA model's state space depends on
+/// ([`structure_key`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StructureKey {
+    /// The parameters with every rate-only one reset to its default.
+    shape: Params,
+    /// Whether the false-alarm activities exist (a positive per-entity
+    /// false-alarm rate).
+    false_alarms: bool,
+    /// Whether the misbehaviour-conviction activities exist.
+    misbehaviour: bool,
+}
+
+/// The key under which two parameter sets build SANs that differ only in
+/// timed rates and timed case weights, so that the state space generated
+/// for one can be re-rated for the other
+/// ([`itua_san::statespace::StateSpace::rerated`]).
+///
+/// It masks exactly the parameters that nothing but a timed activity's
+/// rate or case weights reads: the attack rate, weights and
+/// `effective_rate_factor` (the attack and false-alarm rates), the
+/// false-alarm and misbehaviour rates, `ids_rate`, the detection
+/// probabilities and attack mix (case weights of the attack activities),
+/// the spread effects (the host attack rate) and
+/// `host_corruption_multiplier` (the corrupt-host attack rates). It keeps
+/// whether the false-alarm and misbehaviour rates are positive, since at
+/// zero their activities are left out of the SAN. Everything else is
+/// structural: the layout, `scheme` and `placement` shape the places,
+/// instantaneous activities and predicates, and each spread rate also
+/// sets its `propagate_*` level increment and whether that activity
+/// exists.
+///
+/// A rate or case weight that turns zero at some state, or a zero one
+/// that turns positive, changes that state's firings under an equal key;
+/// re-rating sees it and refuses.
+pub fn structure_key(params: &Params) -> StructureKey {
+    let d = Params::default();
+    StructureKey {
+        false_alarms: params.host_false_alarm_rate() > 0.0,
+        misbehaviour: params.misbehave_rate > 0.0,
+        shape: Params {
+            base_attack_rate: d.base_attack_rate,
+            attack_weight_host: d.attack_weight_host,
+            attack_weight_replica: d.attack_weight_replica,
+            attack_weight_manager: d.attack_weight_manager,
+            false_alarm_rate: d.false_alarm_rate,
+            effective_rate_factor: d.effective_rate_factor,
+            attack_mix: d.attack_mix,
+            detect_replica: d.detect_replica,
+            detect_manager: d.detect_manager,
+            ids_rate: d.ids_rate,
+            misbehave_rate: d.misbehave_rate,
+            spread_effect_domain: d.spread_effect_domain,
+            spread_effect_system: d.spread_effect_system,
+            host_corruption_multiplier: d.host_corruption_multiplier,
+            ..params.clone()
+        },
+    }
+}
+
 /// Error from building the ITUA SAN.
 #[derive(Debug)]
 pub enum BuildError {
@@ -1115,6 +1175,129 @@ mod tests {
                 .run(1, 5.0, &mut ())
                 .unwrap_or_else(|e| panic!("{name} = 0: {e}"));
         }
+    }
+
+    #[test]
+    fn structure_key_masks_exactly_the_rate_only_parameters() {
+        use crate::params::AttackMix;
+        // Naming every field: a new parameter fails to compile here until
+        // it is classified below.
+        let Params {
+            num_domains: _,
+            hosts_per_domain: _,
+            num_apps: _,
+            reps_per_app: _,
+            base_attack_rate: _,
+            attack_weight_host: _,
+            attack_weight_replica: _,
+            attack_weight_manager: _,
+            false_alarm_rate: _,
+            effective_rate_factor: _,
+            attack_mix:
+                AttackMix {
+                    p_script: _,
+                    p_exploratory: _,
+                    p_innovative: _,
+                    detect_script: _,
+                    detect_exploratory: _,
+                    detect_innovative: _,
+                },
+            detect_replica: _,
+            detect_manager: _,
+            ids_rate: _,
+            misbehave_rate: _,
+            spread_rate_domain: _,
+            spread_rate_system: _,
+            spread_effect_domain: _,
+            spread_effect_system: _,
+            host_corruption_multiplier: _,
+            scheme: _,
+            placement: _,
+        } = Params::default();
+
+        type Edit = fn(&mut Params);
+        let masked: [(&str, Edit); 19] = [
+            ("base_attack_rate", |p| p.base_attack_rate = 5.0),
+            ("attack_weight_host", |p| p.attack_weight_host = 0.7),
+            ("attack_weight_replica", |p| p.attack_weight_replica = 0.3),
+            ("attack_weight_manager", |p| p.attack_weight_manager = 0.2),
+            ("false_alarm_rate", |p| p.false_alarm_rate = 7.0),
+            ("effective_rate_factor", |p| p.effective_rate_factor = 0.9),
+            ("p_script", |p| {
+                p.attack_mix.p_script = 0.7;
+                p.attack_mix.p_exploratory = 0.25;
+            }),
+            ("p_exploratory", |p| {
+                p.attack_mix.p_exploratory = 0.1;
+                p.attack_mix.p_innovative = 0.1;
+            }),
+            ("p_innovative", |p| {
+                p.attack_mix.p_innovative = 0.15;
+                p.attack_mix.p_script = 0.7;
+            }),
+            ("detect_script", |p| p.attack_mix.detect_script = 0.5),
+            ("detect_exploratory", |p| {
+                p.attack_mix.detect_exploratory = 1.0;
+            }),
+            ("detect_innovative", |p| {
+                p.attack_mix.detect_innovative = 0.0;
+            }),
+            ("detect_replica", |p| p.detect_replica = 0.3),
+            ("detect_manager", |p| p.detect_manager = 1.0),
+            ("ids_rate", |p| p.ids_rate = 2.0),
+            ("misbehave_rate", |p| p.misbehave_rate = 0.5),
+            ("spread_effect_domain", |p| p.spread_effect_domain = 0.0),
+            ("spread_effect_system", |p| p.spread_effect_system = 3.0),
+            ("host_corruption_multiplier", |p| {
+                p.host_corruption_multiplier = 5.0;
+            }),
+        ];
+        let structural: [(&str, Edit); 11] = [
+            ("num_domains", |p| p.num_domains = 4),
+            ("hosts_per_domain", |p| p.hosts_per_domain = 1),
+            ("num_apps", |p| p.num_apps = 3),
+            ("reps_per_app", |p| p.reps_per_app = 5),
+            ("spread_rate_domain", |p| p.spread_rate_domain = 2.0),
+            ("spread_rate_system", |p| p.spread_rate_system = 0.0),
+            ("scheme", |p| p.scheme = ManagementScheme::HostExclusion),
+            ("placement", |p| {
+                p.placement = PlacementConstraint::OnePerHost;
+            }),
+            ("false_alarm_rate = 0", |p| p.false_alarm_rate = 0.0),
+            ("misbehave_rate = 0", |p| p.misbehave_rate = 0.0),
+            // The per-entity false-alarm rate underflows to zero.
+            ("false alarms underflow", |p| {
+                p.false_alarm_rate = 1e-200;
+                p.effective_rate_factor = 1e-200;
+            }),
+        ];
+        let base = small_params();
+        let key = structure_key(&base);
+        for (name, edit) in masked {
+            let mut p = base.clone();
+            edit(&mut p);
+            p.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_ne!(p, base, "{name} changes nothing");
+            assert_eq!(structure_key(&p), key, "{name} is masked");
+        }
+        for (name, edit) in structural {
+            let mut p = base.clone();
+            edit(&mut p);
+            p.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_ne!(structure_key(&p), key, "{name} is structural");
+        }
+        // Positivity is compared, not the value: two zero or two positive
+        // false-alarm rates share a key.
+        let zero = |fa: f64, factor: f64| {
+            structure_key(&Params {
+                false_alarm_rate: fa,
+                effective_rate_factor: factor,
+                misbehave_rate: 0.0,
+                ..base.clone()
+            })
+        };
+        assert_eq!(zero(0.0, 0.5), zero(0.0, 2.0));
+        assert_eq!(zero(1.0, 0.5), zero(3.0, 2.0));
     }
 
     #[test]

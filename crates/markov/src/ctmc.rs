@@ -148,16 +148,67 @@ impl Ctmc {
                 return Err(CtmcError::BadRate { from, to, rate });
             }
         }
-        let rates = CsrMatrix::from_triplets(n, n, transitions)?;
+        Ok(Self::from_matrix(
+            CsrMatrix::from_triplets(n, n, transitions)?,
+            1,
+        ))
+    }
+
+    /// Builds a CTMC row by row: `row(s, out)` appends the outgoing
+    /// `(to, rate)` transitions of state `s` to the emptied `out`.
+    /// Bit for bit [`Ctmc::from_rates`] on every row's transitions in
+    /// state order, with no transition list held ([`CsrMatrix::from_rows`]);
+    /// `capacity` bounds the total transition count from above.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ctmc::from_rates`], for the first invalid transition in
+    /// state order.
+    pub fn from_rows(
+        n: usize,
+        capacity: usize,
+        mut row: impl FnMut(usize, &mut Vec<(usize, f64)>),
+    ) -> Result<Self, CtmcError> {
+        let rates = CsrMatrix::from_rows(n, n, capacity, |from, out| {
+            row(from, out);
+            for &(to, rate) in out.iter() {
+                if from == to {
+                    return Err(CtmcError::SelfLoop(from));
+                }
+                if !rate.is_finite() || rate < 0.0 {
+                    return Err(CtmcError::BadRate { from, to, rate });
+                }
+            }
+            Ok(())
+        })?;
+        Ok(Self::from_matrix(rates, 1))
+    }
+
+    /// This chain with every state flagged in `absorbing` made absorbing
+    /// (its outgoing transitions dropped), on the same worker-team size.
+    /// Bit for bit [`Ctmc::from_rates`] on the transitions out of the
+    /// other states: their rows are copied as they are
+    /// ([`CsrMatrix::with_rows_cleared`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `absorbing` has one flag per state.
+    pub fn absorbing(&self, absorbing: &[bool]) -> Ctmc {
+        Self::from_matrix(self.rates.with_rows_cleared(absorbing), self.threads)
+    }
+
+    /// The chain with off-diagonal rate matrix `rates`.
+    fn from_matrix(rates: CsrMatrix, threads: usize) -> Ctmc {
+        let n = rates.rows();
         let incoming = rates.transpose();
         let exit_rates = (0..n).map(|s| rates.row_sum(s)).collect();
-        Ok(Ctmc {
+        Ctmc {
             n,
             rates,
             incoming,
             exit_rates,
-            threads: 1,
-        })
+            threads,
+        }
     }
 
     /// Sets the worker-team size for uniformization walks and returns the
@@ -549,6 +600,45 @@ mod tests {
             Err(CtmcError::BadRate { .. })
         ));
         assert!(Ctmc::from_rates(2, &[(0, 3, 1.0)]).is_err());
+        let rows = |edges: &'static [(usize, usize, f64)]| {
+            Ctmc::from_rows(2, edges.len(), |s, out| {
+                out.extend(edges.iter().filter(|e| e.0 == s).map(|e| (e.1, e.2)));
+            })
+        };
+        assert_eq!(rows(&[(1, 1, 1.0)]).unwrap_err(), CtmcError::SelfLoop(1));
+        assert!(matches!(
+            rows(&[(0, 1, f64::NAN)]),
+            Err(CtmcError::BadRate { from: 0, to: 1, .. })
+        ));
+        assert!(rows(&[(0, 3, 1.0)]).is_err());
+    }
+
+    #[test]
+    fn rows_and_absorbing_chains_match_the_transition_list() {
+        let edges = [
+            (0, 2, 0.1),
+            (0, 1, 2.0),
+            (0, 2, 0.2),
+            (1, 0, 3.0),
+            (2, 1, 0.7),
+        ];
+        let same = |a: &Ctmc, b: &Ctmc| {
+            assert_eq!(a.rates(), b.rates());
+            assert_eq!(a.incoming(), b.incoming());
+            let exits = |c: &Ctmc| (0..3).map(|s| c.exit_rate(s).to_bits()).collect::<Vec<_>>();
+            assert_eq!(exits(a), exits(b));
+        };
+        let base = Ctmc::from_rows(3, edges.len(), |s, out| {
+            out.extend(edges.iter().filter(|e| e.0 == s).map(|e| (e.1, e.2)));
+        })
+        .unwrap()
+        .with_threads(3);
+        same(&base, &Ctmc::from_rates(3, &edges).unwrap());
+        let flags = [false, false, true];
+        let kept: Vec<_> = edges.iter().copied().filter(|e| !flags[e.0]).collect();
+        let absorbed = base.absorbing(&flags);
+        same(&absorbed, &Ctmc::from_rates(3, &kept).unwrap());
+        assert_eq!(absorbed.threads(), 3);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Compressed sparse row matrices.
 //!
 //! Just enough linear algebra for the Markov solvers: construction from
-//! (row, col, value) triplets with duplicate summing, row iteration,
-//! `y = xᵀA` and `y = Ax` products, and transposition. Construction and
-//! transposition are counting sorts, linear in the entry count apart from
-//! the column sort inside each row, and keep the summation order of
-//! duplicates fixed (input order), so a matrix is bit-for-bit a function
-//! of its triplet list.
+//! (row, col, value) triplets or row by row, with duplicate summing, row
+//! iteration, `y = xᵀA` and `y = Ax` products, and transposition.
+//! Construction and transposition are counting sorts, linear in the entry
+//! count apart from the column sort inside each row, and keep the
+//! summation order of duplicates fixed (input order), so a matrix is
+//! bit-for-bit a function of its triplet list, however it is handed in.
 
 use std::fmt;
 
@@ -95,28 +95,14 @@ impl CsrMatrix {
             fill[r] += 1;
         }
 
-        // Sum each run of equal columns and drop zeros, row by row;
-        // `row_ptr[r]` is read before it is overwritten with the row's
-        // compacted start.
+        // Compact row by row; `row_ptr[r]` is read before it is
+        // overwritten with the row's compacted start.
         let mut col_idx = Vec::with_capacity(entries.len());
         let mut values: Vec<f64> = Vec::with_capacity(entries.len());
         for r in 0..rows {
             let row = &mut entries[row_ptr[r]..row_ptr[r + 1]];
-            row.sort_by_key(|&(c, _)| c);
             row_ptr[r] = col_idx.len();
-            let mut k = 0;
-            while k < row.len() {
-                let (c, mut v) = row[k];
-                k += 1;
-                while k < row.len() && row[k].0 == c {
-                    v += row[k].1;
-                    k += 1;
-                }
-                if v != 0.0 {
-                    col_idx.push(c);
-                    values.push(v);
-                }
-            }
+            compact_row(row, &mut col_idx, &mut values);
         }
         row_ptr[rows] = col_idx.len();
         Ok(CsrMatrix {
@@ -126,6 +112,83 @@ impl CsrMatrix {
             col_idx,
             values,
         })
+    }
+
+    /// Builds a matrix row by row: `row(r, entries)` appends row `r`'s
+    /// `(col, value)` entries, in input order, to the emptied `entries`.
+    /// The result is bit for bit [`CsrMatrix::from_triplets`] on every
+    /// row's entries in row order, with no triplet list held. `capacity`
+    /// bounds the total entry count from above, so the arrays are
+    /// allocated once.
+    ///
+    /// # Errors
+    ///
+    /// The first error `row` returns, or [`SparseError`] for the first
+    /// out-of-bounds column or non-finite value, in row order.
+    pub fn from_rows<E: From<SparseError>>(
+        rows: usize,
+        cols: usize,
+        capacity: usize,
+        mut row: impl FnMut(usize, &mut Vec<(usize, f64)>) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        let mut col_idx = Vec::with_capacity(capacity);
+        let mut values = Vec::with_capacity(capacity);
+        let mut entries = Vec::new();
+        row_ptr.push(0);
+        for r in 0..rows {
+            entries.clear();
+            row(r, &mut entries)?;
+            for &(c, v) in &entries {
+                if c >= cols {
+                    return Err(SparseError::IndexOutOfBounds { row: r, col: c }.into());
+                }
+                if !v.is_finite() {
+                    return Err(SparseError::NonFiniteValue.into());
+                }
+            }
+            compact_row(&mut entries, &mut col_idx, &mut values);
+            row_ptr.push(col_idx.len());
+        }
+        Ok(CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        })
+    }
+
+    /// This matrix with the rows flagged in `cleared` emptied: bit for
+    /// bit what [`CsrMatrix::from_triplets`] builds from the triplets of
+    /// the other rows, since each kept row is compacted from the same
+    /// entries in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cleared` has one flag per row.
+    pub fn with_rows_cleared(&self, cleared: &[bool]) -> CsrMatrix {
+        assert_eq!(cleared.len(), self.rows, "one flag per row");
+        let kept = |r: usize| (!cleared[r]).then(|| self.row_ptr[r]..self.row_ptr[r + 1]);
+        let nnz = (0..self.rows).filter_map(kept).map(|span| span.len()).sum();
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        row_ptr.push(0);
+        for span in (0..self.rows).map(kept) {
+            if let Some(span) = span {
+                col_idx.extend_from_slice(&self.col_idx[span.clone()]);
+                values.extend_from_slice(&self.values[span]);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Number of rows.
@@ -244,6 +307,26 @@ impl CsrMatrix {
     }
 }
 
+/// Appends one row's entries to `col_idx` / `values` in ascending column
+/// order: a stable sort on columns, then each run of equal columns summed
+/// in input order, and the sums that are zero dropped.
+fn compact_row(row: &mut [(usize, f64)], col_idx: &mut Vec<usize>, values: &mut Vec<f64>) {
+    row.sort_by_key(|&(c, _)| c);
+    let mut k = 0;
+    while k < row.len() {
+        let (c, mut v) = row[k];
+        k += 1;
+        while k < row.len() && row[k].0 == c {
+            v += row[k].1;
+            k += 1;
+        }
+        if v != 0.0 {
+            col_idx.push(c);
+            values.push(v);
+        }
+    }
+}
+
 /// Row starts for entries whose row indices are `rows_of`: row `r`'s
 /// entries go to `starts[r]..starts[r + 1]`, and `starts[rows]` is their
 /// count.
@@ -334,6 +417,58 @@ mod tests {
         let m = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 2, 2.0)]).unwrap();
         assert_eq!(m.row_sum(0), 3.0);
         assert_eq!(m.row_sum(1), 0.0);
+    }
+
+    #[test]
+    fn rows_build_the_triplet_matrix_bit_for_bit() {
+        // Unsorted columns, duplicates that sum inexactly (0.1 + 0.2),
+        // a cancelling pair and an empty row.
+        let triplets = [
+            (0, 2, 0.1),
+            (0, 1, 5.0),
+            (0, 2, 0.2),
+            (2, 0, 1.0),
+            (2, 0, -1.0),
+            (2, 1, 3.0),
+        ];
+        let rows = CsrMatrix::from_rows(3, 3, triplets.len(), |r, out| {
+            out.extend(
+                triplets
+                    .iter()
+                    .filter(|t| t.0 == r)
+                    .map(|&(_, c, v)| (c, v)),
+            );
+            Ok::<(), SparseError>(())
+        })
+        .unwrap();
+        assert_eq!(rows, CsrMatrix::from_triplets(3, 3, &triplets).unwrap());
+        assert_eq!(rows.get(0, 2).to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(rows.nnz(), 3);
+        assert_eq!(
+            CsrMatrix::from_rows(2, 2, 1, |_, out| {
+                out.push((2, 1.0));
+                Ok::<(), SparseError>(())
+            }),
+            Err(SparseError::IndexOutOfBounds { row: 0, col: 2 })
+        );
+    }
+
+    #[test]
+    fn clearing_rows_matches_building_without_them() {
+        let triplets = [
+            (0, 1, 1.5),
+            (1, 0, 2.0),
+            (1, 2, 0.5),
+            (2, 1, 4.0),
+            (2, 1, 0.25),
+        ];
+        let m = CsrMatrix::from_triplets(3, 3, &triplets).unwrap();
+        let cleared = [false, true, false];
+        let kept: Vec<_> = triplets.iter().copied().filter(|t| !cleared[t.0]).collect();
+        assert_eq!(
+            m.with_rows_cleared(&cleared),
+            CsrMatrix::from_triplets(3, 3, &kept).unwrap()
+        );
     }
 
     #[test]

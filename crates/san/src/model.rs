@@ -134,6 +134,9 @@ impl Activity {
     }
 
     /// [`Activity::case_weights`] into a reused buffer (cleared first).
+    /// Inlined: it sits on the simulator's firing path, and the state-space
+    /// generator's calls must not move it out of line there.
+    #[inline]
     pub(crate) fn case_weights_into(&self, marking: &Marking, out: &mut Vec<f64>) {
         out.clear();
         out.extend(self.cases.iter().map(|c| (c.weight)(marking)));

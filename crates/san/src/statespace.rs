@@ -28,13 +28,25 @@
 //! hashes and compared against the stored markings, so each state's
 //! values are stored once. No successor allocates once the buffers have
 //! grown.
+//!
+//! A generated space is a *structure* and its *rates* ([`StateSpace`]).
+//! The structure records, for each state, every timed firing it expanded
+//! (activity and case, in expansion order) and each firing's tangible
+//! outcomes with their path probabilities `p`; the rates are one share
+//! `rate * (w / total)` per firing. Expansion enumerates a state's timed
+//! firings through one function (`timed_firings`: enabled, rate, case
+//! weights, share), and so does [`StateSpace::rerated`], which keeps the
+//! structure and recomputes every share under another SAN: a sweep over
+//! timed rates and case weights generates once and re-rates the rest,
+//! bit for bit what generating each point afresh would give.
 
 use crate::marking::Marking;
-use crate::model::{ActivityId, San, SanError, Timing};
+use crate::model::{Activity, ActivityId, San, SanError, Timing};
 use crate::sym::SymmetrySpec;
 use itua_markov::ctmc::{Ctmc, CtmcError};
 use std::hash::{BuildHasher, RandomState};
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
@@ -77,11 +89,23 @@ fn vanishing_budget(max_states: usize) -> usize {
 }
 
 /// The reachable tangible state space of a SAN, with transition rates.
+///
+/// A space is a *structure* and its *rates*. The structure is what the
+/// firings do: the tangible markings, and for each state every timed
+/// firing expanded there (activity and case, in expansion order) with the
+/// firing's tangible outcomes, each with its path probability `p` through
+/// the vanishing markings. The rates are one *share* per firing,
+/// `rate * (w / total)` for the activity's rate and the case's weight `w`
+/// among weights summing to `total`; a transition's rate is its firing's
+/// share times `p`. An outcome in the state's own orbit is a self-loop, a
+/// no-op for CTMC dynamics: it stays in the structure, and is left out of
+/// the transitions. [`StateSpace::rerated`] keeps the structure and
+/// recomputes the shares under another SAN.
 #[derive(Debug, Clone)]
 pub struct StateSpace {
     markings: Vec<Marking>,
-    /// `(from, to, rate)` between tangible states; no self-loops.
-    transitions: Vec<(usize, usize, f64)>,
+    /// The firings and outcomes of every state, and their shares.
+    transitions: Transitions,
     /// Distribution over tangible states equivalent to the (possibly
     /// vanishing) initial marking.
     initial: Vec<(usize, f64)>,
@@ -90,6 +114,11 @@ pub struct StateSpace {
     /// `orbit_sizes[i]` markings of the unreduced chain. `None` for the
     /// plain generator.
     orbit_sizes: Option<Vec<u128>>,
+    /// The number of activity `a`'s first case among all cases
+    /// (`case_base[a]`), and the initial marking, of the SAN generated
+    /// from: the shape [`StateSpace::rerated`] requires of another SAN.
+    case_base: Vec<u32>,
+    origin: Marking,
 }
 
 impl StateSpace {
@@ -107,6 +136,9 @@ impl StateSpace {
     /// * [`SanError::BadValue`] if a rate or case weight is NaN, infinite
     ///   or negative, or an activity's case weights sum to zero, at a
     ///   reachable marking.
+    ///
+    /// More than `u32::MAX` timed firings or transitions are reported as
+    /// [`SanError::StateSpaceTooLarge`] too.
     pub fn generate(san: &Arc<San>, max_states: usize) -> Result<Self, SanError> {
         Self::explore(san, None, max_states, 1)
     }
@@ -176,8 +208,9 @@ impl StateSpace {
     ) -> Result<Self, SanError> {
         let hasher = RandomState::new();
         let width = san.num_places();
+        let case_base = case_base(san).ok_or(SanError::StateSpaceTooLarge(max_states))?;
         let mut workers: Vec<Expander<'_>> = (0..team.max(1))
-            .map(|_| Expander::new(san, sym, &hasher, max_states))
+            .map(|_| Expander::new(san, sym, &hasher, &case_base, max_states))
             .collect();
         let mut states = Interner::new(sym, max_states);
 
@@ -202,7 +235,7 @@ impl StateSpace {
         // thread interns `batches[1]`, the round before's; then they swap.
         // The loop ends when both are empty.
         let mut batches = [Batch::new(width), Batch::new(width)];
-        let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
+        let mut transitions = Transitions::default();
         // States before `expanded` are in a batch already.
         let mut expanded = 0;
         loop {
@@ -237,7 +270,56 @@ impl StateSpace {
             transitions,
             initial,
             orbit_sizes: sym.map(|_| states.orbit_sizes),
+            case_base,
+            origin: san.initial_marking(),
         })
+    }
+
+    /// This chain under `san`'s timed rates and case weights: the
+    /// structure kept, every share recomputed at every state by the
+    /// enumeration generation uses, so each transition's rate is bit for
+    /// bit what generating from `san` gives. A pass over the states' timed
+    /// activities, with no firing, resolution or interning.
+    ///
+    /// `san` must be the SAN generated from up to timed rates and timed
+    /// case weights: the same places, initial marking and activities, the
+    /// same firing effects, enabling predicates and instantaneous
+    /// activities. Re-rating checks the shape (place count, initial
+    /// marking, every activity's case count) and that every state fires
+    /// the same (activity, case) sequence; the rest is the caller's
+    /// promise, which the ITUA model keeps by comparing structure keys.
+    ///
+    /// Returns `None` (refuses) when the shape differs, when a state fires
+    /// another sequence (a rate or case weight turned zero there, or a
+    /// zero-rate activity or zero-weight case turned on), or when a rate
+    /// or weight is invalid. The caller then generates afresh, which
+    /// reports any error.
+    pub fn rerated(mut self, san: &San) -> Option<Self> {
+        let same_shape = case_base(san).as_ref() == Some(&self.case_base)
+            && san.num_places() == self.origin.values().len()
+            && san.initial_marking().values() == self.origin.values();
+        if !same_shape {
+            return None;
+        }
+        let (chain, bases) = (&mut self.transitions, &self.case_base);
+        let mut weights = Vec::new();
+        let mut k = 0;
+        for (s, marking) in self.markings.iter().enumerate() {
+            let end = chain.state_ends[s] as usize;
+            let fired = timed_firings(san, marking, &mut weights, |activity, _, case, share| {
+                let f = chain.firings[..end].get_mut(k).ok_or(Refused)?;
+                if f.code != bases[activity.index()] + case as u32 {
+                    return Err(Refused);
+                }
+                f.share = share;
+                k += 1;
+                Ok(())
+            });
+            if fired.is_err() || k != end {
+                return None;
+            }
+        }
+        Some(self)
     }
 
     /// Number of tangible states.
@@ -269,9 +351,16 @@ impl StateSpace {
         &self.markings[i]
     }
 
-    /// The `(from, to, rate)` transitions.
-    pub fn transitions(&self) -> &[(usize, usize, f64)] {
-        &self.transitions
+    /// The `(from, to, rate)` transitions in generation order (by state,
+    /// then firing, then outcome), with no self-loops.
+    pub fn transitions(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        (0..self.num_states())
+            .flat_map(move |s| self.transitions.row(s).map(move |(to, rate)| (s, to, rate)))
+    }
+
+    /// Number of transitions.
+    pub fn num_transitions(&self) -> usize {
+        self.transitions().count()
     }
 
     /// Initial distribution as a dense probability vector.
@@ -289,7 +378,13 @@ impl StateSpace {
     ///
     /// Propagates matrix construction failures.
     pub fn to_ctmc(&self) -> Result<Ctmc, CtmcError> {
-        Ctmc::from_rates(self.markings.len(), &self.transitions)
+        Ctmc::from_rows(
+            self.num_states(),
+            self.transitions.targets.len(),
+            |s, row| {
+                row.extend(self.transitions.row(s));
+            },
+        )
     }
 
     /// Evaluates `f` on every state, producing a reward vector aligned with
@@ -315,13 +410,7 @@ impl StateSpace {
         is_absorbing: impl FnMut(&Marking) -> bool,
     ) -> Result<(Ctmc, Vec<bool>), CtmcError> {
         let flags: Vec<bool> = self.markings.iter().map(is_absorbing).collect();
-        let kept: Vec<(usize, usize, f64)> = self
-            .transitions
-            .iter()
-            .copied()
-            .filter(|&(from, _, _)| !flags[from])
-            .collect();
-        Ok((Ctmc::from_rates(self.markings.len(), &kept)?, flags))
+        Ok((self.to_ctmc()?.absorbing(&flags), flags))
     }
 
     /// Expected value of `f` under a distribution over states (e.g. a
@@ -342,6 +431,137 @@ impl StateSpace {
             .map(|(m, &p)| p * f(m))
             .sum()
     }
+}
+
+/// The structure and rates of a chain's transitions (see [`StateSpace`]),
+/// flat: state `s`'s firings are `firings[state_ends[s - 1]..state_ends[s]]`
+/// (from 0 for state 0), and firing `k`'s outcomes are
+/// `targets[..]` / `probs[..]` from the previous firing's `end` to its own.
+/// The `u32` offsets hold 16 bytes per firing and 12 per outcome; more
+/// than `u32::MAX` of either is [`SanError::StateSpaceTooLarge`].
+#[derive(Debug, Clone, Default)]
+struct Transitions {
+    /// Per state, the end of its firings.
+    state_ends: Vec<u32>,
+    /// Each timed firing, in expansion order.
+    firings: Vec<Firing>,
+    /// Each outcome's target state and path probability.
+    targets: Vec<u32>,
+    probs: Vec<f64>,
+}
+
+/// One timed firing of a state.
+#[derive(Debug, Clone, Copy)]
+struct Firing {
+    /// The firing's share, `rate * (w / total)`: its rate.
+    share: f64,
+    /// Its activity and case, numbered `case_base[activity] + case`.
+    code: u32,
+    /// The end of its outcomes.
+    end: u32,
+}
+
+impl Transitions {
+    /// The firings of state `s`.
+    fn firings_of(&self, s: usize) -> Range<usize> {
+        let start = if s == 0 { 0 } else { self.state_ends[s - 1] };
+        start as usize..self.state_ends[s] as usize
+    }
+
+    /// The outcomes of firing `k`.
+    fn outcomes(&self, k: usize) -> Range<usize> {
+        let start = if k == 0 { 0 } else { self.firings[k - 1].end };
+        start as usize..self.firings[k].end as usize
+    }
+
+    /// The `(to, rate)` transitions out of state `s`, in generation order,
+    /// self-loops left out: each outcome's rate is its firing's share
+    /// times its probability.
+    fn row(&self, s: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.firings_of(s).flat_map(move |k| {
+            let share = self.firings[k].share;
+            self.outcomes(k)
+                .filter(move |&i| self.targets[i] as usize != s)
+                .map(move |i| (self.targets[i] as usize, share * self.probs[i]))
+        })
+    }
+}
+
+/// The number of each activity's first case among all cases of `san`, in
+/// activity order: `(activity, case)` is case `base[activity] + case`.
+/// `None` past `u32::MAX` cases.
+fn case_base(san: &San) -> Option<Vec<u32>> {
+    let mut next = 0u32;
+    san.activities()
+        .map(|(_, act)| {
+            let base = next;
+            next = next.checked_add(u32::try_from(act.num_cases()).ok()?)?;
+            Some(base)
+        })
+        .collect()
+}
+
+/// Re-rating met a firing sequence or a value it cannot re-rate.
+struct Refused;
+
+impl From<SanError> for Refused {
+    fn from(_: SanError) -> Self {
+        Refused
+    }
+}
+
+/// Calls `each(activity id, activity, case, share)` for every timed
+/// firing of `state`, in expansion order: each enabled exponential
+/// activity with a positive rate, in activity order, and each of its cases
+/// with a positive weight, in case order, with share
+/// `rate * (w / total)`. The one enumeration both generation and
+/// re-rating use, so both compute every share alike.
+///
+/// # Errors
+///
+/// [`SanError::BadValue`] (converted) if a rate or case weight is NaN,
+/// infinite or negative, or an activity's case weights sum to zero; the
+/// first error `each` returns.
+fn timed_firings<E: From<SanError>>(
+    san: &San,
+    state: &Marking,
+    weights: &mut Vec<f64>,
+    mut each: impl FnMut(ActivityId, &Activity, usize, f64) -> Result<(), E>,
+) -> Result<(), E> {
+    let bad = |act: &Activity| SanError::BadValue(act.name().to_owned());
+    for (id, act) in san.activities() {
+        let Timing::Exponential(rate_fn) = act.timing() else {
+            continue;
+        };
+        if !act.enabled(state) {
+            continue;
+        }
+        let rate = rate_fn(state);
+        if !(rate.is_finite() && rate >= 0.0) {
+            return Err(bad(act).into());
+        }
+        if rate == 0.0 {
+            continue;
+        }
+        // A NaN or infinite weight poisons the total; a negative one is
+        // caught where zero-weight cases are skipped, so the common path
+        // runs no extra test.
+        act.case_weights_into(state, weights);
+        let total: f64 = weights.iter().sum();
+        if !(total.is_finite() && total > 0.0) {
+            return Err(bad(act).into());
+        }
+        for (case, &w) in weights.iter().enumerate() {
+            if w <= 0.0 {
+                if w < 0.0 {
+                    return Err(bad(act).into());
+                }
+                continue;
+            }
+            each(id, act, case, rate * (w / total))?;
+        }
+    }
+    Ok(())
 }
 
 /// Consecutive states handed to the team: copies of their markings, and
@@ -385,18 +605,28 @@ impl Batch {
 }
 
 /// Tangible successors in the order a one-thread loop meets them: the
-/// canonical marking and its hash, and the rate of the transition to it
-/// (for the initial marking, its probability).
+/// canonical marking and its hash, and its path probability, grouped by
+/// the timed firing that reached it.
 struct Successors {
     width: usize,
     /// The markings, `width` values each.
     keys: Vec<i32>,
-    /// Hash and rate of each.
+    /// Hash and path probability of each.
     succ: Vec<(u64, f64)>,
-    /// Per expanded state, the end of its successors in `succ`.
+    /// Each timed firing, with the end of its successors in `succ`.
+    fired: Vec<Fired>,
+    /// Per expanded state, the end of its firings in `fired`.
     ends: Vec<usize>,
     /// What stopped the expansion, after every successor met before it.
     error: Option<SanError>,
+}
+
+/// A timed firing a worker expanded: its activity and case (numbered as
+/// in [`Firing`]), share, and the end of its successors.
+struct Fired {
+    code: u32,
+    share: f64,
+    end: usize,
 }
 
 impl Successors {
@@ -405,6 +635,7 @@ impl Successors {
             width,
             keys: Vec::new(),
             succ: Vec::new(),
+            fired: Vec::new(),
             ends: Vec::new(),
             error: None,
         }
@@ -413,6 +644,7 @@ impl Successors {
     fn clear(&mut self) {
         self.keys.clear();
         self.succ.clear();
+        self.fired.clear();
         self.ends.clear();
         self.error = None;
     }
@@ -422,12 +654,11 @@ impl Successors {
         &self.keys[i * self.width..(i + 1) * self.width]
     }
 
-    /// Appends the outcomes of `resolver`'s last resolution, each with
-    /// rate `scale * p` for its path probability `p`.
+    /// Appends the outcomes of `resolver`'s last resolution with their
+    /// path probabilities.
     fn push_outcomes(
         &mut self,
         resolver: &Resolver<'_>,
-        scale: f64,
         sym: Option<&SymmetrySpec>,
         hasher: &RandomState,
     ) {
@@ -438,7 +669,7 @@ impl Successors {
             if let Some(sym) = sym {
                 sym.canonicalize(key);
             }
-            self.succ.push((hasher.hash_one(&*key), scale * p));
+            self.succ.push((hasher.hash_one(&*key), p));
         }
     }
 }
@@ -448,6 +679,7 @@ struct Expander<'a> {
     san: &'a San,
     sym: Option<&'a SymmetrySpec>,
     hasher: &'a RandomState,
+    case_base: &'a [u32],
     resolver: Resolver<'a>,
     /// The state being expanded, and the scratch each of its firings
     /// starts from.
@@ -462,12 +694,14 @@ impl<'a> Expander<'a> {
         san: &'a San,
         sym: Option<&'a SymmetrySpec>,
         hasher: &'a RandomState,
+        case_base: &'a [u32],
         max_states: usize,
     ) -> Self {
         Expander {
             san,
             sym,
             hasher,
+            case_base,
             resolver: Resolver::new(san, max_states),
             state: san.initial_marking(),
             next: san.initial_marking(),
@@ -478,7 +712,7 @@ impl<'a> Expander<'a> {
     /// Resolves the initial marking into `out`, with probabilities.
     fn resolve_initial(&mut self, out: &mut Successors) -> Result<(), SanError> {
         self.resolver.resolve(self.san.initial_marking().values())?;
-        out.push_outcomes(&self.resolver, 1.0, self.sym, self.hasher);
+        out.push_outcomes(&self.resolver, self.sym, self.hasher);
         Ok(())
     }
 
@@ -502,7 +736,7 @@ impl<'a> Expander<'a> {
             out.clear();
             for i in lo..batch.len.min(lo + SUB_BLOCK_STATES) {
                 let expanded = self.expand(&batch.values[i * width..(i + 1) * width], out);
-                out.ends.push(out.succ.len());
+                out.ends.push(out.fired.len());
                 if let Err(e) = expanded {
                     out.error = Some(e);
                     break;
@@ -511,47 +745,33 @@ impl<'a> Expander<'a> {
         }
     }
 
-    /// Appends the tangible successors of the state `values` to `out`,
-    /// in activity, case and outcome order.
+    /// Appends the timed firings of the state `values` to `out`, each
+    /// after its tangible successors, in activity, case and outcome order.
     fn expand(&mut self, values: &[i32], out: &mut Successors) -> Result<(), SanError> {
-        let san = self.san;
         self.state.assign(values);
-        for (_, act) in san.activities() {
-            let Timing::Exponential(rate_fn) = act.timing() else {
-                continue;
-            };
-            if !act.enabled(&self.state) {
-                continue;
-            }
-            let rate = rate_fn(&self.state);
-            if !(rate.is_finite() && rate >= 0.0) {
-                return Err(SanError::BadValue(act.name().to_owned()));
-            }
-            if rate == 0.0 {
-                continue;
-            }
-            // A NaN or infinite weight poisons the total; a negative
-            // one is caught where zero-weight cases are skipped, so the
-            // common path runs no extra test.
-            act.case_weights_into(&self.state, &mut self.weights);
-            let total: f64 = self.weights.iter().sum();
-            if !(total.is_finite() && total > 0.0) {
-                return Err(SanError::BadValue(act.name().to_owned()));
-            }
-            for (case, &w) in self.weights.iter().enumerate() {
-                if w <= 0.0 {
-                    if w < 0.0 {
-                        return Err(SanError::BadValue(act.name().to_owned()));
-                    }
-                    continue;
-                }
-                self.next.assign(self.state.values());
-                act.fire(case, &mut self.next);
-                self.resolver.resolve(self.next.values())?;
-                out.push_outcomes(&self.resolver, rate * (w / total), self.sym, self.hasher);
-            }
-        }
-        Ok(())
+        let Expander {
+            san,
+            sym,
+            hasher,
+            case_base,
+            resolver,
+            state,
+            next,
+            weights,
+        } = self;
+        let (state, case_base) = (&*state, &**case_base);
+        timed_firings(san, state, weights, |activity, act, case, share| {
+            next.assign(state.values());
+            act.fire(case, next);
+            resolver.resolve(next.values())?;
+            out.push_outcomes(resolver, *sym, hasher);
+            out.fired.push(Fired {
+                code: case_base[activity.index()] + case as u32,
+                share,
+                end: out.succ.len(),
+            });
+            Ok(())
+        })
     }
 }
 
@@ -629,36 +849,41 @@ impl<'a> Interner<'a> {
         }
     }
 
-    /// Interns the successors of `batch` in state order and records the
-    /// transitions to them. The first error in that order wins: a
-    /// sub-block's recorded error is returned after every successor met
-    /// before it is interned, unless interning one of those fails first.
+    /// Interns the successors of `batch` in state order and records each
+    /// state's firings and outcomes, self-loops included. The first error
+    /// in that order wins: a sub-block's recorded error is returned after
+    /// every successor met before it is interned, unless interning one of
+    /// those fails first.
     fn intern_batch(
         &mut self,
         batch: &mut Batch,
-        transitions: &mut Vec<(usize, usize, f64)>,
+        transitions: &mut Transitions,
     ) -> Result<(), SanError> {
-        let mut from = batch.first;
         let used = batch.len.div_ceil(SUB_BLOCK_STATES);
         for sub_block in &mut batch.sub_blocks[..used] {
             let out = sub_block
                 .get_mut()
                 .expect("no worker panicked holding a sub-block");
-            let mut start = 0;
-            for &end in &out.ends {
-                for i in start..end {
-                    let (hash, rate) = out.succ[i];
-                    let to = self.intern(out.key(i), hash)?;
-                    // A transition into the state's own orbit is a
-                    // self-loop — a no-op for CTMC dynamics — and is
-                    // dropped, whether or not the space is lumped.
-                    if to != from {
-                        transitions.push((from, to, rate));
-                    }
-                }
-                start = end;
-                from += 1;
+            let (outcomes, firings) = (transitions.targets.len(), transitions.firings.len());
+            for (i, &(hash, p)) in out.succ.iter().enumerate() {
+                let to = self.intern(out.key(i), hash)?;
+                // Interned numbers fit `u32` (`Interner::intern`).
+                transitions.targets.push(to as u32);
+                transitions.probs.push(p);
             }
+            let offset = |n: usize| {
+                u32::try_from(n).map_err(|_| SanError::StateSpaceTooLarge(self.max_states))
+            };
+            offset(transitions.targets.len())?;
+            offset(firings + out.fired.len())?;
+            transitions.firings.extend(out.fired.iter().map(|f| Firing {
+                share: f.share,
+                code: f.code,
+                end: (outcomes + f.end) as u32,
+            }));
+            transitions
+                .state_ends
+                .extend(out.ends.iter().map(|&e| (firings + e) as u32));
             if let Some(e) = out.error.take() {
                 return Err(e);
             }
@@ -850,7 +1075,7 @@ mod tests {
         let san = repairable(1.0, 9.0);
         let ss = StateSpace::generate(&san, 100).unwrap();
         assert_eq!(ss.num_states(), 2);
-        assert_eq!(ss.transitions().len(), 2);
+        assert_eq!(ss.num_transitions(), 2);
         let ctmc = ss.to_ctmc().unwrap();
         let pi = ctmc.steady_state(1e-12, 100_000).unwrap();
         let down = san.place_id("down").unwrap();
@@ -918,7 +1143,7 @@ mod tests {
         let san = b.finish().unwrap();
         let ss = StateSpace::generate(&san, 100).unwrap();
         assert_eq!(ss.num_states(), 3);
-        let mut rates: Vec<f64> = ss.transitions().iter().map(|&(_, _, r)| r).collect();
+        let mut rates: Vec<f64> = ss.transitions().map(|(_, _, r)| r).collect();
         rates.sort_by(|a, c| a.partial_cmp(c).unwrap());
         assert!((rates[0] - 0.4).abs() < 1e-12);
         assert!((rates[1] - 1.6).abs() < 1e-12);
@@ -952,9 +1177,8 @@ mod tests {
         let (s2, s3) = (idx_of(2), idx_of(3));
         let rate = ss
             .transitions()
-            .iter()
-            .find(|&&(f, t, _)| f == s2 && t == s3)
-            .map(|&(_, _, r)| r)
+            .find(|&(f, t, _)| f == s2 && t == s3)
+            .map(|(_, _, r)| r)
             .unwrap();
         assert!((rate - 3.0).abs() < 1e-12);
     }
@@ -1040,8 +1264,8 @@ mod tests {
         let ss = StateSpace::generate(&san, 100).unwrap();
         assert_eq!(ss.num_states(), 2);
         assert_eq!(ss.marking(1).values(), &[0, 0, 0, 1, 1, 1]);
-        assert_eq!(ss.transitions().len(), 1);
-        let (from, to, rate) = ss.transitions()[0];
+        assert_eq!(ss.num_transitions(), 1);
+        let (from, to, rate) = ss.transitions().next().unwrap();
         assert_eq!((from, to), (0, 1));
         assert_eq!(rate.to_bits(), lambda.to_bits());
     }
@@ -1062,8 +1286,7 @@ mod tests {
         let half = lambda * 0.5;
         let got: Vec<(usize, usize, u64)> = ss
             .transitions()
-            .iter()
-            .map(|&(f, t, r)| (f, t, r.to_bits()))
+            .map(|(f, t, r)| (f, t, r.to_bits()))
             .collect();
         assert_eq!(got, vec![(0, 1, half.to_bits()), (0, 2, half.to_bits())]);
         assert_eq!(half + half, lambda);
@@ -1333,8 +1556,8 @@ mod tests {
         for s in 0..plain.num_states() {
             assert_eq!(plain.marking(s).values(), lumped.marking(s).values());
         }
-        assert_eq!(plain.transitions().len(), lumped.transitions().len());
-        for (a, b) in plain.transitions().iter().zip(lumped.transitions()) {
+        assert_eq!(plain.num_transitions(), lumped.num_transitions());
+        for (a, b) in plain.transitions().zip(lumped.transitions()) {
             assert_eq!((a.0, a.1), (b.0, b.1));
             assert_eq!(a.2.to_bits(), b.2.to_bits());
         }
@@ -1475,7 +1698,7 @@ mod tests {
         for s in 0..ss.num_states() {
             ss.marking(s).values().iter().for_each(|&v| eat(v as u128));
         }
-        for &(from, to, rate) in ss.transitions() {
+        for (from, to, rate) in ss.transitions() {
             eat(from as u128);
             eat(to as u128);
             eat(u128::from(rate.to_bits()));
@@ -1515,6 +1738,168 @@ mod tests {
         assert_eq!(two, one, "team of 2");
         assert_eq!(four, one, "team of 4");
         one
+    }
+
+    /// The rates and case weights of [`pool`].
+    #[derive(Clone, Copy)]
+    struct PoolRates {
+        fail: f64,
+        slow: f64,
+        detect: f64,
+        fix: f64,
+        extra: f64,
+    }
+
+    const POOL: PoolRates = PoolRates {
+        fail: 1.0,
+        slow: 0.5,
+        detect: 0.75,
+        fix: 2.0,
+        extra: 0.0,
+    };
+
+    /// Three exchangeable components, and the spec that lumps them. A
+    /// component fails from `up` at rate `fail` while none is down and
+    /// `slow` once one is, into `mid` (weight `detect`) or `hidden`
+    /// (weight `1 − detect`); from `mid` it lands instantaneously `down`
+    /// (weight 1) or back `up` (weight 3). `hidden` is revealed into
+    /// `down`, and `down` fixed, at rate `fix`. `extra`, always enabled
+    /// and without effect, fires at rate `extra`. Every activity exists
+    /// at every value, so only the firings change with the rates.
+    fn pool(r: PoolRates) -> (StdArc<San>, crate::sym::SymmetrySpec) {
+        use crate::sym::{SymmetryGroup, SymmetrySpec, SymmetryUnit};
+        let mut b = SanBuilder::new("pool");
+        let comps: Vec<[PlaceId; 4]> = (0..3)
+            .map(|i| {
+                ["up", "mid", "down", "hidden"]
+                    .map(|name| b.place(format!("c{i}/{name}"), i32::from(name == "up")))
+            })
+            .collect();
+        let downs: Vec<PlaceId> = comps.iter().map(|c| c[2]).collect();
+        let value = |v: f64| -> crate::model::ValueFn { StdArc::new(move |_| v) };
+        for (i, &[up, mid, down, hidden]) in comps.iter().enumerate() {
+            let reads = downs.clone();
+            let rate = move |m: &Marking| {
+                if reads.iter().any(|&d| m.get(d) > 0) {
+                    r.slow
+                } else {
+                    r.fail
+                }
+            };
+            b.timed_activity_fn(format!("c{i}/fail"), StdArc::new(rate), &downs)
+                .input_arc(up, 1)
+                .case_fn(value(r.detect), move |m| m.add(mid, 1))
+                .case_fn(value(1.0 - r.detect), move |m| m.add(hidden, 1))
+                .build()
+                .unwrap();
+            b.instantaneous_activity(format!("c{i}/land"))
+                .input_arc(mid, 1)
+                .case(1.0, move |m| m.add(down, 1))
+                .case(3.0, move |m| m.add(up, 1))
+                .build()
+                .unwrap();
+            for (name, from, to) in [("reveal", hidden, down), ("fix", down, up)] {
+                b.timed_activity_fn(format!("c{i}/{name}"), value(r.fix), &[])
+                    .input_arc(from, 1)
+                    .output_arc(to, 1)
+                    .build()
+                    .unwrap();
+            }
+        }
+        b.timed_activity_fn("extra", value(r.extra), &[])
+            .case(1.0, |_| {})
+            .build()
+            .unwrap();
+        let san = b.finish().unwrap();
+        let units = comps
+            .iter()
+            .map(|c| SymmetryUnit {
+                shared: c.iter().map(|p| p.index()).collect(),
+                blocks: vec![],
+            })
+            .collect();
+        let spec = SymmetrySpec::new(san.num_places(), vec![SymmetryGroup { units }]).unwrap();
+        (san, spec)
+    }
+
+    #[test]
+    fn rerating_gives_the_fresh_chain_bit_for_bit() {
+        let other = PoolRates {
+            fail: 1.3,
+            slow: 0.7,
+            detect: 0.2,
+            fix: 0.4,
+            extra: 0.0,
+        };
+        let (from, spec) = pool(POOL);
+        let (to, _) = pool(other);
+        for sym in [None, Some(&spec)] {
+            for team in [1, 2] {
+                let generate = |san| StateSpace::explore_on_team(san, sym, 1000, team).unwrap();
+                let fresh = generate(&to);
+                let rerated = generate(&from).rerated(&to).expect("the same firings");
+                assert_eq!(digest(&rerated), digest(&fresh), "team of {team}");
+                assert_ne!(digest(&generate(&from)), digest(&fresh));
+            }
+        }
+    }
+
+    #[test]
+    fn rerating_refuses_a_firing_that_appears_or_vanishes() {
+        let rerates = |from: PoolRates, to: PoolRates| {
+            let ss = StateSpace::generate(&pool(from).0, 1000).unwrap();
+            ss.rerated(&pool(to).0).is_some()
+        };
+        assert!(rerates(POOL, PoolRates { slow: 0.1, ..POOL }));
+        // A rate turns zero at the states with a component down.
+        assert!(!rerates(POOL, PoolRates { slow: 0.0, ..POOL }));
+        // A case weight turns zero.
+        assert!(!rerates(
+            POOL,
+            PoolRates {
+                detect: 1.0,
+                ..POOL
+            }
+        ));
+        // A zero-rate activity turns on, and back off.
+        let extra = PoolRates { extra: 0.5, ..POOL };
+        assert!(!rerates(POOL, extra));
+        assert!(!rerates(extra, POOL));
+        // A rate that is not a number.
+        assert!(!rerates(
+            POOL,
+            PoolRates {
+                fix: f64::NAN,
+                ..POOL
+            }
+        ));
+        // Another model.
+        let ss = StateSpace::generate(&pool(POOL).0, 1000).unwrap();
+        assert!(ss.rerated(&repairable(1.0, 2.0)).is_none());
+
+        // A token moves from `p` to `q` at rate 1, and back by `back` or
+        // by `other` (the same move) at their rates: one firing at `q`,
+        // the last state, swapped for another, or lost.
+        let toggle = |back: f64, other: f64| {
+            let mut b = SanBuilder::new("toggle");
+            let (p, q) = (b.place("p", 1), b.place("q", 0));
+            for (name, rate, from, to) in [
+                ("go", 1.0, p, q),
+                ("back", back, q, p),
+                ("other", other, q, p),
+            ] {
+                b.timed_activity_fn(name, StdArc::new(move |_| rate), &[])
+                    .input_arc(from, 1)
+                    .output_arc(to, 1)
+                    .build()
+                    .unwrap();
+            }
+            b.finish().unwrap()
+        };
+        let ss = || StateSpace::generate(&toggle(1.0, 0.0), 100).unwrap();
+        assert!(ss().rerated(&toggle(2.0, 0.0)).is_some());
+        assert!(ss().rerated(&toggle(0.0, 1.0)).is_none());
+        assert!(ss().rerated(&toggle(0.0, 0.0)).is_none());
     }
 
     // The pinned digests and errors below are what the one-thread

@@ -373,10 +373,10 @@ impl FileScenario {
         // Compose and validate every point now, so `itua check` (and
         // plain `run`) reject a bad file before any simulation.
         for point in scenario.compose()? {
-            point
-                .params
-                .validate()
-                .map_err(|e| ScnError::general(format!("invalid point (x = {}): {e}", point.x)))?;
+            point.params.validate().map_err(|e| {
+                let x = keys::compact(point.x);
+                ScnError::general(format!("invalid point (x = {x}): {e}"))
+            })?;
         }
         Ok(scenario)
     }
@@ -393,8 +393,9 @@ impl FileScenario {
             let with_scheme = base.clone().with_scheme(scheme);
             for &x in &self.values {
                 let mut params = with_scheme.clone();
-                keys::set_numeric(&mut params, &self.sweep_key, x)
-                    .map_err(|e| ScnError::general(format!("sweep value {x}: {e}")))?;
+                keys::set_numeric(&mut params, &self.sweep_key, x).map_err(|e| {
+                    ScnError::general(format!("sweep value {}: {e}", keys::compact(x)))
+                })?;
                 points.push(SweepPoint {
                     x,
                     series: keys::scheme_label(scheme).to_owned(),

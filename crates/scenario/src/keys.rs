@@ -14,9 +14,23 @@ type Setter = fn(&mut Params, f64) -> Result<(), String>;
 
 fn int_field(v: f64, what: &str) -> Result<usize, String> {
     if v.fract() != 0.0 || !(1.0..=1e9).contains(&v) {
-        return Err(format!("{what} must be a positive integer, got {v}"));
+        return Err(format!(
+            "{what} must be a positive integer, got {}",
+            compact(v)
+        ));
     }
     Ok(v as usize)
+}
+
+/// `v` as an error message prints it: in plain decimals for zero and
+/// magnitudes from 10⁻⁴ up to 10¹⁶, in scientific notation beyond
+/// (`1e300`), so a hostile value cannot flood the line with digits.
+pub(crate) fn compact(v: f64) -> String {
+    if v == 0.0 || (1e-4..1e16).contains(&v.abs()) {
+        format!("{v}")
+    } else {
+        format!("{v:e}")
+    }
 }
 
 macro_rules! rate_setter {
@@ -159,6 +173,18 @@ mod tests {
         assert!(err.contains("base-attack-rate"));
         assert!(!is_numeric_key("attack-rate"));
         assert!(is_numeric_key("ids-rate"));
+    }
+
+    #[test]
+    fn numbers_in_messages_stay_short() {
+        assert_eq!(compact(2.0), "2");
+        assert_eq!(compact(0.5), "0.5");
+        assert_eq!(compact(0.0), "0");
+        assert_eq!(compact(1e300), "1e300");
+        assert_eq!(compact(-2.5e-7), "-2.5e-7");
+        assert_eq!(compact(f64::INFINITY), "inf");
+        let err = set_numeric(&mut Params::default(), "domains", 1e300).unwrap_err();
+        assert!(err.ends_with("got 1e300"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,14 @@
 //! worker threads with one reusable scratch state per thread
 //! (bit-identical results for every thread count and batch size). The sweep adds
 //! progress reporting plus checkpoint/resume through a JSON result store.
+//!
+//! An exact sweep over timed rates and case weights generates its state
+//! space once: a point whose structure key matches the previous point's
+//! re-rates that point's state space instead of generating its own
+//! ([`ItuaAnalytic::reusing`]), bit for bit the chain it would have
+//! generated.
 
+use itua_core::analytic::{ItuaAnalytic, Structure};
 use itua_core::measures::MeasureSet;
 use itua_core::params::Params;
 use itua_rare::SplitSpec;
@@ -244,25 +251,53 @@ pub fn run_sweep(
         Some(store) => SweepRunner::with_store(opts.progress, store),
         None => SweepRunner::new(opts.progress),
     };
+    let mut kept = None;
     let stored = runner.run(&specs, |_, i| {
-        let ms = measure_point(&points[i], cfg, i, opts).map_err(io::Error::from)?;
+        let backend = point_backend(points, i, opts, &mut kept)?;
+        let ms = measure_point(&backend, &points[i], cfg, i, opts)?;
         Ok(ms.estimates().iter().map(StoredEstimate::from).collect())
     })?;
     Ok(series_from(&stored, measures))
 }
 
-/// Runs the backend of `opts` at sweep point `index` through the
-/// runner's replication loop: one RESTART tree per replication, split
-/// under `opts.split` and plain (one-leaf trees) without it.
+/// Builds the backend of sweep point `index`. An analytic point re-rates
+/// the structure in `kept` when it fits ([`ItuaAnalytic::reusing`]); its
+/// own structure is then kept only if a later point of the sweep fits
+/// it, so a sweep holds at most one, and drops it before solving the last
+/// point that uses it.
+fn point_backend(
+    points: &[SweepPoint],
+    index: usize,
+    opts: &RunOpts<'_>,
+    kept: &mut Option<Structure>,
+) -> Result<ItuaBackend, BackendError> {
+    let params = &points[index].params;
+    if opts.backend != BackendKind::Analytic {
+        return ItuaBackend::for_params_with(opts.backend, params, &opts.backend_opts);
+    }
+    let analytic = opts.backend_opts.analytic_options();
+    let (backend, structure) = ItuaAnalytic::reusing(params, &analytic, kept.take())?;
+    if points[index + 1..]
+        .iter()
+        .any(|p| structure.fits(&p.params, &analytic))
+    {
+        *kept = Some(structure);
+    }
+    Ok(ItuaBackend::Analytic(backend))
+}
+
+/// Runs `backend`, built for sweep point `index`, through the runner's
+/// replication loop: one RESTART tree per replication, split under
+/// `opts.split` and plain (one-leaf trees) without it.
 fn measure_point(
+    backend: &ItuaBackend,
     point: &SweepPoint,
     cfg: &SweepConfig,
     index: usize,
     opts: &RunOpts<'_>,
 ) -> Result<MeasureSet, BackendError> {
-    let backend = ItuaBackend::for_params_with(opts.backend, &point.params, &opts.backend_opts)?;
     run_measures_split(
-        &backend,
+        backend,
         cfg.replications,
         cfg.confidence,
         stream_seed(cfg.base_seed, index as u64),
@@ -751,6 +786,66 @@ mod tests {
             assert!((0.0..=1.0).contains(&v.mean), "{}: {v:?}", s.measure);
             assert_eq!(v.half_width, 0.0, "{} must be exact", s.measure);
         }
+    }
+
+    #[test]
+    fn an_analytic_sweep_matches_fresh_points_bit_for_bit() {
+        // A detection probability of 1 zeroes a case weight of every
+        // replica attack, so re-rating refuses into and out of point 1 and
+        // those points generate afresh; point 3 re-rates point 2's chain.
+        let points: Vec<SweepPoint> = [(0.8, 2.0), (1.0, 2.0), (0.8, 0.5), (0.6, 4.0)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(detect, false_alarms))| {
+                let mut p = micro_analytic_point(i as f64, "a");
+                p.params.detect_replica = detect;
+                p.params.false_alarm_rate = false_alarms;
+                p
+            })
+            .collect();
+        let opts = RunOpts {
+            backend: BackendKind::Analytic,
+            ..Default::default()
+        };
+        let measures = [names::UNAVAILABILITY, names::UNRELIABILITY];
+        let series = sweep(&points, &reps(2), &measures, &opts);
+        assert_eq!(series.len(), 2);
+        for s in &series {
+            for &(x, v) in &s.points {
+                let point = &points[x as usize];
+                let fresh = ItuaAnalytic::with_options(
+                    &point.params,
+                    &opts.backend_opts.analytic_options(),
+                )
+                .unwrap()
+                .solve(point.horizon, &point.sample_times, 0.95)
+                .unwrap();
+                let fresh = fresh.mean(&s.measure).unwrap();
+                assert_eq!(v.mean.to_bits(), fresh.to_bits(), "{} at {x}", s.measure);
+            }
+        }
+    }
+
+    #[test]
+    fn an_analytic_sweep_keeps_one_structure_while_a_later_point_fits_it() {
+        let mut points: Vec<SweepPoint> = (0..4)
+            .map(|i| micro_analytic_point(f64::from(i), "a"))
+            .collect();
+        points[1].params.false_alarm_rate = 5.0;
+        points[2].params.spread_rate_domain = 1.0;
+        let opts = RunOpts {
+            backend: BackendKind::Analytic,
+            ..Default::default()
+        };
+        let mut kept = None;
+        let held: Vec<bool> = (0..points.len())
+            .map(|i| {
+                point_backend(&points, i, &opts, &mut kept).unwrap();
+                kept.is_some()
+            })
+            .collect();
+        // Points 1 and 3 fit point 0's structure; point 2 fits none.
+        assert_eq!(held, [true, true, false, false]);
     }
 
     #[test]

@@ -96,8 +96,6 @@ fn micro_itua_mean_time_to_service_failure() {
         .collect();
     let transitions: Vec<(usize, usize, f64)> = ss
         .transitions()
-        .iter()
-        .copied()
         .filter(|&(from, _, _)| !improper[from])
         .collect();
     let ctmc = Ctmc::from_rates(ss.num_states(), &transitions).unwrap();

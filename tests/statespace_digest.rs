@@ -20,14 +20,24 @@
 //! as the uniformization walk produced them when the values were
 //! recorded. A change to the step kernel's floating-point operations or
 //! their order, to the Poisson windows or to the reward sums fails these
-//! tests, with no store diff against an older build needed.
+//! tests, with no store diff against an older build needed. Every point
+//! of the `exact-build` sweep is pinned as well, as `Scenario::run`
+//! solves it: the later points re-rate the first point's state space, so
+//! these pins, recorded when every point generated its own, prove the
+//! re-rated chains bit-identical end to end. The re-rated chains
+//! themselves are compared with fresh ones by digest, for a change of
+//! each parameter the structure key masks.
 
 use itua_repro::itua::analytic::{AnalyticOptions, ItuaAnalytic};
+use itua_repro::itua::params::{ManagementScheme, Params};
 use itua_repro::itua::{analysis, san_model};
+use itua_repro::runner::backend::BackendOptions;
+use itua_repro::runner::engine::RunnerConfig;
 use itua_repro::runner::BackendKind;
 use itua_repro::san::statespace::StateSpace;
 use itua_repro::scenario::file::FileScenario;
 use itua_repro::scenario::Scenario;
+use itua_repro::studies::sweep::{RunOpts, SweepConfig};
 
 /// FNV-1a, 64 bit: a fixed, dependency-free hash, stable across Rust
 /// releases (unlike `DefaultHasher`).
@@ -58,7 +68,7 @@ fn digest(ss: &StateSpace) -> (usize, usize, u64) {
             h.bytes(&v.to_le_bytes());
         }
     }
-    for &(from, to, rate) in ss.transitions() {
+    for (from, to, rate) in ss.transitions() {
         h.u64(from as u64);
         h.u64(to as u64);
         h.u64(rate.to_bits());
@@ -71,7 +81,7 @@ fn digest(ss: &StateSpace) -> (usize, usize, u64) {
             h.bytes(&o.to_le_bytes());
         }
     }
-    (ss.num_states(), ss.transitions().len(), h.0)
+    (ss.num_states(), ss.num_transitions(), h.0)
 }
 
 /// The digest of the first point of the scenario file `scn`, generated
@@ -168,4 +178,157 @@ fn exact_stiff_measures_are_pinned() {
             ("unreliability", 0x3fb2_46df_284e_2b22),
         ],
     );
+}
+
+/// `(panel, series, x, value bits)` of every point of `scn` as
+/// [`Scenario::run`] renders it on the lumped analytic backend, without a
+/// result store, with `threads` workers for generation and the walk.
+fn swept(scn: &str, threads: usize) -> Vec<(String, String, f64, u64)> {
+    let scenario = FileScenario::parse(scn, "digest").expect("benchmark scenario parses");
+    let mut cfg = SweepConfig::default();
+    let mut split = None;
+    scenario.configure(&mut cfg, &mut split);
+    let opts = RunOpts {
+        backend: BackendKind::Analytic,
+        backend_opts: BackendOptions {
+            analytic_threads: threads,
+            ..BackendOptions::default()
+        },
+        runner: RunnerConfig::default().with_threads(threads),
+        split,
+        ..RunOpts::default()
+    };
+    let figures = scenario.run(&cfg, &opts).expect("sweep runs");
+    let mut out = Vec::new();
+    for panel in figures.iter().flat_map(|f| &f.panels) {
+        for series in &panel.series {
+            for &(x, v) in &series.points {
+                out.push((panel.id.clone(), series.name.clone(), x, v.mean.to_bits()));
+            }
+        }
+    }
+    out
+}
+
+/// Every point of the `exact-build` sweep, as the sweep layer solves it
+/// one point after another, pinned to the bits the per-point fresh build
+/// produced when the values were recorded: the end-to-end proof that a
+/// sweep reusing one state-space structure across its points changes no
+/// bit.
+#[test]
+fn exact_build_sweep_is_pinned_at_every_point() {
+    let pinned: Vec<(String, String, f64, u64)> = [
+        ("exact-build-1", 0.5, 0x3fae_69b4_b8ac_1ef5_u64),
+        ("exact-build-1", 1.0, 0x3fb3_c9fe_7ff8_5269),
+        ("exact-build-1", 2.0, 0x3fbc_9842_e9ae_7c38),
+        ("exact-build-1", 4.0, 0x3fc6_6f06_7f5f_be2e),
+        ("exact-build-1", 8.0, 0x3fd2_3075_3651_42d1),
+        ("exact-build-1", 16.0, 0x3fdc_9515_9c20_9fb6),
+        ("exact-build-2", 0.5, 0x3fa2_cfb9_3613_61e0),
+        ("exact-build-2", 1.0, 0x3fa2_7474_be0b_d8da),
+        ("exact-build-2", 2.0, 0x3fa1_c4c6_7a4f_482b),
+        ("exact-build-2", 4.0, 0x3fa0_7f06_d0e8_2142),
+        ("exact-build-2", 8.0, 0x3f9c_9a4c_63d6_5a01),
+        ("exact-build-2", 16.0, 0x3f95_fc5a_b389_979a),
+    ]
+    .iter()
+    .map(|&(panel, x, bits)| (panel.to_owned(), "Domain exclusion".to_owned(), x, bits))
+    .collect();
+    for threads in [1, 2] {
+        assert_eq!(swept(EXACT_BUILD, threads), pinned, "{threads} threads");
+    }
+}
+
+/// A named change to a parameter set.
+type Edit = (&'static str, fn(&mut Params));
+
+/// Every parameter [`san_model::structure_key`] masks, each changed alone
+/// to a value that keeps every rate and case weight positive.
+const MASKED: [Edit; 19] = [
+    ("base_attack_rate", |p| p.base_attack_rate *= 1.7),
+    ("attack_weight_host", |p| p.attack_weight_host *= 0.6),
+    ("attack_weight_replica", |p| p.attack_weight_replica *= 2.5),
+    ("attack_weight_manager", |p| p.attack_weight_manager *= 0.3),
+    ("false_alarm_rate", |p| p.false_alarm_rate *= 3.0),
+    ("effective_rate_factor", |p| p.effective_rate_factor *= 1.9),
+    ("p_script", |p| {
+        p.attack_mix.p_script -= 0.1;
+        p.attack_mix.p_exploratory += 0.1;
+    }),
+    ("p_exploratory", |p| {
+        p.attack_mix.p_exploratory -= 0.05;
+        p.attack_mix.p_innovative += 0.05;
+    }),
+    ("p_innovative", |p| {
+        p.attack_mix.p_innovative -= 0.03;
+        p.attack_mix.p_script += 0.03;
+    }),
+    ("detect_script", |p| p.attack_mix.detect_script = 0.55),
+    ("detect_exploratory", |p| {
+        p.attack_mix.detect_exploratory = 0.35;
+    }),
+    ("detect_innovative", |p| {
+        p.attack_mix.detect_innovative = 0.85;
+    }),
+    ("detect_replica", |p| p.detect_replica = 0.45),
+    ("detect_manager", |p| p.detect_manager = 0.6),
+    ("ids_rate", |p| p.ids_rate *= 4.0),
+    ("misbehave_rate", |p| p.misbehave_rate *= 0.25),
+    ("spread_effect_domain", |p| p.spread_effect_domain *= 2.5),
+    ("spread_effect_system", |p| p.spread_effect_system *= 7.0),
+    ("host_corruption_multiplier", |p| {
+        p.host_corruption_multiplier *= 2.2;
+    }),
+];
+
+/// The chain of `params`, lumped or not, on two workers.
+fn chain(params: &Params, lump: bool) -> StateSpace {
+    let model = san_model::build(params).expect("model builds");
+    let sym = lump.then(|| analysis::symmetry_spec(&model));
+    StateSpace::explore(&model.san, sym.as_ref(), 1_000_000, 2)
+        .expect("state space fits the budget")
+}
+
+/// Asserts that re-rating `base`'s chain for a change of any masked
+/// parameter gives the chain generating afresh gives, digest for digest.
+fn assert_masked_rerate(base: &Params, lump: bool) {
+    let structure = chain(base, lump);
+    for (name, edit) in MASKED {
+        let mut params = base.clone();
+        edit(&mut params);
+        assert_eq!(
+            san_model::structure_key(&params),
+            san_model::structure_key(base),
+            "{name}"
+        );
+        let model = san_model::build(&params).expect("model builds");
+        let rerated = structure
+            .clone()
+            .rerated(&model.san)
+            .unwrap_or_else(|| panic!("{name}: re-rating refused"));
+        assert_eq!(digest(&rerated), digest(&chain(&params, lump)), "{name}");
+    }
+}
+
+#[test]
+fn exact_build_rerates_every_masked_parameter_to_the_fresh_chain() {
+    let scenario = FileScenario::parse(EXACT_BUILD, "digest").expect("benchmark scenario parses");
+    let base = scenario.points(BackendKind::Analytic).remove(0).params;
+    assert_masked_rerate(&base, true);
+}
+
+/// The same on a host-exclusion, one-replica-per-host configuration
+/// (without system-wide spread, to keep it small), lumped and not.
+#[test]
+fn host_exclusion_micro_rerates_every_masked_parameter_to_the_fresh_chain() {
+    let base = Params {
+        spread_rate_system: 0.0,
+        ..Params::default()
+            .with_domains(1, 2)
+            .with_applications(1, 2)
+            .with_scheme(ManagementScheme::HostExclusion)
+    };
+    for lump in [true, false] {
+        assert_masked_rerate(&base, lump);
+    }
 }
